@@ -52,8 +52,6 @@ def _add_resolution_flags(sp):
                     help="Gauss panels per half axis (default 24; 8 gives the N=512 profile)")
     sp.add_argument("--nodes-per-panel", type=int, default=32)
     sp.add_argument("--x-max", type=float, default=3.0)
-    sp.add_argument("--grading", type=float, default=1.0,
-                    help="panel grading exponent toward 0")
 
 
 def _add_common(sp):
@@ -61,7 +59,6 @@ def _add_common(sp):
     sp.add_argument("--threads", type=int,
                     default=int(os.environ.get("DUNKL_OSC_THREADS", "1")))
     sp.add_argument("--output", type=str, default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--config", type=str, default=None,
                     help="key=value file; explicit flags win")
 

@@ -52,6 +52,8 @@ class Grid:
         wts = np.asarray(self.weights, dtype=float)
         if pts.ndim != 1 or pts.shape != wts.shape or pts.size == 0:
             raise ArgumentError("grid points/weights must be matching 1-d arrays")
+        if not np.isfinite(np.concatenate([pts, wts, [self.lo, self.hi]])).all():
+            raise ArgumentError("grid points, weights and support must be finite")
         if np.any(np.diff(pts) <= 0.0):
             raise ArgumentError("grid points must be strictly increasing")
         if np.any(wts <= 0.0):
@@ -105,6 +107,8 @@ class SampledFn:
         vals = np.asarray(self.values, dtype=complex)
         if vals.shape != self.grid.points.shape:
             raise ArgumentError("values must have one entry per grid point")
+        if not np.isfinite(vals).all():
+            raise ArgumentError("values must be finite")
         if self.domain_tag not in (FULL_LINE, HALF_LINE):
             raise ArgumentError(f"unknown domain tag {self.domain_tag!r}")
         if self.domain_tag == HALF_LINE and self.grid.lo < 0.0:

@@ -240,8 +240,8 @@ def build_family(order: float, f: SampledFn, t_grid: ThresholdSeq,
         xi = half_freq.points
         we = half_freq.weights * xi ** (2.0 * order + 1.0)
         wo = half_freq.weights * xi ** (2.0 * order + 3.0)
-        se = me @ (masks * (we * e_spec.values)).T          # (Nhalf, T)
-        so = mo @ (masks * (wo * o_spec.values)).T
+        se = transforms._apply_real(me, (masks * (we * e_spec.values)).T)   # (Nhalf, T)
+        so = transforms._apply_real(mo, (masks * (wo * o_spec.values)).T)
         xpos = half_out.points[:, None]
         rows = np.concatenate([(se - xpos * so)[::-1, :], se + xpos * so], axis=0).T
         payload = ("dunkl", half_freq, e_spec.values, o_spec.values)
@@ -249,7 +249,7 @@ def build_family(order: float, f: SampledFn, t_grid: ThresholdSeq,
         spec = transforms.hankel(order, f, half_freq)
         mat = transforms._j_matrix(order, f.grid, half_freq)
         wt = half_freq.weights * half_freq.points ** (2.0 * order + 1.0)
-        rows = (mat @ (masks * (wt * spec.values)).T).T
+        rows = transforms._apply_real(mat, (masks * (wt * spec.values)).T).T
         payload = ("hankel", half_freq, spec.values)
     else:
         raise ArgumentError(f"unknown family kind {kind!r}")

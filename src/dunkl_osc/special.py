@@ -1,11 +1,16 @@
 """Bessel functions of the first kind J_a and the normalized kernel
-j_a(u) = J_a(u) / u^a for orders a >= -1/2.
+j_a(u) = J_a(u) / u^a for orders -1/2 <= a <= MAX_ORDER.
 
 Evaluation scheme: half-integer orders +-1/2 use the closed trigonometric
 forms (no series error where the Fourier reduction is exercised); otherwise
 an ascending series in 80-bit extended precision for u <= 14 and the large
 argument cosine expansion for u > 14.  Both branches are vectorized; kernel
 matrices for the transforms are built through these entry points.
+
+The fixed split is only sound while u = 14 is large against the order: up
+to MAX_ORDER = 7.5 the absolute error against scipy.special.jv on (0, 60]
+stays below 1e-13, but at order 8 it is already 0.37.  Higher orders are
+refused with DomainError rather than answered wrongly.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 from .errors import ArgumentError, DomainError
 
 _SPLIT = 14.0
+MAX_ORDER = 7.5
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error is below
@@ -51,6 +57,10 @@ def _check_order(alpha: float) -> float:
     alpha = float(alpha)
     if not np.isfinite(alpha) or alpha < -0.5:
         raise ArgumentError(f"order must satisfy alpha >= -1/2, got {alpha}")
+    if alpha > MAX_ORDER:
+        raise DomainError(f"Bessel order {alpha:g} exceeds the supported maximum "
+                          f"{MAX_ORDER:g} (the series/asymptotic split at u={_SPLIT:g} "
+                          f"is inaccurate beyond it)")
     return alpha
 
 
@@ -60,8 +70,9 @@ def _series_normalized(alpha: float, u: np.ndarray) -> np.ndarray:
     q = np.asarray(u, dtype=np.longdouble) ** 2 / 4.0
     term = np.ones_like(q)
     acc = np.ones_like(q)
+    a = np.longdouble(alpha)   # a float64 denominator is inexact for most orders
     for k in range(200):
-        term = term * (-q) / ((k + 1.0) * (alpha + k + 1.0))
+        term = term * (-q) / ((k + 1) * (a + (k + 1)))
         acc += term
         if np.max(np.abs(term)) < 1e-21 * max(1.0, float(np.max(np.abs(acc)))):
             break
@@ -97,7 +108,8 @@ def _asymptotic_j(alpha: float, u: np.ndarray) -> np.ndarray:
 
 def bessel_j_normalized(alpha: float, u):
     """j_a(u) = J_a(u)/u^a, continuously extended to 1/(2^a Gamma(a+1))
-    at u = 0.  Even entire function of u; vectorized over u >= 0."""
+    at u = 0.  Even entire function of u; vectorized over u >= 0.  Orders
+    above MAX_ORDER raise DomainError."""
     alpha = _check_order(alpha)
     uu = np.asarray(u, dtype=float)
     scalar = uu.ndim == 0
@@ -121,8 +133,9 @@ def bessel_j_normalized(alpha: float, u):
 
 
 def bessel_j(alpha: float, u):
-    """J_a(u) for u >= 0, a >= -1/2.  Absolute error <= 1e-12 for u <= 10,
-    relative error (against the amplitude envelope) <= 1e-10 beyond."""
+    """J_a(u) for u >= 0, -1/2 <= a <= MAX_ORDER.  Absolute error <= 1e-12
+    for u <= 10, relative error (against the amplitude envelope) <= 1e-10
+    beyond.  Orders above MAX_ORDER raise DomainError."""
     alpha = _check_order(alpha)
     uu = np.asarray(u, dtype=float)
     scalar = uu.ndim == 0

@@ -3,9 +3,15 @@ Dunkl, their inverses, and the transplantation operators.
 
 Everything is dense quadrature, O(N_in * N_out): a kernel matrix is built
 once per (order, input grid, output grid) and cached, so sweeping a corpus
-over fixed grids costs one matrix build plus cheap mat-vecs.  An oscillatory
-resolution guard refuses output frequencies with fewer than six input nodes
-per kernel wavelength rather than aliasing silently.
+over fixed grids costs one matrix build plus cheap mat-vecs.  The Bessel
+kernels are real and the data complex; they are applied in real arithmetic
+(_apply_real), with the real and imaginary parts of the data as two GEMM
+columns, so the cached kernel is never upcast to a complex copy.  Every
+full-line transform reuses the cached half-line kernels: the direct Dunkl
+route sums the four (sign x, sign y) quadrants instead of building a
+full-line kernel.  An oscillatory resolution guard refuses output
+frequencies with fewer than six input nodes per kernel wavelength rather
+than aliasing silently.
 
 Conventions (all realized exactly at the kernel level):
 
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -36,20 +43,38 @@ MIN_NODES_PER_WAVELENGTH = 6.0
 
 _cache_lock = threading.Lock()
 _matrix_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_building: dict[tuple, Future] = {}   # keys whose build is in flight
 _CACHE_CAP = 64
 
 
 def _cached(key, builder):
+    """The kernel for key, built once: a thread that misses while another
+    builds the same key waits for that build; different keys build
+    concurrently, outside the lock."""
     with _cache_lock:
         if key in _matrix_cache:
             _matrix_cache.move_to_end(key)
             return _matrix_cache[key]
-    mat = builder()
+        pending = _building.get(key)
+        owner = pending is None
+        if owner:
+            pending = _building[key] = Future()
+    if not owner:
+        return pending.result()
+    try:
+        mat = builder()
+    except BaseException as exc:
+        with _cache_lock:
+            del _building[key]
+        pending.set_exception(exc)
+        raise
     with _cache_lock:
         _matrix_cache[key] = mat
         _matrix_cache.move_to_end(key)
         while len(_matrix_cache) > _CACHE_CAP:
             _matrix_cache.popitem(last=False)
+        del _building[key]
+    pending.set_result(mat)
     return mat
 
 
@@ -85,6 +110,15 @@ def frequency_grid(space_grid: Grid, freq_max: float | None = None,
         budget = space_grid.n if space_grid.lo >= 0.0 else space_grid.n // 2
         n_panels = max(1, budget // nodes_per_panel)
     return make_graded_grid(-f, f, n_panels, nodes_per_panel, 1.0)
+
+
+def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat @ v for a real matrix and a vector or (n, k) stack v, without
+    upcasting mat: v is viewed as interleaved real columns, so one real
+    GEMM yields the real and imaginary parts together."""
+    v = np.ascontiguousarray(v, dtype=np.complex128)
+    out = mat @ v.reshape(v.shape[0], -1).view(np.float64)
+    return out.view(np.complex128).reshape(mat.shape[:1] + v.shape[1:])
 
 
 def _j_matrix(alpha: float, rows: Grid, cols: Grid) -> np.ndarray:
@@ -133,7 +167,7 @@ def hankel(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
     mat = _j_matrix(alpha, output_grid, f.grid)
     y = f.grid.points
-    out = mat @ (f.grid.weights * y ** (2.0 * alpha + 1.0) * f.values)
+    out = _apply_real(mat, f.grid.weights * y ** (2.0 * alpha + 1.0) * f.values)
     return SampledFn(output_grid, out, HALF_LINE)
 
 
@@ -147,15 +181,19 @@ def hankel_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     mat = _j_matrix(alpha, output_grid, f.grid)
     y = f.grid.points
     x = output_grid.points
-    out = x ** (alpha + 0.5) * (mat @ (f.grid.weights * y ** (alpha + 0.5) * f.values))
+    out = x ** (alpha + 0.5) * _apply_real(mat, f.grid.weights * y ** (alpha + 0.5) * f.values)
     return SampledFn(output_grid, out, HALF_LINE)
 
 
-def _split_for_transform(f: SampledFn):
+def _check_full_symmetric(f: SampledFn) -> None:
     if f.domain_tag != FULL_LINE:
         raise ArgumentError("expected a full-line function")
     if not f.grid.is_symmetric:
         raise ArgumentError("expected a grid symmetric about 0")
+
+
+def _split_for_transform(f: SampledFn):
+    _check_full_symmetric(f)
     return even_odd_split(f)
 
 
@@ -172,39 +210,39 @@ def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposi
 
     route='decomposition' (default): Hk_a on the even part plus the signed
     Hk_{a+1} of f_o(y)/y.  route='direct': dense full-line quadrature of the
-    kernel (j_a(xy) - i xy j_{a+1}(xy))/2 |y|^{2a+1}; the two are the same
-    integral rearranged and are cross-checked in the identity suite.
+    kernel (j_a(xy) - i xy j_{a+1}(xy))/2 against |y|^{2a+1} dy, without
+    the parity split.  The kernel depends on |x|, |y| and sgn(xy) only, so
+    the sum runs over the four (sign x, sign y) quadrants with the cached
+    half-line kernels ja, jb: for x > 0, with v+ the weighted samples at
+    y > 0 and v- those at the mirrored y < 0,
+        D f(+-x) = (ja @ (v+ + v-) -+ i x jb @ (|y| (v+ - v-))) / 2.
+    The two routes are the same integral rearranged and are cross-checked
+    in the identity suite.
     """
     if not output_grid.is_symmetric:
         raise ArgumentError("dunkl needs a symmetric output grid")
-    fe, fo = _split_for_transform(f)
     half_out = output_grid.positive_half()
     if route == "decomposition":
+        fe, fo = _split_for_transform(f)
         he = hankel(alpha, fe, half_out)
         fo_over_y = fo.with_values(fo.values / fo.grid.points)
         ho = hankel(alpha + 1.0, fo_over_y, half_out)
         xpos = half_out.points
         return _assemble_full(output_grid, he.values, -1j * xpos * ho.values)
     if route == "direct":
+        _check_full_symmetric(f)
         check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
-        ja = _j_matrix(alpha, half_out, fe.grid)
-        jb = _j_matrix(alpha + 1.0, half_out, fe.grid)
-        x = output_grid.points
-        m = output_grid.n // 2
-        y = f.grid.points
-        # tile the positive-quadrant evaluations to the full line by parity
-        xi = np.where(np.arange(output_grid.n) >= m,
-                      np.arange(output_grid.n) - m,
-                      m - 1 - np.arange(output_grid.n))
-        yi = np.where(np.arange(f.grid.n) >= f.grid.n // 2,
-                      np.arange(f.grid.n) - f.grid.n // 2,
-                      f.grid.n // 2 - 1 - np.arange(f.grid.n))
-        JA = ja[np.ix_(xi, yi)]
-        JB = jb[np.ix_(xi, yi)]
-        xy = x[:, None] * y[None, :]
-        kernel = 0.5 * (JA - 1j * xy * JB)
-        out = kernel @ (f.grid.weights * np.abs(y) ** (2.0 * alpha + 1.0) * f.values)
-        return SampledFn(output_grid, out, FULL_LINE)
+        half_in = f.grid.positive_half()
+        ja = _j_matrix(alpha, half_out, half_in)
+        jb = _j_matrix(alpha + 1.0, half_out, half_in)
+        m = f.grid.n // 2
+        v = f.grid.weights * np.abs(f.grid.points) ** (2.0 * alpha + 1.0) * f.values
+        quad = np.stack([v[m:], v[m - 1::-1]], axis=1)   # columns: y > 0, mirrored y < 0
+        a = _apply_real(ja, quad)
+        b = _apply_real(jb, half_in.points[:, None] * quad)
+        even = 0.5 * (a[:, 0] + a[:, 1])
+        odd = 0.5 * half_out.points * (b[:, 0] - b[:, 1])
+        return _assemble_full(output_grid, even, -1j * odd)
     raise ArgumentError(f"unknown dunkl route {route!r}")
 
 

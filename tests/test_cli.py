@@ -26,6 +26,14 @@ def test_transform_roundtrip_files(workdir):
     assert out.grid.n > 0 and np.max(np.abs(out.values)) > 0
 
 
+def test_unsupported_order_and_removed_flags_exit_2(workdir):
+    assert main(["transform", "--kind", "dunkl", "--alpha", "9",
+                 "--input", "f.csv", "--output", "F.csv"]) == 2
+    assert not os.path.exists("F.csv")
+    assert main(["transform", "--kind", "dunkl", "--grading", "2",
+                 "--input", "f.csv", "--output", "F.csv"]) == 2
+
+
 def test_partial_sum_and_family(workdir):
     assert main(["partial-sum", "--kind", "dunkl", "--alpha", "0",
                  "--t", "2", "--input", "f.csv", "--output", "S.csv"]) == 0

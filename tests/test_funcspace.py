@@ -159,6 +159,27 @@ def test_grid_invariant_enforced():
         Grid(pts, np.array([0.1, 0.1, 0.1]), 0.0, 1.0)  # weights sum != length
 
 
+def test_grid_rejects_non_finite():
+    w = np.array([0.2, 0.6, 0.2])
+    with pytest.raises(ArgumentError):
+        Grid(np.array([0.2, np.nan, 0.8]), w, 0.0, 1.0)
+    with pytest.raises(ArgumentError):
+        Grid(np.array([0.2, 0.5, 0.8]), np.array([0.2, np.inf, 0.2]), 0.0, 1.0)
+    with pytest.raises(ArgumentError):
+        Grid(np.array([0.2, 0.5, 0.8]), w, -np.inf, 1.0)
+
+
+def test_sampled_fn_rejects_non_finite():
+    g = make_graded_grid(-1.0, 1.0, 2, 4)
+    vals = np.ones(g.n, dtype=complex)
+    vals[3] = np.nan
+    with pytest.raises(ArgumentError):
+        SampledFn(g, vals)
+    vals[3] = complex(1.0, np.inf)
+    with pytest.raises(ArgumentError):
+        SampledFn(g, vals)
+
+
 def test_multiply_power_origin_rule():
     from dunkl_osc import DomainError
     g = Grid(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 1.0, 1.0]), -1.5, 1.5)

@@ -4,7 +4,8 @@ import pytest
 from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError,
                        ThresholdSeq, build_family, bump, dunkl_partial_sum,
                        dunkl_partial_sum_iterated, even_odd_split,
-                       family_to_csv, fourier_partial_sum, hankel_partial_sum,
+                       family_to_csv, fourier_partial_sum, gaussian,
+                       hankel_partial_sum,
                        make_breakpoint_grid, radial_partial_sum, sample,
                        snap_threshold)
 from conftest import l2_weighted
@@ -68,11 +69,20 @@ def test_idempotence(space512, freq512, one_bump):
     assert np.max(np.abs(st.values - s1.values)) <= 1e-8
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0])
-def test_two_route_partial_sum(alpha, freq512, one_bump):
+@pytest.mark.parametrize("alpha,member", [
+    pytest.param(0.0, "real", id="0.0"),
+    pytest.param(1.0, "real", id="1.0"),
+    pytest.param(2.5, "real", id="2.5"),
+    pytest.param(0.0, "complex", id="0.0-complex"),
+    pytest.param(2.5, "complex", id="2.5-complex"),
+])
+def test_two_route_partial_sum(alpha, member, freq512, one_bump):
+    f = one_bump
+    if member == "complex":
+        f = f.with_values(f.values + 1j * gaussian(-0.4, 0.3)(f.grid.points))
     for t in (0.5, 4.0):
-        s1 = dunkl_partial_sum(alpha, one_bump, t, freq512)
-        s2 = dunkl_partial_sum(alpha, one_bump, t, freq512, route="direct")
+        s1 = dunkl_partial_sum(alpha, f, t, freq512)
+        s2 = dunkl_partial_sum(alpha, f, t, freq512, route="direct")
         assert np.max(np.abs(s1.values - s2.values)) <= 1e-9
 
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.special as sp
 
 from dunkl_osc import DomainError, bessel_j, bessel_j_normalized, gamma
+from dunkl_osc.special import MAX_ORDER
 
 # oracle: ascending series in extended precision (mpmath), frozen values
 J_1_AT_2_5 = 0.4970941024642740380108163      # truncated series, 40 digits
@@ -102,3 +103,19 @@ def test_order_below_minus_half_rejected():
         bessel_j(-0.6, 1.0)
     with pytest.raises(ArgumentError):
         bessel_j_normalized(-1.0, 1.0)
+
+
+def test_oracle_lattice_up_to_max_order():
+    # every half-integer order up to MAX_ORDER, plus two off-lattice orders
+    # whose series denominators are not exact in double precision
+    u = np.linspace(0.0, 60.0, 6001)[1:]
+    for alpha in list(np.arange(0.0, MAX_ORDER + 0.25, 0.5)) + [1.05, 6.95]:
+        err = np.max(np.abs(bessel_j(alpha, u) - sp.jv(alpha, u)))
+        assert err <= 1e-12, (alpha, err)
+
+
+def test_order_above_max_rejected():
+    with pytest.raises(DomainError):
+        bessel_j(MAX_ORDER + 0.5, 1.0)
+    with pytest.raises(DomainError):
+        bessel_j_normalized(MAX_ORDER + 1e-9, np.array([0.5, 14.5]))

@@ -1,11 +1,15 @@
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from dunkl_osc import (HALF_LINE, ResolutionError, bump, dunkl,
+from dunkl_osc import (HALF_LINE, ArgumentError, ResolutionError, bump, dunkl,
                        dunkl_inverse, dunkl_modified, dunkl_modified_inverse,
                        fourier, frequency_grid, gaussian, hankel,
                        hankel_modified, make_breakpoint_grid, make_graded_grid,
-                       multiply_power, sample, transplant_dunkl,
+                       multiply_power, sample, transforms, transplant_dunkl,
                        transplant_hankel)
 from conftest import l2_weighted
 
@@ -187,3 +191,82 @@ def test_resolution_guard(space512):
     too_fine = make_graded_grid(-400.0, 400.0, 4, 8, 1.0)
     with pytest.raises(ResolutionError):
         fourier(f, too_fine)
+
+
+def test_apply_real_matches_upcast_product():
+    rng = np.random.Generator(np.random.Philox(key=3))
+    mat = rng.standard_normal((40, 30))
+    vector = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    stack = (rng.standard_normal((7, 30)) + 1j * rng.standard_normal((7, 30))).T
+    real = rng.standard_normal(30)
+    for v in (vector, stack, real):
+        ref = mat.astype(complex) @ v
+        out = transforms._apply_real(mat, v)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.linalg.norm(mat) * np.linalg.norm(v)
+
+
+def test_direct_route_is_independent_of_parity_split(monkeypatch, space512, freq512,
+                                                      one_bump):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route must not use the parity split")
+
+    monkeypatch.setattr(transforms, "hankel", refuse)
+    monkeypatch.setattr(transforms, "even_odd_split", refuse)
+    out = dunkl(1.0, one_bump, freq512, route="direct")
+    assert out.grid is freq512 and np.max(np.abs(out.values)) > 0.0
+    with pytest.raises(ArgumentError):
+        dunkl(1.0, sample(bump(1.5, 1.2), space512.positive_half(), HALF_LINE),
+              freq512, route="direct")
+    lopsided = make_graded_grid(-2.0, 3.0, 8, 32)
+    with pytest.raises(ArgumentError):
+        dunkl(1.0, sample(bump(0.3, 1.4), lopsided), freq512, route="direct")
+
+
+def test_kernel_cache_builds_each_key_once():
+    """Eight threads, two keys: each key is built once, every thread gets
+    the same array, and the two keys' builds overlap."""
+    keys = [("cache-stress", k) for k in range(2)]
+    started = {key: threading.Event() for key in keys}
+    overlapped = {}
+    calls = Counter()
+    lock = threading.Lock()
+
+    def builder(key):
+        def build():
+            with lock:
+                calls[key] += 1
+            started[key].set()
+            other = keys[1 - key[1]]
+            # blocks the whole timeout if builds of different keys serialize
+            overlapped[key] = started[other].wait(timeout=10.0)
+            return np.full(4, float(key[1]))
+        return build
+
+    results = [None] * 8
+    barrier = threading.Barrier(8)
+
+    def worker(i):
+        key = keys[i % 2]
+        barrier.wait(timeout=10.0)
+        results[i] = (key, transforms._cached(key, builder(key)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(old)
+        with transforms._cache_lock:
+            for key in keys:
+                transforms._matrix_cache.pop(key, None)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == Counter({key: 1 for key in keys})
+    assert overlapped == {key: True for key in keys}
+    for key in keys:
+        got = [arr for k, arr in results if k == key]
+        assert len(got) == 4 and all(arr is got[0] for arr in got)
