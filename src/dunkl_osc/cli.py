@@ -2,9 +2,10 @@
 
 Subcommands: transform, partial-sum, family, osc, var, maximal, range,
 verify, sweep.  Exit codes: 0 success, 1 numerical failure (identity suite
-or acceptance-style failure), 2 argument error.  Floating-point output is
-printed with 17 significant digits so reports reproduce bit-for-bit.  A
-key=value config file can pre-populate any flag; explicit flags win.
+or acceptance-style failure), 2 argument or I/O error.  Floating-point
+output is printed with 17 significant digits so reports reproduce
+bit-for-bit.  A key=value config file can pre-populate any flag; explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -68,13 +69,11 @@ def _parse_t_list(text: str) -> list[float]:
 
 
 def _t_grid_for(args, f) -> ThresholdSeq:
-    """Thresholds from the flag, or 2^{k/8} across the input grid's band."""
+    """Thresholds from the flag, or 2^{k/8} across the band of the input
+    grid's default frequency grid (harness.default_t_grid on a profile)."""
     if args.t_grid:
         return ThresholdSeq(np.array(sorted(_parse_t_list(args.t_grid))))
-    band = 0.98 * transforms.resolvable_frequency(f.grid)
-    k_min = int(np.ceil(8.0 * np.log2(band / 2.0 ** 10)))
-    k_max = int(np.floor(8.0 * np.log2(0.45 * band)))
-    return ThresholdSeq(2.0 ** (np.arange(k_min, k_max + 1) / 8.0))
+    return ThresholdSeq.octave_eighths(transforms.frequency_grid(f.grid).hi)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,11 +428,10 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(ap, _merge_negative_values(
             list(sys.argv[1:] if argv is None else argv)))
+        return _run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _run(args)
-    except (ArgumentError, DomainError, ResolutionError) as exc:
+    except (ArgumentError, DomainError, ResolutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GateError as exc:

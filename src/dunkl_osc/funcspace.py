@@ -46,6 +46,7 @@ class Grid:
     hi: float
     panel_edges: np.ndarray | None = None
     key: str = field(init=False, default="")
+    _half: "Grid | None" = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -85,14 +86,18 @@ class Grid:
         return float(np.max(np.diff(self.points)))
 
     def positive_half(self) -> "Grid":
-        """Positive-side sub-grid of a symmetric full-line grid."""
-        if not self.is_symmetric:
-            raise ArgumentError("positive_half requires a symmetric grid")
-        m = self.n // 2
-        edges = None
-        if self.panel_edges is not None:
-            edges = self.panel_edges[self.panel_edges >= 0.0]
-        return Grid(self.points[m:], self.weights[m:], 0.0, self.hi, edges)
+        """Positive-side sub-grid of a symmetric full-line grid, built once
+        per grid (two threads racing here only build two equal grids)."""
+        if self._half is None:
+            if not self.is_symmetric:
+                raise ArgumentError("positive_half requires a symmetric grid")
+            m = self.n // 2
+            edges = None
+            if self.panel_edges is not None:
+                edges = self.panel_edges[self.panel_edges >= 0.0]
+            object.__setattr__(self, "_half",
+                               Grid(self.points[m:], self.weights[m:], 0.0, self.hi, edges))
+        return self._half
 
 
 @dataclass(frozen=True)
@@ -215,12 +220,18 @@ def even_odd_split(f: SampledFn):
     return fe, fo
 
 
+def assemble_values(even_vals: np.ndarray, odd_vals: np.ndarray) -> np.ndarray:
+    """f(x) = f_e(|x|) + sgn(x) f_o(|x|) on a symmetric grid, from the parts
+    at the positive nodes, along the last axis: one (N/2,) pair gives an
+    (N,) vector, a (T, N/2) pair a (T, N) stack."""
+    return np.concatenate([(even_vals - odd_vals)[..., ::-1], even_vals + odd_vals], axis=-1)
+
+
 def assemble_from_parts(full_grid: Grid, even_vals: np.ndarray, odd_vals: np.ndarray) -> SampledFn:
     """Inverse of even_odd_split: f(x) = f_e(|x|) + sgn(x) f_o(|x|)."""
     if not full_grid.is_symmetric:
         raise ArgumentError("assemble_from_parts needs a symmetric grid")
-    vals = np.concatenate([(even_vals - odd_vals)[::-1], even_vals + odd_vals])
-    return SampledFn(full_grid, vals, FULL_LINE)
+    return SampledFn(full_grid, assemble_values(even_vals, odd_vals), FULL_LINE)
 
 
 def multiply_power(f: SampledFn, a: float) -> SampledFn:

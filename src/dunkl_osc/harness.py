@@ -105,13 +105,8 @@ def resolution_n1024() -> Resolution:
 
 
 def default_t_grid(res: Resolution) -> ThresholdSeq:
-    """Thresholds 2^{k/8} across [F/2^10, 0.45 F]: eight points per octave,
-    containing the dyadic points, and closed under the dilation shifts
-    lambda in {1/2, 2} within the resolvable band."""
-    f = res.freq_max()
-    k_min = int(np.ceil(8.0 * np.log2(f / 2.0 ** 10)))
-    k_max = int(np.floor(8.0 * np.log2(0.45 * f)))
-    return ThresholdSeq(2.0 ** (np.arange(k_min, k_max + 1) / 8.0))
+    """ThresholdSeq.octave_eighths over the profile's frequency band."""
+    return ThresholdSeq.octave_eighths(res.freq_max())
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +265,7 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
                        pairs, 1e-8, res, seed, t0)
 
     def partial_sum_decomposition(alpha):
-        from .funcspace import even_odd_split
+        from .funcspace import assemble_values, even_odd_split
         from .projections import hankel_partial_sum
         t0 = _timer()
         half_freq = freq.positive_half()
@@ -284,8 +279,7 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
                 full = dunkl_partial_sum(alpha, m.sampled, t, freq)
                 se = hankel_partial_sum(alpha, fe, t, half_freq)
                 so = hankel_partial_sum(alpha + 1.0, foy, t, half_freq)
-                rec = np.concatenate([(se.values - half.points * so.values)[::-1],
-                                      se.values + half.points * so.values])
+                rec = assemble_values(se.values, half.points * so.values)
                 worst = max(worst, float(np.max(np.abs(full.values - rec))))
             pairs.append((m.label, worst))
         return _finish("partial-sum-decomposition", {"alpha": alpha, "ts": PROJECTION_TS},

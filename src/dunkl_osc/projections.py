@@ -1,22 +1,25 @@
-"""Sharp frequency-cut partial sum operators and precomputed families.
+"""Sharp frequency-cut partial sums S_t f = D_a^{-1} 1_{[-t,t]} D_a f and
+their families over a t-grid, all rows of one spectral-cut pipeline.
 
-A partial sum is realized as: forward transform, multiply by the indicator
-of [0, t] (node mask on the frequency grid), inverse transform.  Masks make
-the family an exact projection lattice on the discrete frequency samples:
-composing two partial sums multiplies their masks, so P_s P_t = P_min holds
-to floating-point exactness.  Cut thresholds are snapped to midpoints
-between adjacent frequency nodes so the node mask is unambiguous.
+_cut_rows makes one forward transform, applies a (T, F) node-mask
+matrix whose row i is the product of the masks of cut list i, and makes one
+inverse GEMM per parity: the full-line Dunkl spectrum is cut through the
+half-line spectra E = Hk_a f_e and O = Hk_{a+1}(f_o/y) of the even and odd
+parts, and the rows are reassembled by parity once.  build_family passes
+one cut per row, a partial sum is a one-row family and an iterated sum one
+row of multiplied masks, so P_s P_t = P_min holds to floating-point
+exactness.  Cuts are snapped to midpoints between adjacent frequency nodes
+so the node mask is unambiguous.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, ResolutionError
-from .funcspace import (FULL_LINE, HALF_LINE, Grid, SampledFn,
-                        even_odd_split)
+from .funcspace import FULL_LINE, HALF_LINE, Grid, SampledFn, assemble_values
 from . import transforms
 from .transforms import frequency_grid
 
@@ -54,6 +57,15 @@ class ThresholdSeq:
         return cls(2.0 ** np.arange(k_min, k_max + 1))
 
     @classmethod
+    def octave_eighths(cls, band: float) -> "ThresholdSeq":
+        """Thresholds 2^{k/8} across [band/2^10, 0.45 band]: eight points per
+        octave, containing the dyadic points, and closed under the dilation
+        shifts lambda in {1/2, 2} within the band."""
+        k_min = int(np.ceil(8.0 * np.log2(band / 2.0 ** 10)))
+        k_max = int(np.floor(8.0 * np.log2(0.45 * band)))
+        return cls(2.0 ** (np.arange(k_min, k_max + 1) / 8.0))
+
+    @classmethod
     def union(cls, *seqs: "ThresholdSeq") -> "ThresholdSeq":
         vals = np.unique(np.concatenate([s.values for s in seqs]))
         return cls(vals)
@@ -73,17 +85,14 @@ def snap_threshold(t: float, freq_points: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PartialSumFamily:
-    """Rows S_t f over a threshold grid, sharing one forward transform.
-
-    values[i, j] = S_{t_i} f (x_j) on the base grid.  The private spectral
-    payload lets composed projections reuse the cached spectrum."""
+    """Rows S_t f over a threshold grid, sharing one forward transform:
+    values[i, j] = S_{t_i} f (x_j) on the base grid."""
 
     base: SampledFn
     order: float
     kind: str
     t_grid: ThresholdSeq
     values: np.ndarray
-    _spectral: tuple = field(repr=False, default=())
 
     def __post_init__(self):
         if self.values.shape != (len(self.t_grid), self.base.grid.n):
@@ -97,110 +106,80 @@ class PartialSumFamily:
                          self.base.domain_tag)
 
 
-def _hankel_forward_parts(order: float, f: SampledFn, half_freq: Grid):
-    """Even/odd half-line spectra of a full-line function: E = Hk_a f_e and
-    O = Hk_{a+1}(f_o / .)."""
-    fe, fo = even_odd_split(f)
-    e_spec = transforms.hankel(order, fe, half_freq)
-    fo_over = fo.with_values(fo.values / fo.grid.points)
-    o_spec = transforms.hankel(order + 1.0, fo_over, half_freq)
-    return e_spec, o_spec
+def _mask(half_freq: Grid, ts) -> np.ndarray:
+    """Node mask of the cut list ts: the product of the masks |xi| <= t
+    (an empty list cuts nothing)."""
+    pts = half_freq.points
+    cuts = np.array([pts <= snap_threshold(t, pts) for t in ts], dtype=bool)
+    return np.logical_and.reduce(cuts.reshape(-1, pts.size))
 
 
-def _check_band(t: float, half_freq: Grid) -> None:
-    if t > half_freq.hi:
-        raise ResolutionError(
-            f"cut t={t:g} exceeds the resolvable frequency band {half_freq.hi:g}")
-
-
-def _mask(half_freq: Grid, t: float) -> np.ndarray:
-    ts = snap_threshold(t, half_freq.points)
-    return half_freq.points <= ts
-
-
-def dunkl_partial_sum(order: float, f: SampledFn, t: float,
-                      freq_grid: Grid | None = None,
-                      route: str = "decomposition") -> SampledFn:
-    """S_t f = inverse Dunkl of 1_{[-t,t]} times the Dunkl transform of f.
-
-    The default route cuts the half-line spectra of the even/odd parts; the
-    'direct' route masks the full-line Dunkl spectrum.  Both apply the same
-    node mask, so they differ only in floating-point rearrangement.
-    """
-    if f.domain_tag != FULL_LINE:
-        raise ArgumentError("dunkl_partial_sum needs a full-line function")
+def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
+              kind: str) -> np.ndarray:
+    """The (len(cut_lists), f.grid.n) rows S_{cut list} f of the single
+    pipeline: kind 'hankel' cuts the Hankel spectrum of a half-line f, kinds
+    'dunkl' and 'fourier' the Dunkl spectrum of a full-line f.  Every cut is
+    checked against the band, and the inverse against the resolution guard."""
+    want = {"dunkl": FULL_LINE, "fourier": FULL_LINE, "hankel": HALF_LINE}.get(kind)
+    if want is None:
+        raise ArgumentError(f"unknown family kind {kind!r}")
+    if f.domain_tag != want:
+        raise ArgumentError(f"{kind} partial sums need a {want.replace('_', '-')} function")
     if freq_grid is None:
         freq_grid = frequency_grid(f.grid)
     half_freq = freq_grid.positive_half() if freq_grid.is_symmetric else freq_grid
-    _check_band(t, half_freq)
-    if route == "direct":
-        full = freq_grid if freq_grid.is_symmetric else None
-        if full is None:
-            raise ArgumentError("direct route needs a symmetric frequency grid")
-        spec = transforms.dunkl(order, f, full)
-        ts = snap_threshold(t, half_freq.points)
-        cut = spec.with_values(np.where(np.abs(full.points) <= ts, spec.values, 0.0))
-        return transforms.dunkl_inverse(order, cut, f.grid)
-    e_spec, o_spec = _hankel_forward_parts(order, f, half_freq)
-    m = _mask(half_freq, t)
-    e_cut = e_spec.with_values(np.where(m, e_spec.values, 0.0))
-    o_cut = o_spec.with_values(np.where(m, o_spec.values, 0.0))
-    half_out = f.grid.positive_half()
-    se = transforms.hankel(order, e_cut, half_out)
-    so = transforms.hankel(order + 1.0, o_cut, half_out)
-    vals = np.concatenate([(se.values - half_out.points * so.values)[::-1],
-                           se.values + half_out.points * so.values])
-    return SampledFn(f.grid, vals, FULL_LINE)
+    for t in (t for ts in cut_lists for t in ts):
+        if t > half_freq.hi:
+            raise ResolutionError(
+                f"cut t={t:g} exceeds the resolvable frequency band {half_freq.hi:g}")
+    masks = np.stack([_mask(half_freq, ts) for ts in cut_lists])   # (T, F)
+    if want == HALF_LINE:
+        out_grid = f.grid
+        orders, specs = [order], [transforms.hankel(order, f, half_freq)]
+    else:
+        out_grid = f.grid.positive_half()
+        orders, specs = [order, order + 1.0], transforms._hankel_parts(order, f, half_freq)
+    transforms.check_resolution(half_freq, float(np.max(np.abs(out_grid.points))))
+    # fetch every inverse kernel before the first GEMM, so that a cold kernel
+    # build never runs while the (T, N) products are alive (peak memory)
+    mats = [transforms._j_matrix(a, out_grid, half_freq) for a in orders]
+    rows = []                                      # (T, N_out) per parity
+    for a, mat, spec in zip(orders, mats, specs):
+        wt = half_freq.weights * half_freq.points ** (2.0 * a + 1.0)
+        rows.append(transforms._apply_real(mat, (masks * (wt * spec.values)).T).T)
+    if want == HALF_LINE:
+        return rows[0]
+    even, odd = rows
+    odd *= out_grid.points                         # in place: one (T, N/2) buffer fewer
+    return assemble_values(even, odd)
+
+
+def dunkl_partial_sum(order: float, f: SampledFn, t: float,
+                      freq_grid: Grid | None = None) -> SampledFn:
+    """S_t f = inverse Dunkl of 1_{[-t,t]} times the Dunkl transform of f:
+    a one-row spectral cut, which masks the half-line spectra of the even
+    and odd parts with the same node mask."""
+    return SampledFn(f.grid, _cut_rows(order, f, [[t]], freq_grid, "dunkl")[0], FULL_LINE)
 
 
 def dunkl_partial_sum_iterated(order: float, f: SampledFn, ts,
                                freq_grid: Grid | None = None) -> SampledFn:
-    """S_{t_k} ... S_{t_1} f.  Projections commute through their masks: the
-    composition applies every cut to the shared spectrum, then inverts once."""
-    if f.domain_tag != FULL_LINE:
-        raise ArgumentError("needs a full-line function")
-    if freq_grid is None:
-        freq_grid = frequency_grid(f.grid)
-    half_freq = freq_grid.positive_half() if freq_grid.is_symmetric else freq_grid
-    for t in ts:
-        _check_band(t, half_freq)
-    e_spec, o_spec = _hankel_forward_parts(order, f, half_freq)
-    ev, ov = e_spec.values, o_spec.values
-    for t in ts:
-        m = _mask(half_freq, t)
-        ev = np.where(m, ev, 0.0)
-        ov = np.where(m, ov, 0.0)
-    half_out = f.grid.positive_half()
-    se = transforms.hankel(order, e_spec.with_values(ev), half_out)
-    so = transforms.hankel(order + 1.0, o_spec.with_values(ov), half_out)
-    vals = np.concatenate([(se.values - half_out.points * so.values)[::-1],
-                           se.values + half_out.points * so.values])
-    return SampledFn(f.grid, vals, FULL_LINE)
+    """S_{t_k} ... S_{t_1} f.  Projections commute through their masks: one
+    row whose mask is the product of every cut, inverted once."""
+    return SampledFn(f.grid, _cut_rows(order, f, [ts], freq_grid, "dunkl")[0], FULL_LINE)
 
 
 def hankel_partial_sum(order: float, f: SampledFn, t: float,
                        freq_grid: Grid | None = None) -> SampledFn:
     """S~_t f = Hk_a (1_[0,t] Hk_a f) on the half line."""
-    return hankel_partial_sum_iterated(order, f, [t], freq_grid)
+    return SampledFn(f.grid, _cut_rows(order, f, [[t]], freq_grid, "hankel")[0], HALF_LINE)
 
 
 def hankel_partial_sum_iterated(order: float, f: SampledFn, ts,
                                 freq_grid: Grid | None = None) -> SampledFn:
-    """S~_{t_k} ... S~_{t_1} f: every cut applied to the shared spectrum,
-    one inverse transform."""
-    if f.domain_tag != HALF_LINE:
-        raise ArgumentError("hankel_partial_sum needs a half-line function")
-    if freq_grid is None:
-        freq_grid = frequency_grid(f.grid)
-    if freq_grid.is_symmetric:
-        freq_grid = freq_grid.positive_half()
-    for t in ts:
-        _check_band(t, freq_grid)
-    spec = transforms.hankel(order, f, freq_grid)
-    vals = spec.values
-    for t in ts:
-        vals = np.where(_mask(freq_grid, t), vals, 0.0)
-    return transforms.hankel(order, spec.with_values(vals), f.grid)
+    """S~_{t_k} ... S~_{t_1} f: one row whose mask is the product of every
+    cut, inverted once."""
+    return SampledFn(f.grid, _cut_rows(order, f, [ts], freq_grid, "hankel")[0], HALF_LINE)
 
 
 def fourier_partial_sum(f: SampledFn, t: float,
@@ -221,39 +200,16 @@ def radial_partial_sum(dimension: int, f0: SampledFn, t: float,
 
 def build_family(order: float, f: SampledFn, t_grid: ThresholdSeq,
                  freq_grid: Grid | None = None, kind: str | None = None) -> PartialSumFamily:
-    """All rows S_t f for t in t_grid; the forward transform is computed
-    once and each row costs one inverse mat-vec (batched)."""
+    """All rows S_t f for t in t_grid: one spectral-cut row per threshold,
+    sharing one forward transform and one inverse GEMM per parity.  kind is
+    'dunkl' (full-line f, the default there), 'fourier' (the Dunkl kind at
+    order -1/2) or 'hankel' (half-line f, the default there)."""
     if kind is None:
         kind = "dunkl" if f.domain_tag == FULL_LINE else "hankel"
-    if freq_grid is None:
-        freq_grid = frequency_grid(f.grid)
-    half_freq = freq_grid.positive_half() if freq_grid.is_symmetric else freq_grid
-    _check_band(float(t_grid.values[-1]), half_freq)
-    masks = np.stack([_mask(half_freq, t) for t in t_grid.values])  # (T, F)
-    if kind in ("dunkl", "fourier"):
-        if kind == "fourier":
-            order = -0.5
-        e_spec, o_spec = _hankel_forward_parts(order, f, half_freq)
-        half_out = f.grid.positive_half()
-        me = transforms._j_matrix(order, half_out, half_freq)
-        mo = transforms._j_matrix(order + 1.0, half_out, half_freq)
-        xi = half_freq.points
-        we = half_freq.weights * xi ** (2.0 * order + 1.0)
-        wo = half_freq.weights * xi ** (2.0 * order + 3.0)
-        se = transforms._apply_real(me, (masks * (we * e_spec.values)).T)   # (Nhalf, T)
-        so = transforms._apply_real(mo, (masks * (wo * o_spec.values)).T)
-        xpos = half_out.points[:, None]
-        rows = np.concatenate([(se - xpos * so)[::-1, :], se + xpos * so], axis=0).T
-        payload = ("dunkl", half_freq, e_spec.values, o_spec.values)
-    elif kind == "hankel":
-        spec = transforms.hankel(order, f, half_freq)
-        mat = transforms._j_matrix(order, f.grid, half_freq)
-        wt = half_freq.weights * half_freq.points ** (2.0 * order + 1.0)
-        rows = transforms._apply_real(mat, (masks * (wt * spec.values)).T).T
-        payload = ("hankel", half_freq, spec.values)
-    else:
-        raise ArgumentError(f"unknown family kind {kind!r}")
-    return PartialSumFamily(f, float(order), kind, t_grid, rows, payload)
+    if kind == "fourier":
+        order = -0.5
+    rows = _cut_rows(order, f, [[t] for t in t_grid.values], freq_grid, kind)
+    return PartialSumFamily(f, float(order), kind, t_grid, rows)
 
 
 def family_to_csv(path_or_buf, family: PartialSumFamily) -> None:

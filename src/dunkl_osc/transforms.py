@@ -35,8 +35,8 @@ from concurrent.futures import Future
 import numpy as np
 
 from .errors import ArgumentError, ResolutionError
-from .funcspace import (FULL_LINE, HALF_LINE, Grid, SampledFn, even_odd_split,
-                        make_graded_grid)
+from .funcspace import (FULL_LINE, HALF_LINE, Grid, SampledFn, assemble_values,
+                        even_odd_split, make_graded_grid)
 from .special import bessel_j_normalized
 
 MIN_NODES_PER_WAVELENGTH = 6.0
@@ -86,6 +86,8 @@ def clear_kernel_cache() -> None:
 def resolvable_frequency(grid: Grid) -> float:
     """Largest |frequency| with >= MIN_NODES_PER_WAVELENGTH input nodes per
     kernel wavelength on this grid."""
+    if grid.n < 2:
+        raise ArgumentError(f"a grid of {grid.n} node(s) is too small for a transform")
     return 2.0 * np.pi / (MIN_NODES_PER_WAVELENGTH * grid.max_spacing)
 
 
@@ -192,17 +194,12 @@ def _check_full_symmetric(f: SampledFn) -> None:
         raise ArgumentError("expected a grid symmetric about 0")
 
 
-def _split_for_transform(f: SampledFn):
-    _check_full_symmetric(f)
-    return even_odd_split(f)
-
-
-def _assemble_full(output_grid: Grid, even_half: np.ndarray, odd_signed_half: np.ndarray) -> SampledFn:
-    """Build g(x) = even(|x|) + sgn-pattern already encoded in odd_signed_half
-    evaluated at positive nodes; negative side follows by parity."""
-    vals = np.concatenate([(even_half - odd_signed_half)[::-1],
-                           even_half + odd_signed_half])
-    return SampledFn(output_grid, vals, FULL_LINE)
+def _hankel_parts(alpha: float, f: SampledFn, half_out: Grid) -> tuple[SampledFn, SampledFn]:
+    """The parity step of the Dunkl transform: E = Hk_a f_e and
+    O = Hk_{a+1}(f_o / y) on half_out, so D_a f(+-x) = E(x) -+ i x O(x)."""
+    fe, fo = even_odd_split(f)
+    return (hankel(alpha, fe, half_out),
+            hankel(alpha + 1.0, fo.with_values(fo.values / fo.grid.points), half_out))
 
 
 def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposition") -> SampledFn:
@@ -223,12 +220,9 @@ def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposi
         raise ArgumentError("dunkl needs a symmetric output grid")
     half_out = output_grid.positive_half()
     if route == "decomposition":
-        fe, fo = _split_for_transform(f)
-        he = hankel(alpha, fe, half_out)
-        fo_over_y = fo.with_values(fo.values / fo.grid.points)
-        ho = hankel(alpha + 1.0, fo_over_y, half_out)
-        xpos = half_out.points
-        return _assemble_full(output_grid, he.values, -1j * xpos * ho.values)
+        he, ho = _hankel_parts(alpha, f, half_out)
+        vals = assemble_values(he.values, -1j * half_out.points * ho.values)
+        return SampledFn(output_grid, vals, FULL_LINE)
     if route == "direct":
         _check_full_symmetric(f)
         check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
@@ -242,7 +236,7 @@ def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposi
         b = _apply_real(jb, half_in.points[:, None] * quad)
         even = 0.5 * (a[:, 0] + a[:, 1])
         odd = 0.5 * half_out.points * (b[:, 0] - b[:, 1])
-        return _assemble_full(output_grid, even, -1j * odd)
+        return SampledFn(output_grid, assemble_values(even, -1j * odd), FULL_LINE)
     raise ArgumentError(f"unknown dunkl route {route!r}")
 
 
@@ -258,11 +252,11 @@ def dunkl_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     an isometry of L^2(R, dx)."""
     if not output_grid.is_symmetric:
         raise ArgumentError("dunkl_modified needs a symmetric output grid")
-    fe, fo = _split_for_transform(f)
+    fe, fo = even_odd_split(f)
     half_out = output_grid.positive_half()
     he = hankel_modified(alpha, fe, half_out)
     ho = hankel_modified(alpha + 1.0, fo, half_out)
-    return _assemble_full(output_grid, he.values, -1j * ho.values)
+    return SampledFn(output_grid, assemble_values(he.values, -1j * ho.values), FULL_LINE)
 
 
 def dunkl_modified_inverse(alpha: float, g: SampledFn, output_grid: Grid) -> SampledFn:

@@ -4,10 +4,10 @@ Muckenhoupt class checkers, and the closed-form admissible-range predicates.
 The A_p checker evaluates the averaged product over a deterministic family
 of intervals (centers 0 and +-2^k, lengths 2^m) by graded quadrature.  A
 weight is accepted when the supremum is stable both under doubling the
-center/length range and under doubling the quadrature resolution; power
-weights make the product scale-invariant, so divergence at a critical
-exponent shows up only through quadrature refinement, which is why the
-second stability axis exists.
+center/length range and under refining the quadrature resolution (one
+routine, _ap_stable, for both checkers); power weights make the product
+scale-invariant, so divergence at a critical exponent shows up only through
+quadrature refinement, which is why the second stability axis exists.
 """
 
 from __future__ import annotations
@@ -144,42 +144,56 @@ def _interval_average(w: Callable, sing_exp: float, center: float, length: float
         return float(np.dot(length * ww, w(lo + length * x))) / length
 
 
-def _ap_sup(w: Callable, p: float, e0: float, k_range: int, n_panels: int) -> float:
-    """Supremum of the A_p product over centers {0, +-2^k}, lengths 2^m."""
+def _ap_sup(w: Callable, p: float, e0: float, mu: float, k_range: int,
+            n_panels: int) -> float:
+    """Supremum over centers {0, +-2^k} and lengths 2^m of the A_p product
+    (avg_B w)(avg_B w^{-p'/p})^{p/p'}, both averages taken against the
+    measure |x|^mu dx (mu = 0 is Lebesgue measure)."""
     pp = p / (p - 1.0)
-    w_neg = lambda x: w(x) ** (-pp / p)
-    e_neg = -e0 * pp / p
+    w_pos, w_neg = w, lambda x: w(x) ** (-pp / p)
+    if mu:                                   # mu = 0 needs no |x|^0 factor
+        w_pos = lambda x: w(x) * np.abs(x) ** mu
+        w_neg = lambda x: w(x) ** (-pp / p) * np.abs(x) ** mu
+    e_pos, e_neg = e0 + mu, -e0 * pp / p + mu
     best = 0.0
     lengths = 2.0 ** np.arange(-k_range, k_range + 1)
     centers = np.unique(np.concatenate([[0.0], 2.0 ** np.arange(-k_range, k_range + 1),
                                         -2.0 ** np.arange(-k_range, k_range + 1)]))
     for length in lengths:
         for c in centers:
-            m1 = _interval_average(w, e0, c, length, n_panels)
+            m1 = _interval_average(w_pos, e_pos, c, length, n_panels)
             m2 = _interval_average(w_neg, e_neg, c, length, n_panels)
             best = max(best, m1 * m2 ** (p / pp))
     return best
 
 
-def ap_check(weight: Weight, p: float, interval_samples: int = 96) -> tuple[bool, float]:
-    """Numerical A_p membership: (is_member, sup_estimate).
+def _ap_stable(weight: Weight, p: float, mu: float, refine: int,
+               interval_samples: int) -> tuple[bool, float]:
+    """(is_member, sup_estimate) of the A_p product against |x|^mu dx.
 
     The interval-family supremum must move by less than 5% both when the
     center/length range doubles and when the per-interval quadrature
-    resolution is quadrupled.  Power weights make the product scale
-    invariant, so only the resolution axis can expose a divergence at the
-    origin (the quadrupling resolves even the slow log-divergence at the
-    critical exponent); huge or tiny intervals expose failures at infinity."""
-    if not p > 1.0:
-        raise ArgumentError("ap_check needs p > 1")
+    resolution is multiplied by refine: 4 for ap_check (mu = 0), whose
+    quadrupling resolves even the slow log-divergence at the critical
+    exponent, and 2 for the experimental conjectured_measure_ap_check
+    (mu = 2 alpha + 1).  Power weights make the product scale invariant, so
+    only the resolution axis can expose a divergence at the origin; huge or
+    tiny intervals expose failures at infinity."""
     n_panels = max(4, interval_samples // 8)
     e0 = weight.exponent_at_zero
-    base = _ap_sup(weight, p, e0, 10, n_panels)
-    wide = _ap_sup(weight, p, e0, 20, n_panels)
-    fine = _ap_sup(weight, p, e0, 10, 4 * n_panels)
-    stable_range = wide <= 1.05 * base
-    stable_resolution = fine <= 1.05 * base
-    return bool(stable_range and stable_resolution and np.isfinite(base)), float(base)
+    base = _ap_sup(weight, p, e0, mu, 10, n_panels)
+    wide = _ap_sup(weight, p, e0, mu, 20, n_panels)
+    fine = _ap_sup(weight, p, e0, mu, 10, refine * n_panels)
+    ok = wide <= 1.05 * base and fine <= 1.05 * base and np.isfinite(base)
+    return bool(ok), float(base)
+
+
+def ap_check(weight: Weight, p: float, interval_samples: int = 96) -> tuple[bool, float]:
+    """Numerical A_p membership: (is_member, sup_estimate), by the stability
+    test of _ap_stable with Lebesgue measure."""
+    if not p > 1.0:
+        raise ArgumentError("ap_check needs p > 1")
+    return _ap_stable(weight, p, 0.0, 4, interval_samples)
 
 
 def ap_alpha_check(weight: Weight, p: float, alpha: float) -> bool:
@@ -203,36 +217,7 @@ def conjectured_measure_ap_check(weight: Weight, p: float, alpha: float,
     it is exposed only behind the CLI --experimental flag."""
     if not p > 1.0:
         raise ArgumentError("needs p > 1")
-    pp = p / (p - 1.0)
-    mu = 2.0 * alpha + 1.0
-    e0 = weight.exponent_at_zero
-
-    def dens_pos(x):
-        return weight(x) * np.abs(x) ** mu
-
-    def dens_neg(x):
-        return weight(x) ** (-pp / p) * np.abs(x) ** mu
-
-    n_panels = max(4, interval_samples // 8)
-
-    def sup(k_range, n_pan):
-        best = 0.0
-        lengths = 2.0 ** np.arange(-k_range, k_range + 1)
-        centers = np.unique(np.concatenate(
-            [[0.0], 2.0 ** np.arange(-k_range, k_range + 1),
-             -2.0 ** np.arange(-k_range, k_range + 1)]))
-        for length in lengths:
-            for c in centers:
-                m1 = _interval_average(dens_pos, e0 + mu, c, length, n_pan)
-                m2 = _interval_average(dens_neg, -e0 * pp / p + mu, c, length, n_pan)
-                best = max(best, m1 * m2 ** (p / pp))
-        return best
-
-    base = sup(10, n_panels)
-    wide = sup(20, n_panels)
-    fine = sup(10, 2 * n_panels)
-    ok = wide <= 1.05 * base and fine <= 1.05 * base and np.isfinite(base)
-    return bool(ok), float(base)
+    return _ap_stable(weight, p, 2.0 * alpha + 1.0, 2, interval_samples)
 
 
 # ---------------------------------------------------------------------------

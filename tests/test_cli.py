@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from dunkl_osc import (FULL_LINE, HALF_LINE, bump, make_graded_grid,
-                       read_sampled_fn, sample, write_sampled_fn)
+from dunkl_osc import (FULL_LINE, HALF_LINE, Grid, SampledFn, bump,
+                       make_graded_grid, read_sampled_fn, sample,
+                       write_sampled_fn)
 from dunkl_osc.cli import main
 
 
@@ -73,6 +74,21 @@ def test_range_negative_alpha_token(workdir, capsys):
 
 def test_unknown_flag_exits_2(workdir):
     assert main(["transform", "--bogus"]) == 2
+
+
+def test_missing_input_exits_2(workdir, capsys):
+    assert main(["transform", "--kind", "dunkl", "--input", "missing.csv"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "missing.csv" in err and "\n" not in err
+
+
+def test_two_node_grid_exits_2(workdir, capsys):
+    g = Grid(np.array([-0.5, 0.5]), np.array([1.0, 1.0]), -1.0, 1.0)
+    write_sampled_fn("tiny.csv", SampledFn(g, np.array([1.0, 2.0])))
+    assert main(["transform", "--kind", "dunkl", "--input", "tiny.csv",
+                 "--output", "T.csv"]) == 2
+    assert "too small" in capsys.readouterr().err
+    assert not os.path.exists("T.csv")
 
 
 def test_argument_error_exits_2(workdir):

@@ -7,7 +7,7 @@ from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid, SampledFn, bum
                        even_odd_split, gaussian, integrate, make_graded_grid,
                        moment_cancelled_corpus, multiply_power,
                        read_sampled_fn, sample, write_sampled_fn)
-from dunkl_osc.funcspace import assemble_from_parts
+from dunkl_osc.funcspace import assemble_from_parts, assemble_values
 
 
 def test_constant_integration_exact():
@@ -85,6 +85,17 @@ def test_split_reconstruction_roundtrip():
     fe, fo = even_odd_split(f)
     back = assemble_from_parts(g, fe.values, fo.values)
     assert np.max(np.abs(back.values - f.values)) <= 4 * np.finfo(float).eps
+    # the array-level reassembly acts on the last axis of a stack row by row
+    stack = assemble_values(np.stack([fe.values, 2 * fe.values]),
+                            np.stack([fo.values, 2 * fo.values]))
+    assert np.array_equal(stack[0], back.values)
+    assert np.array_equal(stack[1], assemble_values(2 * fe.values, 2 * fo.values))
+
+
+def test_positive_half_built_once():
+    g = make_graded_grid(-2.0, 2.0, 4, 8, 1.0)
+    assert g.positive_half() is g.positive_half()
+    assert "_half" not in repr(g)
 
 
 def test_even_odd_requires_symmetry():

@@ -1,14 +1,17 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec,
-                       Resolution, dyadic_indicator_family,
+                       Resolution, bump, dyadic_indicator_family,
                        interval_indicator_family, oscillation_ratio_sweep,
-                       resolution_n512, run_identity_suite, transference_demo,
+                       resolution_n512, run_identity_suite, sample,
+                       transference_demo,
                        w_ab_weight, weighted_carleson_sweep,
                        write_reports_jsonl, write_summary_csv)
+from dunkl_osc.cli import _t_grid_for
 from dunkl_osc.harness import default_t_grid
 
 
@@ -121,6 +124,10 @@ def test_default_t_grid_dilation_closure():
     assert 2.0 * tg.values[-1] <= 0.98 * res.freq_max()
     m, _ = np.frexp(tg.values)
     assert np.any(m == 0.5)  # dyadic points present
+    # the CLI derives the same grid from the profile's space grid
+    f = sample(bump(0.3, 1.4), res.space_grid())
+    cli_tg = _t_grid_for(SimpleNamespace(t_grid=None), f)
+    assert np.array_equal(cli_tg.values, tg.values)
 
 
 def test_halved_resolution_passes_at_10x_tolerance():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError,
-                       ThresholdSeq, build_family, bump, dunkl_partial_sum,
-                       dunkl_partial_sum_iterated, even_odd_split,
-                       family_to_csv, fourier_partial_sum, gaussian,
-                       hankel_partial_sum,
-                       make_breakpoint_grid, radial_partial_sum, sample,
-                       snap_threshold)
+                       ThresholdSeq, build_family, bump, dunkl, dunkl_inverse,
+                       dunkl_partial_sum, dunkl_partial_sum_iterated,
+                       even_odd_split, family_to_csv, fourier_partial_sum,
+                       gaussian, hankel_partial_sum, make_breakpoint_grid,
+                       make_graded_grid, radial_partial_sum,
+                       resolvable_frequency, sample, snap_threshold)
 from conftest import l2_weighted
 
 TS = [0.5, 1.0, 2.0, 4.0]
@@ -77,13 +77,29 @@ def test_idempotence(space512, freq512, one_bump):
     pytest.param(2.5, "complex", id="2.5-complex"),
 ])
 def test_two_route_partial_sum(alpha, member, freq512, one_bump):
+    # reference: mask the full-line spectrum of the direct route, which
+    # never splits f by parity
     f = one_bump
     if member == "complex":
         f = f.with_values(f.values + 1j * gaussian(-0.4, 0.3)(f.grid.points))
+    spec = dunkl(alpha, f, freq512, route="direct")
     for t in (0.5, 4.0):
+        ts = snap_threshold(t, freq512.positive_half().points)
+        cut = spec.with_values(np.where(np.abs(freq512.points) <= ts, spec.values, 0.0))
+        ref = dunkl_inverse(alpha, cut, f.grid, route="direct")
         s1 = dunkl_partial_sum(alpha, f, t, freq512)
-        s2 = dunkl_partial_sum(alpha, f, t, freq512, route="direct")
-        assert np.max(np.abs(s1.values - s2.values)) <= 1e-9
+        assert np.max(np.abs(s1.values - ref.values)) <= 1e-9
+
+
+def test_family_resolution_guard(freq512):
+    # the space grid resolves the whole frequency band, but reaches past
+    # what the frequency grid resolves: the inverse must refuse, not alias
+    wide = make_graded_grid(-6.0, 6.0, 16, 32, 1.0)
+    f = sample(bump(0.3, 1.4), wide)
+    assert resolvable_frequency(wide) > freq512.hi
+    assert wide.hi > resolvable_frequency(freq512.positive_half())
+    with pytest.raises(ResolutionError):
+        build_family(0.0, f, ThresholdSeq(np.array([0.5, 1.0])), freq512)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])

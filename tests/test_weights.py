@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dunkl_osc import (HALF_LINE, ArgumentError, DomainError, NormSpec,
-                       ap_alpha_check, ap_check, beta_star, make_graded_grid,
+                       ap_alpha_check, ap_check, beta_star,
+                       conjectured_measure_ap_check, make_graded_grid,
                        power_weight, range_dyadic_oscillation,
                        range_full_oscillation, sample, transplant_range,
                        w_ab_weight, weighted_lp_norm)
@@ -131,3 +132,13 @@ def test_conjectured_measure_checker_reduction():
     ok_in, _ = conjectured_measure_ap_check(power_weight(0.0), 2.0, -0.5)
     ok_out, _ = conjectured_measure_ap_check(power_weight(1.5), 2.0, -0.5)
     assert ok_in is True and ok_out is False
+
+
+@pytest.mark.parametrize("weight", [power_weight(0.3), w_ab_weight(-0.5, 0.5)],
+                         ids=["power", "w_ab"])
+def test_experimental_check_reduces_to_ap_at_alpha_minus_half(weight):
+    # alpha = -1/2 makes the measure |x|^{2a+1} dx Lebesgue: both checkers
+    # then evaluate the same base supremum
+    _, base_exp = conjectured_measure_ap_check(weight, 2.0, -0.5)
+    _, base_ap = ap_check(weight, 2.0)
+    assert base_exp == base_ap
