@@ -64,6 +64,11 @@ def _check_order(alpha: float) -> float:
     return alpha
 
 
+def _max_abs(x: np.ndarray):
+    """max |x| without an |x| temporary."""
+    return max(x.max(), -x.min())
+
+
 def _series_normalized(alpha: float, u: np.ndarray) -> np.ndarray:
     """j_a(u) = sum_k (-1)^k (u^2/4)^k / (k! (a+1)_k) / (2^a Gamma(a+1)),
     accumulated in extended precision.  Valid for u <= ~20."""
@@ -72,12 +77,14 @@ def _series_normalized(alpha: float, u: np.ndarray) -> np.ndarray:
     acc = np.ones_like(q)
     a = np.longdouble(alpha)   # a float64 denominator is inexact for most orders
     for k in range(200):
-        term = term * (-q) / ((k + 1) * (a + (k + 1)))
+        # term * (-q) / d in place; moving the sign onto d is exact
+        term *= q
+        term /= -((k + 1) * (a + (k + 1)))
         acc += term
-        if np.max(np.abs(term)) < 1e-21 * max(1.0, float(np.max(np.abs(acc)))):
+        if _max_abs(term) < 1e-21 * max(1.0, float(_max_abs(acc))):
             break
-    lead = 1.0 / (2.0 ** np.longdouble(alpha) * np.longdouble(gamma(alpha + 1.0)))
-    return np.asarray(acc * lead, dtype=float)
+    acc *= 1.0 / (2.0 ** np.longdouble(alpha) * np.longdouble(gamma(alpha + 1.0)))
+    return acc.astype(float)
 
 
 def _asymptotic_j(alpha: float, u: np.ndarray) -> np.ndarray:
@@ -90,15 +97,17 @@ def _asymptotic_j(alpha: float, u: np.ndarray) -> np.ndarray:
     ak_over_uk = np.ones_like(u)
     prev = np.inf
     for k in range(1, 40):
-        ak_over_uk = ak_over_uk * (mu - (2.0 * k - 1.0) ** 2) / (8.0 * k) / u
-        mag = float(np.max(np.abs(ak_over_uk))) if ak_over_uk.size else 0.0
+        ak_over_uk *= mu - (2.0 * k - 1.0) ** 2
+        ak_over_uk /= 8.0 * k
+        ak_over_uk /= u
+        mag = float(_max_abs(ak_over_uk)) if u.size else 0.0
         if mag > prev or mag == 0.0:
             break
-        sign = (-1.0) ** (k // 2)
-        if k % 2 == 1:
-            q = q + sign * ak_over_uk
+        part = q if k % 2 == 1 else p
+        if (k // 2) % 2:   # the sign (-1)^(k // 2); x - y is exactly x + (-1) y
+            part -= ak_over_uk
         else:
-            p = p + sign * ak_over_uk
+            part += ak_over_uk
         if mag < 1e-19:
             break
         prev = mag

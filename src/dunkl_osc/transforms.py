@@ -2,11 +2,13 @@
 Dunkl, their inverses, and the transplantation operators.
 
 Everything is dense quadrature, O(N_in * N_out): a kernel matrix is built
-once per (order, input grid, output grid) and cached, so sweeping a corpus
-over fixed grids costs one matrix build plus cheap mat-vecs.  The Bessel
-kernels are real and the data complex; they are applied in real arithmetic
+once and cached, so sweeping a corpus over fixed grids costs one matrix
+build plus cheap mat-vecs.  A Bessel kernel j_a(xy) is symmetric in the
+product, so it is cached once per order and unordered grid pair, and the
+other orientation is served as its transposed view.  The Bessel kernels
+are real and the data complex; they are applied in real arithmetic
 (_apply_real), with the real and imaginary parts of the data as two GEMM
-columns, so the cached kernel is never upcast to a complex copy.  Every
+rows, so the cached kernel is never upcast to a complex copy.  Every
 full-line transform reuses the cached half-line kernels: the direct Dunkl
 route sums the four (sign x, sign y) quadrants instead of building a
 full-line kernel.  An oscillatory resolution guard refuses output
@@ -44,13 +46,16 @@ MIN_NODES_PER_WAVELENGTH = 6.0
 _cache_lock = threading.Lock()
 _matrix_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _building: dict[tuple, Future] = {}   # keys whose build is in flight
-_CACHE_CAP = 64
+_CACHE_BUDGET = 1 << 30   # bytes of stored kernels; an N=1536 identity suite stores 66 MB
 
 
 def _cached(key, builder):
     """The kernel for key, built once: a thread that misses while another
     builds the same key waits for that build; different keys build
-    concurrently, outside the lock."""
+    concurrently, outside the lock.  Kernels are published read-only (one
+    buffer may back two orientations), and least-recently-used ones are
+    evicted while the stored bytes exceed _CACHE_BUDGET, never the kernel
+    just built."""
     with _cache_lock:
         if key in _matrix_cache:
             _matrix_cache.move_to_end(key)
@@ -68,11 +73,13 @@ def _cached(key, builder):
             del _building[key]
         pending.set_exception(exc)
         raise
+    mat.flags.writeable = False
     with _cache_lock:
         _matrix_cache[key] = mat
         _matrix_cache.move_to_end(key)
-        while len(_matrix_cache) > _CACHE_CAP:
-            _matrix_cache.popitem(last=False)
+        stored = sum(m.nbytes for m in _matrix_cache.values())
+        while stored > _CACHE_BUDGET and len(_matrix_cache) > 1:
+            stored -= _matrix_cache.popitem(last=False)[1].nbytes
         del _building[key]
     pending.set_result(mat)
     return mat
@@ -117,14 +124,21 @@ def frequency_grid(space_grid: Grid, freq_max: float | None = None,
 def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """mat @ v for a real matrix and a vector or (n, k) stack v, without
     upcasting mat: v is viewed as interleaved real columns, so one real
-    GEMM yields the real and imaginary parts together."""
+    GEMM yields the real and imaginary parts together.  The GEMM runs in
+    row form, (w.T @ mat.T).T, which streams the stored kernel row by row
+    whether mat is the stored array or its transposed view."""
     v = np.ascontiguousarray(v, dtype=np.complex128)
-    out = mat @ v.reshape(v.shape[0], -1).view(np.float64)
+    w = v.reshape(v.shape[0], -1).view(np.float64)
+    out = np.ascontiguousarray((w.T @ mat.T).T)
     return out.view(np.complex128).reshape(mat.shape[:1] + v.shape[1:])
 
 
 def _j_matrix(alpha: float, rows: Grid, cols: Grid) -> np.ndarray:
-    """j_alpha(outer(|rows|, |cols|)) for half-line grids, cached."""
+    """j_alpha(outer(|rows|, |cols|)) for half-line grids, cached once per
+    order and unordered grid pair: x*y = y*x exactly, so the orientation
+    with rows.key > cols.key is the transposed view of the stored one."""
+    if rows.key > cols.key:
+        return _j_matrix(alpha, cols, rows).T
     key = ("j", round(float(alpha), 12), rows.key, cols.key)
 
     def build():

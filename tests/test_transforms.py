@@ -9,8 +9,9 @@ from dunkl_osc import (HALF_LINE, ArgumentError, ResolutionError, bump, dunkl,
                        dunkl_inverse, dunkl_modified, dunkl_modified_inverse,
                        fourier, frequency_grid, gaussian, hankel,
                        hankel_modified, make_breakpoint_grid, make_graded_grid,
-                       multiply_power, sample, transforms, transplant_dunkl,
-                       transplant_hankel)
+                       multiply_power, resolution_n512, run_identity_suite,
+                       sample, transforms, transplant_dunkl, transplant_hankel)
+from dunkl_osc.special import bessel_j_normalized
 from conftest import l2_weighted
 
 ALPHAS = [-0.5, 0.0, 0.5, 1.0]
@@ -199,11 +200,13 @@ def test_apply_real_matches_upcast_product():
     vector = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     stack = (rng.standard_normal((7, 30)) + 1j * rng.standard_normal((7, 30))).T
     real = rng.standard_normal(30)
-    for v in (vector, stack, real):
-        ref = mat.astype(complex) @ v
-        out = transforms._apply_real(mat, v)
-        assert out.shape == ref.shape
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.linalg.norm(mat) * np.linalg.norm(v)
+    transposed = rng.standard_normal((30, 40)).T   # a kernel served as a view
+    for m in (mat, transposed):
+        for v in (vector, stack, real):
+            ref = m.astype(complex) @ v
+            out = transforms._apply_real(m, v)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.linalg.norm(m) * np.linalg.norm(v)
 
 
 def test_direct_route_is_independent_of_parity_split(monkeypatch, space512, freq512,
@@ -270,3 +273,62 @@ def test_kernel_cache_builds_each_key_once():
     for key in keys:
         got = [arr for k, arr in results if k == key]
         assert len(got) == 4 and all(arr is got[0] for arr in got)
+
+
+@pytest.fixture
+def cold_kernel_cache():
+    """An empty kernel cache for one test; the entries it held come back."""
+    with transforms._cache_lock:
+        saved = dict(transforms._matrix_cache)
+        transforms._matrix_cache.clear()
+    yield transforms._matrix_cache
+    with transforms._cache_lock:
+        transforms._matrix_cache.clear()
+        transforms._matrix_cache.update(saved)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.0, 0.5, 2.5, 1.05])
+def test_j_kernel_one_build_per_unordered_pair(monkeypatch, cold_kernel_cache, alpha):
+    a = make_graded_grid(0.0, 3.0, 3, 8, 1.0)
+    b = make_graded_grid(0.0, 5.0, 2, 16, 1.0)
+    calls = Counter()
+
+    def counted(order, u):
+        calls[order] += 1
+        return bessel_j_normalized(order, u)
+
+    monkeypatch.setattr(transforms, "bessel_j_normalized", counted)
+    ab = transforms._j_matrix(alpha, a, b)
+    ba = transforms._j_matrix(alpha, b, a)
+    assert calls == Counter({alpha: 1}) and len(cold_kernel_cache) == 1
+    assert ab.shape == (a.n, b.n) and ba.shape == (b.n, a.n)
+    assert np.shares_memory(ab, ba) and np.array_equal(ba, ab.T)
+    # each orientation equals a kernel built in that orientation, bit for bit
+    for rows, cols, mat in ((a, b, ab), (b, a, ba)):
+        u = rows.points[:, None] * cols.points[None, :]
+        assert np.array_equal(mat, bessel_j_normalized(alpha, u.ravel()).reshape(u.shape))
+    for mat in (ab, ba):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+
+def test_kernel_cache_evicts_by_bytes(monkeypatch, cold_kernel_cache):
+    """Least-recently-used kernels go while the stored bytes exceed the
+    budget; the kernel just built stays even when it alone is over."""
+    monkeypatch.setattr(transforms, "_CACHE_BUDGET", 3 * 800)
+    for k in range(3):
+        transforms._cached(("bytes", k), lambda: np.zeros(100))   # 800 bytes each
+    transforms._cached(("bytes", 0), None)                        # a hit: now most recent
+    transforms._cached(("bytes", 3), lambda: np.zeros(100))
+    assert list(cold_kernel_cache) == [("bytes", 2), ("bytes", 0), ("bytes", 3)]
+    big = transforms._cached(("bytes", "big"), lambda: np.zeros(400))
+    assert list(cold_kernel_cache) == [("bytes", "big")]
+    assert cold_kernel_cache[("bytes", "big")] is big
+
+
+def test_identity_suite_builds_each_kernel_once(cold_kernel_cache):
+    """Six j-kernels (orders -1/2 .. 2, one per unordered grid pair) and
+    one Fourier kernel serve the whole N=512 identity suite."""
+    run_identity_suite(resolution_n512(), 7, (-0.5, 0.0, 0.5, 1.0), 1)
+    kinds = Counter(key[0] for key in cold_kernel_cache)
+    assert kinds == Counter({"j": 6, "fourier": 1})
