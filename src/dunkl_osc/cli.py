@@ -24,8 +24,7 @@ from .projections import (ThresholdSeq, build_family, dunkl_partial_sum,
                           family_to_csv, fourier_partial_sum, hankel_partial_sum,
                           radial_partial_sum)
 from .seminorms import (CutSequence, carleson_dunkl_max, carleson_hankel_max,
-                        max_oscillation_over_sampled_sequences, oscillation,
-                        variation)
+                        max_oscillation, oscillation, variation)
 from .classical_ops import (carleson_hunt, conjugate_hardy,
                             default_sup_grid, hardy_littlewood_max,
                             maximal_hilbert, prestini_majorant)
@@ -117,9 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--t-grid", type=str, default=None)
     sp.add_argument("--cuts", type=str, default=None,
-                    help="comma separated cut levels (subset of the t-grid)")
-    sp.add_argument("--blocks", type=int, default=8, help="J for sampled sup")
-    sp.add_argument("--sequences", type=int, default=64)
+                    help="comma separated cut levels (subset of the t-grid; "
+                         "default: the sup over every cut sequence)")
     _add_resolution_flags(sp)
     _add_common(sp)
 
@@ -173,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=str, default="0",
                     help="comma separated orders")
     sp.add_argument("--dimension", type=int, default=3)
-    sp.add_argument("--blocks", type=int, default=8)
-    sp.add_argument("--sequences", type=int, default=64)
     sp.add_argument("--experimental", action="store_true",
                     help="attach the conjectural measure-adapted Muckenhoupt "
                          "verdict (no pass/fail semantics)")
@@ -290,9 +286,8 @@ def _run(args) -> int:
             out = oscillation(fam, cuts)
             note = f"oscillation (J={len(cuts_vals)-1})"
         else:
-            out = max_oscillation_over_sampled_sequences(
-                fam, args.blocks, args.sequences, args.seed)
-            note = f"sampled-sup oscillation (J={args.blocks}, n={args.sequences})"
+            out = max_oscillation(fam)
+            note = "oscillation sup over all cut sequences"
         _emit_fn(args, out, note)
         return 0
 
@@ -377,8 +372,8 @@ def _run(args) -> int:
         if args.kind in ("oscillation", "oscillation-dyadic"):
             specs = [NormSpec(args.p, args.beta, a) for a in alphas]
             reports = oscillation_ratio_sweep(
-                specs, args.blocks, args.sequences, args.seed, res,
-                dyadic_only=args.kind.endswith("dyadic"), threads=args.threads)
+                specs, args.seed, res, dyadic_only=args.kind.endswith("dyadic"),
+                threads=args.threads)
         elif args.kind == "prestini":
             reports = prestini_constant_sweep(
                 alphas, [res, res.refined()], args.seed, args.threads)

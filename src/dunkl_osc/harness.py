@@ -32,7 +32,7 @@ from .funcspace import (FULL_LINE, HALF_LINE, CorpusMember, Grid, SampledFn,
                         smooth_corpus)
 from .projections import (ThresholdSeq, build_family, dunkl_partial_sum,
                           dunkl_partial_sum_iterated)
-from .seminorms import max_oscillation_over_sampled_sequences
+from .seminorms import max_oscillation
 from .classical_ops import default_sup_grid, prestini_majorant
 from .weights import (NormSpec, Weight, beta_star, conjectured_measure_ap_check,
                       range_dyadic_oscillation, range_full_oscillation,
@@ -404,23 +404,23 @@ def _scale_grid(grid: Grid, lam: float) -> Grid:
                 grid.lo * lam, grid.hi * lam, edges)
 
 
-def _osc_ratio(member: CorpusMember, spec: NormSpec, t_grid: ThresholdSeq,
-               freq: Grid, J: int, n_sequences: int, seed: int,
-               window: float | None = None) -> float:
-    fam = build_family(spec.alpha, member.sampled, t_grid, freq)
-    osc = max_oscillation_over_sampled_sequences(fam, J, n_sequences, seed)
-    num = _windowed_norm(osc, spec, window)
-    den = _windowed_norm(member.sampled, spec, window)
-    return num / den
+def _osc_of(member: CorpusMember, spec: NormSpec, t_grid: ThresholdSeq,
+            freq: Grid) -> SampledFn:
+    return max_oscillation(build_family(spec.alpha, member.sampled, t_grid, freq))
 
 
-def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], J: int = 8,
-                            n_sequences: int = 64, seed: int = 7,
+def _norm_ratio(num: SampledFn, den: SampledFn, spec: NormSpec,
+                window: float | None = None) -> float:
+    return _windowed_norm(num, spec, window) / _windowed_norm(den, spec, window)
+
+
+def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
                             resolution: Resolution | None = None,
                             dyadic_only: bool = False,
                             threads: int = 1) -> list[ExperimentReport]:
-    """Per spec: the max corpus ratio ||sampled-sup oscillation|| / ||f||,
-    its dilation-invariance deviation over lambda in {1/2, 2}, and its
+    """Per spec: the max corpus ratio ||O f|| / ||f||, where O f is the
+    oscillation sup over every cut sequence from the t-grid, its
+    dilation-invariance deviation over lambda in {1/2, 2}, and its
     refinement stability (factor 2 against the doubled resolution).  All
     ratios are empirical lower bounds of the operator norm."""
     res = resolution or resolution_n512()
@@ -438,8 +438,9 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], J: int = 8,
             t_grid = default_t_grid(res)
             in_range = (spec.p >= 2.0 and
                         range_full_oscillation(spec.p, spec.beta, spec.alpha))
-        ratios = {m.label: _osc_ratio(m, spec, t_grid, freq, J, n_sequences, seed)
-                  for m in members}
+        oscs = [_osc_of(m, spec, t_grid, freq) for m in members]
+        ratios = {m.label: _norm_ratio(o, m.sampled, spec)
+                  for m, o in zip(members, oscs)}
         base = max(ratios.values())
         # dilation covariance S_t f_lam = (S_{t/lam} f)(lam .): the dilated
         # run scales the cut grid and the frequency grid together (so every
@@ -455,7 +456,7 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], J: int = 8,
             w_base = lam * w_dil
             space_d = _subgrid_window(space, w_dil)
             freq_d = _scale_grid(_subgrid_window(freq, res.freq_max() / max(lam, 1.0)), lam)
-            for m in members:
+            for m, osc in zip(members, oscs):
                 fn = m.fn
                 dil_fn = (lambda x, _f=fn, _l=lam: _f(_l * np.asarray(x)))
                 dil = CorpusMember(m.label + f"|dil{lam:g}", dil_fn,
@@ -463,17 +464,17 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], J: int = 8,
                 v = np.abs(dil.sampled.values)
                 if max(v[0], v[-1]) > 1e-7 * np.max(v):
                     continue  # dilation leaves the grid; not comparable
-                r_b = _osc_ratio(m, spec, t_grid, freq, J, n_sequences, seed,
-                                 window=w_base)
+                r_b = _norm_ratio(osc, m.sampled, spec, w_base)
                 if not r_b > 0.0:
                     continue
-                r_l = _osc_ratio(dil, spec, t_lam, freq_d, J, n_sequences, seed)
+                r_l = _norm_ratio(_osc_of(dil, spec, t_lam, freq_d),
+                                  dil.sampled, spec)
                 dev = max(dev, abs(r_l / r_b - 1.0))
         # refinement stability at doubled resolution (same t-grid)
         space2, freq2 = fine.space_grid(), fine.freq_grid()
         members2 = [CorpusMember(m.label, m.fn, sample(m.fn, space2, FULL_LINE))
                     for m in members]
-        base2 = max(_osc_ratio(m, spec, t_grid, freq2, J, n_sequences, seed)
+        base2 = max(_norm_ratio(_osc_of(m, spec, t_grid, freq2), m.sampled, spec)
                     for m in members2)
         stable = 0.5 <= base2 / base <= 2.0
         pairs = ([(k, v) for k, v in ratios.items()]
@@ -482,8 +483,7 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], J: int = 8,
         passed = stable and dev <= 0.01
         return _finish("oscillation-ratio" + ("-dyadic" if dyadic_only else ""),
                        {"p": spec.p, "beta": spec.beta, "alpha": spec.alpha,
-                        "in_range": in_range, "J": J, "n_sequences": n_sequences,
-                        "excluded_members": dropped},
+                        "in_range": in_range, "excluded_members": dropped},
                        pairs, float("inf"), res, seed, t0, passed=passed)
 
     return _map_ordered(one_spec, list(spec_list), threads)
@@ -702,14 +702,14 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
     res = resolution or resolution_n512()
     fine = res.refined()
 
-    def ratio_at(res_: Resolution, members, weight: Weight) -> float:
-        space, freq = res_.space_grid(), res_.freq_grid()
-        t_grid = default_t_grid(res_)
+    def carleson_maxes(res_: Resolution, members) -> list[SampledFn]:
+        t_grid, freq = default_t_grid(res_), res_.freq_grid()
+        return [build_family(alpha, m.sampled, t_grid, freq).max_abs() for m in members]
+
+    def ratio_at(members, cmaxes, weight: Weight) -> float:
         nspec = NormSpec(p, 0.0, alpha)
         best = 0.0
-        for m in members:
-            fam = build_family(alpha, m.sampled, t_grid, freq)
-            cmax = fam.max_abs()
+        for m, cmax in zip(members, cmaxes):
             best = max(best, weighted_lp_norm(cmax, nspec, weight)
                        / weighted_lp_norm(m.sampled, nspec, weight))
         return best
@@ -718,6 +718,9 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
     members, dropped = _gate_members(_sweep_corpus(space, seed), [alpha], res)
     members2 = [CorpusMember(m.label, m.fn, sample(m.fn, fine.space_grid(), FULL_LINE))
                 for m in members]
+    # sup_t |S_t f| does not depend on the weight: one family per member and
+    # resolution serves every weight
+    cmaxes, cmaxes2 = carleson_maxes(res, members), carleson_maxes(fine, members2)
 
     def one_weight(weight: Weight) -> ExperimentReport:
         t0 = _timer()
@@ -735,8 +738,8 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
             ok, supv = conjectured_measure_ap_check(weight, p, alpha)
             inputs["experimental_measure_ap"] = {"stable": ok, "sup": supv,
                                                  "note": "no pass/fail semantics"}
-        base = ratio_at(res, members, weight)
-        ref = ratio_at(fine, members2, weight)
+        base = ratio_at(members, cmaxes, weight)
+        ref = ratio_at(members2, cmaxes2, weight)
         stable = 0.5 <= ref / base <= 2.0
         pairs = [("max-ratio (empirical lower bound)", base), ("refined-ratio", ref)]
         return _finish("weighted-carleson", inputs, pairs, float("inf"),

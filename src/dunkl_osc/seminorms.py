@@ -1,13 +1,10 @@
 """Truncated oscillation seminorm, r-variation seminorm, and the
 Carleson-type maximal functions of a partial-sum family.
 
-The outer supremum over all strictly increasing cut sequences is not
-computable; callers get the exact value for any fixed cut sequence, a
-sampled lower bound over seeded random sequences (counter-based streams,
-so results are reproducible and independent of evaluation order), and the
-canonical dyadic sequence separately.  The r-variation over the family's
-finite t-grid is computed exactly for every r >= 1 by the quadratic
-dynamic program over selection endpoints.
+Both seminorms take their supremum over cuts drawn from the family's finite
+t-grid, and both are exact there: `variation` by the quadratic dynamic
+program over selection endpoints, `max_oscillation` by the same program over
+the last cut of a sequence.  `oscillation` evaluates one fixed cut sequence.
 """
 
 from __future__ import annotations
@@ -59,35 +56,23 @@ def oscillation(family: PartialSumFamily, cuts: CutSequence) -> SampledFn:
     return SampledFn(family.base.grid, np.sqrt(acc), family.base.domain_tag)
 
 
-def _dyadic_indices(t_values: np.ndarray) -> np.ndarray:
-    m, _ = np.frexp(t_values)
-    return np.nonzero(m == 0.5)[0]
-
-
-def max_oscillation_over_sampled_sequences(family: PartialSumFamily, J: int,
-                                           n_random: int, seed: int) -> SampledFn:
-    """Pointwise max of the oscillation over n_random seeded random
-    increasing cut sequences plus two canonical ones (the dyadic subsequence
-    and the every-other-threshold sequence); a lower bound for the sup over
-    all sequences.  Sequences denser than half the grid are pointless (a
-    block without interior grid points contributes zero), so the drawn
-    length is capped at (T-1)//2 + 1."""
-    T = len(family.t_grid)
-    if J + 1 > T:
-        raise ArgumentError("J+1 exceeds the t-grid length")
-    j_eff = min(J, max(1, (T - 1) // 2))
-    best = np.zeros(family.base.grid.n)
-    tg = family.t_grid.values
-    for i in range(n_random):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        pick = np.sort(rng.choice(T, size=j_eff + 1, replace=False))
-        cuts = CutSequence(ThresholdSeq(tg[pick]), j_eff)
-        best = np.maximum(best, oscillation(family, cuts).values.real)
-    for idx in (_dyadic_indices(tg), np.arange(0, T, 2)):
-        if idx.size >= 2:
-            cuts = CutSequence(ThresholdSeq(tg[idx]), idx.size - 1)
-            best = np.maximum(best, oscillation(family, cuts).values.real)
-    return SampledFn(family.base.grid, best, family.base.domain_tag)
+def max_oscillation(family: PartialSumFamily) -> SampledFn:
+    """Pointwise sup of `oscillation` over every increasing cut sequence
+    drawn from the family's t-grid, of any length, exact via dynamic
+    programming over the sequence's last cut: O(T^2 N) time, O(T N) memory.
+    The last cut closes its block without belonging to it, as in
+    `oscillation`."""
+    vals = family.values
+    T, N = vals.shape
+    best = np.zeros((T, N))
+    run = np.zeros((T, N))
+    for k in range(1, T):
+        # run[i] = max over i <= t < k of |a_t - a_i|^2 (the block [I_i, I_k))
+        np.maximum(run[:k], np.abs(vals[k - 1] - vals[:k]) ** 2, out=run[:k])
+        # best sequence whose last cut is k: extend the best one ending at i
+        best[k] = np.max(best[:k] + run[:k], axis=0)
+    return SampledFn(family.base.grid, np.sqrt(np.max(best, axis=0)),
+                     family.base.domain_tag)
 
 
 def variation(family: PartialSumFamily, r: float) -> SampledFn:

@@ -33,6 +33,11 @@ def test_unsupported_order_and_removed_flags_exit_2(workdir):
     assert not os.path.exists("F.csv")
     assert main(["transform", "--kind", "dunkl", "--grading", "2",
                  "--input", "f.csv", "--output", "F.csv"]) == 2
+    assert main(["osc", "--alpha", "0", "--input", "f.csv",
+                 "--sequences", "8", "--output", "osc.csv"]) == 2
+    assert main(["sweep", "--kind", "oscillation", "--p", "2", "--alpha", "0",
+                 "--n-panels", "8", "--blocks", "4", "--output", "r.jsonl"]) == 2
+    assert not os.path.exists("osc.csv") and not os.path.exists("r.jsonl")
 
 
 def test_partial_sum_and_family(workdir):

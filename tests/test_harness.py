@@ -70,8 +70,7 @@ def test_reports_reproducible_and_thread_independent(small_res):
 
 
 def test_oscillation_sweep_report_fields():
-    reps = oscillation_ratio_sweep([NormSpec(2.0, 0.0, 0.0)], J=4,
-                                   n_sequences=8, seed=7,
+    reps = oscillation_ratio_sweep([NormSpec(2.0, 0.0, 0.0)], seed=7,
                                    resolution=resolution_n512())
     (r,) = reps
     keys = [k for (k, _) in r.residuals_or_ratios]

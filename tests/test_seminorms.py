@@ -1,18 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dunkl_osc import (ArgumentError, CutSequence, PartialSumFamily,
                        ThresholdSeq, build_family, carleson_dunkl_max,
                        carleson_hankel_max, even_odd_split, make_graded_grid,
-                       max_oscillation_over_sampled_sequences, oscillation,
-                       sample, variation)
+                       max_oscillation, oscillation, sample, variation)
 
 
 def synthetic_family(rows, grid):
-    """Family with prescribed per-threshold rows (for closed-form checks)."""
+    """Family with prescribed per-threshold rows, each a constant or one
+    value per node (for closed-form checks)."""
     t = ThresholdSeq(np.arange(1.0, len(rows) + 1.0))
     base = sample(lambda x: np.zeros_like(np.asarray(x, float)), grid)
-    vals = np.stack([np.full(grid.n, complex(r)) for r in rows])
+    vals = np.stack([np.broadcast_to(np.asarray(r, complex), grid.n) for r in rows])
     return PartialSumFamily(base, 0.0, "dunkl", t, vals)
 
 
@@ -78,18 +80,33 @@ def test_oscillation_monotone_in_blocks(grid):
                   >= oscillation(fam, c2).values.real - 1e-15)
 
 
-def test_sampled_sup_properties(space512, freq512, one_bump):
+def test_max_oscillation_matches_brute_force(grid):
+    # T=9 complex rows that differ from node to node, so different nodes
+    # attain their supremum on different cut sequences
+    rng = np.random.Generator(np.random.Philox(key=5))
+    T = 9
+    fam = synthetic_family(list(rng.standard_normal((T, grid.n))
+                                + 1j * rng.standard_normal((T, grid.n))), grid)
+    tg = fam.t_grid
+    brute = np.zeros(grid.n)
+    for k in range(2, T + 1):   # all 502 sequences of at least two cuts
+        for pick in itertools.combinations(range(T), k):
+            cuts = CutSequence(ThresholdSeq(tg.values[list(pick)]), k - 1)
+            brute = np.maximum(brute, oscillation(fam, cuts).values.real)
+    assert np.array_equal(max_oscillation(fam).values.real, brute)
+
+
+def test_max_oscillation_between_fixed_and_variation(space512, freq512, one_bump):
     tg = ThresholdSeq.union(ThresholdSeq.geometric(0.1, 20.0, 24),
                             ThresholdSeq.dyadic(-3, 4))
     fam = build_family(0.0, one_bump, tg, freq512)
-    m1 = max_oscillation_over_sampled_sequences(fam, 4, 8, 11)
-    m2 = max_oscillation_over_sampled_sequences(fam, 4, 32, 11)
-    assert np.all(m2.values.real >= m1.values.real - 1e-15)
-    # dominates any fixed member sequence
-    pick = ThresholdSeq(tg.values[[0, 9, 19]])
-    member = oscillation(fam, CutSequence(pick, 2))
-    full = max_oscillation_over_sampled_sequences(fam, 2, 64, 11)
-    assert np.all(full.values.real >= member.values.real - 1e-15)
+    full = max_oscillation(fam).values.real
+    # dominates fixed sequences: sparse, a single block, every other threshold
+    for pick in ([0, 9, 19], [0, len(tg) - 1], list(range(0, len(tg), 2))):
+        cuts = CutSequence(ThresholdSeq(tg.values[pick]), len(pick) - 1)
+        assert np.all(full >= oscillation(fam, cuts).values.real)
+    assert np.all(full <= variation(fam, 2.0).values.real + 1e-12)
+    assert np.max(full) > 0.0
 
 
 def test_oscillation_bounded_by_variation(space512, freq512, one_bump):
@@ -130,12 +147,7 @@ def test_zero_function_all_zero(space512, freq512):
     z = sample(lambda x: np.zeros_like(np.asarray(x, float)), space512)
     tg = ThresholdSeq.dyadic(-2, 3)
     fam = build_family(0.0, z, tg, freq512)
-    assert np.max(max_oscillation_over_sampled_sequences(fam, 2, 4, 3).values.real) == 0.0
+    assert np.max(max_oscillation(fam).values.real) == 0.0
     assert np.max(variation(fam, 2.0).values.real) == 0.0
     assert np.max(carleson_dunkl_max(0.0, z, tg, freq512).values.real) == 0.0
 
-
-def test_sampled_sup_j_guard(grid):
-    fam = synthetic_family([0.0, 1.0, 2.0], grid)
-    with pytest.raises(ArgumentError):
-        max_oscillation_over_sampled_sequences(fam, 5, 4, 1)
