@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dunkl_osc import (HALF_LINE, ArgumentError, DomainError, NormSpec,
                        power_weight, range_dyadic_oscillation,
                        range_full_oscillation, sample, transplant_range,
                        w_ab_weight, weighted_lp_norm)
+from dunkl_osc.weights import _ap_products, _grading_for, _side_template
 
 
 def test_norm_examples():
@@ -142,3 +145,86 @@ def test_experimental_check_reduces_to_ap_at_alpha_minus_half(weight):
     _, base_exp = conjectured_measure_ap_check(weight, 2.0, -0.5)
     _, base_ap = ap_check(weight, 2.0)
     assert base_exp == base_ap
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_experimental_constant_weight_is_one(alpha):
+    # mu(B)-averages of the constant weight are 1 on every interval
+    member, sup = conjectured_measure_ap_check(w_ab_weight(0.0, 0.0), 2.0, alpha)
+    assert member and sup == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_experimental_check_matches_closed_criterion(p, alpha):
+    # |x|^beta is in A_p(|x|^mu dx) iff -(mu + 1) < beta < (mu + 1)(p - 1)
+    lo, hi = -(2.0 * alpha + 2.0), (2.0 * alpha + 2.0) * (p - 1.0)
+    for beta in (lo - 0.5, lo + 0.5, hi - 0.5, hi + 0.5):
+        member, _ = conjectured_measure_ap_check(power_weight(beta), p, alpha)
+        assert member == (lo < beta < hi), (p, alpha, beta)
+
+
+def test_nan_product_is_not_a_member():
+    # beta = -4.5 is not integrable against |x|^3 dx; the deepest graded
+    # probe meets 0 * inf = NaN products, which must not be skipped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        member, sup = conjectured_measure_ap_check(power_weight(-4.5), 2.0, 1.0)
+    assert member is False and not np.isfinite(sup)
+
+
+def _scalar_products(weight, p, mu, k_range, n_panels):
+    """The A_p products of _ap_products, one interval and one average at a
+    time, in its (m, j, sign) order; also how many straddle 0 and how many
+    end at 0."""
+    pp = p / (p - 1.0)
+    e0 = weight.exponent_at_zero
+    out, straddle, at_zero = [], 0, 0
+    for m in range(-k_range, k_range + 1):
+        for j in range(-k_range, k_range + 1):
+            for s in (-1.0, 0.0, 1.0):
+                if s == 0.0 and j != 0:
+                    continue
+                length, c = 2.0 ** m, s * 2.0 ** j
+                lo, hi = c - length / 2.0, c + length / 2.0
+                straddle += lo < 0.0 < hi
+                at_zero += lo == 0.0 or hi == 0.0
+
+                def integral(f, e):
+                    if lo < 0.0 < hi:
+                        x, q = _side_template(n_panels, _grading_for(e))
+                        return sum(float(np.dot(sp * q, f(sp * x))) for sp in (-lo, hi))
+                    x, q = _side_template(n_panels, 1.0)
+                    return float(np.dot(length * q, f(lo + length * x)))
+
+                meas = integral(lambda x: np.abs(x) ** mu, mu) if mu else length
+                a1 = integral(lambda x: weight(x) * np.abs(x) ** mu, e0 + mu) / meas
+                a2 = integral(lambda x: weight(x) ** (-pp / p) * np.abs(x) ** mu,
+                              -e0 * pp / p + mu) / meas
+                out.append(a1 * a2 ** (p / pp))
+    return np.array(out), straddle, at_zero
+
+
+@pytest.mark.parametrize("weight,p,mu", [
+    (w_ab_weight(-0.5, 0.5), 2.0, 0.0),   # straddle gradings 4 and 1
+    (w_ab_weight(0.6, -0.3), 3.0, 0.0),   # 1 and 3
+    (w_ab_weight(-1.5, 0.5), 2.0, 1.0),   # 4 and 1, mu(B) shares grading 1
+    (w_ab_weight(0.5, -0.5), 2.0, 1.0),   # one straddle node array
+])
+def test_batched_products_match_scalar_reference(weight, p, mu):
+    # 48 panels (384 nodes a side) split each node array into several blocks
+    ref, straddle, at_zero = _scalar_products(weight, p, mu, 3, 48)
+    prod, level = _ap_products(weight, p, mu, 3, 48)
+    assert straddle and at_zero and len(ref) - straddle - at_zero > 0
+    assert prod.shape == ref.shape and np.all(np.isfinite(ref))
+    assert np.max(np.abs(prod - ref) / ref) <= 1e-13
+    assert level.max() == 3 and np.sum(level <= 1) == 3 * 7
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_base_sup_from_wide_pass_is_bitwise(mu):
+    weight = w_ab_weight(-0.5, 1.5)
+    wide, level = _ap_products(weight, 2.0, mu, 20, 12)
+    base, _ = _ap_products(weight, 2.0, mu, 10, 12)
+    assert np.array_equal(np.sort(wide[level <= 10]), np.sort(base))
+    assert np.max(wide[level <= 10]) == np.max(base)
