@@ -314,12 +314,13 @@ class CorpusMember:
     fn: Callable
     sampled: SampledFn
 
-    def dilated(self, lam: float) -> "CorpusMember":
-        """f_lam(x) := f(lam x) sampled on the same grid."""
+    def dilated(self, lam: float, grid: Grid | None = None) -> "CorpusMember":
+        """f_lam(x) := f(lam x) sampled on ``grid`` (default: the member's grid)."""
         f = self.fn
         g = lambda x, _f=f, _l=lam: _f(_l * np.asarray(x))
-        return CorpusMember(f"{self.label}|dil{lam:g}",
-                            g, sample(g, self.sampled.grid, self.sampled.domain_tag))
+        return CorpusMember(f"{self.label}|dil{lam:g}", g,
+                            sample(g, self.sampled.grid if grid is None else grid,
+                                   self.sampled.domain_tag))
 
 
 def _combine(label, parts, grid, domain):

@@ -457,10 +457,7 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
             space_d = _subgrid_window(space, w_dil)
             freq_d = _scale_grid(_subgrid_window(freq, res.freq_max() / max(lam, 1.0)), lam)
             for m, osc in zip(members, oscs):
-                fn = m.fn
-                dil_fn = (lambda x, _f=fn, _l=lam: _f(_l * np.asarray(x)))
-                dil = CorpusMember(m.label + f"|dil{lam:g}", dil_fn,
-                                   sample(dil_fn, space_d, FULL_LINE))
+                dil = m.dilated(lam, space_d)
                 v = np.abs(dil.sampled.values)
                 if max(v[0], v[-1]) > 1e-7 * np.max(v):
                     continue  # dilation leaves the grid; not comparable

@@ -36,10 +36,6 @@ class NormSpec:
         if self.alpha < -0.5:
             raise ArgumentError("NormSpec needs alpha >= -1/2")
 
-    @property
-    def measure_exponent(self) -> float:
-        return self.beta + 2.0 * self.alpha + 1.0
-
 
 @dataclass(frozen=True)
 class Weight:
@@ -59,10 +55,6 @@ class Weight:
     @property
     def exponent_at_zero(self) -> float:
         return self.params[0]
-
-    @property
-    def exponent_at_infinity(self) -> float:
-        return self.params[-1]
 
     def shifted(self, s: float) -> "Weight":
         """The weight times |x|^s (both families are closed under this)."""

@@ -7,7 +7,7 @@ import pytest
 from dunkl_osc import (FULL_LINE, HALF_LINE, Grid, SampledFn, bump,
                        make_graded_grid, read_sampled_fn, sample,
                        write_sampled_fn)
-from dunkl_osc.cli import main
+from dunkl_osc.cli import MAXIMALS, PARTIAL_SUMS, RANGES, TRANSFORMS, main
 
 
 @pytest.fixture()
@@ -37,6 +37,11 @@ def test_unsupported_order_and_removed_flags_exit_2(workdir):
                  "--sequences", "8", "--output", "osc.csv"]) == 2
     assert main(["sweep", "--kind", "oscillation", "--p", "2", "--alpha", "0",
                  "--n-panels", "8", "--blocks", "4", "--output", "r.jsonl"]) == 2
+    # the grid comes from --input; range takes no seed
+    assert main(["transform", "--kind", "dunkl", "--input", "f.csv",
+                 "--n-panels", "8", "--output", "F.csv"]) == 2
+    assert main(["range", "--predicate", "full", "--p", "2", "--seed", "7"]) == 2
+    assert not os.path.exists("F.csv")
     assert not os.path.exists("osc.csv") and not os.path.exists("r.jsonl")
 
 
@@ -129,3 +134,71 @@ def test_threads_env_fallback(workdir, monkeypatch):
     from dunkl_osc.cli import build_parser
     args = build_parser().parse_args(["verify"])
     assert args.threads == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--alpha", "x"],
+    ["family", "--input", "f.csv", "--t-grid", "a,b"],
+    ["maximal", "--operator", "carleson-hunt", "--input", "f.csv", "--t-grid", "x"],
+    ["sweep", "--kind", "weighted-carleson", "--alpha", ","],
+    ["range", "--predicate", "ap", "--p", "2", "--a", "0.5"],
+], ids=["verify-alpha", "family-t-grid", "maximal-t-grid", "sweep-empty-alpha",
+        "range-a-without-b"])
+def test_bad_values_exit_2_without_traceback(workdir, capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+
+
+def _range_verdict(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out.strip())
+
+
+def test_config_values_are_typed(workdir, capsys):
+    with open("run.conf", "w") as fh:
+        fh.write("a=0.5\nb=1.5\n")
+    inputs = _range_verdict(capsys, ["range", "--predicate", "full", "--p", "2",
+                                     "--config", "run.conf"])["inputs"]
+    assert inputs["a"] == 0.5 and inputs["b"] == 1.5
+
+
+def test_config_loses_to_abbreviated_flag(workdir, capsys):
+    with open("run.conf", "w") as fh:
+        fh.write("alpha=0.25\n")
+    argv = ["range", "--predicate", "full", "--p", "2", "--config", "run.conf"]
+    assert _range_verdict(capsys, argv)["inputs"]["alpha"] == 0.25
+    assert _range_verdict(capsys, argv + ["--alp", "0.75"])["inputs"]["alpha"] == 0.75
+
+
+def test_config_values_obey_choices(workdir, capsys):
+    with open("run.conf", "w") as fh:
+        fh.write("kind=bogus\n")
+    assert main(["partial-sum", "--t", "2", "--input", "fh.csv",
+                 "--config", "run.conf", "--output", "S.csv"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not os.path.exists("S.csv")
+
+
+def _table_argv(table, key):
+    half = "fh.csv"
+    if table == "transform":
+        inp = half if TRANSFORMS[key][0] == HALF_LINE else "f.csv"
+        return ["transform", "--kind", key, "--alpha", "0.5", "--input", inp]
+    if table == "partial-sum":
+        inp = half if PARTIAL_SUMS[key][0] == HALF_LINE else "f.csv"
+        return ["partial-sum", "--kind", key, "--t", "2", "--input", inp]
+    if table == "maximal":
+        inp = (half if key in ("conjugate-hardy", "prestini-majorant", "carleson-hankel")
+               else "f.csv")
+        return ["maximal", "--operator", key, "--input", inp, "--t-grid", "0.5,1,2,4"]
+    return ["range", "--predicate", key, "--p", "2", "--beta", "0.5"]
+
+
+@pytest.mark.parametrize("table,key", [("transform", k) for k in TRANSFORMS]
+                         + [("partial-sum", k) for k in PARTIAL_SUMS]
+                         + [("maximal", k) for k in MAXIMALS]
+                         + [("range", k) for k in RANGES])
+def test_every_table_key_runs(workdir, table, key):
+    assert main(_table_argv(table, key) + ["--output", "o.out"]) == 0
+    assert os.path.exists("o.out")
