@@ -3,12 +3,15 @@ Hilbert transform, Carleson-Hunt maximal operator, and the pointwise
 majorant |x|^{-(a+1/2)} (M_HL + H + H* + C)((.)^{a+1/2} f)(|x|) that
 dominates Hankel partial sums.
 
-Quadrature strategy: integrands are integrated panel-by-panel with the
-grid's own Gauss-Legendre weights; windows and truncations that cut a panel
-are re-quadratured on the kept sub-interval with a fresh Gauss rule, the
-function values at the new nodes obtained by linear interpolation between
-grid samples.  Kernels (1/y, 1/(x-z), modulations) are evaluated exactly at
-all nodes, so truncation boundaries cost no node-snapping error.
+Quadrature strategy: whole panels use the grid's own Gauss-Legendre weights
+with node-exact kernels (1/y, 1/(x-z), modulations), summed once per panel;
+a window or truncation reads the panels it keeps from a left prefix (panels
+before it) and a right suffix (panels after it), both sums of kept terms
+only.  The two panels it cuts are re-quadratured on their kept parts with a
+fresh Gauss rule, at samples linearly interpolated between grid nodes, so
+truncation boundaries cost no node-snapping error.  Modulations on cut
+panels take cos and sin on the positive half of the symmetric frequency set
+(-xi by conjugate symmetry, xi = 0 as the plain sum).
 
 Suprema over radii/frequencies are taken over a finite SupGrid, iterated in
 a fixed order; enlarging the SupGrid never decreases any output.
@@ -25,13 +28,14 @@ from .funcspace import FULL_LINE, HALF_LINE, Grid, SampledFn
 
 _SUB_NODES = 12
 _GL_SUB = np.polynomial.legendre.leggauss(_SUB_NODES)
+_LADDER = 4  # exact cos/sin at every 4th doubled frequency: a doubling doubles the error
 
 
 @dataclass(frozen=True)
 class SupGrid:
     """Finite discretization of sup_{r>0} / sup_{eps>0} / sup_{xi in R}:
     decreasing positive radii (dyadic by default) and a symmetric finite
-    frequency set."""
+    frequency set, stored sorted and exactly symmetric (q[::-1] == -q)."""
 
     radii: np.ndarray
     frequencies: np.ndarray
@@ -39,11 +43,14 @@ class SupGrid:
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
         q = np.asarray(self.frequencies, dtype=float)
-        if r.ndim != 1 or r.size == 0 or np.any(r <= 0) or np.any(np.diff(r) >= 0):
+        if (r.ndim != 1 or r.size == 0 or not np.isfinite(r).all() or np.any(r <= 0)
+                or np.any(np.diff(r) >= 0)):
             raise ArgumentError("radii must be positive and strictly decreasing")
-        qs = np.sort(q)
-        if q.ndim != 1 or q.size == 0 or np.max(np.abs(qs + qs[::-1])) > 1e-12 * (1 + np.max(np.abs(q))):
+        qs = np.sort(q, axis=None)
+        if (q.ndim != 1 or q.size == 0 or not np.isfinite(qs).all()
+                or np.max(np.abs(qs + qs[::-1])) > 1e-12 * (1 + np.max(np.abs(q)))):
             raise ArgumentError("frequencies must form a symmetric finite set")
+        q = (qs - qs[::-1]) / 2.0      # exactly symmetric: a - b == -(b - a)
         for arr, name in ((r, "radii"), (q, "frequencies")):
             a = np.ascontiguousarray(arr)
             a.flags.writeable = False
@@ -56,10 +63,7 @@ def default_sup_grid(grid: Grid, t_values=None) -> SupGrid:
     grid's resolvable modulation band."""
     scale = max(abs(grid.lo), abs(grid.hi))
     radii = scale * 2.0 ** np.arange(8, -9, -1)
-    if t_values is None:
-        pos = 2.0 ** np.arange(-4, 8)
-    else:
-        pos = np.asarray(t_values, dtype=float)
+    pos = 2.0 ** np.arange(-4, 8) if t_values is None else np.asarray(t_values, dtype=float)
     pos = pos[pos * grid.max_spacing <= np.pi / 3.0]
     freqs = np.unique(np.concatenate([-pos, [0.0], pos]))
     return SupGrid(radii, freqs)
@@ -72,72 +76,51 @@ def _require_panels(grid: Grid) -> np.ndarray:
     return grid.panel_edges
 
 
-def _panel_prefix(grid: Grid, integrand: np.ndarray):
-    """Per-panel Gauss sums of integrand and their prefix sums."""
-    edges = _require_panels(grid)
-    idx = np.searchsorted(edges, grid.points, side="right") - 1
-    idx = np.clip(idx, 0, edges.size - 2)
-    masses = np.bincount(idx, weights=grid.weights * integrand, minlength=edges.size - 1)
-    prefix = np.concatenate([[0.0], np.cumsum(masses)])
-    return edges, prefix
-
-
 def _sub_gauss(a, b):
     """Nodes/weights of the fixed Gauss rule on segments [a, b] (batched)."""
     gx, gw = _GL_SUB
-    mid = (a + b) / 2.0
-    hl = (b - a) / 2.0
-    nodes = mid[..., None] + hl[..., None] * gx
-    wts = hl[..., None] * gw
-    return nodes, wts
+    mid, hl = (a + b)[..., None] / 2.0, (b - a)[..., None] / 2.0
+    return mid + hl * gx, hl * gw
 
 
-def _interp(grid: Grid, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(vals):
-        re = np.interp(x, grid.points, vals.real, left=0.0, right=0.0)
-        im = np.interp(x, grid.points, vals.imag, left=0.0, right=0.0)
-        return re + 1j * im
-    return np.interp(x, grid.points, vals, left=0.0, right=0.0)
-
-
-def _window_integrals(grid: Grid, samples: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      kernel=None) -> np.ndarray:
-    """integral_a^b samples(y) kernel(y) dy, a <= b elementwise.  Whole
-    panels use the grid weights with node-exact kernel values; the cut
-    panels are re-quadratured with interpolated samples and exact kernel."""
+def _window_integrals(grid: Grid, samples: np.ndarray, windows, kernel=None) -> list:
+    """integral_a^b samples(y) kernel(y) dy for each (a, b) in windows, a <= b
+    elementwise.  Whole panels use the grid weights with node-exact kernel
+    values, their prefix sums formed once for all windows; the cut panels are
+    re-quadratured with interpolated samples and exact kernel."""
     integrand = samples if kernel is None else samples * kernel(grid.points)
-    edges, prefix = _panel_prefix(grid, integrand)
-    a = np.clip(a, edges[0], edges[-1])
-    b = np.clip(b, edges[0], edges[-1])
-    ia = np.clip(np.searchsorted(edges, a, side="right") - 1, 0, edges.size - 2)
-    ib = np.clip(np.searchsorted(edges, b, side="right") - 1, 0, edges.size - 2)
-    same = ia == ib
-    out = np.zeros_like(a, dtype=float)
+    edges = _require_panels(grid)
+    idx = np.clip(np.searchsorted(edges, grid.points, side="right") - 1, 0, edges.size - 2)
+    masses = np.bincount(idx, weights=grid.weights * integrand, minlength=edges.size - 1)
+    prefix = np.concatenate([[0.0], np.cumsum(masses)])
 
     def seg(lo, hi):
         nodes, wts = _sub_gauss(lo, hi)
-        v = _interp(grid, samples, nodes.ravel()).reshape(nodes.shape)
+        v = np.interp(nodes, grid.points, samples, left=0.0, right=0.0)
         if kernel is not None:
             v = v * kernel(nodes)
         return np.sum(wts * v, axis=-1)
 
-    if np.any(same):
+    outs = []
+    for a, b in windows:
+        a = np.clip(a, edges[0], edges[-1])
+        b = np.clip(b, edges[0], edges[-1])
+        ia = np.clip(np.searchsorted(edges, a, side="right") - 1, 0, edges.size - 2)
+        ib = np.clip(np.searchsorted(edges, b, side="right") - 1, 0, edges.size - 2)
+        same, diff = ia == ib, ia != ib
+        out = np.zeros_like(a, dtype=float)
         out[same] = seg(a[same], b[same])
-    diff = ~same
-    if np.any(diff):
         full = prefix[ib[diff]] - prefix[ia[diff] + 1]
         out[diff] = full + seg(a[diff], edges[ia[diff] + 1]) + seg(edges[ib[diff]], b[diff])
-    return out
+        outs.append(out)
+    return outs
 
 
 def hardy_littlewood_max(f: SampledFn, sup: SupGrid) -> SampledFn:
     """sup over radii of the window average (1/2r) integral_{x-r}^{x+r} |f|."""
-    absf = np.abs(f.values)
     x = f.grid.points
-    best = np.zeros_like(x)
-    for r in sup.radii:
-        avg = _window_integrals(f.grid, absf, x - r, x + r) / (2.0 * r)
-        best = np.maximum(best, avg)
+    sums = _window_integrals(f.grid, np.abs(f.values), [(x - r, x + r) for r in sup.radii])
+    best = np.max([np.zeros_like(x)] + [t / (2.0 * r) for r, t in zip(sup.radii, sums)], axis=0)
     return SampledFn(f.grid, best, f.domain_tag)
 
 
@@ -148,96 +131,105 @@ def conjugate_hardy(f: SampledFn) -> SampledFn:
     if not np.any(pos):
         raise ArgumentError("conjugate_hardy needs positive grid points")
     # integrate h(y) = |f(y)|/y over [|x|, hi] on the positive side
-    ppts = grid.points[pos]
-    pwts = grid.weights[pos]
     edges = _require_panels(grid)
     pedges = edges[edges >= 0.0]
     if pedges.size < 2 or pedges[0] != 0.0:
         pedges = np.concatenate([[0.0], pedges[pedges > 0.0]])
-    pgrid = Grid(ppts, pwts, 0.0, float(grid.hi), pedges)
+    pgrid = Grid(grid.points[pos], grid.weights[pos], 0.0, float(grid.hi), pedges)
     xa = np.abs(grid.points)
     with np.errstate(divide="ignore"):
-        vals = _window_integrals(pgrid, np.abs(f.values[pos]), xa,
-                                 np.full_like(xa, grid.hi),
-                                 kernel=lambda y: 1.0 / y)
+        (vals,) = _window_integrals(pgrid, np.abs(f.values[pos]),
+                                    [(xa, np.full_like(xa, grid.hi))],
+                                    kernel=lambda y: 1.0 / y)
     vals[xa >= grid.hi] = 0.0
     return SampledFn(grid, vals, f.domain_tag)
 
 
-def _modulated_truncated(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
-                         eval_idx: np.ndarray | None = None,
-                         block: int = 64) -> np.ndarray:
-    """max over (eps, xi) of |integral_{|x-z|>eps} f(z) e^{-i xi z}/(x-z) dz|
-    evaluated at the grid nodes x[eval_idx].  Panels wholly outside the
-    excluded window use the grid weights; the two cut panels are
-    re-quadratured on their kept parts."""
-    grid = f.grid
-    edges = _require_panels(grid)
-    z = grid.points
-    w = grid.weights
-    vals = f.values
+def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
+                    eval_idx: np.ndarray | None = None, block: int = 64) -> np.ndarray:
+    """(n_eval, Q): per xi in frequencies (sorted, exactly symmetric), the max
+    over eps of |integral_{|x-z|>eps} f(z) e^{-i xi z}/(x-z) dz| at the grid
+    nodes x[eval_idx] (see the module docstring for the quadrature)."""
+    grid, vals = f.grid, f.values
+    edges, z = _require_panels(grid), grid.points
     if np.max(np.abs(frequencies)) * grid.max_spacing > np.pi / 3.0:
         raise ResolutionError("modulation frequency beyond the grid's resolvable band")
-    if eval_idx is None:
-        eval_idx = np.arange(grid.n)
-    xs = z[eval_idx]
-    nE = sup.radii.size
-    nQ = frequencies.size
-    gmat = vals[:, None] * np.exp(-1j * np.outer(z, frequencies))  # (N, Q)
-    panel_of = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, edges.size - 2)
-    out = np.zeros(xs.size)
+    xs = z if eval_idx is None else z[eval_idx]
+    n_pan, nQ, nP = edges.size - 1, frequencies.size, frequencies.size // 2
+    pos = frequencies[nQ - nP:]                                # xi > 0, ascending
+    # nodes laid out as (panel, slot); short panels padded with zero-weight slots
+    panel_of = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, n_pan - 1)
+    counts = np.bincount(panel_of, minlength=n_pan)
+    slot = np.arange(counts.max())
+    node = np.minimum(np.searchsorted(panel_of, np.arange(n_pan))[:, None] + slot, z.size - 1)
+    zp, wp = z[node], np.where(slot < counts[:, None], grid.weights[node], 0.0)
+    gmat = (vals[node, None] * np.exp(-1j * zp[..., None] * frequencies)).view(float)
+    out = np.zeros((xs.size, nQ))
+    left = np.zeros((n_pan + 1, block, 2 * nQ))                # sum of the first i panels
+    right = np.zeros((n_pan + 1, block, 2 * nQ))               # ... of the last i panels
     for s in range(0, xs.size, block):
-        xb = xs[s:s + block]                                   # (B,)
+        xb = xs[s:s + block]
         B = xb.size
         with np.errstate(divide="ignore"):
-            kern = 1.0 / (xb[:, None] - z[None, :])            # (B, N)
+            kern = 1.0 / (xb[None, :, None] - zp[:, None, :])  # (P, B, m)
         kern[~np.isfinite(kern)] = 0.0  # diagonal is always inside the window
-        acc = np.full(B, 0.0)
+        psum = np.matmul(kern * wp[:, None, :], gmat)          # (P, B, 2Q) per-panel sums
+        for i in range(n_pan):      # one add per panel: faster than cumsum over axis 0
+            np.add(left[i, :B], psum[i], out=left[i + 1, :B])
+            np.add(right[i, :B], psum[n_pan - 1 - i], out=right[i + 1, :B])
         lo_w = xb[:, None] - sup.radii[None, :]                # (B, E)
         hi_w = xb[:, None] + sup.radii[None, :]
-        ia = np.clip(np.searchsorted(edges, lo_w.ravel(), side="right") - 1, 0, edges.size - 2).reshape(B, nE)
-        ib = np.clip(np.searchsorted(edges, hi_w.ravel(), side="right") - 1, 0, edges.size - 2).reshape(B, nE)
-        res = np.zeros((B, nE, nQ), dtype=complex)
-        for e in range(nE):
-            keep = (panel_of[None, :] < ia[:, e][:, None]) | (panel_of[None, :] > ib[:, e][:, None])
-            wk = np.where(keep, kern * w[None, :], 0.0)        # (B, N)
-            res[:, e, :] = wk @ gmat
-        # kept parts of the cut panels: [panel_lo, x-eps] and [x+eps, panel_hi]
-        for side in (0, 1):
-            if side == 0:
-                seg_lo = edges[ia]                              # (B, E)
-                seg_hi = np.minimum(lo_w, edges[ia + 1])
-            else:
-                seg_lo = np.maximum(hi_w, edges[ib])
-                seg_hi = edges[ib + 1]
+        ia = np.clip(np.searchsorted(edges, lo_w, side="right") - 1, 0, n_pan - 1)
+        ib = np.clip(np.searchsorted(edges, hi_w, side="right") - 1, 0, n_pan - 1)
+        rows = np.arange(B)[:, None]
+        res = (left[ia, rows] + right[n_pan - 1 - ib, rows]).view(complex)  # (B, E, Q)
+        # kept parts of the cut panels, [panel_lo, x-eps] and [x+eps, panel_hi];
+        # empty ones (window end beyond the support) add nothing and are skipped
+        xe = np.broadcast_to(xb[:, None], lo_w.shape)
+        for seg_lo, seg_hi in ((edges[ia], np.minimum(lo_w, edges[ia + 1])),
+                               (np.maximum(hi_w, edges[ib]), edges[ib + 1])):
             seg_hi = np.maximum(seg_lo, np.clip(seg_hi, edges[0], edges[-1]))
             seg_lo = np.clip(seg_lo, edges[0], edges[-1])
-            nodes, wts = _sub_gauss(seg_lo, seg_hi)             # (B, E, q)
-            fv = _interp(grid, vals, nodes.ravel()).reshape(nodes.shape)
-            kv = 1.0 / (xb[:, None, None] - nodes)
-            base = wts * fv * kv                                # (B, E, q)
-            phase = np.exp(-1j * nodes[..., None] * frequencies)  # (B, E, q, Q)
-            res += np.einsum("beq,beqQ->beQ", base, phase)
-        out[s:s + B] = np.max(np.abs(res), axis=(1, 2))
+            cut = seg_hi > seg_lo
+            nodes, wts = _sub_gauss(seg_lo[cut], seg_hi[cut])   # (K, q)
+            fv = np.interp(nodes, z, vals, left=0.0, right=0.0)
+            base = wts * fv * (1.0 / (xe[cut][:, None] - nodes))
+            add = np.empty((nodes.shape[0], nQ), dtype=complex)
+            if nQ % 2:
+                add[:, nP] = base.sum(axis=-1)
+            if nP:
+                cs = np.empty((2 * nP,) + nodes.shape)          # cos rows, then sin rows
+                cos, sin = cs[:nP], cs[nP:]
+                for k, xi in enumerate(pos):
+                    if k % _LADDER and xi == 2.0 * pos[k - 1]:  # double angle
+                        cos[k] = (cos[k - 1] - sin[k - 1]) * (cos[k - 1] + sin[k - 1])
+                        sin[k] = 2.0 * sin[k - 1] * cos[k - 1]
+                    else:
+                        cos[k], sin[k] = np.cos(nodes * xi), np.sin(nodes * xi)
+                parts = np.stack([base.real, base.imag], axis=1) @ cs.transpose(1, 2, 0)
+                rc, rs, ic, is_ = parts.reshape(-1, 4, nP).transpose(1, 0, 2)
+                add[:, nQ - nP:] = (rc + is_) + 1j * (ic - rs)
+                add[:, :nP] = ((rc - is_) + 1j * (ic + rs))[:, ::-1]
+            res[cut] += add
+        out[s:s + B] = np.max(np.abs(res), axis=1)
     return out
+
+
+def _on_grid(f: SampledFn, out: np.ndarray, eval_idx) -> SampledFn | np.ndarray:
+    return SampledFn(f.grid, out, f.domain_tag) if eval_idx is None else out
 
 
 def maximal_hilbert(f: SampledFn, sup: SupGrid,
                     eval_idx: np.ndarray | None = None) -> SampledFn | np.ndarray:
     """sup over eps of |integral_{|y|>eps} f(x-y)/y dy|."""
-    out = _modulated_truncated(f, sup, np.array([0.0]), eval_idx)
-    if eval_idx is None:
-        return SampledFn(f.grid, out, f.domain_tag)
-    return out
+    return _on_grid(f, _truncated_sups(f, sup, np.zeros(1), eval_idx)[:, 0], eval_idx)
 
 
 def carleson_hunt(f: SampledFn, sup: SupGrid,
                   eval_idx: np.ndarray | None = None) -> SampledFn | np.ndarray:
     """sup over (eps, xi) of |integral_{|y|>eps} e^{i xi y} f(x-y)/y dy|."""
-    out = _modulated_truncated(f, sup, sup.frequencies, eval_idx)
-    if eval_idx is None:
-        return SampledFn(f.grid, out, f.domain_tag)
-    return out
+    sups = _truncated_sups(f, sup, sup.frequencies, eval_idx)
+    return _on_grid(f, np.max(sups, axis=1), eval_idx)
 
 
 def _even_zero_extension(f: SampledFn) -> SampledFn:
@@ -265,7 +257,10 @@ def prestini_majorant(order: float, f: SampledFn, sup: SupGrid) -> SampledFn:
     pos_idx = np.arange(fx.grid.n // 2, fx.grid.n)
     mhl = hardy_littlewood_max(g, sup).values[pos_idx]
     hop = conjugate_hardy(g).values[pos_idx]
-    hst = maximal_hilbert(g, sup, pos_idx)
-    car = carleson_hunt(g, sup, pos_idx)
+    # one pass: H* is the xi = 0 column, which C leaves out unless 0 is in sup
+    q, mid = sup.frequencies, sup.frequencies.size // 2
+    sups = _truncated_sups(g, sup, q if q.size % 2 else np.insert(q, mid, 0.0), pos_idx)
+    hst = sups[:, mid]
+    car = np.max(sups if q.size % 2 else np.delete(sups, mid, axis=1), axis=1)
     total = (mhl + hop + hst + car) * f.grid.points ** (-(a + 0.5))
     return SampledFn(f.grid, total, HALF_LINE)

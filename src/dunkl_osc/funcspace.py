@@ -99,6 +99,21 @@ class Grid:
                                Grid(self.points[m:], self.weights[m:], 0.0, self.hi, edges))
         return self._half
 
+    def window(self, w: float) -> "Grid":
+        """Sub-grid made of the whole panels inside [-w, w] (w must land on or
+        beyond a panel boundary for the node set to stay quadrature-exact)."""
+        if w >= self.hi:
+            return self
+        keep_e = self.panel_edges[np.abs(self.panel_edges) <= w * (1 + 1e-12)]
+        sel = (self.points >= keep_e[0]) & (self.points <= keep_e[-1])
+        return Grid(self.points[sel], self.weights[sel],
+                    float(keep_e[0]), float(keep_e[-1]), keep_e)
+
+    def scaled(self, lam: float) -> "Grid":
+        """The grid dilated by lam (points, weights, support and panel edges)."""
+        edges = None if self.panel_edges is None else self.panel_edges * lam
+        return Grid(self.points * lam, self.weights * lam, self.lo * lam, self.hi * lam, edges)
+
 
 @dataclass(frozen=True)
 class SampledFn:

@@ -386,24 +386,6 @@ def _windowed_norm(f: SampledFn, spec: NormSpec, window: float | None) -> float:
     return weighted_lp_norm(cut, spec)
 
 
-def _subgrid_window(grid: Grid, w: float) -> Grid:
-    """Sub-grid made of the whole panels inside [-w, w] (w must land on or
-    beyond a panel boundary for the node set to stay quadrature-exact)."""
-    if w >= grid.hi:
-        return grid
-    edges = grid.panel_edges
-    keep_e = edges[np.abs(edges) <= w * (1 + 1e-12)]
-    sel = (grid.points >= keep_e[0]) & (grid.points <= keep_e[-1])
-    return Grid(grid.points[sel], grid.weights[sel],
-                float(keep_e[0]), float(keep_e[-1]), keep_e)
-
-
-def _scale_grid(grid: Grid, lam: float) -> Grid:
-    edges = None if grid.panel_edges is None else grid.panel_edges * lam
-    return Grid(grid.points * lam, grid.weights * lam,
-                grid.lo * lam, grid.hi * lam, edges)
-
-
 def _osc_of(member: CorpusMember, spec: NormSpec, t_grid: ThresholdSeq,
             freq: Grid) -> SampledFn:
     return max_oscillation(build_family(spec.alpha, member.sampled, t_grid, freq))
@@ -454,8 +436,8 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
             t_lam = ThresholdSeq(t_grid.values * lam)
             w_dil = min(xw, xw / lam)
             w_base = lam * w_dil
-            space_d = _subgrid_window(space, w_dil)
-            freq_d = _scale_grid(_subgrid_window(freq, res.freq_max() / max(lam, 1.0)), lam)
+            space_d = space.window(w_dil)
+            freq_d = freq.window(res.freq_max() / max(lam, 1.0)).scaled(lam)
             for m, osc in zip(members, oscs):
                 dil = m.dilated(lam, space_d)
                 v = np.abs(dil.sampled.values)

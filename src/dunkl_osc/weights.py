@@ -56,6 +56,10 @@ class Weight:
     def exponent_at_zero(self) -> float:
         return self.params[0]
 
+    def raised(self, s: float) -> "Weight":
+        """w^s from the exponents (finite where w(x) itself is 0 or inf)."""
+        return Weight(self.kind, tuple(s * e for e in self.params))
+
     def shifted(self, s: float) -> "Weight":
         """The weight times |x|^s (both families are closed under this)."""
         if self.kind == "power":
@@ -153,7 +157,11 @@ def _ap_products(weight: Weight, p: float, mu: float, k_range: int,
                     x, q = lo[r, None] + length[r, None] * x0, length[r, None] * q0
                 dens, wx = (np.abs(x) ** mu if mu else 1.0), weight(x)
                 for f in need:
-                    fx = dens if f == 0 else (wx if f == 1 else wx ** (-pp / p)) * dens
+                    if f == 2:   # w^{-p'/p}, from the exponents where w(x) underflowed to 0
+                        wq = wx ** (-pp / p)
+                        if (lost := ~np.isfinite(wq)).any():
+                            wq[lost] = weight.raised(-pp / p)(x[lost])
+                    fx = dens if f == 0 else (wx if f == 1 else wq) * dens
                     sums[f, r] = (q * fx).sum(axis=1)
         meas = sums[0] if mu else length
         return sums[1] / meas * (sums[2] / meas) ** (p / pp), np.maximum(abs(m), abs(j))

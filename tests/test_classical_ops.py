@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dunkl_osc import (HALF_LINE, ArgumentError, ResolutionError,
                        SupGrid, ThresholdSeq, build_family, bump,
@@ -7,6 +8,7 @@ from dunkl_osc import (HALF_LINE, ArgumentError, ResolutionError,
                        gaussian, hardy_littlewood_max, make_breakpoint_grid,
                        make_graded_grid, maximal_hilbert, prestini_majorant,
                        sample)
+from dunkl_osc.classical_ops import _even_zero_extension, _truncated_sups
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +25,14 @@ def test_supgrid_validation():
         SupGrid(np.array([1.0, 2.0]), np.array([0.0]))    # not decreasing
     with pytest.raises(ArgumentError):
         SupGrid(np.array([2.0, 1.0]), np.array([1.0]))    # not symmetric
+    for radii, freqs in (([2.0, np.nan], [0.0]), ([2.0, 1.0], [-np.nan, np.nan])):
+        with pytest.raises(ArgumentError):
+            SupGrid(np.array(radii), np.array(freqs))
     s = SupGrid(np.array([2.0, 1.0]), np.array([-1.0, 0.0, 1.0]))
     assert s.radii[0] == 2.0
+    # symmetric to 1e-12 is accepted and stored exactly symmetric, sorted
+    q = SupGrid(np.array([1.0]), np.array([1.0, -1.0 - 1e-14])).frequencies
+    assert np.array_equal(q[::-1], -q) and q[0] < q[1]
 
 
 def test_hl_constant():
@@ -167,3 +175,74 @@ def test_majorant_dominates_partial_sums():
         ratio = np.max(np.abs(fam.values), axis=0) / maj
         assert np.isfinite(ratio).all()
         assert np.max(ratio) < 10.0
+
+
+def test_carleson_without_zero_frequency(smooth_pair):
+    # a symmetric set without 0 gives the pass no xi = 0 column, and
+    # carleson_hunt is the max over the columns it has
+    g, f1, f2, _ = smooth_pair
+    sup = SupGrid(2.0 ** np.arange(1, -5, -1), np.array([-2.0, -1.0, 1.0, 2.0]))
+    sups = _truncated_sups(f2, sup, sup.frequencies)
+    assert sups.shape == (g.n, 4)
+    assert np.array_equal(carleson_hunt(f2, sup).values.real, np.max(sups, axis=1))
+
+
+@pytest.mark.parametrize("freqs", [None, [-2.0, -1.0, 1.0, 2.0]], ids=["with-0", "without-0"])
+def test_prestini_parts_match_public_operators(freqs):
+    # the majorant's one pass gives H* (xi = 0 column) and C (sup's columns
+    # only) as the public operators do
+    half = make_graded_grid(0.0, 3.0, 8, 32, 1.0)
+    f = sample(bump(1.5, 1.2), half, HALF_LINE)
+    sup = default_sup_grid(half, [0.5, 1.0, 2.0]) if freqs is None else \
+        SupGrid(3.0 * 2.0 ** np.arange(8, -9, -1), np.array(freqs))
+    a = 0.5
+    fx = _even_zero_extension(f)
+    g = fx.with_values(fx.values * np.abs(fx.grid.points) ** (a + 0.5))
+    idx = np.arange(fx.grid.n // 2, fx.grid.n)
+    hst, car = maximal_hilbert(g, sup, idx), carleson_hunt(g, sup, idx)
+    assert freqs is None or np.any(hst > car)   # a stray xi = 0 column in C would show
+    parts = (hardy_littlewood_max(g, sup).values[idx] + conjugate_hardy(g).values[idx]
+             + hst + car) * half.points ** (-(a + 0.5))
+    maj = prestini_majorant(a, f, sup).values
+    assert np.max(np.abs(maj - parts) / np.abs(parts)) <= 1e-14
+
+
+def _plateau(x):
+    """1 on |x| <= 1, a C-infinity step down to 0 on 1 <= |x| <= 2."""
+    t = np.clip(2.0 - np.abs(np.asarray(x, dtype=float)), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        a, b = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+    return a / (a + b)
+
+
+def test_truncated_sups_match_quad_oracle():
+    # f = plateau * (1 + iz/2) is linear wherever a window end falls (|x +- eps|
+    # < 1, or beyond the support), so the interpolated cut panels are exact and
+    # the operators must match adaptive quadrature of the two kept intervals;
+    # the dyadic frequencies run through the double-angle steps and a restart
+    g = make_breakpoint_grid(np.arange(-4.0, 4.25, 0.25), 16)
+    f = sample(lambda z: _plateau(z) * (1.0 + 0.5j * np.asarray(z)), g)
+    xis = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+    sup = SupGrid(np.array([5.0, 3.0, 0.4, 0.2, 0.1]), np.concatenate([-xis, [0.0], xis]))
+    idx = np.array([np.argmin(np.abs(g.points - c)) for c in (-0.4, 0.1, 0.35)])
+    sups = _truncated_sups(f, sup, sup.frequencies, idx)
+    hilb, carl = maximal_hilbert(f, sup, idx), carleson_hunt(f, sup, idx)
+    for i, x in enumerate(g.points[idx]):
+        ref = np.zeros((sup.radii.size, sup.frequencies.size))
+        for e, eps in enumerate(sup.radii):
+            for k, xi in enumerate(sup.frequencies):
+                def h(z):
+                    return _plateau(z) * (1.0 + 0.5j * z) * np.exp(-1j * xi * z) / (x - z)
+
+                total = 0j
+                for a, b in ((g.lo, x - eps), (x + eps, g.hi)):
+                    if a >= b:
+                        continue
+                    kw = dict(points=[p for p in (-2.0, -1.0, 1.0, 2.0) if a < p < b] or None,
+                              limit=200, epsabs=1e-13, epsrel=1e-11)
+                    total += quad(lambda z: h(z).real, a, b, **kw)[0]
+                    total += 1j * quad(lambda z: h(z).imag, a, b, **kw)[0]
+                ref[e, k] = abs(total)
+        assert np.max(np.abs(sups[i] / ref.max(axis=0) - 1.0)) <= 1e-8
+        assert abs(carl[i] / ref.max() - 1.0) <= 1e-8
+        assert abs(hilb[i] / ref[:, sup.frequencies.size // 2].max() - 1.0) <= 1e-8

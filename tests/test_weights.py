@@ -120,6 +120,7 @@ def test_weight_evaluators():
     assert np.allclose(pw(x), x ** -0.3)
     shifted = w.shifted(2.0)
     assert shifted.params == (2.5, 1.5)
+    assert np.allclose(w.raised(-2.0)(x), w(x) ** -2.0)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -171,6 +172,16 @@ def test_nan_product_is_not_a_member():
         warnings.simplefilter("error")
         member, sup = conjectured_measure_ap_check(power_weight(-4.5), 2.0, 1.0)
     assert member is False and not np.isfinite(sup)
+
+
+def test_underflowing_weight_keeps_the_dual_average_finite():
+    # at p=3, mu=1 the straddle nodes of w^{-p'/p} are graded 40 deep (down to
+    # ~1e-117), where |x|^3.9 underflows to 0; the integrand |x|^{1-1.95} is
+    # integrable, so w^{-p'/p} must come from the exponents, not 0 ** -0.5
+    prod, _ = _ap_products(power_weight(3.9), 3.0, 1.0, 20, 8)
+    assert np.isfinite(prod).all()
+    _, sup = conjectured_measure_ap_check(power_weight(3.9), 3, 0)
+    assert np.isfinite(sup)
 
 
 def _scalar_products(weight, p, mu, k_range, n_panels):
