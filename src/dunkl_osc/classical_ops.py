@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ResolutionError
-from .funcspace import FULL_LINE, HALF_LINE, Grid, SampledFn
+from .funcspace import FULL_LINE, HALF_LINE, Grid, SampledFn, _freeze
 
 _SUB_NODES = 12
 _GL_SUB = np.polynomial.legendre.leggauss(_SUB_NODES)
@@ -41,8 +41,7 @@ class SupGrid:
     frequencies: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        q = np.asarray(self.frequencies, dtype=float)
+        r, q = _freeze(self.radii), np.asarray(self.frequencies, dtype=float)
         if (r.ndim != 1 or r.size == 0 or not np.isfinite(r).all() or np.any(r <= 0)
                 or np.any(np.diff(r) >= 0)):
             raise ArgumentError("radii must be positive and strictly decreasing")
@@ -50,11 +49,9 @@ class SupGrid:
         if (q.ndim != 1 or q.size == 0 or not np.isfinite(qs).all()
                 or np.max(np.abs(qs + qs[::-1])) > 1e-12 * (1 + np.max(np.abs(q)))):
             raise ArgumentError("frequencies must form a symmetric finite set")
-        q = (qs - qs[::-1]) / 2.0      # exactly symmetric: a - b == -(b - a)
-        for arr, name in ((r, "radii"), (q, "frequencies")):
-            a = np.ascontiguousarray(arr)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "radii", r)
+        # exactly symmetric: a - b == -(b - a)
+        object.__setattr__(self, "frequencies", _freeze((qs - qs[::-1]) / 2.0))
 
 
 def default_sup_grid(grid: Grid, t_values=None) -> SupGrid:

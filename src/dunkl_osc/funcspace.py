@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -27,10 +29,23 @@ HALF_LINE = "half_line"
 _CSV_MAGIC = "# dunkl-osc sampledfn v1"
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+def _freeze(a, dtype=float) -> np.ndarray:
+    """A read-only contiguous copy of a: a frozen field never aliases, and
+    never freezes, an array its caller still holds."""
+    out = np.array(a, dtype=dtype, order="C")
+    out.flags.writeable = False
+    return out
+
+
+@contextmanager
+def _text_file(path_or_buf, mode: str):
+    """A path (str, bytes or os.PathLike) opened in mode and closed on exit,
+    or an open text buffer passed through and left open."""
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        with open(path_or_buf, mode) as fh:
+            yield fh
+    else:
+        yield path_or_buf
 
 
 @dataclass(frozen=True)
@@ -49,8 +64,7 @@ class Grid:
     _half: "Grid | None" = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
+        pts, wts = _freeze(self.points), _freeze(self.weights)
         if pts.ndim != 1 or pts.shape != wts.shape or pts.size == 0:
             raise ArgumentError("grid points/weights must be matching 1-d arrays")
         if not np.isfinite(np.concatenate([pts, wts, [self.lo, self.hi]])).all():
@@ -64,10 +78,10 @@ class Grid:
             raise ArgumentError("grid support must have hi > lo")
         if abs(float(wts.sum()) - length) > 1e-12 * length:
             raise ArgumentError("grid weights do not reproduce the support length")
-        object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "weights", _freeze(wts))
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", wts)
         if self.panel_edges is not None:
-            object.__setattr__(self, "panel_edges", _freeze(np.asarray(self.panel_edges, dtype=float)))
+            object.__setattr__(self, "panel_edges", _freeze(self.panel_edges))
         h = hashlib.sha1()
         h.update(pts.tobytes())
         h.update(np.array([self.lo, self.hi], dtype=float).tobytes())
@@ -124,7 +138,7 @@ class SampledFn:
     domain_tag: str = FULL_LINE
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = _freeze(self.values, complex)
         if vals.shape != self.grid.points.shape:
             raise ArgumentError("values must have one entry per grid point")
         if not np.isfinite(vals).all():
@@ -133,7 +147,7 @@ class SampledFn:
             raise ArgumentError(f"unknown domain tag {self.domain_tag!r}")
         if self.domain_tag == HALF_LINE and self.grid.lo < 0.0:
             raise ArgumentError("half-line functions need grid.lo >= 0")
-        object.__setattr__(self, "values", _freeze(vals))
+        object.__setattr__(self, "values", vals)
 
     def with_values(self, values: np.ndarray) -> "SampledFn":
         return SampledFn(self.grid, values, self.domain_tag)
@@ -160,18 +174,13 @@ def _mapped_side(span: float, n_panels: int, nodes: int, grading: float):
     normalized to its exact length so constants integrate exactly."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
     bnd = np.arange(n_panels + 1) / n_panels
-    xs, ws = [], []
+    half = ((bnd[1:] - bnd[:-1]) / 2.0)[:, None]
+    u = ((bnd[:-1] + bnd[1:]) / 2.0)[:, None] + half * gl_x
+    x = span * u ** grading
+    w = half * gl_w * span * grading * u ** (grading - 1.0)
     edges = span * bnd ** grading
-    for k in range(n_panels):
-        a, b = bnd[k], bnd[k + 1]
-        u = (a + b) / 2.0 + (b - a) / 2.0 * gl_x
-        wu = (b - a) / 2.0 * gl_w
-        x = span * u ** grading
-        w = wu * span * grading * u ** (grading - 1.0)
-        w *= (edges[k + 1] - edges[k]) / w.sum()
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws), edges
+    w *= ((edges[1:] - edges[:-1]) / w.sum(axis=1))[:, None]
+    return x.ravel(), w.ravel(), edges
 
 
 def make_graded_grid(lo: float, hi: float, n_panels: int, nodes_per_panel: int,
@@ -462,22 +471,15 @@ def half_line_corpus(grid: Grid, seed: int = 7) -> list[CorpusMember]:
 
 def write_sampled_fn(path_or_buf, f: SampledFn) -> None:
     tag = "full" if f.domain_tag == FULL_LINE else "half"
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "w") if own else path_or_buf
-    try:
+    with _text_file(path_or_buf, "w") as buf:
         buf.write(f"{_CSV_MAGIC} domain={tag}\n")
         buf.write("x,weight,re,im\n")
         for x, w, v in zip(f.grid.points, f.grid.weights, f.values):
             buf.write(f"{x:.17g},{w:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    finally:
-        if own:
-            buf.close()
 
 
 def read_sampled_fn(path_or_buf) -> SampledFn:
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "r") if own else path_or_buf
-    try:
+    with _text_file(path_or_buf, "r") as buf:
         header = buf.readline().strip()
         if not header.startswith(_CSV_MAGIC):
             raise ArgumentError("not a dunkl-osc sampledfn CSV")
@@ -486,9 +488,6 @@ def read_sampled_fn(path_or_buf) -> SampledFn:
         if not cols.startswith("x,"):
             raise ArgumentError("missing column header")
         data = np.loadtxt(io.StringIO(buf.read()), delimiter=",", ndmin=2)
-    finally:
-        if own:
-            buf.close()
     x, w = data[:, 0], data[:, 1]
     vals = data[:, 2] + 1j * data[:, 3]
     # support endpoints are not stored; rebuild them so the length invariant

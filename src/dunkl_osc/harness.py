@@ -9,6 +9,12 @@ when the identity gate fails at the chosen resolution; corpus members whose
 spectra exceed a coarse grid's resolvable band are excluded by the gate
 member-by-member and recorded in the report.
 
+The identity suite is one table, IDENTITIES: name -> (residual, corpus,
+tolerance), where residual(alpha, f, space, freq) is one member's residual
+of that identity at order alpha and corpus names the member list it runs
+on.  A suite unit is one (name, order) entry; the member gate calls the
+same Plancherel and inversion residuals.
+
 All ratio figures are empirical lower bounds of the operator norms; no
 upper bound is ever claimed.
 """
@@ -27,16 +33,17 @@ import numpy as np
 from .errors import ArgumentError, GateError
 from . import transforms
 from .funcspace import (FULL_LINE, HALF_LINE, CorpusMember, Grid, SampledFn,
-                        away_from_zero_corpus, default_corpus, half_line_corpus,
+                        _combine, assemble_values, away_from_zero_corpus, bump,
+                        default_corpus, even_odd_split, half_line_corpus,
                         make_graded_grid, moment_cancelled_corpus, sample,
                         smooth_corpus)
 from .projections import (ThresholdSeq, build_family, dunkl_partial_sum,
-                          dunkl_partial_sum_iterated)
+                          dunkl_partial_sum_iterated, hankel_partial_sum)
 from .seminorms import max_oscillation
 from .classical_ops import default_sup_grid, prestini_majorant
 from .weights import (NormSpec, Weight, beta_star, conjectured_measure_ap_check,
                       range_dyadic_oscillation, range_full_oscillation,
-                      weighted_lp_norm)
+                      w_ab_weight, weighted_lp_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -178,148 +185,123 @@ def _finish(name, inputs, pairs, tol, res, seed, t0, passed=None) -> ExperimentR
 PROJECTION_TS = (0.5, 1.0, 2.0, 4.0)
 
 
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def _plancherel(alpha, f, space, freq) -> float:
+    nf = _l2(f.values, space, alpha)
+    if nf == 0.0:
+        return 0.0
+    return abs(_l2(transforms.dunkl(alpha, f, freq).values, freq, alpha) / nf - 1.0)
+
+
+def _inversion(alpha, f, space, freq) -> float:
+    nf = _l2(f.values, space, alpha)
+    if nf == 0.0:
+        return 0.0
+    back = transforms.dunkl_inverse(alpha, transforms.dunkl(alpha, f, freq), space)
+    return _l2(back.values - f.values, space, alpha) / nf
+
+
+def _fourier_reduction(alpha, f, space, freq) -> float:
+    return _max_gap(transforms.dunkl(alpha, f, freq).values,
+                    transforms.fourier(f, freq).values)
+
+
+def _two_route(alpha, f, space, freq) -> float:
+    return _max_gap(transforms.dunkl(alpha, f, freq, route="decomposition").values,
+                    transforms.dunkl(alpha, f, freq, route="direct").values)
+
+
+def _conjugation(alpha, f, space, freq) -> float:
+    lifted = f.with_values(f.values * np.abs(space.points) ** (alpha + 0.5))
+    mid = transforms.dunkl_modified(alpha, lifted, freq)
+    return _max_gap(transforms.dunkl(alpha, f, freq).values,
+                    mid.values * np.abs(freq.points) ** (-(alpha + 0.5)))
+
+
+def _modified_plancherel(alpha, f, space, freq) -> float:
+    # the flat-measure transform needs profiles vanishing at the origin
+    # (the kernel's (xy)^{1/2} factor kinks the spectrum otherwise)
+    spec = transforms.dunkl_modified(alpha, f, freq)
+    return abs(_l2(spec.values, freq, -0.5) / _l2(f.values, space, -0.5) - 1.0)
+
+
+def _projection_algebra(alpha, f, space, freq) -> float:
+    return max(_max_gap(dunkl_partial_sum_iterated(alpha, f, [t, s], freq).values,
+                        dunkl_partial_sum(alpha, f, min(s, t), freq).values)
+               for s in PROJECTION_TS for t in PROJECTION_TS)
+
+
+def _partial_sum_decomposition(alpha, f, space, freq) -> float:
+    half_freq = freq.positive_half()
+    fe, fo = even_odd_split(f)
+    foy = fo.with_values(fo.values / fo.grid.points)
+    worst = 0.0
+    for t in PROJECTION_TS:
+        se = hankel_partial_sum(alpha, fe, t, half_freq)
+        so = hankel_partial_sum(alpha + 1.0, foy, t, half_freq)
+        rec = assemble_values(se.values, fe.grid.points * so.values)
+        worst = max(worst, _max_gap(dunkl_partial_sum(alpha, f, t, freq).values, rec))
+    return worst
+
+
+def _transplant_identity(alpha, f, space, freq) -> float:
+    out = transforms.transplant_dunkl(alpha, alpha, f, freq)
+    return _l2(out.values - f.values, space, -0.5) / _l2(f.values, space, -0.5)
+
+
+# name -> (residual, corpus, tolerance).  Corpora: "default" (twelve smooth
+# members), "default+zero" (plus the zero function), "head" (the first four
+# members; these identities sweep PROJECTION_TS and report it) and "away"
+# (members supported away from the origin).
+IDENTITIES = {
+    "plancherel": (_plancherel, "default+zero", 1e-6),
+    "inversion": (_inversion, "default+zero", 1e-6),
+    "dunkl-two-route": (_two_route, "default", 1e-9),
+    "conjugation": (_conjugation, "away", 1e-8),
+    "modified-plancherel": (_modified_plancherel, "away", 1e-6),
+    "fourier-reduction": (_fourier_reduction, "default", 1e-9),
+    "projection-algebra": (_projection_algebra, "head", 1e-8),
+    "partial-sum-decomposition": (_partial_sum_decomposition, "head", 1e-8),
+    "transplant-identity": (_transplant_identity, "away", 1e-6),
+}
+_PER_ORDER = ("plancherel", "inversion", "dunkl-two-route", "conjugation",
+              "modified-plancherel")
+_FIXED_ORDER = ("projection-algebra", "partial-sum-decomposition", "transplant-identity")
+
+
 def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
                        alphas: Sequence[float] = (-0.5, 0.0, 0.5, 1.0),
                        threads: int = 1) -> list[ExperimentReport]:
     """One report per identity per order: Plancherel, inversion, the Fourier
     reduction at order -1/2, the two-route transform agreement, the
     multiplication-operator conjugation, the projection algebra, the
-    partial-sum parity decomposition, and the transplant identity.
+    partial-sum parity decomposition, and the transplant identity.  The
+    IDENTITIES entries in _PER_ORDER run at every requested order, the
+    Fourier reduction at -1/2 and the _FIXED_ORDER entries at -1/2, 0 and 1.
     Failures are reported, never raised."""
     res = resolution or default_resolution()
-    space = res.space_grid()
-    freq = res.freq_grid()
-    corpus = default_corpus(space, seed)
-    zero = CorpusMember("zero", lambda x: np.zeros_like(np.asarray(x, float)),
-                        sample(lambda x: np.zeros_like(np.asarray(x, float)), space))
-    away = away_from_zero_corpus(space, seed)
-    reports: list[ExperimentReport] = []
+    space, freq = res.space_grid(), res.freq_grid()
+    default = default_corpus(space, seed)
+    zero = lambda x: np.zeros_like(np.asarray(x, float))
+    corpora = {"default": default, "head": default[:4],
+               "default+zero": default + [CorpusMember("zero", zero, sample(zero, space))],
+               "away": away_from_zero_corpus(space, seed)}
 
-    def plancherel(alpha):
+    def unit(name_alpha) -> ExperimentReport:
+        name, alpha = name_alpha
+        residual, corpus, tol = IDENTITIES[name]
         t0 = _timer()
-        pairs = []
-        for m in corpus + [zero]:
-            nf = _l2(m.sampled.values, space, alpha)
-            if nf == 0.0:
-                pairs.append((m.label, 0.0))
-                continue
-            spec = transforms.dunkl(alpha, m.sampled, freq)
-            pairs.append((m.label, abs(_l2(spec.values, freq, alpha) / nf - 1.0)))
-        return _finish("plancherel", {"alpha": alpha}, pairs, 1e-6, res, seed, t0)
+        pairs = [(m.label, residual(alpha, m.sampled, space, freq)) for m in corpora[corpus]]
+        inputs = {"alpha": alpha, "ts": PROJECTION_TS} if corpus == "head" else {"alpha": alpha}
+        return _finish(name, inputs, pairs, tol, res, seed, t0)
 
-    def inversion(alpha):
-        t0 = _timer()
-        pairs = []
-        for m in corpus + [zero]:
-            nf = _l2(m.sampled.values, space, alpha)
-            if nf == 0.0:
-                pairs.append((m.label, 0.0))
-                continue
-            spec = transforms.dunkl(alpha, m.sampled, freq)
-            back = transforms.dunkl_inverse(alpha, spec, space)
-            pairs.append((m.label, _l2(back.values - m.sampled.values, space, alpha) / nf))
-        return _finish("inversion", {"alpha": alpha}, pairs, 1e-6, res, seed, t0)
-
-    def fourier_reduction(_):
-        t0 = _timer()
-        pairs = []
-        for m in corpus:
-            d = transforms.dunkl(-0.5, m.sampled, freq)
-            ff = transforms.fourier(m.sampled, freq)
-            pairs.append((m.label, float(np.max(np.abs(d.values - ff.values)))))
-        return _finish("fourier-reduction", {"alpha": -0.5}, pairs, 1e-9, res, seed, t0)
-
-    def two_route(alpha):
-        t0 = _timer()
-        pairs = []
-        for m in corpus:
-            d1 = transforms.dunkl(alpha, m.sampled, freq, route="decomposition")
-            d2 = transforms.dunkl(alpha, m.sampled, freq, route="direct")
-            pairs.append((m.label, float(np.max(np.abs(d1.values - d2.values)))))
-        return _finish("dunkl-two-route", {"alpha": alpha}, pairs, 1e-9, res, seed, t0)
-
-    def conjugation(alpha):
-        t0 = _timer()
-        pairs = []
-        for m in away:
-            lhs = transforms.dunkl(alpha, m.sampled, freq)
-            lifted = m.sampled.with_values(
-                m.sampled.values * np.abs(space.points) ** (alpha + 0.5))
-            mid = transforms.dunkl_modified(alpha, lifted, freq)
-            rhs = mid.values * np.abs(freq.points) ** (-(alpha + 0.5))
-            pairs.append((m.label, float(np.max(np.abs(lhs.values - rhs)))))
-        return _finish("conjugation", {"alpha": alpha}, pairs, 1e-8, res, seed, t0)
-
-    def projection_algebra(alpha):
-        t0 = _timer()
-        pairs = []
-        for m in corpus[:4]:
-            worst = 0.0
-            for s in PROJECTION_TS:
-                for t in PROJECTION_TS:
-                    st = dunkl_partial_sum_iterated(alpha, m.sampled, [t, s], freq)
-                    mn = dunkl_partial_sum(alpha, m.sampled, min(s, t), freq)
-                    worst = max(worst, float(np.max(np.abs(st.values - mn.values))))
-            pairs.append((m.label, worst))
-        return _finish("projection-algebra", {"alpha": alpha, "ts": PROJECTION_TS},
-                       pairs, 1e-8, res, seed, t0)
-
-    def partial_sum_decomposition(alpha):
-        from .funcspace import assemble_values, even_odd_split
-        from .projections import hankel_partial_sum
-        t0 = _timer()
-        half_freq = freq.positive_half()
-        half = space.positive_half()
-        pairs = []
-        for m in corpus[:4]:
-            worst = 0.0
-            fe, fo = even_odd_split(m.sampled)
-            foy = fo.with_values(fo.values / fo.grid.points)
-            for t in PROJECTION_TS:
-                full = dunkl_partial_sum(alpha, m.sampled, t, freq)
-                se = hankel_partial_sum(alpha, fe, t, half_freq)
-                so = hankel_partial_sum(alpha + 1.0, foy, t, half_freq)
-                rec = assemble_values(se.values, half.points * so.values)
-                worst = max(worst, float(np.max(np.abs(full.values - rec))))
-            pairs.append((m.label, worst))
-        return _finish("partial-sum-decomposition", {"alpha": alpha, "ts": PROJECTION_TS},
-                       pairs, 1e-8, res, seed, t0)
-
-    def transplant_identity(alpha):
-        t0 = _timer()
-        pairs = []
-        for m in away:
-            out = transforms.transplant_dunkl(alpha, alpha, m.sampled, freq)
-            nf = _l2(m.sampled.values, space, -0.5)
-            pairs.append((m.label, _l2(out.values - m.sampled.values, space, -0.5) / nf))
-        return _finish("transplant-identity", {"alpha": alpha}, pairs, 1e-6, res, seed, t0)
-
-    def modified_plancherel(alpha):
-        # the flat-measure transform needs profiles vanishing at the origin
-        # (the kernel's (xy)^{1/2} factor kinks the spectrum otherwise)
-        t0 = _timer()
-        pairs = []
-        for m in away:
-            spec = transforms.dunkl_modified(alpha, m.sampled, freq)
-            r = abs(_l2(spec.values, freq, -0.5) / _l2(m.sampled.values, space, -0.5) - 1.0)
-            pairs.append((m.label, r))
-        return _finish("modified-plancherel", {"alpha": alpha}, pairs, 1e-6, res, seed, t0)
-
-    units = []
-    for a in alphas:
-        units.append(("plancherel", plancherel, a))
-        units.append(("inversion", inversion, a))
-        units.append(("dunkl-two-route", two_route, a))
-        units.append(("conjugation", conjugation, a))
-        units.append(("modified-plancherel", modified_plancherel, a))
-    units.append(("fourier-reduction", fourier_reduction, -0.5))
-    for a in (-0.5, 0.0, 1.0):
-        units.append(("projection-algebra", projection_algebra, a))
-        units.append(("partial-sum-decomposition", partial_sum_decomposition, a))
-        units.append(("transplant-identity", transplant_identity, a))
-    results = _map_ordered(lambda u: u[1](u[2]), units, threads)
-    reports.extend(results)
-    return reports
+    units = ([(name, a) for a in alphas for name in _PER_ORDER]
+             + [("fourier-reduction", -0.5)]
+             + [(name, a) for a in (-0.5, 0.0, 1.0) for name in _FIXED_ORDER])
+    return _map_ordered(unit, units, threads)
 
 
 def gate_identity_suite(resolution: Resolution, seed: int = 7,
@@ -339,27 +321,16 @@ def gate_identity_suite(resolution: Resolution, seed: int = 7,
 
 def _gate_members(members: list[CorpusMember], alphas: Sequence[float],
                   res: Resolution, tol: float = 1e-6):
-    """Keep the members whose Plancherel and inversion residuals meet the
-    stated tolerance at this resolution, for all requested orders.  The
-    excluded labels are reported; a sweep with fewer than two survivors
+    """Keep the nonzero members whose Plancherel and inversion residuals
+    meet the stated tolerance at this resolution, for all requested orders.
+    The excluded labels are reported; a sweep with fewer than two survivors
     refuses to run."""
     space, freq = res.space_grid(), res.freq_grid()
     keep, dropped = [], []
     for m in members:
-        ok = True
-        for a in alphas:
-            nf = _l2(m.sampled.values, space, a)
-            if nf == 0.0:
-                ok = False
-                break
-            spec = transforms.dunkl(a, m.sampled, freq)
-            if abs(_l2(spec.values, freq, a) / nf - 1.0) > tol:
-                ok = False
-                break
-            back = transforms.dunkl_inverse(a, spec, space)
-            if _l2(back.values - m.sampled.values, space, a) / nf > tol:
-                ok = False
-                break
+        ok = all(_l2(m.sampled.values, space, a) != 0.0
+                 and _plancherel(a, m.sampled, space, freq) <= tol
+                 and _inversion(a, m.sampled, space, freq) <= tol for a in alphas)
         (keep if ok else dropped).append(m)
     if len(keep) < 2:
         raise GateError("identity gate at this resolution left fewer than two "
@@ -372,11 +343,15 @@ def _gate_members(members: list[CorpusMember], alphas: Sequence[float],
 
 def _sweep_corpus(space: Grid, seed: int) -> list[CorpusMember]:
     members = smooth_corpus(space, seed)
-    from .funcspace import bump, _combine
     for c, r in [(0.0, 2.0), (0.3, 2.2)]:
         members.append(_combine(f"bump(c={c:g},r={r:g})", [(1.0, bump(c, r))],
                                 space, FULL_LINE))
     return members
+
+
+def _resampled(members: list[CorpusMember], grid: Grid) -> list[CorpusMember]:
+    """The members sampled afresh on another full-line grid."""
+    return [CorpusMember(m.label, m.fn, sample(m.fn, grid, FULL_LINE)) for m in members]
 
 
 def _windowed_norm(f: SampledFn, spec: NormSpec, window: float | None) -> float:
@@ -450,11 +425,8 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
                                   dil.sampled, spec)
                 dev = max(dev, abs(r_l / r_b - 1.0))
         # refinement stability at doubled resolution (same t-grid)
-        space2, freq2 = fine.space_grid(), fine.freq_grid()
-        members2 = [CorpusMember(m.label, m.fn, sample(m.fn, space2, FULL_LINE))
-                    for m in members]
-        base2 = max(_norm_ratio(_osc_of(m, spec, t_grid, freq2), m.sampled, spec)
-                    for m in members2)
+        base2 = max(_norm_ratio(_osc_of(m, spec, t_grid, fine.freq_grid()), m.sampled, spec)
+                    for m in _resampled(members, fine.space_grid()))
         stable = 0.5 <= base2 / base <= 2.0
         pairs = ([(k, v) for k, v in ratios.items()]
                  + [("max-ratio (empirical lower bound)", base),
@@ -554,27 +526,13 @@ def interval_indicator_family(intervals: Sequence[tuple]) -> MultiplierFamily:
     return MultiplierFamily(labels, evals)
 
 
-def _fourier_square_function(family: MultiplierFamily, f: SampledFn,
-                             freq: Grid, space: Grid) -> np.ndarray:
-    spec = transforms.fourier(f, freq)
-    acc = np.zeros(space.n)
+def _square_function(family: MultiplierFamily, spec: SampledFn, freq_abs: np.ndarray,
+                     inverse: Callable[[SampledFn], SampledFn]) -> np.ndarray:
+    """(sum_k |inverse(m_k spec)|^2)^{1/2}, with m_k evaluated at freq_abs."""
+    acc = 0.0
     for k in range(len(family)):
-        mk = family.evaluate(k, np.abs(freq.points))
-        cut = spec.with_values(spec.values * mk)
-        back = transforms.fourier_inverse(cut, space)
-        acc += np.abs(back.values) ** 2
-    return np.sqrt(acc)
-
-
-def _hankel_square_function(family: MultiplierFamily, order: float, f0: SampledFn,
-                            half_freq: Grid) -> np.ndarray:
-    spec = transforms.hankel(order, f0, half_freq)
-    acc = np.zeros(f0.grid.n)
-    for k in range(len(family)):
-        mk = family.evaluate(k, half_freq.points)
-        cut = spec.with_values(spec.values * mk)
-        back = transforms.hankel(order, cut, f0.grid)
-        acc += np.abs(back.values) ** 2
+        back = inverse(spec.with_values(spec.values * family.evaluate(k, freq_abs)))
+        acc = acc + np.abs(back.values) ** 2
     return np.sqrt(acc)
 
 
@@ -595,45 +553,33 @@ def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
     fr_spec = NormSpec(spec.p, spec.beta, -0.5)      # measure |x|^beta
     hk_spec = NormSpec(spec.p, bstar, alpha)         # measure x^{beta*+2a+1}
 
-    def ratios(res_: Resolution):
+    def ratios(res_: Resolution, parseval: bool = False) -> list[tuple]:
+        """(label, fourier-side, hankel-side) per member: the square-function
+        norm ratios, or with parseval the orthogonal-decomposition norm
+        ratios.  At p = 2 the two coincide; evaluating through the spectral
+        side is exact, while a sharp band piece in space has 1/x tails no
+        finite window can hold."""
         space, freq = res_.space_grid(), res_.freq_grid()
         half, half_freq = res_.half_grid(), res_.half_freq_grid()
-        members = smooth_corpus(space, seed)[:4]
+        wh = half_freq.weights * half_freq.points ** (2.0 * alpha + 1.0)
         out = []
-        for m in members:
-            sf = _fourier_square_function(family, m.sampled, freq, space)
-            rf = (weighted_lp_norm(SampledFn(space, sf), fr_spec)
-                  / weighted_lp_norm(m.sampled, fr_spec))
+        for m in smooth_corpus(space, seed)[:4]:
             prof = sample(m.fn, half, HALF_LINE)
-            sh = _hankel_square_function(family, alpha, prof, half_freq)
-            rh = (weighted_lp_norm(SampledFn(half, sh, HALF_LINE), hk_spec)
-                  / weighted_lp_norm(prof, hk_spec))
-            out.append((m.label, rf, rh))
-        return out
-
-    def parseval_ratios(res_: Resolution):
-        # at p = 2 the square-function norm IS the orthogonal-decomposition
-        # norm; evaluating through the spectral side is exact, while a sharp
-        # band piece in space has 1/x tails no finite window can hold
-        space, freq = res_.space_grid(), res_.freq_grid()
-        half, half_freq = res_.half_grid(), res_.half_freq_grid()
-        members = smooth_corpus(space, seed)[:4]
-        out = []
-        for m in members:
-            spec_f = transforms.fourier(m.sampled, freq)
-            wf = freq.weights
-            num2 = sum(float(np.sum(wf * family.evaluate(k, np.abs(freq.points)) ** 2
-                                    * np.abs(spec_f.values) ** 2))
-                       for k in range(len(family)))
-            den2 = float(np.sum(wf * np.abs(spec_f.values) ** 2))
-            prof = sample(m.fn, half, HALF_LINE)
-            spec_h = transforms.hankel(alpha, prof, half_freq)
-            wh = half_freq.weights * half_freq.points ** (2.0 * alpha + 1.0)
-            hnum2 = sum(float(np.sum(wh * family.evaluate(k, half_freq.points) ** 2
-                                     * np.abs(spec_h.values) ** 2))
-                        for k in range(len(family)))
-            hden2 = float(np.sum(wh * np.abs(spec_h.values) ** 2))
-            out.append((m.label, np.sqrt(num2 / den2), np.sqrt(hnum2 / hden2)))
+            sides = ((m.sampled, fr_spec, transforms.fourier(m.sampled, freq), np.abs(freq.points),
+                      freq.weights, lambda g: transforms.fourier_inverse(g, space)),
+                     (prof, hk_spec, transforms.hankel(alpha, prof, half_freq), half_freq.points,
+                      wh, lambda g: transforms.hankel(alpha, g, half)))
+            row = [m.label]
+            for f, nspec, spec_f, xi, w, inverse in sides:
+                if parseval:
+                    num2 = sum(float(np.sum(w * family.evaluate(k, xi) ** 2
+                                            * np.abs(spec_f.values) ** 2))
+                               for k in range(len(family)))
+                    row.append(np.sqrt(num2 / float(np.sum(w * np.abs(spec_f.values) ** 2))))
+                else:
+                    sq = f.with_values(_square_function(family, spec_f, xi, inverse))
+                    row.append(weighted_lp_norm(sq, nspec) / weighted_lp_norm(f, nspec))
+            out.append(tuple(row))
         return out
 
     base = ratios(res)
@@ -642,12 +588,9 @@ def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
     for (label, rf, rh) in base:
         pairs.append((f"fourier-side {label}", rf))
         pairs.append((f"hankel-side {label}", rh))
-    stable = all(0.5 <= f2 / b1 <= 2.0
-                 for (_, b1, _), (_, f2, _) in zip(base, fine)) and \
-        all(0.5 <= f2 / b1 <= 2.0
-            for (_, _, b1), (_, _, f2) in zip(base, fine))
+    stable = all(0.5 <= f[i] / b[i] <= 2.0 for b, f in zip(base, fine) for i in (1, 2))
     if spec.p == 2.0:
-        agree = max(abs(rf - rh) for (_, rf, rh) in parseval_ratios(res))
+        agree = max(abs(rf - rh) for (_, rf, rh) in ratios(res, parseval=True))
         pairs.append(("max |fourier - hankel| orthogonal-norm gap", agree))
         passed = stable and agree <= 1e-6
     else:
@@ -665,7 +608,6 @@ def bcv_lattice_weights() -> list[Weight]:
     """(a, b) lattice straddling the rectangle -2 < a < 2, -1 < b < 1 where
     the order-0 cut projection stays bounded at p = 2 (integrability at the
     origin keeps a > -2)."""
-    from .weights import w_ab_weight
     return [w_ab_weight(a, b)
             for a in (-1.5, -0.5, 0.5, 1.5, 2.5)
             for b in (-1.5, -0.5, 0.0, 0.5, 1.5)]
@@ -695,8 +637,7 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
 
     space = res.space_grid()
     members, dropped = _gate_members(_sweep_corpus(space, seed), [alpha], res)
-    members2 = [CorpusMember(m.label, m.fn, sample(m.fn, fine.space_grid(), FULL_LINE))
-                for m in members]
+    members2 = _resampled(members, fine.space_grid())
     # sup_t |S_t f| does not depend on the weight: one family per member and
     # resolution serves every weight
     cmaxes, cmaxes2 = carleson_maxes(res, members), carleson_maxes(fine, members2)

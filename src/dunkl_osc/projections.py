@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ResolutionError
-from .funcspace import FULL_LINE, HALF_LINE, Grid, SampledFn, assemble_values
+from .funcspace import (FULL_LINE, HALF_LINE, Grid, SampledFn, _freeze, _text_file,
+                        assemble_values)
 from . import transforms
 from .transforms import frequency_grid
 
@@ -31,14 +32,12 @@ class ThresholdSeq:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _freeze(self.values)
         if v.ndim != 1 or v.size == 0:
             raise ArgumentError("threshold sequence must be a nonempty 1-d array")
         if np.any(v <= 0.0) or np.any(np.diff(v) <= 0.0):
             raise ArgumentError("thresholds must be positive and strictly increasing")
-        vv = np.ascontiguousarray(v)
-        vv.flags.writeable = False
-        object.__setattr__(self, "values", vv)
+        object.__setattr__(self, "values", v)
 
     def __len__(self):
         return self.values.size
@@ -214,13 +213,8 @@ def build_family(order: float, f: SampledFn, t_grid: ThresholdSeq,
 
 def family_to_csv(path_or_buf, family: PartialSumFamily) -> None:
     """Matrix CSV: header row of t values (first column is x)."""
-    own = isinstance(path_or_buf, (str, bytes))
-    buf = open(path_or_buf, "w") if own else path_or_buf
-    try:
+    with _text_file(path_or_buf, "w") as buf:
         buf.write("x," + ",".join(f"{t:.17g}" for t in family.t_grid.values) + "\n")
         for j, x in enumerate(family.base.grid.points):
             row = ",".join(repr(complex(v)) for v in family.values[:, j])
             buf.write(f"{x:.17g},{row}\n")
-    finally:
-        if own:
-            buf.close()

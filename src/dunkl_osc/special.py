@@ -142,35 +142,13 @@ def bessel_j_normalized(alpha: float, u):
 
 
 def bessel_j(alpha: float, u):
-    """J_a(u) for u >= 0, -1/2 <= a <= MAX_ORDER.  Absolute error <= 1e-12
-    for u <= 10, relative error (against the amplitude envelope) <= 1e-10
-    beyond.  Orders above MAX_ORDER raise DomainError."""
+    """J_a(u) = u^a j_a(u) for u >= 0, -1/2 <= a <= MAX_ORDER (infinite at
+    u = 0 for a < 0).  Absolute error <= 1e-12 for u <= 10, relative error
+    (against the amplitude envelope) <= 1e-10 beyond.  Orders above
+    MAX_ORDER raise DomainError."""
     alpha = _check_order(alpha)
     uu = np.asarray(u, dtype=float)
-    scalar = uu.ndim == 0
-    uu = np.atleast_1d(uu)
     if np.any(uu < 0.0):
         raise DomainError("bessel_j: argument must be >= 0")
-    if alpha == -0.5:
-        with np.errstate(divide="ignore"):
-            out = np.sqrt(2.0 / (np.pi * uu)) * np.cos(uu)
-    elif alpha == 0.5:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.sqrt(2.0 / (np.pi * uu)) * np.sin(uu)
-            out = np.where(uu == 0.0, 0.0, out)
-    else:
-        out = np.empty_like(uu)
-        small = uu <= _SPLIT
-        if np.any(small):
-            us = uu[small]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pw = us ** alpha
-            if alpha == 0.0:
-                pw = np.where(us == 0.0, 1.0, pw)
-            out[small] = _series_normalized(alpha, us) * pw
-            if alpha > 0.0:
-                out[small] = np.where(us == 0.0, 0.0, out[small])
-        large = ~small
-        if np.any(large):
-            out[large] = _asymptotic_j(alpha, uu[large])
-    return float(out[0]) if scalar else out
+    with np.errstate(divide="ignore"):
+        return uu ** alpha * bessel_j_normalized(alpha, uu)

@@ -15,11 +15,12 @@ second stability axis exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ArgumentError, DomainError
-from .funcspace import SampledFn
+from .funcspace import SampledFn, _mapped_side
 
 
 @dataclass(frozen=True)
@@ -93,24 +94,12 @@ def weighted_lp_norm(f: SampledFn, spec: NormSpec, weight: Weight | None = None)
 # ---------------------------------------------------------------------------
 # Muckenhoupt checkers
 
-_GL8 = np.polynomial.legendre.leggauss(8)
-_template_cache: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _side_template(n_panels: int, grading: float):
-    """Nodes/weights on (0, 1], graded toward 0, cached."""
-    key = (n_panels, round(grading, 6))
-    if key not in _template_cache:
-        gx, gw = _GL8
-        bnd = np.arange(n_panels + 1) / n_panels
-        u = ((bnd[:-1] + bnd[1:]) / 2.0)[:, None] + ((bnd[1:] - bnd[:-1]) / 2.0)[:, None] * gx
-        wu = ((bnd[1:] - bnd[:-1]) / 2.0)[:, None] * np.broadcast_to(gw, u.shape)
-        x = u ** grading
-        w = wu * grading * u ** (grading - 1.0)
-        edges = bnd ** grading
-        w *= ((edges[1:] - edges[:-1]) / w.sum(axis=1))[:, None]
-        _template_cache[key] = (x.ravel(), w.ravel())
-    return _template_cache[key]
+    """Nodes/weights of 8-point Gauss panels on (0, 1], graded toward 0."""
+    x, w, _ = _mapped_side(1.0, n_panels, 8, grading)
+    x.flags.writeable = w.flags.writeable = False   # shared by every caller
+    return x, w
 
 
 def _grading_for(exponent: float) -> float:

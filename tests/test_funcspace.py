@@ -3,11 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid, SampledFn, bump,
-                       even_odd_split, gaussian, integrate, make_graded_grid,
-                       moment_cancelled_corpus, multiply_power,
+from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid, SampledFn, SupGrid,
+                       ThresholdSeq, bump, even_odd_split, gaussian, integrate,
+                       make_graded_grid, moment_cancelled_corpus, multiply_power,
                        read_sampled_fn, sample, write_sampled_fn)
-from dunkl_osc.funcspace import assemble_from_parts, assemble_values
+from dunkl_osc.funcspace import _mapped_side, assemble_from_parts, assemble_values
 
 
 def test_constant_integration_exact():
@@ -152,6 +152,75 @@ def test_csv_roundtrip():
     # panel structure recovered for affine Gauss grids
     assert back.grid.panel_edges is not None
     assert np.max(np.abs(back.grid.panel_edges - g.panel_edges)) < 1e-12
+
+
+def _mapped_side_loop(span, n_panels, nodes, grading):
+    # per-panel reference for the vectorised _mapped_side
+    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    bnd = np.arange(n_panels + 1) / n_panels
+    edges = span * bnd ** grading
+    xs, ws = [], []
+    for k in range(n_panels):
+        a, b = bnd[k], bnd[k + 1]
+        u = (a + b) / 2.0 + (b - a) / 2.0 * gl_x
+        w = (b - a) / 2.0 * gl_w * span * grading * u ** (grading - 1.0)
+        w *= (edges[k + 1] - edges[k]) / w.sum()
+        xs.append(span * u ** grading)
+        ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws), edges
+
+
+@pytest.mark.parametrize("span,n_panels,nodes,grading",
+                         [(3.0, 24, 32, 1.0), (1.0, 12, 8, 7.0), (1.0, 48, 8, 60.0),
+                          (12.0, 57, 32, 1.0), (2.3, 5, 16, 2.5)])
+def test_mapped_side_matches_panel_loop(span, n_panels, nodes, grading):
+    for got, ref in zip(_mapped_side(span, n_panels, nodes, grading),
+                        _mapped_side_loop(span, n_panels, nodes, grading)):
+        assert np.array_equal(got, ref)
+
+
+def test_csv_roundtrip_through_pathlib(tmp_path):
+    g = make_graded_grid(0.0, 2.0, 4, 8, 1.0)
+    f = sample(bump(1.0, 0.8), g, HALF_LINE)
+    path = tmp_path / "f.csv"
+    write_sampled_fn(path, f)
+    back = read_sampled_fn(path)
+    assert back.domain_tag == HALF_LINE
+    assert np.array_equal(back.values, f.values)
+    assert np.array_equal(back.grid.points, g.points)
+
+
+def test_grid_leaves_the_callers_arrays_alone():
+    pts, wts, edges = np.array([-0.5, 0.5]), np.array([1.0, 1.0]), np.array([-1.0, 0.0, 1.0])
+    g = Grid(pts, wts, -1.0, 1.0, edges)
+    pts[0], wts[0], edges[0] = -0.75, 2.0, -2.0   # still writeable
+    assert g.points.tolist() == [-0.5, 0.5] and g.weights.tolist() == [1.0, 1.0]
+    assert g.panel_edges.tolist() == [-1.0, 0.0, 1.0]
+    assert not (g.points.flags.writeable or g.weights.flags.writeable
+                or g.panel_edges.flags.writeable)
+
+
+def test_sampled_fn_leaves_the_callers_array_alone():
+    g = make_graded_grid(-1.0, 1.0, 2, 4)
+    vals = np.ones(g.n, dtype=complex)
+    f = SampledFn(g, vals)
+    vals[0] = 5.0
+    assert np.all(f.values == 1.0) and not f.values.flags.writeable
+
+
+def test_sup_grid_leaves_the_callers_arrays_alone():
+    r, q = np.array([2.0, 1.0]), np.array([0.0])
+    sup = SupGrid(r, q)
+    r[0], q[0] = 3.0, 1.0
+    assert sup.radii.tolist() == [2.0, 1.0] and sup.frequencies.tolist() == [0.0]
+    assert not (sup.radii.flags.writeable or sup.frequencies.flags.writeable)
+
+
+def test_threshold_seq_leaves_the_callers_array_alone():
+    v = np.array([1.0, 2.0])
+    seq = ThresholdSeq(v)
+    v[0] = 0.5
+    assert seq.values.tolist() == [1.0, 2.0] and not seq.values.flags.writeable
 
 
 def test_moment_cancelled_members_kill_moments():

@@ -12,7 +12,8 @@ from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec,
                        w_ab_weight, weighted_carleson_sweep,
                        write_reports_jsonl, write_summary_csv)
 from dunkl_osc.cli import _t_grid_for
-from dunkl_osc.harness import default_t_grid
+from dunkl_osc.funcspace import CorpusMember
+from dunkl_osc.harness import IDENTITIES, _gate_members, _sweep_corpus, default_t_grid
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,36 @@ def test_identity_suite_reports_structure(small_res):
     plan = next(r for r in reports if r.name == "plancherel")
     zero_entries = [v for (k, v) in plan.residuals_or_ratios if k == "zero"]
     assert zero_entries == [0.0]
+
+
+def test_identity_suite_unit_order_and_inputs(small_res):
+    reports = run_identity_suite(small_res, seed=3, alphas=(-0.5, 0.0))
+    ts = (0.5, 1.0, 2.0, 4.0)
+    per_order = ["plancherel", "inversion", "dunkl-two-route", "conjugation",
+                 "modified-plancherel"]
+    expected = ([(n, {"alpha": -0.5}) for n in per_order]
+                + [(n, {"alpha": 0.0}) for n in per_order]
+                + [("fourier-reduction", {"alpha": -0.5})])
+    for a in (-0.5, 0.0, 1.0):
+        expected += [("projection-algebra", {"alpha": a, "ts": ts}),
+                     ("partial-sum-decomposition", {"alpha": a, "ts": ts}),
+                     ("transplant-identity", {"alpha": a})]
+    assert [(r.name, r.inputs) for r in reports] == expected
+
+
+def test_member_gate_keeps_exactly_the_table_passes(res512):
+    space, freq = res512.space_grid(), res512.freq_grid()
+    zero = lambda x: np.zeros_like(np.asarray(x, float))
+    members = _sweep_corpus(space, 7) + [CorpusMember("zero", zero, sample(zero, space))]
+    alphas, tol = (0.0, 1.0), 1e-6
+    keep, dropped = _gate_members(members, alphas, res512, tol)
+    plancherel, inversion = IDENTITIES["plancherel"][0], IDENTITIES["inversion"][0]
+    expected = [m.label for m in members[:-1]
+                if all(plancherel(a, m.sampled, space, freq) <= tol
+                       and inversion(a, m.sampled, space, freq) <= tol for a in alphas)]
+    assert [m.label for m in keep] == expected
+    assert dropped == [m.label for m in members if m.label not in expected]
+    assert dropped[-1] == "zero" and len(dropped) > 1   # a zero norm is never kept
 
 
 def test_structural_identities_pass_even_at_low_resolution(small_res):

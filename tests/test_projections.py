@@ -192,3 +192,6 @@ def test_family_csv(tmp_path, freq512, one_bump):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("x,0.5,1,2")
     assert len(lines) == 1 + one_bump.grid.n
+    # a pathlib.Path writes the same file as its str
+    family_to_csv(tmp_path / "fam2.csv", fam)
+    assert (tmp_path / "fam2.csv").read_text() == path.read_text()
