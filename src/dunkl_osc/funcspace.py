@@ -7,7 +7,8 @@ panel endpoints on each side of the origin follow (k/n)^grading, so
 integrable singularities |x|^b (b > -1) at the origin are absorbed.  Grids
 never contain x = 0 itself (Gauss nodes are interior to panels).  Sampled
 functions carry their values at quadrature nodes only; no interpolation
-happens here.
+happens here.  A SampledFn may carry a stack of functions on one grid:
+leading batch axes, with the last axis on the grid.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class SampledFn:
-    """A complex-valued function known at the quadrature nodes of a grid."""
+    """A complex-valued function known at the quadrature nodes of a grid, or a
+    stack of them: values is (..., grid.n), the last axis on the grid."""
 
     grid: Grid
     values: np.ndarray
@@ -139,8 +141,8 @@ class SampledFn:
 
     def __post_init__(self):
         vals = _freeze(self.values, complex)
-        if vals.shape != self.grid.points.shape:
-            raise ArgumentError("values must have one entry per grid point")
+        if vals.shape[-1:] != self.grid.points.shape:
+            raise ArgumentError("values must have one entry per grid point on the last axis")
         if not np.isfinite(vals).all():
             raise ArgumentError("values must be finite")
         if self.domain_tag not in (FULL_LINE, HALF_LINE):
@@ -229,16 +231,16 @@ def integrate(f: SampledFn) -> complex:
 
 
 def even_odd_split(f: SampledFn):
-    """Even and odd parts restricted to the positive half grid:
-    f_e(x) = (f(x)+f(-x))/2, f_o(x) = (f(x)-f(-x))/2 for x > 0."""
+    """Even and odd parts restricted to the positive half grid, along the
+    last axis: f_e(x) = (f(x)+f(-x))/2, f_o(x) = (f(x)-f(-x))/2 for x > 0."""
     if f.domain_tag != FULL_LINE:
         raise ArgumentError("even_odd_split needs a full-line function")
     if not f.grid.is_symmetric:
         raise ArgumentError("even_odd_split needs a grid symmetric about 0")
     m = f.grid.n // 2
     half = f.grid.positive_half()
-    pos = f.values[m:]
-    neg = f.values[m - 1::-1]
+    pos = f.values[..., m:]
+    neg = f.values[..., m - 1::-1]
     fe = SampledFn(half, (pos + neg) / 2.0, HALF_LINE)
     fo = SampledFn(half, (pos - neg) / 2.0, HALF_LINE)
     return fe, fo
@@ -268,7 +270,7 @@ def multiply_power(f: SampledFn, a: float) -> SampledFn:
     if a < 0.0:
         tiny = x < 1e-300
         if np.any(tiny):
-            if np.any(f.values[tiny] != 0.0):
+            if np.any(f.values[..., tiny] != 0.0):
                 raise DomainError("negative power at a grid point at 0 with f != 0")
             vals = np.where(tiny, 0.0, f.values * np.where(tiny, 1.0, x) ** a)
             return f.with_values(vals)

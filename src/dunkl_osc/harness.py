@@ -10,10 +10,11 @@ spectra exceed a coarse grid's resolvable band are excluded by the gate
 member-by-member and recorded in the report.
 
 The identity suite is one table, IDENTITIES: name -> (residual, corpus,
-tolerance), where residual(alpha, f, space, freq) is one member's residual
-of that identity at order alpha and corpus names the member list it runs
-on.  A suite unit is one (name, order) entry; the member gate calls the
-same Plancherel and inversion residuals.
+tolerance), where residual(alpha, f, space, freq) takes the corpus as one
+(B, N) SampledFn stack and returns the identity's residual at order alpha
+per member, a (B,) vector, and corpus names the member list.  A suite unit
+is one (name, order) entry; the member gate calls the same Plancherel and
+inversion residuals on its corpus stack, from one spectrum per order.
 
 All ratio figures are empirical lower bounds of the operator norms; no
 upper bound is ever claimed.
@@ -37,8 +38,7 @@ from .funcspace import (FULL_LINE, HALF_LINE, CorpusMember, Grid, SampledFn,
                         default_corpus, even_odd_split, half_line_corpus,
                         make_graded_grid, moment_cancelled_corpus, sample,
                         smooth_corpus)
-from .projections import (ThresholdSeq, build_family, dunkl_partial_sum,
-                          dunkl_partial_sum_iterated, hankel_partial_sum)
+from .projections import ThresholdSeq, _cut_rows, build_family
 from .seminorms import max_oscillation
 from .classical_ops import default_sup_grid, prestini_majorant
 from .weights import (NormSpec, Weight, beta_star, conjectured_measure_ap_check,
@@ -71,32 +71,23 @@ class Resolution:
                 "nodes_per_panel": self.nodes_per_panel, "x_max": self.x_max,
                 "freq_max": round(self.freq_max(), 6)}
 
+    @lru_cache(maxsize=32)
     def space_grid(self) -> Grid:
-        return _space_grid(self)
+        return make_graded_grid(-self.x_max, self.x_max, self.n_side_panels,
+                                self.nodes_per_panel, 1.0)
 
     def half_grid(self) -> Grid:
         return self.space_grid().positive_half()
 
+    @lru_cache(maxsize=32)
     def freq_grid(self) -> Grid:
-        return _freq_grid(self)
+        return transforms.frequency_grid(self.space_grid(), nodes_per_panel=self.nodes_per_panel)
 
     def half_freq_grid(self) -> Grid:
         return self.freq_grid().positive_half()
 
     def freq_max(self) -> float:
         return float(self.freq_grid().hi)
-
-
-@lru_cache(maxsize=32)
-def _space_grid(res: Resolution) -> Grid:
-    return make_graded_grid(-res.x_max, res.x_max, res.n_side_panels,
-                            res.nodes_per_panel, 1.0)
-
-
-@lru_cache(maxsize=32)
-def _freq_grid(res: Resolution) -> Grid:
-    return transforms.frequency_grid(_space_grid(res),
-                                     nodes_per_panel=res.nodes_per_panel)
 
 
 def default_resolution() -> Resolution:
@@ -163,20 +154,17 @@ def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _l2(vals: np.ndarray, grid: Grid, alpha: float) -> float:
+def _l2(vals: np.ndarray, grid: Grid, alpha: float):
+    """The L^2(|x|^{2 alpha + 1} dx) norm along the last axis."""
     meas = grid.weights * np.abs(grid.points) ** (2.0 * alpha + 1.0)
-    return float(np.sqrt(np.sum(meas * np.abs(vals) ** 2)))
-
-
-def _timer() -> float:
-    return time.perf_counter()
+    return np.sqrt(np.sum(meas * np.abs(vals) ** 2, axis=-1))
 
 
 def _finish(name, inputs, pairs, tol, res, seed, t0, passed=None) -> ExperimentReport:
     if passed is None:
         passed = all(v <= tol for (_, v) in pairs)
     return ExperimentReport(name, inputs, pairs, tol, bool(passed),
-                            int(1000 * (_timer() - t0)), res.describe(), seed)
+                            int(1000 * (time.perf_counter() - t0)), res.describe(), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -185,69 +173,76 @@ def _finish(name, inputs, pairs, tol, res, seed, t0, passed=None) -> ExperimentR
 PROJECTION_TS = (0.5, 1.0, 2.0, 4.0)
 
 
-def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(a - b)))
+def _stack(members: list[CorpusMember]) -> SampledFn:
+    """The members' samples, all on one grid, as one (B, N) SampledFn."""
+    return members[0].sampled.with_values(np.stack([m.sampled.values for m in members]))
 
 
-def _plancherel(alpha, f, space, freq) -> float:
-    nf = _l2(f.values, space, alpha)
-    if nf == 0.0:
-        return 0.0
-    return abs(_l2(transforms.dunkl(alpha, f, freq).values, freq, alpha) / nf - 1.0)
+def _max_gap(a: np.ndarray, b: np.ndarray, f: SampledFn) -> np.ndarray:
+    """max |a - b| per function of the stack f, over every trailing axis."""
+    return np.abs(a - b).reshape(f.values.shape[:-1] + (-1,)).max(axis=-1)
 
 
-def _inversion(alpha, f, space, freq) -> float:
-    nf = _l2(f.values, space, alpha)
-    if nf == 0.0:
-        return 0.0
-    back = transforms.dunkl_inverse(alpha, transforms.dunkl(alpha, f, freq), space)
-    return _l2(back.values - f.values, space, alpha) / nf
+def _over_norm(num, nf, zero: float):
+    """num / nf per member, reading zero where the member's norm nf is 0."""
+    return np.divide(num, nf, out=np.full_like(nf, zero), where=nf != 0.0)
 
 
-def _fourier_reduction(alpha, f, space, freq) -> float:
+def _plancherel(alpha, f, space, freq, spec=None):
+    """spec is f's Dunkl spectrum on freq when the caller already has it."""
+    spec = transforms.dunkl(alpha, f, freq) if spec is None else spec
+    return abs(_over_norm(_l2(spec.values, freq, alpha), _l2(f.values, space, alpha), 1.0) - 1.0)
+
+
+def _inversion(alpha, f, space, freq, spec=None):
+    spec = transforms.dunkl(alpha, f, freq) if spec is None else spec
+    back = transforms.dunkl_inverse(alpha, spec, space)
+    return _over_norm(_l2(back.values - f.values, space, alpha), _l2(f.values, space, alpha), 0.0)
+
+
+def _fourier_reduction(alpha, f, space, freq):
     return _max_gap(transforms.dunkl(alpha, f, freq).values,
-                    transforms.fourier(f, freq).values)
+                    transforms.fourier(f, freq).values, f)
 
 
-def _two_route(alpha, f, space, freq) -> float:
+def _two_route(alpha, f, space, freq):
     return _max_gap(transforms.dunkl(alpha, f, freq, route="decomposition").values,
-                    transforms.dunkl(alpha, f, freq, route="direct").values)
+                    transforms.dunkl(alpha, f, freq, route="direct").values, f)
 
 
-def _conjugation(alpha, f, space, freq) -> float:
+def _conjugation(alpha, f, space, freq):
     lifted = f.with_values(f.values * np.abs(space.points) ** (alpha + 0.5))
     mid = transforms.dunkl_modified(alpha, lifted, freq)
     return _max_gap(transforms.dunkl(alpha, f, freq).values,
-                    mid.values * np.abs(freq.points) ** (-(alpha + 0.5)))
+                    mid.values * np.abs(freq.points) ** (-(alpha + 0.5)), f)
 
 
-def _modified_plancherel(alpha, f, space, freq) -> float:
+def _modified_plancherel(alpha, f, space, freq):
     # the flat-measure transform needs profiles vanishing at the origin
     # (the kernel's (xy)^{1/2} factor kinks the spectrum otherwise)
     spec = transforms.dunkl_modified(alpha, f, freq)
     return abs(_l2(spec.values, freq, -0.5) / _l2(f.values, space, -0.5) - 1.0)
 
 
-def _projection_algebra(alpha, f, space, freq) -> float:
-    return max(_max_gap(dunkl_partial_sum_iterated(alpha, f, [t, s], freq).values,
-                        dunkl_partial_sum(alpha, f, min(s, t), freq).values)
-               for s in PROJECTION_TS for t in PROJECTION_TS)
+def _projection_algebra(alpha, f, space, freq):
+    """S_t S_s f against S_min(s,t) f, both sides rows of one cut call."""
+    pairs = [(s, t) for s in PROJECTION_TS for t in PROJECTION_TS]
+    rows = _cut_rows(alpha, f, [[t, s] for s, t in pairs] + [[min(s, t)] for s, t in pairs],
+                     freq, "dunkl")
+    return _max_gap(rows[..., :len(pairs), :], rows[..., len(pairs):, :], f)
 
 
-def _partial_sum_decomposition(alpha, f, space, freq) -> float:
+def _partial_sum_decomposition(alpha, f, space, freq):
     half_freq = freq.positive_half()
     fe, fo = even_odd_split(f)
     foy = fo.with_values(fo.values / fo.grid.points)
-    worst = 0.0
-    for t in PROJECTION_TS:
-        se = hankel_partial_sum(alpha, fe, t, half_freq)
-        so = hankel_partial_sum(alpha + 1.0, foy, t, half_freq)
-        rec = assemble_values(se.values, fe.grid.points * so.values)
-        worst = max(worst, _max_gap(dunkl_partial_sum(alpha, f, t, freq).values, rec))
-    return worst
+    cuts = [[t] for t in PROJECTION_TS]
+    rec = assemble_values(_cut_rows(alpha, fe, cuts, half_freq, "hankel"),
+                          fe.grid.points * _cut_rows(alpha + 1.0, foy, cuts, half_freq, "hankel"))
+    return _max_gap(_cut_rows(alpha, f, cuts, freq, "dunkl"), rec, f)
 
 
-def _transplant_identity(alpha, f, space, freq) -> float:
+def _transplant_identity(alpha, f, space, freq):
     out = transforms.transplant_dunkl(alpha, alpha, f, freq)
     return _l2(out.values - f.values, space, -0.5) / _l2(f.values, space, -0.5)
 
@@ -289,12 +284,14 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
     corpora = {"default": default, "head": default[:4],
                "default+zero": default + [CorpusMember("zero", zero, sample(zero, space))],
                "away": away_from_zero_corpus(space, seed)}
+    stacks = {name: _stack(members) for name, members in corpora.items()}
 
     def unit(name_alpha) -> ExperimentReport:
         name, alpha = name_alpha
         residual, corpus, tol = IDENTITIES[name]
-        t0 = _timer()
-        pairs = [(m.label, residual(alpha, m.sampled, space, freq)) for m in corpora[corpus]]
+        t0 = time.perf_counter()
+        values = residual(alpha, stacks[corpus], space, freq)
+        pairs = [(m.label, float(v)) for m, v in zip(corpora[corpus], values)]
         inputs = {"alpha": alpha, "ts": PROJECTION_TS} if corpus == "head" else {"alpha": alpha}
         return _finish(name, inputs, pairs, tol, res, seed, t0)
 
@@ -321,21 +318,23 @@ def gate_identity_suite(resolution: Resolution, seed: int = 7,
 
 def _gate_members(members: list[CorpusMember], alphas: Sequence[float],
                   res: Resolution, tol: float = 1e-6):
-    """Keep the nonzero members whose Plancherel and inversion residuals
-    meet the stated tolerance at this resolution, for all requested orders.
-    The excluded labels are reported; a sweep with fewer than two survivors
-    refuses to run."""
+    """Keep the nonzero members whose Plancherel and inversion residuals (from
+    one Dunkl spectrum of the member stack per order) meet the tolerance at
+    every requested order.  The excluded labels are reported; a sweep with
+    fewer than two survivors refuses to run."""
     space, freq = res.space_grid(), res.freq_grid()
-    keep, dropped = [], []
-    for m in members:
-        ok = all(_l2(m.sampled.values, space, a) != 0.0
-                 and _plancherel(a, m.sampled, space, freq) <= tol
-                 and _inversion(a, m.sampled, space, freq) <= tol for a in alphas)
-        (keep if ok else dropped).append(m)
+    stack = _stack(members)
+    ok = np.ones(len(members), dtype=bool)
+    for a in alphas:
+        spec = transforms.dunkl(a, stack, freq)
+        ok &= ((_l2(stack.values, space, a) != 0.0)
+               & (_plancherel(a, stack, space, freq, spec) <= tol)
+               & (_inversion(a, stack, space, freq, spec) <= tol))
+    keep = [m for m, k in zip(members, ok) if k]
     if len(keep) < 2:
         raise GateError("identity gate at this resolution left fewer than two "
                         "corpus members; refusing to sweep")
-    return keep, [m.label for m in dropped]
+    return keep, [m.label for m, k in zip(members, ok) if not k]
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +353,6 @@ def _resampled(members: list[CorpusMember], grid: Grid) -> list[CorpusMember]:
     return [CorpusMember(m.label, m.fn, sample(m.fn, grid, FULL_LINE)) for m in members]
 
 
-def _windowed_norm(f: SampledFn, spec: NormSpec, window: float | None) -> float:
-    if window is None:
-        return weighted_lp_norm(f, spec)
-    cut = f.with_values(np.where(np.abs(f.grid.points) <= window, f.values, 0.0))
-    return weighted_lp_norm(cut, spec)
-
-
 def _osc_of(member: CorpusMember, spec: NormSpec, t_grid: ThresholdSeq,
             freq: Grid) -> SampledFn:
     return max_oscillation(build_family(spec.alpha, member.sampled, t_grid, freq))
@@ -368,7 +360,12 @@ def _osc_of(member: CorpusMember, spec: NormSpec, t_grid: ThresholdSeq,
 
 def _norm_ratio(num: SampledFn, den: SampledFn, spec: NormSpec,
                 window: float | None = None) -> float:
-    return _windowed_norm(num, spec, window) / _windowed_norm(den, spec, window)
+    """||num|| / ||den||, both cut to |x| <= window when one is given."""
+    def norm(f):
+        if window is not None:
+            f = f.with_values(np.where(np.abs(f.grid.points) <= window, f.values, 0.0))
+        return weighted_lp_norm(f, spec)
+    return norm(num) / norm(den)
 
 
 def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
@@ -384,7 +381,7 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
     fine = res.refined()
 
     def one_spec(spec: NormSpec) -> ExperimentReport:
-        t0 = _timer()
+        t0 = time.perf_counter()
         space, freq = res.space_grid(), res.freq_grid()
         members, dropped = _gate_members(_sweep_corpus(space, seed), [spec.alpha], res)
         if dyadic_only:
@@ -452,7 +449,7 @@ def prestini_constant_sweep(alphas: Sequence[float],
     ladder = list(resolutions or (resolution_n512(), resolution_n1024()))
 
     def one_alpha(alpha: float) -> ExperimentReport:
-        t0 = _timer()
+        t0 = time.perf_counter()
         pairs = []
         consts = []
         for res in ladder:
@@ -526,14 +523,12 @@ def interval_indicator_family(intervals: Sequence[tuple]) -> MultiplierFamily:
     return MultiplierFamily(labels, evals)
 
 
-def _square_function(family: MultiplierFamily, spec: SampledFn, freq_abs: np.ndarray,
+def _square_function(mult: np.ndarray, spec: SampledFn,
                      inverse: Callable[[SampledFn], SampledFn]) -> np.ndarray:
-    """(sum_k |inverse(m_k spec)|^2)^{1/2}, with m_k evaluated at freq_abs."""
-    acc = 0.0
-    for k in range(len(family)):
-        back = inverse(spec.with_values(spec.values * family.evaluate(k, freq_abs)))
-        acc = acc + np.abs(back.values) ** 2
-    return np.sqrt(acc)
+    """(sum_k |inverse(m_k spec)|^2)^{1/2} for the (K, F) multiplier rows
+    mult: every member's K multiplied spectra are inverted as one stack."""
+    back = inverse(spec.with_values(spec.values[..., None, :] * mult))
+    return np.sqrt(np.sum(np.abs(back.values) ** 2, axis=-2))
 
 
 def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
@@ -547,50 +542,46 @@ def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
     if dimension < 1:
         raise ArgumentError("dimension must be >= 1")
     res = resolution or resolution_n512()
-    t0 = _timer()
+    t0 = time.perf_counter()
     alpha = (dimension - 2) / 2.0
     bstar = beta_star(spec.beta, alpha, spec.p)
     fr_spec = NormSpec(spec.p, spec.beta, -0.5)      # measure |x|^beta
     hk_spec = NormSpec(spec.p, bstar, alpha)         # measure x^{beta*+2a+1}
 
-    def ratios(res_: Resolution, parseval: bool = False) -> list[tuple]:
-        """(label, fourier-side, hankel-side) per member: the square-function
-        norm ratios, or with parseval the orthogonal-decomposition norm
-        ratios.  At p = 2 the two coincide; evaluating through the spectral
-        side is exact, while a sharp band piece in space has 1/x tails no
-        finite window can hold."""
+    def ratios(res_: Resolution, parseval: bool = False):
+        """Labels, then per side (Fourier, Hankel) the members' square-function
+        norm ratios and, with parseval, their orthogonal-decomposition norm
+        ratios from the same spectra.  At p = 2 the two coincide; the spectral
+        side is exact, while a sharp band piece has 1/x tails in space."""
         space, freq = res_.space_grid(), res_.freq_grid()
         half, half_freq = res_.half_grid(), res_.half_freq_grid()
-        wh = half_freq.weights * half_freq.points ** (2.0 * alpha + 1.0)
-        out = []
-        for m in smooth_corpus(space, seed)[:4]:
-            prof = sample(m.fn, half, HALF_LINE)
-            sides = ((m.sampled, fr_spec, transforms.fourier(m.sampled, freq), np.abs(freq.points),
-                      freq.weights, lambda g: transforms.fourier_inverse(g, space)),
-                     (prof, hk_spec, transforms.hankel(alpha, prof, half_freq), half_freq.points,
-                      wh, lambda g: transforms.hankel(alpha, g, half)))
-            row = [m.label]
-            for f, nspec, spec_f, xi, w, inverse in sides:
-                if parseval:
-                    num2 = sum(float(np.sum(w * family.evaluate(k, xi) ** 2
-                                            * np.abs(spec_f.values) ** 2))
-                               for k in range(len(family)))
-                    row.append(np.sqrt(num2 / float(np.sum(w * np.abs(spec_f.values) ** 2))))
-                else:
-                    sq = f.with_values(_square_function(family, spec_f, xi, inverse))
-                    row.append(weighted_lp_norm(sq, nspec) / weighted_lp_norm(f, nspec))
-            out.append(tuple(row))
-        return out
+        members = smooth_corpus(space, seed)[:4]
+        full = _stack(members)
+        prof = SampledFn(half, np.stack([m.fn(half.points) for m in members]), HALF_LINE)
+        sides = ((full, fr_spec, transforms.fourier(full, freq), np.abs(freq.points),
+                  freq.weights, lambda g: transforms.fourier_inverse(g, space)),
+                 (prof, hk_spec, transforms.hankel(alpha, prof, half_freq), half_freq.points,
+                  half_freq.weights * half_freq.points ** (2.0 * alpha + 1.0),
+                  lambda g: transforms.hankel(alpha, g, half)))
+        out, orth = [], []
+        for f, nspec, spec_f, xi, w, inverse in sides:
+            mult = np.stack([family.evaluate(k, xi) for k in range(len(family))])
+            sq = f.with_values(_square_function(mult, spec_f, inverse))
+            out.append(weighted_lp_norm(sq, nspec) / weighted_lp_norm(f, nspec))
+            if parseval:
+                power = np.abs(spec_f.values) ** 2
+                # one sum per piece k, then the K sums in order
+                num2 = np.sum(np.sum((w * mult ** 2)[:, None, :] * power, axis=-1), axis=0)
+                orth.append(np.sqrt(num2 / np.sum(w * power, axis=-1)))
+        return [m.label for m in members], out, orth
 
-    base = ratios(res)
-    fine = ratios(res.refined())
-    pairs = []
-    for (label, rf, rh) in base:
-        pairs.append((f"fourier-side {label}", rf))
-        pairs.append((f"hankel-side {label}", rh))
-    stable = all(0.5 <= f[i] / b[i] <= 2.0 for b, f in zip(base, fine) for i in (1, 2))
+    labels, base, orth = ratios(res, parseval=spec.p == 2.0)
+    _, fine, _ = ratios(res.refined())
+    pairs = [(f"{side}-side {label}", float(r[i])) for i, label in enumerate(labels)
+             for side, r in zip(("fourier", "hankel"), base)]
+    stable = all(0.5 <= f / b <= 2.0 for b, f in zip(np.ravel(base), np.ravel(fine)))
     if spec.p == 2.0:
-        agree = max(abs(rf - rh) for (_, rf, rh) in ratios(res, parseval=True))
+        agree = float(np.max(np.abs(orth[0] - orth[1])))
         pairs.append(("max |fourier - hankel| orthogonal-norm gap", agree))
         passed = stable and agree <= 1e-6
     else:
@@ -623,27 +614,26 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
     res = resolution or resolution_n512()
     fine = res.refined()
 
-    def carleson_maxes(res_: Resolution, members) -> list[SampledFn]:
-        t_grid, freq = default_t_grid(res_), res_.freq_grid()
-        return [build_family(alpha, m.sampled, t_grid, freq).max_abs() for m in members]
+    def carleson_maxes(res_: Resolution, members) -> tuple[SampledFn, SampledFn]:
+        """The member stack and the stack of its sup_t |S_t f|."""
+        t_grid, freq, stack = default_t_grid(res_), res_.freq_grid(), _stack(members)
+        return stack, stack.with_values(np.stack(
+            [build_family(alpha, m.sampled, t_grid, freq).max_abs().values for m in members]))
 
-    def ratio_at(members, cmaxes, weight: Weight) -> float:
+    def ratio_at(stack: SampledFn, cmaxes: SampledFn, weight: Weight) -> float:
         nspec = NormSpec(p, 0.0, alpha)
-        best = 0.0
-        for m, cmax in zip(members, cmaxes):
-            best = max(best, weighted_lp_norm(cmax, nspec, weight)
-                       / weighted_lp_norm(m.sampled, nspec, weight))
-        return best
+        return float(np.max(weighted_lp_norm(cmaxes, nspec, weight)
+                            / weighted_lp_norm(stack, nspec, weight)))
 
     space = res.space_grid()
     members, dropped = _gate_members(_sweep_corpus(space, seed), [alpha], res)
-    members2 = _resampled(members, fine.space_grid())
     # sup_t |S_t f| does not depend on the weight: one family per member and
     # resolution serves every weight
-    cmaxes, cmaxes2 = carleson_maxes(res, members), carleson_maxes(fine, members2)
+    base_maxes = carleson_maxes(res, members)
+    fine_maxes = carleson_maxes(fine, _resampled(members, fine.space_grid()))
 
     def one_weight(weight: Weight) -> ExperimentReport:
-        t0 = _timer()
+        t0 = time.perf_counter()
         inputs = {"p": p, "alpha": alpha, "kind": weight.kind,
                   "params": list(weight.params), "excluded_members": dropped}
         if weight.kind == "w_ab":
@@ -658,8 +648,8 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
             ok, supv = conjectured_measure_ap_check(weight, p, alpha)
             inputs["experimental_measure_ap"] = {"stable": ok, "sup": supv,
                                                  "note": "no pass/fail semantics"}
-        base = ratio_at(members, cmaxes, weight)
-        ref = ratio_at(members2, cmaxes2, weight)
+        base = ratio_at(*base_maxes, weight)
+        ref = ratio_at(*fine_maxes, weight)
         stable = 0.5 <= ref / base <= 2.0
         pairs = [("max-ratio (empirical lower bound)", base), ("refined-ratio", ref)]
         return _finish("weighted-carleson", inputs, pairs, float("inf"),
@@ -674,19 +664,18 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
 def transplant_roundtrip_report(pairs_ag: Sequence[tuple], seed: int = 7) -> ExperimentReport:
     """T_ag(T_ga f) = f on moment-cancelled members, composing the public
     transplant operator twice through a wide intermediate grid."""
-    t0 = _timer()
+    t0 = time.perf_counter()
     fgrid = make_graded_grid(-5.0, 5.0, 25, 32, 1.0)
     freq = make_graded_grid(-100.0, 100.0, 57, 32, 1.0)
     wide = make_graded_grid(-12.0, 12.0, 57, 32, 1.0)
     members = moment_cancelled_corpus(fgrid)
+    stack = _stack(members)
     out = []
     for (a, g) in pairs_ag:
-        for m in members:
-            mid = transforms.transplant_dunkl(g, a, m.sampled, freq, output_grid=wide)
-            back = transforms.transplant_dunkl(a, g, mid, freq, output_grid=fgrid)
-            nf = _l2(m.sampled.values, fgrid, -0.5)
-            out.append((f"({a:g},{g:g}) {m.label}",
-                        _l2(back.values - m.sampled.values, fgrid, -0.5) / nf))
+        mid = transforms.transplant_dunkl(g, a, stack, freq, output_grid=wide)
+        back = transforms.transplant_dunkl(a, g, mid, freq, output_grid=fgrid)
+        err = _l2(back.values - stack.values, fgrid, -0.5) / _l2(stack.values, fgrid, -0.5)
+        out += [(f"({a:g},{g:g}) {m.label}", float(e)) for m, e in zip(members, err)]
     res = Resolution(25, 32, 5.0)
     return _finish("transplant-roundtrip", {"pairs": [list(p) for p in pairs_ag]},
                    out, 1e-5, res, seed, t0)

@@ -5,11 +5,12 @@ _cut_rows makes one forward transform, applies a (T, F) node-mask
 matrix whose row i is the product of the masks of cut list i, and makes one
 inverse GEMM per parity: the full-line Dunkl spectrum is cut through the
 half-line spectra E = Hk_a f_e and O = Hk_{a+1}(f_o/y) of the even and odd
-parts, and the rows are reassembled by parity once.  build_family passes
-one cut per row, a partial sum is a one-row family and an iterated sum one
-row of multiplied masks, so P_s P_t = P_min holds to floating-point
-exactness.  Cuts are snapped to midpoints between adjacent frequency nodes
-so the node mask is unambiguous.
+parts, and the rows are reassembled by parity once; a (..., N) stack of
+functions gives (..., T, N) rows from those same GEMMs.  build_family
+passes one cut per row, a partial sum is a one-row family and an iterated
+sum one row of multiplied masks; equal masks share one computed row, so
+P_s P_t = P_min holds exactly.  Cuts are snapped to midpoints between
+adjacent frequency nodes so the node mask is unambiguous.
 """
 
 from __future__ import annotations
@@ -115,10 +116,11 @@ def _mask(half_freq: Grid, ts) -> np.ndarray:
 
 def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
               kind: str) -> np.ndarray:
-    """The (len(cut_lists), f.grid.n) rows S_{cut list} f of the single
-    pipeline: kind 'hankel' cuts the Hankel spectrum of a half-line f, kinds
-    'dunkl' and 'fourier' the Dunkl spectrum of a full-line f.  Every cut is
-    checked against the band, and the inverse against the resolution guard."""
+    """The (..., len(cut_lists), f.grid.n) rows S_{cut list} f of the single
+    pipeline for a (..., f.grid.n) stack f: kind 'hankel' cuts the Hankel
+    spectrum of a half-line f, kinds 'dunkl' and 'fourier' the Dunkl
+    spectrum of a full-line f.  Every cut is checked against the band, and
+    the inverse against the resolution guard."""
     want = {"dunkl": FULL_LINE, "fourier": FULL_LINE, "hankel": HALF_LINE}.get(kind)
     if want is None:
         raise ArgumentError(f"unknown family kind {kind!r}")
@@ -131,7 +133,8 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
         if t > half_freq.hi:
             raise ResolutionError(
                 f"cut t={t:g} exceeds the resolvable frequency band {half_freq.hi:g}")
-    masks = np.stack([_mask(half_freq, ts) for ts in cut_lists])   # (T, F)
+    masks, row_of = np.unique(np.stack([_mask(half_freq, ts) for ts in cut_lists]),
+                              axis=0, return_inverse=True)   # (U, F) distinct masks
     if want == HALF_LINE:
         out_grid = f.grid
         orders, specs = [order], [transforms.hankel(order, f, half_freq)]
@@ -142,10 +145,11 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
     # fetch every inverse kernel before the first GEMM, so that a cold kernel
     # build never runs while the (T, N) products are alive (peak memory)
     mats = [transforms._j_matrix(a, out_grid, half_freq) for a in orders]
-    rows = []                                      # (T, N_out) per parity
+    rows = []                                      # (..., T, N_out) per parity
     for a, mat, spec in zip(orders, mats, specs):
         wt = half_freq.weights * half_freq.points ** (2.0 * a + 1.0)
-        rows.append(transforms._apply_real(mat, (masks * (wt * spec.values)).T).T)
+        cut = masks * (wt * spec.values)[..., None, :]
+        rows.append(transforms._apply_real(mat, cut.T).T[..., row_of, :])
     if want == HALF_LINE:
         return rows[0]
     even, odd = rows
@@ -158,27 +162,27 @@ def dunkl_partial_sum(order: float, f: SampledFn, t: float,
     """S_t f = inverse Dunkl of 1_{[-t,t]} times the Dunkl transform of f:
     a one-row spectral cut, which masks the half-line spectra of the even
     and odd parts with the same node mask."""
-    return SampledFn(f.grid, _cut_rows(order, f, [[t]], freq_grid, "dunkl")[0], FULL_LINE)
+    return SampledFn(f.grid, _cut_rows(order, f, [[t]], freq_grid, "dunkl")[..., 0, :], FULL_LINE)
 
 
 def dunkl_partial_sum_iterated(order: float, f: SampledFn, ts,
                                freq_grid: Grid | None = None) -> SampledFn:
     """S_{t_k} ... S_{t_1} f.  Projections commute through their masks: one
     row whose mask is the product of every cut, inverted once."""
-    return SampledFn(f.grid, _cut_rows(order, f, [ts], freq_grid, "dunkl")[0], FULL_LINE)
+    return SampledFn(f.grid, _cut_rows(order, f, [ts], freq_grid, "dunkl")[..., 0, :], FULL_LINE)
 
 
 def hankel_partial_sum(order: float, f: SampledFn, t: float,
                        freq_grid: Grid | None = None) -> SampledFn:
     """S~_t f = Hk_a (1_[0,t] Hk_a f) on the half line."""
-    return SampledFn(f.grid, _cut_rows(order, f, [[t]], freq_grid, "hankel")[0], HALF_LINE)
+    return SampledFn(f.grid, _cut_rows(order, f, [[t]], freq_grid, "hankel")[..., 0, :], HALF_LINE)
 
 
 def hankel_partial_sum_iterated(order: float, f: SampledFn, ts,
                                 freq_grid: Grid | None = None) -> SampledFn:
     """S~_{t_k} ... S~_{t_1} f: one row whose mask is the product of every
     cut, inverted once."""
-    return SampledFn(f.grid, _cut_rows(order, f, [ts], freq_grid, "hankel")[0], HALF_LINE)
+    return SampledFn(f.grid, _cut_rows(order, f, [ts], freq_grid, "hankel")[..., 0, :], HALF_LINE)
 
 
 def fourier_partial_sum(f: SampledFn, t: float,

@@ -4,7 +4,8 @@ j_a(u) = J_a(u) / u^a for orders -1/2 <= a <= MAX_ORDER.
 Evaluation scheme: half-integer orders +-1/2 use the closed trigonometric
 forms (no series error where the Fourier reduction is exercised); otherwise
 an ascending series in 80-bit extended precision for u <= 14 and the large
-argument cosine expansion for u > 14.  Both branches are vectorized; kernel
+argument cosine expansion for u > 14.  Both branches are vectorized and run
+in bands of u, each band stopping when its own points converge; kernel
 matrices for the transforms are built through these entry points.
 
 The fixed split is only sound while u = 14 is large against the order: up
@@ -21,6 +22,8 @@ from .errors import ArgumentError, DomainError
 
 _SPLIT = 14.0
 MAX_ORDER = 7.5
+_SERIES_EDGES = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, _SPLIT)   # upper band edges in u
+_BAND_EDGES = np.array(_SERIES_EDGES + (20.0, 30.0, 60.0, 120.0))
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error is below
@@ -131,13 +134,12 @@ def bessel_j_normalized(alpha: float, u):
         out = _SQRT_2_OVER_PI * np.sinc(uu / np.pi)
     else:
         out = np.empty_like(uu)
-        small = uu <= _SPLIT
-        if np.any(small):
-            out[small] = _series_normalized(alpha, uu[small])
-        large = ~small
-        if np.any(large):
-            ul = uu[large]
-            out[large] = _asymptotic_j(alpha, ul) / ul ** alpha
+        band = np.searchsorted(_BAND_EDGES, uu)   # _BAND_EDGES[b - 1] < u <= _BAND_EDGES[b]
+        for b in np.flatnonzero(np.bincount(band)):
+            sel = band == b
+            ub = uu[sel]
+            out[sel] = (_series_normalized(alpha, ub) if b < len(_SERIES_EDGES)
+                        else _asymptotic_j(alpha, ub) / ub ** alpha)
     return float(out[0]) if scalar else out
 
 

@@ -3,12 +3,14 @@ Dunkl, their inverses, and the transplantation operators.
 
 Everything is dense quadrature, O(N_in * N_out): a kernel matrix is built
 once and cached, so sweeping a corpus over fixed grids costs one matrix
-build plus cheap mat-vecs.  A Bessel kernel j_a(xy) is symmetric in the
+build plus one GEMM per transform.  Every transform acts along the last
+axis of f.values, so a (..., N) stack of functions on one grid is the
+columns of that one GEMM.  A Bessel kernel j_a(xy) is symmetric in the
 product, so it is cached once per order and unordered grid pair, and the
 other orientation is served as its transposed view.  The Bessel kernels
 are real and the data complex; they are applied in real arithmetic
-(_apply_real), with the real and imaginary parts of the data as two GEMM
-rows, so the cached kernel is never upcast to a complex copy.  Every
+(_apply_real), with the real and imaginary parts of the data as GEMM
+columns, so the cached kernel is never upcast to a complex copy.  Every
 full-line transform reuses the cached half-line kernels: the direct Dunkl
 route sums the four (sign x, sign y) quadrants instead of building a
 full-line kernel.  An oscillatory resolution guard refuses output
@@ -122,11 +124,12 @@ def frequency_grid(space_grid: Grid, freq_max: float | None = None,
 
 
 def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat @ v for a real matrix and a vector or (n, k) stack v, without
-    upcasting mat: v is viewed as interleaved real columns, so one real
-    GEMM yields the real and imaginary parts together.  The GEMM runs in
-    row form, (w.T @ mat.T).T, which streams the stored kernel row by row
-    whether mat is the stored array or its transposed view."""
+    """mat @ v for a real matrix and a vector or (n, ...) stack v (a (..., n)
+    stack of functions goes as _apply_real(mat, v.T).T), without upcasting
+    mat: v is viewed as interleaved real columns, so one real GEMM yields
+    the real and imaginary parts together.  The GEMM runs in row form,
+    (w.T @ mat.T).T, which streams the stored kernel row by row whether mat
+    is the stored array or its transposed view."""
     v = np.ascontiguousarray(v, dtype=np.complex128)
     w = v.reshape(v.shape[0], -1).view(np.float64)
     out = np.ascontiguousarray((w.T @ mat.T).T)
@@ -152,8 +155,12 @@ def _fourier_matrix(rows: Grid, cols: Grid) -> np.ndarray:
     key = ("fourier", rows.key, cols.key)
 
     def build():
-        ph = rows.points[:, None] * cols.points[None, :]
-        return np.exp(-1j * ph) / np.sqrt(2.0 * np.pi)
+        # in place: one complex kernel-sized buffer instead of three at once
+        mat = (rows.points[:, None] * cols.points[None, :]).astype(complex)
+        mat *= -1j
+        np.exp(mat, out=mat)
+        mat /= np.sqrt(2.0 * np.pi)
+        return mat
 
     return _cached(key, build)
 
@@ -164,15 +171,14 @@ def fourier(f: SampledFn, output_grid: Grid) -> SampledFn:
         raise ArgumentError("fourier needs a full-line function")
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
     mat = _fourier_matrix(output_grid, f.grid)
-    out = mat @ (f.grid.weights * f.values)
-    return SampledFn(output_grid, out, FULL_LINE)
+    return SampledFn(output_grid, (f.grid.weights * f.values) @ mat.T, FULL_LINE)
 
 
 def fourier_inverse(g: SampledFn, output_grid: Grid) -> SampledFn:
     if not output_grid.is_symmetric:
         raise ArgumentError("fourier_inverse needs a symmetric output grid")
     out = fourier(g, output_grid)
-    return SampledFn(output_grid, out.values[::-1], FULL_LINE)
+    return SampledFn(output_grid, out.values[..., ::-1], FULL_LINE)
 
 
 def hankel(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
@@ -183,7 +189,7 @@ def hankel(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
     mat = _j_matrix(alpha, output_grid, f.grid)
     y = f.grid.points
-    out = _apply_real(mat, f.grid.weights * y ** (2.0 * alpha + 1.0) * f.values)
+    out = _apply_real(mat, (f.grid.weights * y ** (2.0 * alpha + 1.0) * f.values).T).T
     return SampledFn(output_grid, out, HALF_LINE)
 
 
@@ -197,15 +203,9 @@ def hankel_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     mat = _j_matrix(alpha, output_grid, f.grid)
     y = f.grid.points
     x = output_grid.points
-    out = x ** (alpha + 0.5) * _apply_real(mat, f.grid.weights * y ** (alpha + 0.5) * f.values)
+    v = f.grid.weights * y ** (alpha + 0.5) * f.values
+    out = x ** (alpha + 0.5) * _apply_real(mat, v.T).T
     return SampledFn(output_grid, out, HALF_LINE)
-
-
-def _check_full_symmetric(f: SampledFn) -> None:
-    if f.domain_tag != FULL_LINE:
-        raise ArgumentError("expected a full-line function")
-    if not f.grid.is_symmetric:
-        raise ArgumentError("expected a grid symmetric about 0")
 
 
 def _hankel_parts(alpha: float, f: SampledFn, half_out: Grid) -> tuple[SampledFn, SampledFn]:
@@ -238,18 +238,19 @@ def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposi
         vals = assemble_values(he.values, -1j * half_out.points * ho.values)
         return SampledFn(output_grid, vals, FULL_LINE)
     if route == "direct":
-        _check_full_symmetric(f)
+        if f.domain_tag != FULL_LINE or not f.grid.is_symmetric:
+            raise ArgumentError("the direct route needs a full-line, symmetric-grid f")
         check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
         half_in = f.grid.positive_half()
         ja = _j_matrix(alpha, half_out, half_in)
         jb = _j_matrix(alpha + 1.0, half_out, half_in)
         m = f.grid.n // 2
         v = f.grid.weights * np.abs(f.grid.points) ** (2.0 * alpha + 1.0) * f.values
-        quad = np.stack([v[m:], v[m - 1::-1]], axis=1)   # columns: y > 0, mirrored y < 0
-        a = _apply_real(ja, quad)
-        b = _apply_real(jb, half_in.points[:, None] * quad)
-        even = 0.5 * (a[:, 0] + a[:, 1])
-        odd = 0.5 * half_out.points * (b[:, 0] - b[:, 1])
+        quad = np.stack([v[..., m:], v[..., m - 1::-1]], axis=-2)   # y > 0, mirrored y < 0
+        a = _apply_real(ja, quad.T).T
+        b = _apply_real(jb, (half_in.points * quad).T).T
+        even = 0.5 * (a[..., 0, :] + a[..., 1, :])
+        odd = 0.5 * half_out.points * (b[..., 0, :] - b[..., 1, :])
         return SampledFn(output_grid, assemble_values(even, -1j * odd), FULL_LINE)
     raise ArgumentError(f"unknown dunkl route {route!r}")
 
@@ -258,7 +259,7 @@ def dunkl_inverse(alpha: float, g: SampledFn, output_grid: Grid, route: str = "d
     """Inverse Dunkl transform: the forward transform followed by argument
     reflection."""
     out = dunkl(alpha, g, output_grid, route)
-    return SampledFn(output_grid, out.values[::-1], FULL_LINE)
+    return SampledFn(output_grid, out.values[..., ::-1], FULL_LINE)
 
 
 def dunkl_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
@@ -275,7 +276,7 @@ def dunkl_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
 
 def dunkl_modified_inverse(alpha: float, g: SampledFn, output_grid: Grid) -> SampledFn:
     out = dunkl_modified(alpha, g, output_grid)
-    return SampledFn(output_grid, out.values[::-1], FULL_LINE)
+    return SampledFn(output_grid, out.values[..., ::-1], FULL_LINE)
 
 
 def transplant_dunkl(alpha: float, gamma: float, f: SampledFn,

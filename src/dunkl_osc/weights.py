@@ -78,8 +78,8 @@ def w_ab_weight(a: float, b: float) -> Weight:
 
 
 def weighted_lp_norm(f: SampledFn, spec: NormSpec, weight: Weight | None = None) -> float:
-    """(integral |f|^p w(x) |x|^{2 alpha + 1} dx)^{1/p}; w defaults to the
-    power weight |x|^{spec.beta}."""
+    """(integral |f|^p w(x) |x|^{2 alpha + 1} dx)^{1/p}, one value per function
+    of a (..., N) stack; w defaults to the power weight |x|^{spec.beta}."""
     w = weight if weight is not None else power_weight(spec.beta)
     exp_at_zero = w.exponent_at_zero + 2.0 * spec.alpha + 1.0
     if exp_at_zero <= -1.0:
@@ -87,7 +87,7 @@ def weighted_lp_norm(f: SampledFn, spec: NormSpec, weight: Weight | None = None)
             f"weight exponent {exp_at_zero:g} at the origin is not integrable")
     x = f.grid.points
     dens = w(x) * np.abs(x) ** (2.0 * spec.alpha + 1.0)
-    total = float(np.sum(f.grid.weights * dens * np.abs(f.values) ** spec.p))
+    total = np.sum(f.grid.weights * dens * np.abs(f.values) ** spec.p, axis=-1)
     return total ** (1.0 / spec.p)
 
 

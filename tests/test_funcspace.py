@@ -269,3 +269,17 @@ def test_multiply_power_origin_rule():
     bad = SampledFn(g, np.array([1.0, 2.0, 1.0], dtype=complex))
     with pytest.raises(DomainError):
         multiply_power(bad, -0.5)
+
+
+def test_sampled_fn_stacks_on_the_last_axis():
+    g = make_graded_grid(-1.0, 1.0, 2, 4)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    vals = rng.standard_normal((2, 3, g.n)) + 1j * rng.standard_normal((2, 3, g.n))
+    stack = SampledFn(g, vals)
+    fe, fo = even_odd_split(stack)
+    one_e, one_o = even_odd_split(SampledFn(g, vals[1, 2]))
+    assert np.array_equal(fe.values[1, 2], one_e.values)
+    assert np.array_equal(fo.values[1, 2], one_o.values)
+    for bad in (np.ones((g.n, 3)), np.ones((3, g.n + 1)), np.ones(())):
+        with pytest.raises(ArgumentError):
+            SampledFn(g, bad)

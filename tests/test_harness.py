@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,11 +9,11 @@ from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec,
                        Resolution, bump, dyadic_indicator_family,
                        interval_indicator_family, oscillation_ratio_sweep,
                        resolution_n512, run_identity_suite, sample,
-                       transference_demo,
+                       transference_demo, transforms,
                        w_ab_weight, weighted_carleson_sweep,
                        write_reports_jsonl, write_summary_csv)
 from dunkl_osc.cli import _t_grid_for
-from dunkl_osc.funcspace import CorpusMember
+from dunkl_osc.funcspace import CorpusMember, SampledFn
 from dunkl_osc.harness import IDENTITIES, _gate_members, _sweep_corpus, default_t_grid
 
 
@@ -168,3 +169,77 @@ def test_halved_resolution_passes_at_10x_tolerance():
     for r in reports:
         if np.isfinite(r.tolerance):
             assert r.max_value() <= 10.0 * r.tolerance, (r.name, r.max_value())
+
+
+def test_projection_identities_read_exactly_zero(small_res):
+    reports = run_identity_suite(small_res, seed=3, alphas=(0.0,))
+    for name in ("projection-algebra", "partial-sum-decomposition"):
+        rs = [r for r in reports if r.name == name]
+        assert [r.inputs["alpha"] for r in rs] == [-0.5, 0.0, 1.0]
+        assert all(v == 0.0 for r in rs for _, v in r.residuals_or_ratios), name
+
+
+def test_residuals_take_a_stack_and_return_one_value_per_member(res512):
+    space, freq = res512.space_grid(), res512.freq_grid()
+    members = _sweep_corpus(space, 7)[:3]
+    stack = SampledFn(space, np.stack([m.sampled.values for m in members]
+                                      + [np.zeros(space.n)]))
+    for name in ("plancherel", "inversion", "dunkl-two-route", "fourier-reduction"):
+        residual = IDENTITIES[name][0]
+        values = residual(-0.5, stack, space, freq)
+        assert values.shape == (4,) and values[3] == 0.0, name
+        for i in range(3):
+            one = residual(-0.5, stack.with_values(stack.values[i]), space, freq)
+            assert abs(values[i] - one) <= 1e-14 + 1e-12 * one, name
+
+
+def test_identity_suite_transform_call_budget(monkeypatch, small_res):
+    """One GEMM per transform of a whole corpus stack and per cut call, so
+    the count does not grow with the corpus or the cut lists: 16 for the
+    five per-order identities, 2 for the Fourier reduction (the Fourier
+    side is a complex product) and 16 per fixed order, at three orders."""
+    calls = []
+    real = transforms._apply_real
+
+    def counted(mat, v):
+        calls.append(v.shape)
+        return real(mat, v)
+
+    monkeypatch.setattr(transforms, "_apply_real", counted)
+    run_identity_suite(small_res, seed=3, alphas=(0.0,))
+    assert len(calls) <= 66
+
+
+def test_member_gate_takes_one_spectrum_per_order(monkeypatch, res512):
+    """Plancherel and inversion share one forward transform of the member
+    stack per order: two Hankel parities forward, two back."""
+    space = res512.space_grid()
+    calls = Counter()
+    real = transforms.hankel
+
+    def counted(alpha, f, output_grid):
+        calls[f.values.ndim] += 1
+        return real(alpha, f, output_grid)
+
+    monkeypatch.setattr(transforms, "hankel", counted)
+    keep, dropped = _gate_members(_sweep_corpus(space, 7), (0.0, 1.0), res512)
+    assert calls == Counter({2: 8}) and len(keep) + len(dropped) == 10
+
+
+def test_transference_takes_each_spectrum_once(monkeypatch):
+    """p = 2 reuses the square-function spectra for the Parseval pass, and
+    each side inverts all its multiplied spectra as one stack: one forward
+    and one inverse transform per side and resolution."""
+    calls = Counter()
+    for name in ("fourier", "hankel"):
+        real = getattr(transforms, name)
+        monkeypatch.setattr(transforms, name,
+                            lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
+    fam = dyadic_indicator_family(-2, 4)
+    per_p = {}
+    for p in (2.0, 3.0):
+        calls.clear()
+        transference_demo(fam, NormSpec(p, 0.0, -0.5), 3)
+        per_p[p] = dict(calls)
+    assert per_p[3.0] == {"fourier": 4, "hankel": 4}
+    assert all(per_p[2.0][k] <= per_p[3.0][k] for k in per_p[3.0])

@@ -8,6 +8,7 @@ from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError,
                        gaussian, hankel_partial_sum, make_breakpoint_grid,
                        make_graded_grid, radial_partial_sum,
                        resolvable_frequency, sample, snap_threshold)
+from dunkl_osc.projections import _cut_rows
 from conftest import l2_weighted
 
 TS = [0.5, 1.0, 2.0, 4.0]
@@ -195,3 +196,22 @@ def test_family_csv(tmp_path, freq512, one_bump):
     # a pathlib.Path writes the same file as its str
     family_to_csv(tmp_path / "fam2.csv", fam)
     assert (tmp_path / "fam2.csv").read_text() == path.read_text()
+
+
+@pytest.mark.parametrize("kind", ["dunkl", "hankel"])
+def test_cut_rows_stack_equals_one_list_calls(kind, freq512, corpus512):
+    """Many cut lists over a member stack give the rows of the one-list
+    calls of each member, to 1e-14 of their max-abs; cut lists with equal
+    masks give bitwise equal rows."""
+    full = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:3]]))
+    f, freq = (full, freq512) if kind == "dunkl" else (even_odd_split(full)[0],
+                                                       freq512.positive_half())
+    cut_lists = [[0.5], [2.0, 1.0], [4.0], [1.0, 4.0], [3.0, 0.7, 2.0], [4.0, 1.0]]
+    rows = _cut_rows(0.0, f, cut_lists, freq, kind)
+    assert rows.shape == (3, len(cut_lists), f.grid.n)
+    for b in range(3):
+        single = f.with_values(f.values[b])
+        for i, ts in enumerate(cut_lists):
+            one = _cut_rows(0.0, single, [ts], freq, kind)[0]
+            assert np.max(np.abs(rows[b, i] - one)) <= 1e-14 * np.max(np.abs(one))
+    assert np.array_equal(rows[:, 1], rows[:, 3]) and np.array_equal(rows[:, 1], rows[:, 5])

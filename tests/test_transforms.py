@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dunkl_osc import (HALF_LINE, ArgumentError, ResolutionError, bump, dunkl,
+from dunkl_osc import (HALF_LINE, ArgumentError, ResolutionError, SampledFn, bump, dunkl,
                        dunkl_inverse, dunkl_modified, dunkl_modified_inverse,
-                       fourier, frequency_grid, gaussian, hankel,
+                       even_odd_split, fourier, fourier_inverse, frequency_grid,
+                       gaussian, hankel,
                        hankel_modified, make_breakpoint_grid, make_graded_grid,
                        multiply_power, resolution_n512, run_identity_suite,
                        sample, transforms, transplant_dunkl, transplant_hankel)
@@ -332,3 +333,26 @@ def test_identity_suite_builds_each_kernel_once(cold_kernel_cache):
     run_identity_suite(resolution_n512(), 7, (-0.5, 0.0, 0.5, 1.0), 1)
     kinds = Counter(key[0] for key in cold_kernel_cache)
     assert kinds == Counter({"j": 6, "fourier": 1})
+
+
+def test_every_transform_acts_on_a_stack(space512, freq512, corpus512):
+    """A (3, N) stack gives its three single-function results, to 1e-14 of
+    their max-abs, through one GEMM per transform."""
+    full = SampledFn(space512, np.stack([m.sampled.values for m in corpus512[:3]]))
+    half = even_odd_split(full)[0]
+    half_freq = freq512.positive_half()
+    ops = [(full, lambda f: fourier(f, freq512)),
+           (full, lambda f: fourier_inverse(f, space512)),
+           (half, lambda f: hankel(1.0, f, half_freq)),
+           (half, lambda f: hankel_modified(0.5, f, half_freq)),
+           (full, lambda f: dunkl(0.0, f, freq512)),
+           (full, lambda f: dunkl(1.0, f, freq512, route="direct")),
+           (full, lambda f: dunkl_inverse(0.0, f, space512)),
+           (full, lambda f: dunkl_modified(1.0, f, freq512)),
+           (full, lambda f: dunkl_modified_inverse(0.0, f, space512))]
+    for stack, op in ops:
+        out = op(stack)
+        assert out.values.shape[0] == 3
+        for i in range(3):
+            one = op(stack.with_values(stack.values[i])).values
+            assert np.max(np.abs(out.values[i] - one)) <= 1e-14 * np.max(np.abs(one))
