@@ -33,9 +33,9 @@ from .weights import (NormSpec, Weight, ap_alpha_check, ap_check, beta_star,
                       transplant_range, w_ab_weight, weighted_lp_norm)
 from .harness import (ExperimentReport, MultiplierFamily, Resolution,
                       bcv_lattice_weights, default_resolution, default_t_grid,
-                      dyadic_indicator_family, gate_identity_suite,
-                      interval_indicator_family, oscillation_ratio_sweep,
-                      prestini_constant_sweep, resolution_n1024,
-                      resolution_n512, run_identity_suite, transference_demo,
-                      transplant_roundtrip_report, weighted_carleson_sweep,
-                      write_reports_jsonl, write_summary_csv)
+                      dyadic_indicator_family, interval_indicator_family,
+                      oscillation_ratio_sweep, prestini_constant_sweep,
+                      resolution_n1024, resolution_n512, run_identity_suite,
+                      transference_demo, transplant_roundtrip_report,
+                      weighted_carleson_sweep, write_reports_jsonl,
+                      write_summary_csv)

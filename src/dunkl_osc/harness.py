@@ -301,18 +301,6 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
     return _map_ordered(unit, units, threads)
 
 
-def gate_identity_suite(resolution: Resolution, seed: int = 7,
-                        alphas: Sequence[float] = (-0.5, 0.0, 0.5, 1.0),
-                        threads: int = 1) -> list[ExperimentReport]:
-    """Run the identity suite and raise GateError on any failure."""
-    reports = run_identity_suite(resolution, seed, alphas, threads)
-    bad = [r for r in reports if not r.passed]
-    if bad:
-        names = ", ".join(f"{r.name}(alpha={r.inputs.get('alpha')})" for r in bad[:5])
-        raise GateError(f"identity suite failed at this resolution: {names}")
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # member gate for coarse-resolution sweeps
 

@@ -98,9 +98,6 @@ class PartialSumFamily:
         if self.values.shape != (len(self.t_grid), self.base.grid.n):
             raise ArgumentError("family matrix must be (len(t_grid), grid.n)")
 
-    def row(self, i: int) -> SampledFn:
-        return SampledFn(self.base.grid, self.values[i], self.base.domain_tag)
-
     def max_abs(self) -> SampledFn:
         return SampledFn(self.base.grid, np.max(np.abs(self.values), axis=0),
                          self.base.domain_tag)
@@ -133,8 +130,12 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
         if t > half_freq.hi:
             raise ResolutionError(
                 f"cut t={t:g} exceeds the resolvable frequency band {half_freq.hi:g}")
-    masks, row_of = np.unique(np.stack([_mask(half_freq, ts) for ts in cut_lists]),
-                              axis=0, return_inverse=True)   # (U, F) distinct masks
+    # (U, F) distinct masks, keyed by their bytes; sorted keys give np.unique's row order
+    by_row = [_mask(half_freq, ts) for ts in cut_lists]
+    keys = sorted({m.tobytes(): m for m in by_row}.items())
+    masks = np.stack([m for _, m in keys])
+    slot = {k: i for i, (k, _) in enumerate(keys)}
+    row_of = np.array([slot[m.tobytes()] for m in by_row])
     if want == HALF_LINE:
         out_grid = f.grid
         orders, specs = [order], [transforms.hankel(order, f, half_freq)]

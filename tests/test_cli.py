@@ -28,7 +28,8 @@ def test_transform_roundtrip_files(workdir):
 
 
 def test_unsupported_order_and_removed_flags_exit_2(workdir):
-    assert main(["transform", "--kind", "dunkl", "--alpha", "9",
+    # Dunkl order 60 needs J_60 and J_61, above special.MAX_ORDER
+    assert main(["transform", "--kind", "dunkl", "--alpha", "60",
                  "--input", "f.csv", "--output", "F.csv"]) == 2
     assert not os.path.exists("F.csv")
     assert main(["transform", "--kind", "dunkl", "--grading", "2",

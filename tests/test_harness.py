@@ -243,3 +243,13 @@ def test_transference_takes_each_spectrum_once(monkeypatch):
         per_p[p] = dict(calls)
     assert per_p[3.0] == {"fourier": 4, "hankel": 4}
     assert all(per_p[2.0][k] <= per_p[3.0][k] for k in per_p[3.0])
+
+
+def test_transference_high_dimension():
+    # the radial side at n = 30 is the Hankel transform of order 14
+    res = resolution_n512()
+    fam = dyadic_indicator_family(-9, int(np.floor(np.log2(res.freq_max()))))
+    r = transference_demo(fam, NormSpec(2.0, 0.0, -0.5), 30, res)
+    ratios = dict(r.residuals_or_ratios)
+    assert all(np.isfinite(v) for v in ratios.values())
+    assert r.passed and ratios["max |fourier - hankel| orthogonal-norm gap"] <= 1e-6

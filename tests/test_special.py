@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
+import dunkl_osc
 from dunkl_osc import DomainError, bessel_j, bessel_j_normalized, gamma
 from dunkl_osc.special import MAX_ORDER
 
@@ -106,12 +110,71 @@ def test_order_below_minus_half_rejected():
 
 
 def test_oracle_lattice_up_to_max_order():
-    # every half-integer order up to MAX_ORDER, plus two off-lattice orders
-    # whose series denominators are not exact in double precision
-    u = np.linspace(0.0, 60.0, 6001)[1:]
-    for alpha in list(np.arange(0.0, MAX_ORDER + 0.25, 0.5)) + [1.05, 6.95]:
-        err = np.max(np.abs(bessel_j(alpha, u) - sp.jv(alpha, u)))
-        assert err <= 1e-12, (alpha, err)
+    # every half-integer order up to MAX_ORDER and -1/4, plus off-lattice
+    # orders whose coefficients are not exact in double precision, across
+    # every band up to u = 600; relative where |J| > 1 (negative order, u -> 0)
+    u = np.concatenate([np.linspace(0.0, 60.0, 6001)[1:], np.geomspace(60.0, 600.0, 2000)])
+    for alpha in [-0.25] + list(np.arange(0.0, MAX_ORDER + 0.25, 0.5)) + [1.05, 6.95, 30.3]:
+        ref = sp.jv(alpha, u)
+        err = np.max(np.abs(bessel_j(alpha, u) - ref) / np.maximum(1.0, np.abs(ref)))
+        assert err <= 1e-13, (alpha, err)
+
+
+def _kernel_arguments(res, n, rng):
+    """n points u = x y of the res kernel grids, half of them u <= 14."""
+    u = np.outer(res.half_grid().points, res.half_freq_grid().points).ravel()
+    return np.concatenate([rng.choice(u[u <= 14.0], n // 2, replace=False),
+                           rng.choice(u[u > 14.0], n // 2, replace=False)])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.0])
+def test_kernel_grids_against_mpmath(alpha):
+    # 1000 points of each of the N=512 and N=1536 kernels per order
+    import mpmath as mp
+    from dunkl_osc import default_resolution, resolution_n512
+    rng = np.random.default_rng(11)
+    u = np.concatenate([_kernel_arguments(r, 1000, rng)
+                        for r in (resolution_n512(), default_resolution())])
+    with mp.workdps(30):
+        ref = np.array([float(mp.besselj(alpha, mp.mpf(x))) for x in u])
+    err = np.abs(bessel_j(alpha, u) - ref)
+    assert np.max(err[u <= 14.0]) <= 1e-15
+    assert np.max(err[u > 14.0]) <= 4e-15
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0, 2.5, 7.0, 20.0, 33.3, MAX_ORDER])
+def test_small_argument_relative(alpha):
+    # j_a(u) ~ 1/(2^a Gamma(a+1)) is tiny at high order: the series branch
+    # must be accurate relative to it, not merely absolutely
+    import mpmath as mp
+    u = np.concatenate([[0.0, 1e-9, 1e-3], np.linspace(0.01, 2.0, 60)])
+    with mp.workdps(30):
+        ref = np.array([float(mp.besselj(alpha, mp.mpf(x)) / mp.mpf(x) ** alpha) if x > 0
+                        else float(1 / (mp.mpf(2) ** alpha * mp.gamma(alpha + 1))) for x in u])
+    assert np.max(np.abs(bessel_j_normalized(alpha, u) / ref - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [10.0, 20.5, 33.3, MAX_ORDER])
+def test_below_turning_point_relative(alpha):
+    # the Miller band at u < a, where J_a decays like (u/2)^a / Gamma(a+1)
+    # and a Hankel kernel weights it by y^(2a+1)
+    import mpmath as mp
+    u = np.linspace(2.01, 0.95 * alpha, 40)
+    with mp.workdps(30):
+        ref = np.array([float(mp.besselj(alpha, mp.mpf(x)) / mp.mpf(x) ** alpha) for x in u])
+    assert np.max(np.abs(bessel_j_normalized(alpha, u) / ref - 1.0)) <= 1e-13
+
+
+def test_import_pulls_no_test_dependencies():
+    # scipy and mpmath are test-only; importing either at run time would
+    # also cost every CLI start
+    src = os.path.dirname(os.path.dirname(dunkl_osc.__file__))
+    code = ("import sys, dunkl_osc; "
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_order_above_max_rejected():
