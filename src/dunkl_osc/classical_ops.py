@@ -13,6 +13,9 @@ truncation boundaries cost no node-snapping error.  Modulations on cut
 panels take cos and sin on the positive half of the symmetric frequency set
 (-xi by conjugate symmetry, xi = 0 as the plain sum).
 
+Every operator acts along the last axis of a (..., N) SampledFn stack; the
+geometry of an evaluation block (1/(x-z) kernel, window searches, cut-panel
+nodes and cos/sin ladder) is built once and shared by the whole stack.
 Suprema over radii/frequencies are taken over a finite SupGrid, iterated in
 a fixed order; enlarging the SupGrid never decreases any output.
 """
@@ -29,6 +32,7 @@ from .funcspace import FULL_LINE, HALF_LINE, Grid, SampledFn, _freeze
 _SUB_NODES = 12
 _GL_SUB = np.polynomial.legendre.leggauss(_SUB_NODES)
 _LADDER = 4  # exact cos/sin at every 4th doubled frequency: a doubling doubles the error
+_BLOCK_BUDGET = 96  # rows x stack members per _truncated_sups block: caps the prefix tables
 
 
 @dataclass(frozen=True)
@@ -82,18 +86,19 @@ def _sub_gauss(a, b):
 
 def _window_integrals(grid: Grid, samples: np.ndarray, windows, kernel=None) -> list:
     """integral_a^b samples(y) kernel(y) dy for each (a, b) in windows, a <= b
-    elementwise.  Whole panels use the grid weights with node-exact kernel
-    values, their prefix sums formed once for all windows; the cut panels are
-    re-quadratured with interpolated samples and exact kernel."""
+    elementwise, as (M, n) rows, one per function of the real (..., N) stack samples.
+    Whole panels use the grid weights with node-exact kernel values, their prefix sums
+    formed once; the cut panels are re-quadratured with interpolated samples."""
+    samples = samples.reshape(-1, grid.n)
     integrand = samples if kernel is None else samples * kernel(grid.points)
     edges = _require_panels(grid)
     idx = np.clip(np.searchsorted(edges, grid.points, side="right") - 1, 0, edges.size - 2)
-    masses = np.bincount(idx, weights=grid.weights * integrand, minlength=edges.size - 1)
-    prefix = np.concatenate([[0.0], np.cumsum(masses)])
+    masses = [np.bincount(idx, grid.weights * v, edges.size - 1) for v in integrand]
+    prefix = np.pad(np.cumsum(masses, axis=-1), ((0, 0), (1, 0)))
 
     def seg(lo, hi):
         nodes, wts = _sub_gauss(lo, hi)
-        v = np.interp(nodes, grid.points, samples, left=0.0, right=0.0)
+        v = np.stack([np.interp(nodes, grid.points, row, 0.0, 0.0) for row in samples])
         if kernel is not None:
             v = v * kernel(nodes)
         return np.sum(wts * v, axis=-1)
@@ -105,10 +110,10 @@ def _window_integrals(grid: Grid, samples: np.ndarray, windows, kernel=None) -> 
         ia = np.clip(np.searchsorted(edges, a, side="right") - 1, 0, edges.size - 2)
         ib = np.clip(np.searchsorted(edges, b, side="right") - 1, 0, edges.size - 2)
         same, diff = ia == ib, ia != ib
-        out = np.zeros_like(a, dtype=float)
-        out[same] = seg(a[same], b[same])
-        full = prefix[ib[diff]] - prefix[ia[diff] + 1]
-        out[diff] = full + seg(a[diff], edges[ia[diff] + 1]) + seg(edges[ib[diff]], b[diff])
+        out = np.zeros((samples.shape[0],) + a.shape)
+        out[:, same] = seg(a[same], b[same])
+        full = prefix[:, ib[diff]] - prefix[:, ia[diff] + 1]
+        out[:, diff] = full + seg(a[diff], edges[ia[diff] + 1]) + seg(edges[ib[diff]], b[diff])
         outs.append(out)
     return outs
 
@@ -117,8 +122,8 @@ def hardy_littlewood_max(f: SampledFn, sup: SupGrid) -> SampledFn:
     """sup over radii of the window average (1/2r) integral_{x-r}^{x+r} |f|."""
     x = f.grid.points
     sums = _window_integrals(f.grid, np.abs(f.values), [(x - r, x + r) for r in sup.radii])
-    best = np.max([np.zeros_like(x)] + [t / (2.0 * r) for r, t in zip(sup.radii, sums)], axis=0)
-    return SampledFn(f.grid, best, f.domain_tag)
+    best = np.max([t / (2.0 * r) for r, t in zip(sup.radii, sums)], axis=0, initial=0.0)
+    return f.with_values(best.reshape(f.values.shape))
 
 
 def conjugate_hardy(f: SampledFn) -> SampledFn:
@@ -135,42 +140,44 @@ def conjugate_hardy(f: SampledFn) -> SampledFn:
     pgrid = Grid(grid.points[pos], grid.weights[pos], 0.0, float(grid.hi), pedges)
     xa = np.abs(grid.points)
     with np.errstate(divide="ignore"):
-        (vals,) = _window_integrals(pgrid, np.abs(f.values[pos]),
+        (vals,) = _window_integrals(pgrid, np.abs(f.values[..., pos]),
                                     [(xa, np.full_like(xa, grid.hi))],
                                     kernel=lambda y: 1.0 / y)
-    vals[xa >= grid.hi] = 0.0
-    return SampledFn(grid, vals, f.domain_tag)
+    vals[:, xa >= grid.hi] = 0.0
+    return f.with_values(vals.reshape(f.values.shape))
 
 
 def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
-                    eval_idx: np.ndarray | None = None, block: int = 64) -> np.ndarray:
-    """(n_eval, Q): per xi in frequencies (sorted, exactly symmetric), the max
-    over eps of |integral_{|x-z|>eps} f(z) e^{-i xi z}/(x-z) dz| at the grid
-    nodes x[eval_idx] (see the module docstring for the quadrature)."""
-    grid, vals = f.grid, f.values
+                    eval_idx: np.ndarray | None = None) -> np.ndarray:
+    """(..., n_eval, Q): per function of the stack f and xi in frequencies (sorted,
+    exactly symmetric), the max over eps of |integral_{|x-z|>eps} f(z) e^{-i xi z}/(x-z) dz|
+    at the grid nodes x[eval_idx] (see the module docstring for the quadrature)."""
+    grid, vals = f.grid, f.values.reshape(-1, f.grid.n)
     edges, z = _require_panels(grid), grid.points
     if np.max(np.abs(frequencies)) * grid.max_spacing > np.pi / 3.0:
         raise ResolutionError("modulation frequency beyond the grid's resolvable band")
     xs = z if eval_idx is None else z[eval_idx]
-    n_pan, nQ, nP = edges.size - 1, frequencies.size, frequencies.size // 2
+    M, n_pan, nQ, nP = vals.shape[0], edges.size - 1, frequencies.size, frequencies.size // 2
     pos = frequencies[nQ - nP:]                                # xi > 0, ascending
+    block = max(8, _BLOCK_BUDGET // M)
     # nodes laid out as (panel, slot); short panels padded with zero-weight slots
     panel_of = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, n_pan - 1)
     counts = np.bincount(panel_of, minlength=n_pan)
     slot = np.arange(counts.max())
     node = np.minimum(np.searchsorted(panel_of, np.arange(n_pan))[:, None] + slot, z.size - 1)
     zp, wp = z[node], np.where(slot < counts[:, None], grid.weights[node], 0.0)
-    gmat = (vals[node, None] * np.exp(-1j * zp[..., None] * frequencies)).view(float)
-    out = np.zeros((xs.size, nQ))
-    left = np.zeros((n_pan + 1, block, 2 * nQ))                # sum of the first i panels
-    right = np.zeros((n_pan + 1, block, 2 * nQ))               # ... of the last i panels
+    gmat = (vals.T[node][..., None] * np.exp(-1j * zp[..., None, None] * frequencies)).view(float)
+    gmat = gmat.reshape(n_pan, slot.size, M * 2 * nQ)          # columns (member, xi, re/im)
+    out = np.zeros((xs.size, M, nQ))
+    left = np.zeros((n_pan + 1, block, M * 2 * nQ))            # sum of the first i panels
+    right = np.zeros((n_pan + 1, block, M * 2 * nQ))           # ... of the last i panels
     for s in range(0, xs.size, block):
         xb = xs[s:s + block]
         B = xb.size
         with np.errstate(divide="ignore"):
             kern = 1.0 / (xb[None, :, None] - zp[:, None, :])  # (P, B, m)
         kern[~np.isfinite(kern)] = 0.0  # diagonal is always inside the window
-        psum = np.matmul(kern * wp[:, None, :], gmat)          # (P, B, 2Q) per-panel sums
+        psum = np.matmul(kern * wp[:, None, :], gmat)          # (P, B, 2MQ) per-panel sums
         for i in range(n_pan):      # one add per panel: faster than cumsum over axis 0
             np.add(left[i, :B], psum[i], out=left[i + 1, :B])
             np.add(right[i, :B], psum[n_pan - 1 - i], out=right[i + 1, :B])
@@ -179,7 +186,7 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
         ia = np.clip(np.searchsorted(edges, lo_w, side="right") - 1, 0, n_pan - 1)
         ib = np.clip(np.searchsorted(edges, hi_w, side="right") - 1, 0, n_pan - 1)
         rows = np.arange(B)[:, None]
-        res = (left[ia, rows] + right[n_pan - 1 - ib, rows]).view(complex)  # (B, E, Q)
+        res = (left[ia, rows] + right[n_pan - 1 - ib, rows]).view(complex).reshape(B, -1, M, nQ)
         # kept parts of the cut panels, [panel_lo, x-eps] and [x+eps, panel_hi];
         # empty ones (window end beyond the support) add nothing and are skipped
         xe = np.broadcast_to(xb[:, None], lo_w.shape)
@@ -189,11 +196,11 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
             seg_lo = np.clip(seg_lo, edges[0], edges[-1])
             cut = seg_hi > seg_lo
             nodes, wts = _sub_gauss(seg_lo[cut], seg_hi[cut])   # (K, q)
-            fv = np.interp(nodes, z, vals, left=0.0, right=0.0)
-            base = wts * fv * (1.0 / (xe[cut][:, None] - nodes))
-            add = np.empty((nodes.shape[0], nQ), dtype=complex)
+            fv = np.stack([np.interp(nodes, z, v, left=0.0, right=0.0) for v in vals])
+            base = wts * fv * (1.0 / (xe[cut][:, None] - nodes))  # (M, K, q)
+            add = np.empty((nodes.shape[0], M, nQ), dtype=complex)
             if nQ % 2:
-                add[:, nP] = base.sum(axis=-1)
+                add[..., nP] = base.sum(axis=-1).T
             if nP:
                 cs = np.empty((2 * nP,) + nodes.shape)          # cos rows, then sin rows
                 cos, sin = cs[:nP], cs[nP:]
@@ -203,13 +210,16 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
                         sin[k] = 2.0 * sin[k - 1] * cos[k - 1]
                     else:
                         cos[k], sin[k] = np.cos(nodes * xi), np.sin(nodes * xi)
-                parts = np.stack([base.real, base.imag], axis=1) @ cs.transpose(1, 2, 0)
-                rc, rs, ic, is_ = parts.reshape(-1, 4, nP).transpose(1, 0, 2)
-                add[:, nQ - nP:] = (rc + is_) + 1j * (ic - rs)
-                add[:, :nP] = ((rc - is_) + 1j * (ic + rs))[:, ::-1]
+                reim = np.stack([base.real, base.imag], axis=1).transpose(2, 1, 0, 3)
+                parts = reim.reshape(nodes.shape[0], 2 * M, -1) @ cs.transpose(1, 2, 0)
+                (rc, rs), (ic, is_) = parts.reshape(-1, 2, M, 2, nP).transpose(1, 3, 0, 2, 4)
+                np.add(rc, is_, out=add.real[..., nQ - nP:])
+                np.subtract(ic, rs, out=add.imag[..., nQ - nP:])
+                np.subtract(rc, is_, out=add.real[..., nP - 1::-1])
+                np.add(ic, rs, out=add.imag[..., nP - 1::-1])
             res[cut] += add
         out[s:s + B] = np.max(np.abs(res), axis=1)
-    return out
+    return np.moveaxis(out, 1, 0).reshape(f.values.shape[:-1] + (xs.size, nQ))
 
 
 def _on_grid(f: SampledFn, out: np.ndarray, eval_idx) -> SampledFn | np.ndarray:
@@ -219,14 +229,14 @@ def _on_grid(f: SampledFn, out: np.ndarray, eval_idx) -> SampledFn | np.ndarray:
 def maximal_hilbert(f: SampledFn, sup: SupGrid,
                     eval_idx: np.ndarray | None = None) -> SampledFn | np.ndarray:
     """sup over eps of |integral_{|y|>eps} f(x-y)/y dy|."""
-    return _on_grid(f, _truncated_sups(f, sup, np.zeros(1), eval_idx)[:, 0], eval_idx)
+    return _on_grid(f, _truncated_sups(f, sup, np.zeros(1), eval_idx)[..., 0], eval_idx)
 
 
 def carleson_hunt(f: SampledFn, sup: SupGrid,
                   eval_idx: np.ndarray | None = None) -> SampledFn | np.ndarray:
     """sup over (eps, xi) of |integral_{|y|>eps} e^{i xi y} f(x-y)/y dy|."""
     sups = _truncated_sups(f, sup, sup.frequencies, eval_idx)
-    return _on_grid(f, np.max(sups, axis=1), eval_idx)
+    return _on_grid(f, np.max(sups, axis=-1), eval_idx)
 
 
 def _even_zero_extension(f: SampledFn) -> SampledFn:
@@ -238,7 +248,7 @@ def _even_zero_extension(f: SampledFn) -> SampledFn:
     eds = np.concatenate([-edges[::-1], edges[1:]]) if edges[0] == 0.0 else \
         np.concatenate([-edges[::-1], [0.0], edges])
     full = Grid(pts, wts, -g.hi, g.hi, eds)
-    vals = np.concatenate([np.zeros(g.n, dtype=complex), f.values])
+    vals = np.concatenate([np.zeros_like(f.values), f.values], axis=-1)
     return SampledFn(full, vals, FULL_LINE)
 
 
@@ -252,12 +262,12 @@ def prestini_majorant(order: float, f: SampledFn, sup: SupGrid) -> SampledFn:
     a = float(order)
     g = fx.with_values(fx.values * np.abs(fx.grid.points) ** (a + 0.5))
     pos_idx = np.arange(fx.grid.n // 2, fx.grid.n)
-    mhl = hardy_littlewood_max(g, sup).values[pos_idx]
-    hop = conjugate_hardy(g).values[pos_idx]
+    mhl = hardy_littlewood_max(g, sup).values[..., pos_idx]
+    hop = conjugate_hardy(g).values[..., pos_idx]
     # one pass: H* is the xi = 0 column, which C leaves out unless 0 is in sup
     q, mid = sup.frequencies, sup.frequencies.size // 2
     sups = _truncated_sups(g, sup, q if q.size % 2 else np.insert(q, mid, 0.0), pos_idx)
-    hst = sups[:, mid]
-    car = np.max(sups if q.size % 2 else np.delete(sups, mid, axis=1), axis=1)
+    hst = sups[..., mid]
+    car = np.max(sups if q.size % 2 else np.delete(sups, mid, axis=-1), axis=-1)
     total = (mhl + hop + hst + car) * f.grid.points ** (-(a + 0.5))
-    return SampledFn(f.grid, total, HALF_LINE)
+    return f.with_values(total)

@@ -448,15 +448,17 @@ def prestini_constant_sweep(alphas: Sequence[float],
             sup = default_sup_grid(half, t_grid.values)
             members = half_line_corpus(half, seed)
             zero_v = sample(lambda x: np.zeros_like(np.asarray(x, float)), half, HALF_LINE)
-            best = 0.0
+            kept = []
             for m in members + [CorpusMember("zero", lambda x: 0 * np.asarray(x), zero_v)]:
                 if np.all(m.sampled.values == 0.0):
                     pairs.append((f"{m.label}@{res.n_line} skipped (zero)", 0.0))
-                    continue
+                else:
+                    kept.append(m)
+            majs = prestini_majorant(alpha, _stack(kept), sup).values.real
+            best = 0.0
+            for m, maj in zip(kept, majs):
                 fam = build_family(alpha, m.sampled, t_grid, half_freq, kind="hankel")
-                maj = prestini_majorant(alpha, m.sampled, sup)
-                ratio = float(np.max(np.max(np.abs(fam.values), axis=0) / maj.values.real))
-                best = max(best, ratio)
+                best = max(best, float(np.max(np.max(np.abs(fam.values), axis=0) / maj)))
             consts.append(best)
             pairs.append((f"C(alpha={alpha:g}, N={res.n_line})", best))
         stable = all(0.5 <= consts[i + 1] / consts[i] <= 2.0 for i in range(len(consts) - 1))

@@ -43,6 +43,14 @@ def _cut_indices(family: PartialSumFamily, cuts: CutSequence) -> np.ndarray:
     return idx
 
 
+def _sq_gaps(parts, t: int, rows: slice, out: np.ndarray) -> np.ndarray:
+    """|a_i - a_t|^2 for i in rows as re^2 + im^2 from parts = (re, im), written
+    into out[0] with out[1] as scratch: no temporaries."""
+    for p, o in zip(parts, out):
+        np.square(np.subtract(p[rows], p[t], out=o), out=o)
+    return np.add(out[0], out[1], out=out[0])
+
+
 def oscillation(family: PartialSumFamily, cuts: CutSequence) -> SampledFn:
     """O^2_{I,J}: sqrt of the sum over blocks of the squared sup of
     |a_t - a_{I_j}| for t in the family's grid restricted to [I_j, I_{j+1})."""
@@ -51,8 +59,8 @@ def oscillation(family: PartialSumFamily, cuts: CutSequence) -> SampledFn:
     acc = np.zeros(vals.shape[1])
     for j in range(cuts.J):
         i0, i1 = idx[j], idx[j + 1]
-        block = np.abs(vals[i0:i1] - vals[i0]) ** 2
-        acc += np.max(block, axis=0)
+        gap = np.empty((2, i1 - i0, vals.shape[1]))
+        acc += np.max(_sq_gaps((vals.real, vals.imag), i0, slice(i0, i1), gap), axis=0)
     return SampledFn(family.base.grid, np.sqrt(acc), family.base.domain_tag)
 
 
@@ -64,15 +72,15 @@ def max_oscillation(family: PartialSumFamily) -> SampledFn:
     `oscillation`."""
     vals = family.values
     T, N = vals.shape
-    best = np.zeros((T, N))
-    run = np.zeros((T, N))
+    parts, (best, run) = np.stack([vals.real, vals.imag]), np.zeros((2, T, N))
+    scratch = np.empty((2, T, N))
     for k in range(1, T):
         # run[i] = max over i <= t < k of |a_t - a_i|^2 (the block [I_i, I_k))
-        np.maximum(run[:k], np.abs(vals[k - 1] - vals[:k]) ** 2, out=run[:k])
+        np.maximum(run[:k], _sq_gaps(parts, k - 1, slice(0, k), scratch[:, :k]), out=run[:k])
         # best sequence whose last cut is k: extend the best one ending at i
-        best[k] = np.max(best[:k] + run[:k], axis=0)
-    return SampledFn(family.base.grid, np.sqrt(np.max(best, axis=0)),
-                     family.base.domain_tag)
+        np.max(np.add(best[:k], run[:k], out=scratch[0, :k]), axis=0, out=best[k])
+    # best[k] >= best[k-1] + run[k-1] = best[k-1], so the last row is the sup
+    return SampledFn(family.base.grid, np.sqrt(best[-1]), family.base.domain_tag)
 
 
 def variation(family: PartialSumFamily, r: float) -> SampledFn:

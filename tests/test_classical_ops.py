@@ -190,21 +190,67 @@ def test_carleson_without_zero_frequency(smooth_pair):
 @pytest.mark.parametrize("freqs", [None, [-2.0, -1.0, 1.0, 2.0]], ids=["with-0", "without-0"])
 def test_prestini_parts_match_public_operators(freqs):
     # the majorant's one pass gives H* (xi = 0 column) and C (sup's columns
-    # only) as the public operators do
+    # only) as the public operators do, for one function and for a stack
     half = make_graded_grid(0.0, 3.0, 8, 32, 1.0)
-    f = sample(bump(1.5, 1.2), half, HALF_LINE)
+    one = sample(bump(1.5, 1.2), half, HALF_LINE)
+    stack = one.with_values(np.stack([one.values, sample(bump(1.0, 0.8), half).values,
+                                      sample(gaussian(2.0, 0.4), half).values * (1 - 2j)]))
     sup = default_sup_grid(half, [0.5, 1.0, 2.0]) if freqs is None else \
         SupGrid(3.0 * 2.0 ** np.arange(8, -9, -1), np.array(freqs))
     a = 0.5
-    fx = _even_zero_extension(f)
-    g = fx.with_values(fx.values * np.abs(fx.grid.points) ** (a + 0.5))
-    idx = np.arange(fx.grid.n // 2, fx.grid.n)
-    hst, car = maximal_hilbert(g, sup, idx), carleson_hunt(g, sup, idx)
-    assert freqs is None or np.any(hst > car)   # a stray xi = 0 column in C would show
-    parts = (hardy_littlewood_max(g, sup).values[idx] + conjugate_hardy(g).values[idx]
-             + hst + car) * half.points ** (-(a + 0.5))
-    maj = prestini_majorant(a, f, sup).values
-    assert np.max(np.abs(maj - parts) / np.abs(parts)) <= 1e-14
+    for f in (one, stack):
+        fx = _even_zero_extension(f)
+        g = fx.with_values(fx.values * np.abs(fx.grid.points) ** (a + 0.5))
+        idx = np.arange(fx.grid.n // 2, fx.grid.n)
+        hst, car = maximal_hilbert(g, sup, idx), carleson_hunt(g, sup, idx)
+        assert freqs is None or np.any(hst > car)   # a stray xi = 0 column in C would show
+        parts = (hardy_littlewood_max(g, sup).values[..., idx]
+                 + conjugate_hardy(g).values[..., idx] + hst + car) * half.points ** (-(a + 0.5))
+        maj = prestini_majorant(a, f, sup).values
+        assert maj.shape == f.values.shape
+        assert np.max(np.abs(maj - parts) / np.abs(parts)) <= 1e-14
+
+
+def _rows_match(stacked, single_calls):
+    """Each row of a stacked result equals the single-function call within
+    1e-15 of that row's max."""
+    flat = stacked.reshape((-1,) + single_calls[0].shape)
+    assert len(flat) == len(single_calls)
+    for row, one in zip(flat, single_calls):
+        assert np.max(np.abs(row - one)) <= 1e-15 * np.max(np.abs(one))
+
+
+def test_operators_act_along_the_last_axis(smooth_pair):
+    # a (2, 3, N) stack gives every function's own result in its place, and a
+    # single function still gives an (N,) result
+    g, f1, f2, sup = smooth_pair
+    funcs = [f1, f2, f1 * (0.5 - 1j), sample(bump(-1.0, 0.7), g),
+             sample(gaussian(1.2, 0.5), g) * 2j, f1 + f2]
+    stack = f1.with_values(np.stack([f.values for f in funcs]).reshape(2, 3, g.n))
+    idx = np.arange(3, g.n, 7)
+    ops = {"hardy-littlewood": lambda h: hardy_littlewood_max(h, sup).values,
+           "conjugate-hardy": lambda h: conjugate_hardy(h).values,
+           "maximal-hilbert": lambda h: maximal_hilbert(h, sup).values,
+           "carleson-hunt": lambda h: carleson_hunt(h, sup).values,
+           "maximal-hilbert at nodes": lambda h: maximal_hilbert(h, sup, idx),
+           "truncated sups": lambda h: _truncated_sups(h, sup, sup.frequencies),
+           "truncated sups at nodes": lambda h: _truncated_sups(h, sup, sup.frequencies, idx)}
+    for name, op in ops.items():
+        singles = [op(f) for f in funcs]
+        assert singles[0].shape[0] == (g.n if "nodes" not in name else idx.size), name
+        out = op(stack)
+        assert out.shape == (2, 3) + singles[0].shape, name
+        _rows_match(out, singles)
+    half = make_graded_grid(0.0, 3.0, 8, 32, 1.0)
+    hfuncs = [sample(bump(c, 0.9), half, HALF_LINE) * w for c, w in
+              ((0.8, 1.0), (1.5, 1j), (2.0, 1 + 1j), (1.1, -2.0), (2.4, 0.5), (0.5, 3.0))]
+    hstack = hfuncs[0].with_values(np.stack([f.values for f in hfuncs]).reshape(2, 3, half.n))
+    hsup = default_sup_grid(half, [0.5, 1.0, 2.0])
+    singles = [prestini_majorant(0.5, f, hsup).values for f in hfuncs]
+    assert singles[0].shape == (half.n,)
+    out = prestini_majorant(0.5, hstack, hsup)
+    assert out.values.shape == (2, 3, half.n) and out.domain_tag == HALF_LINE
+    _rows_match(out.values, singles)
 
 
 def _plateau(x):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec,
-                       Resolution, bump, dyadic_indicator_family,
+                       Resolution, bump, classical_ops, dyadic_indicator_family,
                        interval_indicator_family, oscillation_ratio_sweep,
-                       resolution_n512, run_identity_suite, sample,
+                       prestini_constant_sweep, resolution_n512, run_identity_suite, sample,
                        transference_demo, transforms,
                        w_ab_weight, weighted_carleson_sweep,
                        write_reports_jsonl, write_summary_csv)
@@ -224,6 +224,23 @@ def test_member_gate_takes_one_spectrum_per_order(monkeypatch, res512):
     monkeypatch.setattr(transforms, "hankel", counted)
     keep, dropped = _gate_members(_sweep_corpus(space, 7), (0.0, 1.0), res512)
     assert calls == Counter({2: 8}) and len(keep) + len(dropped) == 10
+
+
+def test_prestini_sweep_takes_one_majorant_pass_per_resolution(monkeypatch):
+    """The majorant runs once per resolution on the stack of the nonzero
+    corpus members, not once per member: on the default two-rung ladder the
+    truncated-sup pass runs twice, each time on a (members, N) stack."""
+    shapes = []
+    real = classical_ops._truncated_sups
+
+    def counted(f, *args, **kwargs):
+        shapes.append(f.values.shape)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(classical_ops, "_truncated_sups", counted)
+    (rep,) = prestini_constant_sweep([0.0])
+    assert len(shapes) == 2 and all(len(s) == 2 and s[0] > 1 for s in shapes)
+    assert sum(k.endswith("skipped (zero)") for k, _ in rep.residuals_or_ratios) == 2
 
 
 def test_transference_takes_each_spectrum_once(monkeypatch):
