@@ -118,33 +118,40 @@ def _window_integrals(grid: Grid, samples: np.ndarray, windows, kernel=None) -> 
     return outs
 
 
+def _hl_sups(grid: Grid, samples: np.ndarray, radii: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(M, xs.size): sup over radii of the window averages of samples about xs."""
+    sums = _window_integrals(grid, samples, [(xs - r, xs + r) for r in radii])
+    return np.max([t / (2.0 * r) for r, t in zip(radii, sums)], axis=0, initial=0.0)
+
+
 def hardy_littlewood_max(f: SampledFn, sup: SupGrid) -> SampledFn:
     """sup over radii of the window average (1/2r) integral_{x-r}^{x+r} |f|."""
-    x = f.grid.points
-    sums = _window_integrals(f.grid, np.abs(f.values), [(x - r, x + r) for r in sup.radii])
-    best = np.max([t / (2.0 * r) for r, t in zip(sup.radii, sums)], axis=0, initial=0.0)
+    best = _hl_sups(f.grid, np.abs(f.values), sup.radii, f.grid.points)
     return f.with_values(best.reshape(f.values.shape))
 
 
-def conjugate_hardy(f: SampledFn) -> SampledFn:
-    """H f(x) = integral_{|x|}^sup-support |f(y)| / y dy."""
+def _conjugate_hardy_at(f: SampledFn, xa: np.ndarray) -> np.ndarray:
+    """(M, xa.size): integral_{xa}^sup-support |f(y)| / y dy at points xa >= 0."""
     grid = f.grid
     pos = grid.points > 0.0
     if not np.any(pos):
         raise ArgumentError("conjugate_hardy needs positive grid points")
-    # integrate h(y) = |f(y)|/y over [|x|, hi] on the positive side
     edges = _require_panels(grid)
     pedges = edges[edges >= 0.0]
     if pedges.size < 2 or pedges[0] != 0.0:
         pedges = np.concatenate([[0.0], pedges[pedges > 0.0]])
     pgrid = Grid(grid.points[pos], grid.weights[pos], 0.0, float(grid.hi), pedges)
-    xa = np.abs(grid.points)
     with np.errstate(divide="ignore"):
         (vals,) = _window_integrals(pgrid, np.abs(f.values[..., pos]),
                                     [(xa, np.full_like(xa, grid.hi))],
                                     kernel=lambda y: 1.0 / y)
     vals[:, xa >= grid.hi] = 0.0
-    return f.with_values(vals.reshape(f.values.shape))
+    return vals
+
+
+def conjugate_hardy(f: SampledFn) -> SampledFn:
+    """H f(x) = integral_{|x|}^sup-support |f(y)| / y dy."""
+    return f.with_values(_conjugate_hardy_at(f, np.abs(f.grid.points)).reshape(f.values.shape))
 
 
 def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
@@ -262,8 +269,9 @@ def prestini_majorant(order: float, f: SampledFn, sup: SupGrid) -> SampledFn:
     a = float(order)
     g = fx.with_values(fx.values * np.abs(fx.grid.points) ** (a + 0.5))
     pos_idx = np.arange(fx.grid.n // 2, fx.grid.n)
-    mhl = hardy_littlewood_max(g, sup).values[..., pos_idx]
-    hop = conjugate_hardy(g).values[..., pos_idx]
+    xs = fx.grid.points[pos_idx]   # M_HL and H only at the kept nodes x > 0
+    mhl = _hl_sups(fx.grid, np.abs(g.values), sup.radii, xs).reshape(f.values.shape)
+    hop = _conjugate_hardy_at(g, xs).reshape(f.values.shape)
     # one pass: H* is the xi = 0 column, which C leaves out unless 0 is in sup
     q, mid = sup.frequencies, sup.frequencies.size // 2
     sups = _truncated_sups(g, sup, q if q.size % 2 else np.insert(q, mid, 0.0), pos_idx)

@@ -12,8 +12,9 @@ SampledFn take their grid from ``--input``, and only verify and sweep take
 the resolution flags, ``--seed`` and ``--threads``.  A ``--config`` file of
 key=value lines becomes flags placed before the explicit ones, so its
 values are typed and checked like flags and explicit flags win; keys the
-subcommand does not take are ignored.  Exit codes: 0 success, 1 numerical
-failure, 2 argument or I/O error.  Floats print with 17 significant digits.
+subcommand does not take are ignored.  Float flags take finite numbers only.
+Exit codes: 0 success, 1 numerical failure, 2 argument or I/O error, each
+failure with a one-line message.  Floats print with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -43,10 +44,17 @@ from .harness import (Resolution, bcv_lattice_weights, dyadic_indicator_family,
                       write_reports_jsonl, write_summary_csv)
 
 
+def _finite(text: str) -> float:
+    """argparse type of one finite number: nan and inf are refused."""
+    if not np.isfinite(value := float(text)):   # a ValueError reports an invalid value
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    """argparse type of a comma-separated list of numbers, e.g. -0.5,0,1."""
+    """argparse type of a comma-separated list of finite numbers, e.g. -0.5,0,1."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [_finite(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
     if not values:
@@ -252,14 +260,20 @@ def _add_run_flags(sp):
     sp.add_argument("--n-panels", type=int, default=24,
                     help="Gauss panels per half axis (default 24; 8 gives the N=512 profile)")
     sp.add_argument("--nodes-per-panel", type=int, default=32)
-    sp.add_argument("--x-max", type=float, default=3.0)
+    sp.add_argument("--x-max", type=_finite, default=3.0)
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--threads", type=int,
                     default=int(os.environ.get("DUNKL_OSC_THREADS", "1")))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with their one-line message only (--help shows usage)."""
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dunkl-osc",
         description="Dunkl/Hankel transform calculus: transforms, partial sums, "
                     "oscillation/variation seminorms, maximal operators, weight "
@@ -274,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     def input_command(name, handler, help_text):
         """A subcommand on a SampledFn read from --input, with an order and a t-grid."""
         sp = command(name, handler, help_text)
-        sp.add_argument("--alpha", type=float, default=0.0)
+        sp.add_argument("--alpha", type=_finite, default=0.0)
         sp.add_argument("--input", required=True)
         sp.add_argument("--t-grid", type=_float_list, default=None,
                         help="comma separated thresholds")
@@ -282,15 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("transform", _run_transform, "apply a transform to a SampledFn CSV")
     sp.add_argument("--kind", required=True, choices=tuple(TRANSFORMS))
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--alpha", type=_finite, default=0.0)
     sp.add_argument("--input", required=True)
-    sp.add_argument("--freq-max", type=float, default=None)
+    sp.add_argument("--freq-max", type=_finite, default=None)
 
     sp = command("partial-sum", _run_partial_sum, "sharp frequency cut S_t f")
     sp.add_argument("--kind", choices=tuple(PARTIAL_SUMS), default="dunkl")
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--alpha", type=_finite, default=0.0)
     sp.add_argument("--dimension", type=int, default=1)
-    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--t", type=_finite, required=True)
     sp.add_argument("--input", required=True)
 
     input_command("family", _run_family, "partial-sum family over a t-grid")
@@ -300,18 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
                          "default: the sup over every cut sequence)")
 
     sp = input_command("var", _run_var, "r-variation seminorm of the family")
-    sp.add_argument("--r", type=float, default=2.0)
+    sp.add_argument("--r", type=_finite, default=2.0)
     sp = input_command("maximal", _run_maximal, "maximal operators")
     sp.add_argument("--operator", required=True, choices=tuple(MAXIMALS))
 
     sp = command("range", _run_range, "closed-form admissible-range predicates")
     sp.add_argument("--predicate", required=True, choices=tuple(RANGES))
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--gamma", type=float, default=0.0)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
+    sp.add_argument("--p", type=_finite, required=True)
+    sp.add_argument("--beta", type=_finite, default=0.0)
+    sp.add_argument("--alpha", type=_finite, default=0.0)
+    sp.add_argument("--gamma", type=_finite, default=0.0)
+    sp.add_argument("--a", type=_finite, default=None)
+    sp.add_argument("--b", type=_finite, default=None)
 
     sp = command("verify", _run_verify, "identity suite; exit 1 on failure")
     sp.add_argument("--suite", choices=("identities",), default="identities")
@@ -322,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("sweep", _run_sweep, "norm-ratio sweeps and demos")
     sp.add_argument("--kind", required=True, choices=tuple(SWEEPS))
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--beta", type=float, default=0.0)
+    sp.add_argument("--p", type=_finite, default=2.0)
+    sp.add_argument("--beta", type=_finite, default=0.0)
     sp.add_argument("--alpha", type=_float_list, default="0",
                     help="comma separated orders")
     sp.add_argument("--dimension", type=int, default=3)

@@ -35,10 +35,8 @@ class CutSequence:
 
 def _cut_indices(family: PartialSumFamily, cuts: CutSequence) -> np.ndarray:
     tg = family.t_grid.values
-    idx = np.searchsorted(tg, cuts.seq.values)
-    idx = np.clip(idx, 0, tg.size - 1)
-    ok = np.isclose(tg[idx], cuts.seq.values, rtol=1e-12, atol=0.0)
-    if not np.all(ok):
+    idx = np.clip(np.searchsorted(tg, cuts.seq.values), 0, tg.size - 1)
+    if not np.all(np.isclose(tg[idx], cuts.seq.values, rtol=1e-12, atol=0.0)):
         raise ArgumentError("every cut must belong to the family's t-grid")
     return idx
 
@@ -72,14 +70,13 @@ def max_oscillation(family: PartialSumFamily) -> SampledFn:
     `oscillation`."""
     vals = family.values
     T, N = vals.shape
-    parts, (best, run) = np.stack([vals.real, vals.imag]), np.zeros((2, T, N))
-    scratch = np.empty((2, T, N))
+    parts, best, scratch = np.stack([vals.real, vals.imag]), np.zeros((T, N)), np.empty((2, T, N))
     for k in range(1, T):
-        # run[i] = max over i <= t < k of |a_t - a_i|^2 (the block [I_i, I_k))
-        np.maximum(run[:k], _sq_gaps(parts, k - 1, slice(0, k), scratch[:, :k]), out=run[:k])
-        # best sequence whose last cut is k: extend the best one ending at i
-        np.max(np.add(best[:k], run[:k], out=scratch[0, :k]), axis=0, out=best[k])
-    # best[k] >= best[k-1] + run[k-1] = best[k-1], so the last row is the sup
+        # best sequence whose last cut is k: extend the best one ending at i by |a_{k-1} - a_i|^2;
+        # a block sup at t < k-1 is reached by cutting at t+1 instead (best is nondecreasing)
+        gap = _sq_gaps(parts, k - 1, slice(0, k), scratch[:, :k])
+        np.max(np.add(best[:k], gap, out=gap), axis=0, out=best[k])
+    # best[k] >= best[k-1] + |a_{k-1} - a_{k-1}|^2 = best[k-1]: the last row is the sup
     return SampledFn(family.base.grid, np.sqrt(best[-1]), family.base.domain_tag)
 
 

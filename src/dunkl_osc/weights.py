@@ -3,13 +3,13 @@ Muckenhoupt class checkers, and the closed-form admissible-range predicates.
 
 The A_p checker evaluates the product of mu(B)-averages against |x|^mu dx
 (mu = 0 for ap_check) over a deterministic family of intervals (centers 0
-and +-2^j, lengths 2^m), by graded quadrature in two array passes.  A weight
+and +-2^j, lengths 2^m), by graded quadrature in two array passes; the
+integrands are even, so each distinct |x|-piece is integrated once.  A weight
 is accepted when the supremum is finite (a NaN product makes it non-finite)
 and stable both under doubling the center/length range and under refining
 the quadrature resolution (one routine, _ap_stable, for both checkers);
 power weights make the product scale-invariant, so divergence at a critical
-exponent shows up only through quadrature refinement, which is why the
-second stability axis exists.
+exponent shows up only through quadrature refinement, the second axis.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ class NormSpec:
     alpha: float
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ArgumentError("NormSpec needs p > 1")
-        if self.alpha < -0.5:
-            raise ArgumentError("NormSpec needs alpha >= -1/2")
+        if not (np.isfinite([self.p, self.beta, self.alpha]).all() and self.p > 1.0
+                and self.alpha >= -0.5):
+            raise ArgumentError("NormSpec needs finite p > 1, beta and alpha >= -1/2")
 
 
 @dataclass(frozen=True)
@@ -45,11 +44,16 @@ class Weight:
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        n = {"power": 1, "w_ab": 2}.get(self.kind)
+        if len(self.params) != n or not np.isfinite(self.params).all():
+            raise ArgumentError(f"a weight is 'power' with 1 finite exponent or 'w_ab' with 2, "
+                                f"not {self.kind!r} with {self.params}")
+
     def __call__(self, x):
         x = np.abs(np.asarray(x, dtype=float))
         if self.kind == "power":
-            (beta,) = self.params
-            return x ** beta
+            return x ** self.params[0]
         a, b = self.params
         return x ** a * (1.0 + x) ** (b - a)
 
@@ -62,11 +66,8 @@ class Weight:
         return Weight(self.kind, tuple(s * e for e in self.params))
 
     def shifted(self, s: float) -> "Weight":
-        """The weight times |x|^s (both families are closed under this)."""
-        if self.kind == "power":
-            return Weight("power", (self.params[0] + s,))
-        a, b = self.params
-        return Weight("w_ab", (a + s, b + s))
+        """The weight times |x|^s: both families add s to every exponent."""
+        return Weight(self.kind, tuple(e + s for e in self.params))
 
 
 def power_weight(beta: float) -> Weight:
@@ -118,10 +119,11 @@ def _ap_products(weight: Weight, p: float, mu: float, k_range: int,
     """(products, level) over the intervals B of lengths 2^m and centers 0 and
     +-2^j, |m|, |j| <= k_range, in (m, j, sign) order; level = max(|m|, |j|).
     Product: (avg_B w)(avg_B w^{-p'/p})^{p/p'}, avg_B f = int_B f |x|^mu dx /
-    mu(B) (mu = 0: mu(B) = |B|).  Each interval is a row of nodes: the plain
-    template over B or, when B straddles 0, on both sides (at |x|: w is even)
-    the template graded to the integrand's blowup (grading 1 for mu(B)).  The
-    weight is evaluated once per block of rows; integrals are row sums."""
+    mu(B) (mu = 0: mu(B) = |B|).  Each distinct |x|-piece is one row of nodes
+    (the integrands are even): the plain template over [|lo|, |hi|] off 0, so
+    (m, j, -1) copies (m, j, +1); for B straddling 0, its sides [0, -lo], [0, hi],
+    graded to the integrand's blowup (1 for mu(B)) and shared by every such B.
+    The weight is evaluated once per block of rows; integrals are row sums."""
     pp = p / (p - 1.0)
     ex = np.arange(-k_range, k_range + 1.0)
     m, j, s = (a.ravel() for a in np.meshgrid(ex, ex, [-1.0, 0.0, 1.0], indexing="ij"))
@@ -129,21 +131,22 @@ def _ap_products(weight: Weight, p: float, mu: float, k_range: int,
     length, center = 2.0 ** m, s * 2.0 ** j
     lo, hi = center - length / 2.0, center + length / 2.0
     straddle = np.flatnonzero((lo < 0.0) & (hi > 0.0))   # an endpoint at 0 is no straddle
+    plain = np.flatnonzero((lo >= 0.0) & (s > 0.0))      # (m, j, -1) sits 1 or 2 rows before
+    # the side radii are exact dyadic sums, so equal sides are equal floats
+    sides, side_of = np.unique(np.concatenate([-lo[straddle], hi[straddle]]), return_inverse=True)
     e0 = weight.exponent_at_zero       # integrands f: 1 (mu(B), if mu), w, w^{-p'/p}
     grading = {f: _grading_for(mu + c * e0) for f, c in enumerate((0.0, 1.0, -pp / p)) if mu or f}
-    groups = [(np.setdiff1d(np.arange(lo.size), straddle), 1.0, list(grading))] + [
-        (straddle, g, [f for f in grading if grading[f] == g]) for g in set(grading.values())]
+    groups = [(lo[plain], length[plain], 1.0, list(grading))] + [   # pieces [start, start + size]
+        (np.zeros_like(sides), sides, g, [f for f in grading if grading[f] == g])
+        for g in set(grading.values())]
     sums = np.empty((3, length.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for rows, g, need in groups:
+        for start, size, g, need in groups:
             x0, q0 = _side_template(n_panels, g)
+            piece = np.empty((3, size.size))
             # row blocks of ~2^13 nodes keep the temporaries small and cache-resident
-            for r in np.array_split(rows, 1 + rows.size * x0.size // 2 ** 13):
-                if rows is straddle:
-                    span = np.stack([-lo[r], hi[r]], axis=1)[:, :, None]
-                    x, q = ((span * a).reshape(len(r), -1) for a in (x0, q0))
-                else:
-                    x, q = lo[r, None] + length[r, None] * x0, length[r, None] * q0
+            for r in np.array_split(np.arange(size.size), 1 + size.size * x0.size // 2 ** 13):
+                x, q = start[r, None] + size[r, None] * x0, size[r, None] * q0
                 dens, wx = (np.abs(x) ** mu if mu else 1.0), weight(x)
                 for f in need:
                     if f == 2:   # w^{-p'/p}, from the exponents where w(x) underflowed to 0
@@ -151,7 +154,12 @@ def _ap_products(weight: Weight, p: float, mu: float, k_range: int,
                         if (lost := ~np.isfinite(wq)).any():
                             wq[lost] = weight.raised(-pp / p)(x[lost])
                     fx = dens if f == 0 else (wx if f == 1 else wq) * dens
-                    sums[f, r] = (q * fx).sum(axis=1)
+                    piece[f, r] = (q * fx).sum(axis=1)
+            if size is sides:   # a straddling row is the sum of its two sides
+                lr = piece[need][:, side_of.reshape(2, -1)]
+                sums[np.ix_(need, straddle)] = lr[:, 0] + lr[:, 1]
+            else:
+                sums[:, plain] = sums[:, plain - 1 - (j[plain] == 0.0)] = piece
         meas = sums[0] if mu else length
         return sums[1] / meas * (sums[2] / meas) ** (p / pp), np.maximum(abs(m), abs(j))
 
@@ -177,11 +185,15 @@ def _ap_stable(weight: Weight, p: float, mu: float, refine: int,
     return bool(ok), base
 
 
+def _require_p_alpha(name: str, p: float, alpha: float = -0.5) -> None:
+    if not (1.0 < p < np.inf and -0.5 <= alpha < np.inf):   # NaN fails too
+        raise ArgumentError(f"{name} needs finite p > 1 and alpha >= -1/2, got {p}, {alpha}")
+
+
 def ap_check(weight: Weight, p: float, interval_samples: int = 96) -> tuple[bool, float]:
     """Numerical A_p membership: (is_member, sup_estimate), by the stability
     test of _ap_stable with Lebesgue measure."""
-    if not p > 1.0:
-        raise ArgumentError("ap_check needs p > 1")
+    _require_p_alpha("ap_check", p)
     return _ap_stable(weight, p, 0.0, 4, interval_samples)
 
 
@@ -189,14 +201,11 @@ def ap_alpha_check(weight: Weight, p: float, alpha: float) -> bool:
     """Membership in A_p^alpha: w(x) |x|^{2a+1-p(a+1/2)} in A_p.  Power
     weights use the closed criterion; w_ab weights shift into another w_ab
     and go through the numerical checker."""
-    if not p > 1.0:
-        raise ArgumentError("ap_alpha_check needs p > 1")
+    _require_p_alpha("ap_alpha_check", p, alpha)
     shift = 2.0 * alpha + 1.0 - p * (alpha + 0.5)
     if weight.kind == "power":
-        c = weight.params[0] + shift
-        return -1.0 < c < p - 1.0
-    member, _ = ap_check(weight.shifted(shift), p)
-    return member
+        return -1.0 < weight.params[0] + shift < p - 1.0
+    return ap_check(weight.shifted(shift), p)[0]
 
 
 def conjectured_measure_ap_check(weight: Weight, p: float, alpha: float,
@@ -204,8 +213,7 @@ def conjectured_measure_ap_check(weight: Weight, p: float, alpha: float,
     """Experimental: the Muckenhoupt product with the measure |x|^{2a+1} dx
     in both averages.  No boundedness claim is attached to this predicate;
     it is exposed only behind the CLI --experimental flag."""
-    if not p > 1.0:
-        raise ArgumentError("needs p > 1")
+    _require_p_alpha("conjectured_measure_ap_check", p, alpha)
     return _ap_stable(weight, p, 2.0 * alpha + 1.0, 2, interval_samples)
 
 
@@ -215,8 +223,8 @@ def conjectured_measure_ap_check(weight: Weight, p: float, alpha: float,
 def range_full_oscillation(p: float, beta: float, alpha: float) -> bool:
     """-1 < beta + (alpha+1/2)(2-p) < p/2 - 1, for p >= 2, with the extra
     admissible point beta = 0 at p = 2."""
-    if p < 2.0:
-        raise ArgumentError("the full-range predicate needs p >= 2")
+    if not 2.0 <= p < np.inf:
+        raise ArgumentError(f"the full-range predicate needs a finite p >= 2, got {p}")
     if p == 2.0 and beta == 0.0:
         return True
     c = beta + (alpha + 0.5) * (2.0 - p)
@@ -225,8 +233,7 @@ def range_full_oscillation(p: float, beta: float, alpha: float) -> bool:
 
 def range_dyadic_oscillation(p: float, beta: float, alpha: float) -> bool:
     """-1 < beta + (alpha+1/2)(2-p) < p - 1, for p > 1."""
-    if not p > 1.0:
-        raise ArgumentError("needs p > 1")
+    _require_p_alpha("range_dyadic_oscillation", p)
     c = beta + (alpha + 0.5) * (2.0 - p)
     return -1.0 < c < p - 1.0
 
@@ -234,8 +241,7 @@ def range_dyadic_oscillation(p: float, beta: float, alpha: float) -> bool:
 def transplant_range(p: float, beta: float, alpha: float, gamma: float) -> bool:
     """Two-sided transplantation condition:
     -1 - p min(a+1/2, g+1/2) < beta < -1 + p min(a+3/2, g+3/2)."""
-    if not p > 1.0:
-        raise ArgumentError("needs p > 1")
+    _require_p_alpha("transplant_range", p)
     lo = -1.0 - p * min(alpha + 0.5, gamma + 0.5)
     hi = -1.0 + p * min(alpha + 1.5, gamma + 1.5)
     return lo < beta < hi

@@ -8,7 +8,8 @@ from dunkl_osc import (HALF_LINE, ArgumentError, ResolutionError,
                        gaussian, hardy_littlewood_max, make_breakpoint_grid,
                        make_graded_grid, maximal_hilbert, prestini_majorant,
                        sample)
-from dunkl_osc.classical_ops import _even_zero_extension, _truncated_sups
+from dunkl_osc.classical_ops import (_conjugate_hardy_at, _even_zero_extension, _hl_sups,
+                                     _truncated_sups)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +210,22 @@ def test_prestini_parts_match_public_operators(freqs):
         maj = prestini_majorant(a, f, sup).values
         assert maj.shape == f.values.shape
         assert np.max(np.abs(maj - parts) / np.abs(parts)) <= 1e-14
+
+
+def test_majorant_windows_at_the_kept_nodes_are_bitwise():
+    # the majorant takes M_HL and H at the positive nodes of the zero extension
+    # only; the full operators restricted to those nodes give the same bits
+    half = make_graded_grid(0.0, 3.0, 8, 32, 1.0)
+    f = sample(bump(1.5, 1.2), half, HALF_LINE)
+    stack = f.with_values(np.stack([f.values, sample(gaussian(2.0, 0.4), half).values * 1j]))
+    sup = default_sup_grid(half, [0.5, 1.0, 2.0])
+    for h in (_even_zero_extension(f), _even_zero_extension(stack)):
+        idx = np.arange(h.grid.n // 2, h.grid.n)
+        xs = h.grid.points[idx]
+        full = (hardy_littlewood_max(h, sup).values, conjugate_hardy(h).values)
+        kept = (_hl_sups(h.grid, np.abs(h.values), sup.radii, xs), _conjugate_hardy_at(h, xs))
+        for a, b in zip(full, kept):
+            assert np.array_equal(a[..., idx].reshape(b.shape), b)
 
 
 def _rows_match(stacked, single_calls):

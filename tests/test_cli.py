@@ -151,6 +151,29 @@ def test_bad_values_exit_2_without_traceback(workdir, capsys, argv):
     assert err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["range", "--predicate", "ap", "--beta", "nan", "--p", "2"], "--beta"),
+    (["range", "--predicate", "ap", "--p", "inf"], "--p"),
+    (["range", "--predicate", "ap-alpha", "--alpha", "nan", "--p", "2"], "--alpha"),
+    (["sweep", "--kind", "oscillation", "--beta", "inf", "--n-panels", "4"], "--beta"),
+    (["sweep", "--kind", "oscillation", "--p", "nan", "--n-panels", "4"], "--p"),
+    (["verify", "--alpha", "0,nan", "--n-panels", "4"], "--alpha"),
+], ids=["ap-beta-nan", "ap-p-inf", "ap-alpha-alpha-nan", "sweep-beta-inf", "sweep-p-nan",
+        "verify-alpha-list-nan"])
+def test_non_finite_flag_exits_2_with_one_line(workdir, capsys, argv, flag):
+    # refused while parsing: no verdict, no report file, no sweep
+    assert main(argv + ["--output", "out.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and not os.path.exists("out.txt")
+    assert err.count("\n") == 1 and f"argument {flag}: expected a finite number" in err
+
+
+def test_usage_errors_are_one_line(workdir, capsys):
+    assert main(["transform", "--kind", "dunkl"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "required: --input" in err
+
+
 def _range_verdict(capsys, argv):
     assert main(argv) == 0
     return json.loads(capsys.readouterr().out.strip())

@@ -5,6 +5,7 @@ import pytest
 
 from dunkl_osc import (ArgumentError, CutSequence, PartialSumFamily,
                        ThresholdSeq, build_family, carleson_dunkl_max,
+                       default_t_grid,
                        carleson_hankel_max, even_odd_split, make_graded_grid,
                        max_oscillation, oscillation, sample, variation)
 
@@ -94,6 +95,32 @@ def test_max_oscillation_matches_brute_force(grid):
             cuts = CutSequence(ThresholdSeq(tg.values[list(pick)]), k - 1)
             brute = np.maximum(brute, oscillation(fam, cuts).values.real)
     assert np.array_equal(max_oscillation(fam).values.real, brute)
+
+
+def _run_table_max_oscillation(family):
+    """The DP with a running table run[i] = max over i <= t < k of |a_t - a_i|^2
+    and best[k] = max over i < k of best[i] + run[i]."""
+    vals = family.values
+    T, N = vals.shape
+    best, run = np.zeros((T, N)), np.zeros((T, N))
+    for k in range(1, T):
+        d = vals[:k] - vals[k - 1]
+        run[:k] = np.maximum(run[:k], d.real * d.real + d.imag * d.imag)
+        best[k] = np.max(best[:k] + run[:k], axis=0)
+    return np.sqrt(best[-1])
+
+
+def test_max_oscillation_needs_no_run_table(grid, res512, freq512, corpus512):
+    # cutting a block just after its arg-sup never lowers the sum, so the DP
+    # over |a_{k-1} - a_i|^2 alone reaches the same floats
+    rng = np.random.Generator(np.random.Philox(key=11))
+    fams = [synthetic_family(list(rng.standard_normal((T, grid.n))
+                                  + 1j * rng.standard_normal((T, grid.n))), grid)
+            for T in (2, 5, 40)]
+    fams += [build_family(a, m.sampled, default_t_grid(res512), freq512)
+             for a in (0.0, 1.0) for m in corpus512[:3]]
+    for fam in fams:
+        assert np.array_equal(max_oscillation(fam).values.real, _run_table_max_oscillation(fam))
 
 
 def test_max_oscillation_between_fixed_and_variation(space512, freq512, one_bump):

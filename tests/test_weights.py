@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dunkl_osc import (HALF_LINE, ArgumentError, DomainError, NormSpec,
-                       ap_alpha_check, ap_check, beta_star,
+                       Weight, ap_alpha_check, ap_check, beta_star,
                        conjectured_measure_ap_check, make_graded_grid,
                        power_weight, range_dyadic_oscillation,
                        range_full_oscillation, sample, transplant_range,
@@ -239,3 +239,114 @@ def test_base_sup_from_wide_pass_is_bitwise(mu):
     base, _ = _ap_products(weight, 2.0, mu, 10, 12)
     assert np.array_equal(np.sort(wide[level <= 10]), np.sort(base))
     assert np.max(wide[level <= 10]) == np.max(base)
+
+
+def _rows(k_range):
+    """(m, j, sign) of the rows of _ap_products, in its order."""
+    ex = np.arange(-k_range, k_range + 1.0)
+    m, j, s = (a.ravel() for a in np.meshgrid(ex, ex, [-1.0, 0.0, 1.0], indexing="ij"))
+    keep = (s != 0.0) | (j == 0.0)
+    return m[keep], j[keep], s[keep]
+
+
+@pytest.mark.parametrize("k_range,n_panels", [(20, 12), (10, 24)])
+@pytest.mark.parametrize("weight,p,mu", [
+    (w_ab_weight(-1.5, 0.5), 2.0, 1.0), (w_ab_weight(0.6, -0.3), 3.0, 0.0)])
+def test_mirrored_intervals_give_equal_products(weight, p, mu, k_range, n_panels):
+    # w and |x|^mu are even: B and -B carry the same product, bit for bit
+    prod, _ = _ap_products(weight, p, mu, k_range, n_panels)
+    m, j, s = _rows(k_range)
+    key = {(a, b, c): i for i, (a, b, c) in enumerate(zip(m, j, s))}
+    minus = [key[a, b, -1.0] for a, b in zip(m[s > 0], j[s > 0])]
+    assert np.array_equal(prod[minus], prod[s > 0])
+
+
+def _two_sided_products(weight, p, mu, k_range, n_panels):
+    """Products of the intervals that straddle 0, each integral taken as the
+    sum of one row that concatenates the nodes of both sides [0, -lo], [0, hi]."""
+    pp = p / (p - 1.0)
+    m, j, s = _rows(k_range)
+    length, center = 2.0 ** m, s * 2.0 ** j
+    lo, hi = center - length / 2.0, center + length / 2.0
+    st = (lo < 0.0) & (hi > 0.0)
+    sums = []
+    with np.errstate(divide="ignore", over="ignore"):
+        for f, c in enumerate((0.0, 1.0, -pp / p)):
+            x0, q0 = _side_template(n_panels, _grading_for(mu + c * weight.exponent_at_zero))
+            span = np.stack([-lo[st], hi[st]], axis=1)[:, :, None]
+            x, q = ((span * a).reshape(np.count_nonzero(st), -1) for a in (x0, q0))
+            dens, fx = (np.abs(x) ** mu if mu else 1.0), weight(x)
+            if f == 2:
+                fx = fx ** (-pp / p)
+                lost = ~np.isfinite(fx)
+                fx[lost] = weight.raised(-pp / p)(x[lost])
+            sums.append((q * (dens if f == 0 else fx * dens)).sum(axis=1))
+    meas = sums[0] if mu else length[st]
+    return sums[1] / meas * (sums[2] / meas) ** (p / pp), st
+
+
+@pytest.mark.parametrize("k_range,n_panels", [(20, 12), (10, 24)])
+@pytest.mark.parametrize("weight,p,mu", [
+    (w_ab_weight(-1.5, 0.5), 2.0, 1.0),   # gradings 4 and 1, mu(B) shares 1
+    (w_ab_weight(0.6, -0.3), 3.0, 0.0),   # gradings 1 and 3
+    (power_weight(3.9), 3.0, 1.0),        # w^{-p'/p} from the exponents where w underflows
+])
+def test_straddling_rows_equal_the_two_sided_row_sum(weight, p, mu, k_range, n_panels):
+    # a pairwise sum over 2n nodes (n = 96, 192) is the sum of its two halves,
+    # so sharing each side between intervals changes no bit
+    ref, st = _two_sided_products(weight, p, mu, k_range, n_panels)
+    prod, _ = _ap_products(weight, p, mu, k_range, n_panels)
+    assert np.isfinite(ref).all() and np.array_equal(prod[st], ref)
+
+
+def test_each_piece_is_integrated_once(monkeypatch):
+    # mirrored intervals and shared straddle sides are evaluated once: the
+    # check takes 567,072 weight evaluations (1,192,128 row by row)
+    evaluated = []
+    call = Weight.__call__
+
+    def counting_call(self, x):
+        evaluated.append(np.size(x))
+        return call(self, x)
+
+    monkeypatch.setattr(Weight, "__call__", counting_call)
+    conjectured_measure_ap_check(w_ab_weight(-1.5, 0.5), 2.0, 0.0)
+    assert 0 < sum(evaluated) <= 600_000
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("foo", (1.0,)), ("power", (1.0, 2.0)), ("w_ab", (1.0,)),
+    ("power", (np.nan,)), ("w_ab", (0.5, np.inf))])
+def test_malformed_weight_raises(kind, params):
+    with pytest.raises(ArgumentError):
+        Weight(kind, params)
+
+
+@pytest.mark.parametrize("p,beta,alpha", [
+    (np.inf, 0.0, 0.0), (np.nan, 0.0, 0.0), (2.0, np.nan, 0.0), (2.0, -np.inf, 0.0),
+    (2.0, 0.0, np.nan), (2.0, 0.0, np.inf)])
+def test_norm_spec_needs_finite_values(p, beta, alpha):
+    with pytest.raises(ArgumentError):
+        NormSpec(p, beta, alpha)
+
+
+@pytest.mark.parametrize("p,alpha", [
+    (np.inf, 0.0), (np.nan, 0.0), (1.0, 0.0), (2.0, np.nan), (2.0, np.inf), (2.0, -0.75)])
+def test_checkers_reject_bad_p_and_alpha(p, alpha):
+    w = w_ab_weight(0.0, 0.5)
+    with pytest.raises(ArgumentError):
+        ap_alpha_check(w, p, alpha)
+    with pytest.raises(ArgumentError):
+        conjectured_measure_ap_check(w, p, alpha)
+    if alpha == 0.0:
+        with pytest.raises(ArgumentError):
+            ap_check(w, p)
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf])
+def test_range_predicates_reject_non_finite_p(p):
+    for predicate in (range_full_oscillation, range_dyadic_oscillation):
+        with pytest.raises(ArgumentError):
+            predicate(p, 0.0, 0.0)
+    with pytest.raises(ArgumentError):
+        transplant_range(p, 0.0, 0.0, 0.0)
