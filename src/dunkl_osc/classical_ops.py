@@ -72,8 +72,7 @@ def default_sup_grid(grid: Grid, t_values=None) -> SupGrid:
 
 def _require_panels(grid: Grid) -> np.ndarray:
     if grid.panel_edges is None:
-        raise ArgumentError("this operator needs a grid with panel structure "
-                            "(grids loaded from CSV do not carry one)")
+        raise ArgumentError("this operator needs a grid with panel structure")
     return grid.panel_edges
 
 
@@ -132,18 +131,16 @@ def hardy_littlewood_max(f: SampledFn, sup: SupGrid) -> SampledFn:
 
 def _conjugate_hardy_at(f: SampledFn, xa: np.ndarray) -> np.ndarray:
     """(M, xa.size): integral_{xa}^sup-support |f(y)| / y dy at points xa >= 0."""
-    grid = f.grid
-    pos = grid.points > 0.0
-    if not np.any(pos):
-        raise ArgumentError("conjugate_hardy needs positive grid points")
+    grid, samples = f.grid, np.abs(f.values)
     edges = _require_panels(grid)
-    pedges = edges[edges >= 0.0]
-    if pedges.size < 2 or pedges[0] != 0.0:
-        pedges = np.concatenate([[0.0], pedges[pedges > 0.0]])
-    pgrid = Grid(grid.points[pos], grid.weights[pos], 0.0, float(grid.hi), pedges)
+    if grid.lo < 0.0:   # integrate over the panels right of the edge at 0
+        if not np.any(edges[:-1] == 0.0):
+            raise ArgumentError("conjugate_hardy on a grid with lo < 0 needs a panel edge at 0")
+        pos = grid.points > 0.0
+        samples = samples[..., pos]
+        grid = Grid(grid.points[pos], grid.weights[pos], 0.0, grid.hi, edges[edges >= 0.0])
     with np.errstate(divide="ignore"):
-        (vals,) = _window_integrals(pgrid, np.abs(f.values[..., pos]),
-                                    [(xa, np.full_like(xa, grid.hi))],
+        (vals,) = _window_integrals(grid, samples, [(xa, np.full_like(xa, grid.hi))],
                                     kernel=lambda y: 1.0 / y)
     vals[:, xa >= grid.hi] = 0.0
     return vals
@@ -229,32 +226,23 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
     return np.moveaxis(out, 1, 0).reshape(f.values.shape[:-1] + (xs.size, nQ))
 
 
-def _on_grid(f: SampledFn, out: np.ndarray, eval_idx) -> SampledFn | np.ndarray:
-    return SampledFn(f.grid, out, f.domain_tag) if eval_idx is None else out
-
-
-def maximal_hilbert(f: SampledFn, sup: SupGrid,
-                    eval_idx: np.ndarray | None = None) -> SampledFn | np.ndarray:
+def maximal_hilbert(f: SampledFn, sup: SupGrid) -> SampledFn:
     """sup over eps of |integral_{|y|>eps} f(x-y)/y dy|."""
-    return _on_grid(f, _truncated_sups(f, sup, np.zeros(1), eval_idx)[..., 0], eval_idx)
+    return f.with_values(_truncated_sups(f, sup, np.zeros(1))[..., 0])
 
 
-def carleson_hunt(f: SampledFn, sup: SupGrid,
-                  eval_idx: np.ndarray | None = None) -> SampledFn | np.ndarray:
+def carleson_hunt(f: SampledFn, sup: SupGrid) -> SampledFn:
     """sup over (eps, xi) of |integral_{|y|>eps} e^{i xi y} f(x-y)/y dy|."""
-    sups = _truncated_sups(f, sup, sup.frequencies, eval_idx)
-    return _on_grid(f, np.max(sups, axis=-1), eval_idx)
+    return f.with_values(np.max(_truncated_sups(f, sup, sup.frequencies), axis=-1))
 
 
 def _even_zero_extension(f: SampledFn) -> SampledFn:
-    """Half-line f viewed on the full line, zero on the negative axis."""
+    """Half-line f (grid lo = 0) viewed on the full line, zero on the negative axis."""
     g = f.grid
     edges = _require_panels(g)
     pts = np.concatenate([-g.points[::-1], g.points])
     wts = np.concatenate([g.weights[::-1], g.weights])
-    eds = np.concatenate([-edges[::-1], edges[1:]]) if edges[0] == 0.0 else \
-        np.concatenate([-edges[::-1], [0.0], edges])
-    full = Grid(pts, wts, -g.hi, g.hi, eds)
+    full = Grid(pts, wts, -g.hi, g.hi, np.concatenate([-edges[::-1], edges[1:]]))
     vals = np.concatenate([np.zeros_like(f.values), f.values], axis=-1)
     return SampledFn(full, vals, FULL_LINE)
 
@@ -265,6 +253,8 @@ def prestini_majorant(order: float, f: SampledFn, sup: SupGrid) -> SampledFn:
     and estimated empirically by the harness."""
     if f.domain_tag != HALF_LINE:
         raise ArgumentError("prestini_majorant expects a half-line function")
+    if f.grid.lo != 0.0:
+        raise ArgumentError("prestini_majorant needs a half-line grid with lo = 0")
     fx = _even_zero_extension(f)
     a = float(order)
     g = fx.with_values(fx.values * np.abs(fx.grid.points) ** (a + 0.5))

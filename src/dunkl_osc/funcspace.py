@@ -14,7 +14,6 @@ leading batch axes, with the last axis on the grid.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from .errors import ArgumentError, DomainError
 FULL_LINE = "full_line"
 HALF_LINE = "half_line"
 
-_CSV_MAGIC = "# dunkl-osc sampledfn v1"
+_CSV_MAGIC = "# dunkl-osc sampledfn v2"
 
 
 def _freeze(a, dtype=float) -> np.ndarray:
@@ -52,9 +51,9 @@ def _text_file(path_or_buf, mode: str):
 @dataclass(frozen=True)
 class Grid:
     """Strictly increasing quadrature abscissae with positive weights on
-    a support interval [lo, hi].  panel_edges is kept when the grid was
-    built panel-wise (classical_ops requires it); grids re-read from CSV
-    lose it."""
+    a support interval [lo, hi].  panel_edges, the strictly increasing
+    panel boundaries, is kept when the grid was built panel-wise
+    (classical_ops requires it)."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -82,7 +81,11 @@ class Grid:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
         if self.panel_edges is not None:
-            object.__setattr__(self, "panel_edges", _freeze(self.panel_edges))
+            edges = _freeze(self.panel_edges)
+            if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
+                    or np.any(np.diff(edges) <= 0.0)):
+                raise ArgumentError("panel edges must be finite and strictly increasing")
+            object.__setattr__(self, "panel_edges", edges)
         h = hashlib.sha1()
         h.update(pts.tobytes())
         h.update(np.array([self.lo, self.hi], dtype=float).tobytes())
@@ -469,65 +472,48 @@ def half_line_corpus(grid: Grid, seed: int = 7) -> list[CorpusMember]:
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization:  "# dunkl-osc sampledfn v1 domain=<full|half>"
+# CSV serialization: one header line that carries the grid exactly,
+#   "# dunkl-osc sampledfn v2 domain=<full|half> lo=<lo> hi=<hi> edges=<e0,e1,...|none>",
+# the column line "x,weight,re,im", then one row per node; %.17g round-trips float64.
+
+_DOMAINS = {"full": FULL_LINE, "half": HALF_LINE}
+_COLUMNS = "x,weight,re,im"
+
 
 def write_sampled_fn(path_or_buf, f: SampledFn) -> None:
+    if f.values.ndim != 1:
+        raise ArgumentError("a sampledfn CSV holds one function, not a stack")
+    g = f.grid
     tag = "full" if f.domain_tag == FULL_LINE else "half"
+    edges = "none" if g.panel_edges is None else ",".join(f"{e:.17g}" for e in g.panel_edges)
     with _text_file(path_or_buf, "w") as buf:
-        buf.write(f"{_CSV_MAGIC} domain={tag}\n")
-        buf.write("x,weight,re,im\n")
-        for x, w, v in zip(f.grid.points, f.grid.weights, f.values):
+        buf.write(f"{_CSV_MAGIC} domain={tag} lo={g.lo:.17g} hi={g.hi:.17g} edges={edges}\n")
+        buf.write(_COLUMNS + "\n")
+        for x, w, v in zip(g.points, g.weights, f.values):
             buf.write(f"{x:.17g},{w:.17g},{v.real:.17g},{v.imag:.17g}\n")
 
 
 def read_sampled_fn(path_or_buf) -> SampledFn:
-    with _text_file(path_or_buf, "r") as buf:
-        header = buf.readline().strip()
-        if not header.startswith(_CSV_MAGIC):
-            raise ArgumentError("not a dunkl-osc sampledfn CSV")
-        tag = HALF_LINE if header.endswith("domain=half") else FULL_LINE
-        cols = buf.readline()
-        if not cols.startswith("x,"):
-            raise ArgumentError("missing column header")
-        data = np.loadtxt(io.StringIO(buf.read()), delimiter=",", ndmin=2)
-    x, w = data[:, 0], data[:, 1]
-    vals = data[:, 2] + 1j * data[:, 3]
-    # support endpoints are not stored; rebuild them so the length invariant
-    # holds exactly, splitting the margin in proportion to the edge gaps
-    margin = float(w.sum()) - float(x[-1] - x[0])
-    g0 = x[1] - x[0] if x.size > 1 else 1.0
-    g1 = x[-1] - x[-2] if x.size > 1 else 1.0
-    lo = float(x[0] - margin * g0 / (g0 + g1))
-    if tag == HALF_LINE and lo < 0.0:
-        lo = 0.0
-    hi = lo + float(w.sum())
-    edges = _recover_panel_edges(x, w)
-    if edges is not None:
-        lo, hi = float(edges[0]), float(edges[-1])
-    return SampledFn(Grid(x, w, lo, hi, edges), vals, tag)
-
-
-def _recover_panel_edges(x: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    """Detect composite Gauss-Legendre block structure in a node/weight list
-    (uniform-Jacobian panels only, as written by this package's grids)."""
-    n = x.size
-    for p in (64, 48, 32, 24, 16, 12, 8, 4):
-        if n % p or n < p:
-            continue
-        gx, gw = np.polynomial.legendre.leggauss(p)
-        xs = x.reshape(-1, p)
-        ws = w.reshape(-1, p)
-        # infer each panel's affine map from the outermost node pair
-        hl = (xs[:, -1] - xs[:, 0]) / (gx[-1] - gx[0])
-        mid = xs[:, 0] - hl * gx[0]
-        pred = mid[:, None] + hl[:, None] * gx
-        span = x[-1] - x[0]
-        if np.max(np.abs(pred - xs)) > 1e-10 * span:
-            continue
-        if np.max(np.abs(ws - hl[:, None] * gw)) > 1e-8 * np.max(w):
-            continue
-        a, b = mid - hl, mid + hl
-        if np.max(np.abs(b[:-1] - a[1:])) > 1e-10 * span:
-            continue
-        return np.concatenate([a, [b[-1]]])
-    return None
+    """Strict reader of the format above: any other file raises ArgumentError."""
+    try:
+        with _text_file(path_or_buf, "r") as buf:
+            head, cols, body = buf.readline().split(), buf.readline().strip(), buf.read()
+    except UnicodeDecodeError:
+        raise ArgumentError("a sampledfn file must be UTF-8 text") from None
+    fields = dict(tok.partition("=")[::2] for tok in head[4:])
+    if (head[:4] != _CSV_MAGIC.split() or len(head) != 8 or fields.get("domain") not in _DOMAINS
+            or list(fields) != ["domain", "lo", "hi", "edges"]):
+        raise ArgumentError(f"expected the header '{_CSV_MAGIC} domain=<full|half> lo=... hi=... "
+                            "edges=...' (regenerate files of older versions)")
+    if cols != _COLUMNS or not body.strip():
+        raise ArgumentError(f"a sampledfn file needs the column line {_COLUMNS} and data rows")
+    try:
+        data = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2, comments=None)
+        lo, hi = float(fields["lo"]), float(fields["hi"])
+        edges = None if fields["edges"] == "none" else np.array(fields["edges"].split(","), float)
+        if data.shape[1] != 4:
+            raise ValueError
+    except ValueError:
+        raise ArgumentError("sampledfn lo, hi, edges and rows must be numeric, 4 to a row") from None
+    return SampledFn(Grid(data[:, 0], data[:, 1], lo, hi, edges), data[:, 2] + 1j * data[:, 3],
+                     _DOMAINS[fields["domain"]])

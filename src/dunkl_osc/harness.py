@@ -126,12 +126,16 @@ class ExperimentReport:
         return max(vals) if vals else 0.0
 
     def to_json(self) -> str:
-        return json.dumps({
+        """One line of strict JSON: non-finite numbers are written as null."""
+        text = json.dumps({
             "name": self.name, "inputs": self.inputs,
             "residuals_or_ratios": [[k, v] for (k, v) in self.residuals_or_ratios],
             "tolerance": self.tolerance, "passed": self.passed,
             "runtime_ms": self.runtime_ms, "resolution": self.resolution,
             "seed": self.seed}, sort_keys=True)
+        # NaN and +-Infinity parse to None; finite floats round-trip exactly
+        return json.dumps(json.loads(text, parse_constant=lambda _: None), sort_keys=True,
+                          allow_nan=False)
 
 
 def write_reports_jsonl(path, reports: Sequence[ExperimentReport]) -> None:
@@ -495,12 +499,7 @@ class MultiplierFamily:
 
 
 def dyadic_indicator_family(k_min: int, k_max: int) -> MultiplierFamily:
-    labels, evals = [], []
-    for k in range(k_min, k_max + 1):
-        lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-        labels.append(f"1_[{lo:g},{hi:g})")
-        evals.append(lambda u, lo=lo, hi=hi: ((u >= lo) & (u < hi)).astype(float))
-    return MultiplierFamily(labels, evals)
+    return interval_indicator_family([(2.0 ** k, 2.0 ** (k + 1)) for k in range(k_min, k_max + 1)])
 
 
 def interval_indicator_family(intervals: Sequence[tuple]) -> MultiplierFamily:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dunkl_osc import (HALF_LINE, ArgumentError, ResolutionError,
+from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, ResolutionError,
                        SupGrid, ThresholdSeq, build_family, bump,
                        carleson_hunt, conjugate_hardy, default_sup_grid,
                        gaussian, hardy_littlewood_max, make_breakpoint_grid,
@@ -72,6 +72,32 @@ def test_conjugate_hardy_log():
     f2 = sample(lambda x: (np.abs(np.asarray(x, float)) < 1.0).astype(float), g2)
     out2 = conjugate_hardy(f2)
     assert np.max(np.abs(out2.values[np.abs(g2.points) >= 1.0])) == 0.0
+
+
+def test_conjugate_hardy_on_grids_off_the_origin():
+    # a half-line grid starting above 0 integrates over its own panels; a grid
+    # with lo < 0 needs a panel edge at 0 to split off its positive panels.
+    # H 1(x) = log(hi / |x|), exact at |x| off the end panels, where the cut
+    # panel's interpolated samples of 1 are exact (24 nodes a panel put the last
+    # node beyond the last 12-point sub-node, so the last panel is exact too)
+    one = lambda x: np.ones_like(np.asarray(x, float))
+    for g, tag in ((make_graded_grid(0.2, 2.0, 6, 24), HALF_LINE),
+                   (make_graded_grid(-1.0, 3.0, 6, 24, 2.0), FULL_LINE)):
+        pe = g.panel_edges[g.panel_edges >= 0.0]
+        x = np.abs(g.points)
+        inner = (x >= pe[1]) & (x <= pe[-2])
+        out = conjugate_hardy(sample(one, g, tag)).values
+        assert inner.sum() > g.n // 3
+        assert np.max(np.abs(out[inner] - np.log(g.hi / x[inner]))) <= 1e-10   # Gauss on 1/y
+    with pytest.raises(ArgumentError, match="panel edge at 0"):
+        conjugate_hardy(sample(one, make_breakpoint_grid([-1.0, 0.5, 2.0], 8)))
+
+
+def test_prestini_majorant_needs_lo_0():
+    g = make_graded_grid(0.2, 2.0, 6, 8)
+    f = sample(bump(1.0, 0.5), g, HALF_LINE)
+    with pytest.raises(ArgumentError, match="lo = 0"):
+        prestini_majorant(0.0, f, default_sup_grid(g))
 
 
 def test_maximal_hilbert_log3():
@@ -203,7 +229,8 @@ def test_prestini_parts_match_public_operators(freqs):
         fx = _even_zero_extension(f)
         g = fx.with_values(fx.values * np.abs(fx.grid.points) ** (a + 0.5))
         idx = np.arange(fx.grid.n // 2, fx.grid.n)
-        hst, car = maximal_hilbert(g, sup, idx), carleson_hunt(g, sup, idx)
+        hst = maximal_hilbert(g, sup).values[..., idx]
+        car = carleson_hunt(g, sup).values[..., idx]
         assert freqs is None or np.any(hst > car)   # a stray xi = 0 column in C would show
         parts = (hardy_littlewood_max(g, sup).values[..., idx]
                  + conjugate_hardy(g).values[..., idx] + hst + car) * half.points ** (-(a + 0.5))
@@ -249,7 +276,6 @@ def test_operators_act_along_the_last_axis(smooth_pair):
            "conjugate-hardy": lambda h: conjugate_hardy(h).values,
            "maximal-hilbert": lambda h: maximal_hilbert(h, sup).values,
            "carleson-hunt": lambda h: carleson_hunt(h, sup).values,
-           "maximal-hilbert at nodes": lambda h: maximal_hilbert(h, sup, idx),
            "truncated sups": lambda h: _truncated_sups(h, sup, sup.frequencies),
            "truncated sups at nodes": lambda h: _truncated_sups(h, sup, sup.frequencies, idx)}
     for name, op in ops.items():
@@ -289,7 +315,7 @@ def test_truncated_sups_match_quad_oracle():
     sup = SupGrid(np.array([5.0, 3.0, 0.4, 0.2, 0.1]), np.concatenate([-xis, [0.0], xis]))
     idx = np.array([np.argmin(np.abs(g.points - c)) for c in (-0.4, 0.1, 0.35)])
     sups = _truncated_sups(f, sup, sup.frequencies, idx)
-    hilb, carl = maximal_hilbert(f, sup, idx), carleson_hunt(f, sup, idx)
+    hilb, carl = maximal_hilbert(f, sup).values[idx], carleson_hunt(f, sup).values[idx]
     for i, x in enumerate(g.points[idx]):
         ref = np.zeros((sup.radii.size, sup.frequencies.size))
         for e, eps in enumerate(sup.radii):

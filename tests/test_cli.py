@@ -51,8 +51,8 @@ def test_partial_sum_and_family(workdir):
                  "--t", "2", "--input", "f.csv", "--output", "S.csv"]) == 0
     assert main(["family", "--alpha", "0", "--input", "f.csv",
                  "--t-grid", "0.5,1,2,4", "--output", "fam.csv"]) == 0
-    head = open("fam.csv").readline()
-    assert head.startswith("x,0.5,1,2,4")
+    with open("fam.csv") as fh:
+        assert fh.readline().startswith("x,0.5,1,2,4")
 
 
 def test_osc_var_maximal(workdir):
@@ -65,6 +65,45 @@ def test_osc_var_maximal(workdir):
                  "--output", "mj.csv"]) == 0
     mj = read_sampled_fn("mj.csv")
     assert np.all(mj.values.real > 0)
+
+
+def test_maximal_on_graded_half_line_csv(workdir):
+    # a graded grid keeps its panel edges through the CSV, which the majorant needs
+    g = make_graded_grid(0.0, 2.0, 6, 8, 2.0)
+    write_sampled_fn("gh.csv", sample(bump(1.0, 0.8), g, HALF_LINE))
+    assert main(["maximal", "--operator", "prestini-majorant", "--alpha", "0",
+                 "--input", "gh.csv", "--output", "gmj.csv"]) == 0
+    assert read_sampled_fn("gmj.csv").grid.key == g.key
+
+
+# case -> the file's lines, from the header, column line and rows of a valid file
+MALFORMED = {
+    "v1-header": lambda h, c, rows: ["# dunkl-osc sampledfn v1 domain=full", c, *rows],
+    "unknown-header": lambda h, c, rows: ["# some other file", c, *rows],
+    "bogus-domain": lambda h, c, rows: [h.replace("domain=full", "domain=bogus"), c, *rows],
+    "non-numeric-lo": lambda h, c, rows: [h.replace("lo=-3", "lo=abc"), c, *rows],
+    "edges-out-of-order": lambda h, c, rows: [h.replace("edges=-3,", "edges=3,"), c, *rows],
+    "missing-column-line": lambda h, c, rows: [h, *rows],
+    "non-numeric-cell": lambda h, c, rows: [h, c, rows[0], rows[1][:rows[1].rindex(",")] + ",abc",
+                                            *rows[2:]],
+    "three-columns": lambda h, c, rows: [h, c, *[r[:r.rindex(",")] for r in rows]],
+    "no-rows": lambda h, c, rows: [h, c],
+    "comment-rows": lambda h, c, rows: [h, c, "# no data"],
+    "not-utf8": lambda h, c, rows: [h, c, "\udcff" + rows[0], *rows[1:]],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_csv_exits_2_with_one_line(workdir, capsys, case):
+    with open("f.csv") as fh:
+        head, cols, *rows = fh.read().splitlines()
+    with open("bad.csv", "wb") as fh:
+        fh.write("\n".join(MALFORMED[case](head, cols, rows)).encode("utf-8", "surrogateescape"))
+    assert main(["transform", "--kind", "dunkl", "--input", "bad.csv",
+                 "--output", "T.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not os.path.exists("T.csv")
 
 
 def test_range_verdict(workdir, capsys):
@@ -125,9 +164,11 @@ def test_verify_writes_reports(workdir):
                  "--n-panels", "6", "--seed", "7",
                  "--output", "rep.jsonl", "--summary", "sum.csv"])
     assert code in (0, 1)
-    lines = open("rep.jsonl").read().splitlines()
+    with open("rep.jsonl") as fh:
+        lines = fh.read().splitlines()
     assert lines and json.loads(lines[0])["seed"] == 7
-    assert open("sum.csv").readline().startswith("name,passed")
+    with open("sum.csv") as fh:
+        assert fh.readline().startswith("name,passed")
 
 
 def test_threads_env_fallback(workdir, monkeypatch):

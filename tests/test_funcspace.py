@@ -3,10 +3,10 @@ import io
 import numpy as np
 import pytest
 
-from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid, SampledFn, SupGrid,
-                       ThresholdSeq, bump, even_odd_split, gaussian, integrate,
-                       make_graded_grid, moment_cancelled_corpus, multiply_power,
-                       read_sampled_fn, sample, write_sampled_fn)
+from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid, Resolution, SampledFn,
+                       SupGrid, ThresholdSeq, bump, even_odd_split, gaussian, integrate,
+                       make_breakpoint_grid, make_graded_grid, moment_cancelled_corpus,
+                       multiply_power, read_sampled_fn, sample, write_sampled_fn)
 from dunkl_osc.funcspace import _mapped_side, assemble_from_parts, assemble_values
 
 
@@ -143,15 +143,54 @@ def test_csv_roundtrip():
     write_sampled_fn(buf, f)
     buf.seek(0)
     head = buf.readline()
-    assert head.startswith("# dunkl-osc sampledfn v1 domain=full")
+    assert head.startswith("# dunkl-osc sampledfn v2 domain=full")
     buf.seek(0)
     back = read_sampled_fn(buf)
     assert back.domain_tag == FULL_LINE
     assert np.max(np.abs(back.values - f.values)) == 0.0
     assert np.max(np.abs(back.grid.points - g.points)) == 0.0
-    # panel structure recovered for affine Gauss grids
-    assert back.grid.panel_edges is not None
-    assert np.max(np.abs(back.grid.panel_edges - g.panel_edges)) < 1e-12
+    # the header carries the panel structure exactly
+    assert np.array_equal(back.grid.panel_edges, g.panel_edges)
+
+
+ROUNDTRIP_GRIDS = {
+    "full-graded-3": lambda: make_graded_grid(-2.0, 2.0, 6, 8, 3.0),
+    "half-graded-2": lambda: make_graded_grid(0.0, 2.0, 6, 8, 2.0),
+    "from-0.2": lambda: make_graded_grid(0.2, 2.0, 5, 8),
+    "lopsided": lambda: make_graded_grid(-1.0, 3.0, 6, 8, 2.0),
+    "default-resolution": lambda: Resolution(24).space_grid(),
+    "breakpoints": lambda: make_breakpoint_grid([-1.3, -0.2, 0.0, 0.7, 2.9], 12),
+    "no-edges": lambda: Grid(np.array([-0.5, 0.25, 0.5]), np.array([0.75, 0.75, 0.5]), -1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUNDTRIP_GRIDS))
+def test_csv_roundtrip_keeps_the_grid_exactly(name):
+    # support, panel edges and so the grid key (the kernel-cache key) read back bit for bit
+    g = ROUNDTRIP_GRIDS[name]()
+    tag = HALF_LINE if g.lo >= 0.0 else FULL_LINE
+    f = sample(lambda x: np.exp(1j * np.asarray(x)) / (1.0 + np.asarray(x) ** 2), g, tag)
+    buf = io.StringIO()
+    write_sampled_fn(buf, f)
+    buf.seek(0)
+    back = read_sampled_fn(buf)
+    assert back.grid.key == g.key and back.domain_tag == tag
+    assert (back.grid.lo, back.grid.hi) == (g.lo, g.hi)
+    if g.panel_edges is None:
+        assert back.grid.panel_edges is None
+    else:
+        assert np.array_equal(back.grid.panel_edges, g.panel_edges)
+    assert np.array_equal(back.grid.weights, g.weights)
+    assert np.array_equal(back.values, f.values)
+
+
+def test_csv_refuses_a_stack():
+    g = make_graded_grid(-1.0, 1.0, 2, 4)
+    stack = SampledFn(g, np.ones((2, g.n)))
+    buf = io.StringIO()
+    with pytest.raises(ArgumentError):
+        write_sampled_fn(buf, stack)
+    assert buf.getvalue() == ""
 
 
 def _mapped_side_loop(span, n_panels, nodes, grading):
@@ -247,6 +286,15 @@ def test_grid_rejects_non_finite():
         Grid(np.array([0.2, 0.5, 0.8]), np.array([0.2, np.inf, 0.2]), 0.0, 1.0)
     with pytest.raises(ArgumentError):
         Grid(np.array([0.2, 0.5, 0.8]), w, -np.inf, 1.0)
+
+
+def test_grid_rejects_malformed_panel_edges():
+    pts, w = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    for edges in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5, 1.0], [0.0, np.nan, 1.0], [0.5],
+                  [[0.0, 0.5, 1.0]]):
+        with pytest.raises(ArgumentError, match="panel edges"):
+            Grid(pts, w, 0.0, 1.0, np.array(edges))
+    assert Grid(pts, w, 0.0, 1.0, np.array([0.0, 0.5, 1.0])).panel_edges.size == 3
 
 
 def test_sampled_fn_rejects_non_finite():

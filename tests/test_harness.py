@@ -121,7 +121,7 @@ def test_multiplier_family_validation():
     with pytest.raises(ArgumentError):
         interval_indicator_family([(2.0, 1.0)])
     dy = dyadic_indicator_family(-2, 2)
-    assert len(dy) == 5
+    assert dy.labels == ["1_[0.25,0.5)", "1_[0.5,1)", "1_[1,2)", "1_[2,4)", "1_[4,8)"]
     vals = dy.evaluate(1, np.array([0.4, 0.6]))
     assert vals.tolist() == [0.0, 1.0]
 
@@ -145,6 +145,21 @@ def test_weighted_carleson_skip_nonintegrable():
     (r,) = reps
     assert r.passed
     assert any("skipped" in k for (k, _) in r.residuals_or_ratios)
+
+
+def test_reports_are_strict_json():
+    # the sweeps' infinite tolerance and a skipped weight's NaN ratio are written as null
+    reps = weighted_carleson_sweep([w_ab_weight(-1.2, 0.0), w_ab_weight(0.0, 0.5)], 2.0, -0.5,
+                                   resolution_n512(), experimental=True)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    recs = [json.loads(r.to_json(), parse_constant=refuse) for r in reps]
+    assert [rec["tolerance"] for rec in recs] == [None, None]
+    assert recs[0]["residuals_or_ratios"] == [["skipped (non-integrable weight)", None]]
+    assert [v for _, v in recs[1]["residuals_or_ratios"]] == [v for _, v in
+                                                              reps[1].residuals_or_ratios]
 
 
 def test_default_t_grid_dilation_closure():
