@@ -87,7 +87,8 @@ def _window_integrals(grid: Grid, samples: np.ndarray, windows, kernel=None) -> 
     """integral_a^b samples(y) kernel(y) dy for each (a, b) in windows, a <= b
     elementwise, as (M, n) rows, one per function of the real (..., N) stack samples.
     Whole panels use the grid weights with node-exact kernel values, their prefix sums
-    formed once; the cut panels are re-quadratured with interpolated samples."""
+    formed once; the cut panels are re-quadratured with interpolated samples, held at
+    the end samples between the end nodes and the support's edges."""
     samples = samples.reshape(-1, grid.n)
     integrand = samples if kernel is None else samples * kernel(grid.points)
     edges = _require_panels(grid)
@@ -97,7 +98,7 @@ def _window_integrals(grid: Grid, samples: np.ndarray, windows, kernel=None) -> 
 
     def seg(lo, hi):
         nodes, wts = _sub_gauss(lo, hi)
-        v = np.stack([np.interp(nodes, grid.points, row, 0.0, 0.0) for row in samples])
+        v = np.stack([np.interp(nodes, grid.points, row) for row in samples])
         if kernel is not None:
             v = v * kernel(nodes)
         return np.sum(wts * v, axis=-1)

@@ -38,9 +38,10 @@ from .classical_ops import (carleson_hunt, conjugate_hardy, default_sup_grid,
 from .weights import (NormSpec, ap_alpha_check, ap_check, beta_star,
                       power_weight, range_dyadic_oscillation,
                       range_full_oscillation, transplant_range, w_ab_weight)
-from .harness import (Resolution, bcv_lattice_weights, dyadic_indicator_family,
-                      oscillation_ratio_sweep, prestini_constant_sweep, run_identity_suite,
-                      transference_demo, transplant_roundtrip_report, weighted_carleson_sweep,
+from .harness import (Resolution, _one_blas_thread, bcv_lattice_weights,
+                      dyadic_indicator_family, oscillation_ratio_sweep,
+                      prestini_constant_sweep, run_identity_suite, transference_demo,
+                      transplant_roundtrip_report, weighted_carleson_sweep,
                       write_reports_jsonl, write_summary_csv)
 
 
@@ -49,6 +50,13 @@ def _finite(text: str) -> float:
     if not np.isfinite(value := float(text)):   # a ValueError reports an invalid value
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _float_list(text: str) -> list[float]:
@@ -262,8 +270,10 @@ def _add_run_flags(sp):
     sp.add_argument("--nodes-per-panel", type=int, default=32)
     sp.add_argument("--x-max", type=_finite, default=3.0)
     sp.add_argument("--seed", type=int, default=7)
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("DUNKL_OSC_THREADS", "1")))
+    # argparse types a string default too, so a bad environment value exits 2
+    sp.add_argument("--threads", type=_positive_int,
+                    default=os.environ.get("DUNKL_OSC_THREADS", "1"),
+                    help="worker threads (default $DUNKL_OSC_THREADS, else 1)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,21 +367,25 @@ def _config_tokens(args) -> list[str]:
     """The config file's key=value lines as flag tokens, for the keys the
     parsed subcommand takes; a true store_true value is the bare flag."""
     tokens = []
-    with open(args.config) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, val = (s.strip() for s in line.split("=", 1))
-            dest = key.replace("-", "_")
-            # command and handler are namespace entries, not flags
-            if dest in ("command", "handler") or not hasattr(args, dest):
-                continue
-            flag = "--" + dest.replace("_", "-")
-            if not isinstance(getattr(args, dest), bool):
-                tokens.append(f"{flag}={val}")
-            elif val.lower() in ("1", "true", "yes"):
-                tokens.append(flag)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"{args.config}: a config file must be UTF-8 text") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        key, val = (s.strip() for s in line.split("=", 1))
+        dest = key.replace("-", "_")
+        # command and handler are namespace entries, not flags
+        if dest in ("command", "handler") or not hasattr(args, dest):
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(getattr(args, dest), bool):
+            tokens.append(f"{flag}={val}")
+        elif val.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
     return tokens
 
 
@@ -396,7 +410,8 @@ def main(argv=None) -> int:
             # config flags go right after the subcommand, so explicit ones win
             at = argv.index(args.command) + 1
             args = ap.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
-        return args.handler(args)
+        with _one_blas_thread():
+            return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ArgumentError, DomainError, ResolutionError, OSError) as exc:

@@ -22,11 +22,14 @@ upper bound is ever claimed.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,11 +154,49 @@ def write_summary_csv(path, reports: Sequence[ExperimentReport]) -> None:
             fh.write(f"{r.name},{str(r.passed).lower()},{r.max_value():.17g},{r.runtime_ms}\n")
 
 
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled in the numpy
+    wheel, or None when the library or either symbol is not found."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        libs = sorted(f for f in os.listdir(libdir) if f.startswith("libscipy_openblas"))
+        lib = ctypes.CDLL(os.path.join(libdir, libs[0]))
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with the bundled OpenBLAS on one thread and restore the
+    previous count on exit: a second BLAS thread buys no wall time on these
+    GEMMs, doubles the CPU time and changes no result.  A no-op when the
+    library is not found or OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
+    The count is process-wide: when two threads run _map_ordered at once, the
+    first to leave restores the old count under the other (slower, same bits)."""
+    blas = _openblas_threads()
+    if blas is None or os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
+        yield
+        return
+    get, set_ = blas
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
 def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    with _one_blas_thread():
+        if threads <= 1 or len(items) <= 1:
+            return [fn(it) for it in items]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
 
 
 def _l2(vals: np.ndarray, grid: Grid, alpha: float):

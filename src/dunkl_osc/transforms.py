@@ -155,11 +155,19 @@ def _fourier_matrix(rows: Grid, cols: Grid) -> np.ndarray:
     key = ("fourier", rows.key, cols.key)
 
     def build():
-        # in place: one complex kernel-sized buffer instead of three at once
-        mat = (rows.points[:, None] * cols.points[None, :]).astype(complex)
-        mat *= -1j
-        np.exp(mat, out=mat)
-        mat /= np.sqrt(2.0 * np.pi)
+        # on a symmetric row grid row -xi is exactly the conjugate of row xi,
+        # and likewise column -x of column x, so exp runs on the non-negative
+        # rows and columns only (m = 0 or k = 0: on all of them)
+        m = rows.n // 2 if rows.is_symmetric else 0
+        k = cols.n // 2 if cols.is_symmetric else 0
+        mat = np.empty((rows.n, cols.n), dtype=complex)
+        top = mat[m:, k:]
+        top[...] = np.multiply.outer(rows.points[m:], cols.points[k:])
+        top *= -1j
+        np.exp(top, out=top)
+        top /= np.sqrt(2.0 * np.pi)
+        np.conjugate(top[:, ::-1][:, :k], out=mat[m:, :k])
+        np.conjugate(mat[m:][::-1][:m], out=mat[:m])
         return mat
 
     return _cached(key, build)

@@ -93,6 +93,15 @@ def test_conjugate_hardy_on_grids_off_the_origin():
         conjugate_hardy(sample(one, make_breakpoint_grid([-1.0, 0.5, 2.0], 8)))
 
 
+def test_conjugate_hardy_end_panels_read_the_end_samples():
+    # with 8 nodes a panel the 12-point sub-nodes of a cut end panel reach past
+    # the last grid node; they take the end sample, not 0, so H 1 = log(2/x)
+    g = make_graded_grid(0.0, 2.0, 6, 8)
+    x = g.points[g.n // 4:3 * g.n // 4]
+    out = conjugate_hardy(sample(lambda y: np.ones_like(np.asarray(y, float)), g, HALF_LINE))
+    assert np.max(np.abs(out.values[g.n // 4:3 * g.n // 4] - np.log(2.0 / x))) <= 1e-12
+
+
 def test_prestini_majorant_needs_lo_0():
     g = make_graded_grid(0.2, 2.0, 6, 8)
     f = sample(bump(1.0, 0.5), g, HALF_LINE)

@@ -178,6 +178,39 @@ def test_threads_env_fallback(workdir, monkeypatch):
     assert args.threads == 2
 
 
+def test_bad_threads_env_exits_2_only_where_read(workdir, capsys, monkeypatch):
+    # the environment value is typed like the flag, when a subcommand uses it
+    monkeypatch.setenv("DUNKL_OSC_THREADS", "abc")
+    assert main(["verify", "--help"]) == 0
+    assert main(["range", "--predicate", "full", "--p", "2"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--n-panels", "2", "--output", "r.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "argument --threads: expected a positive integer" in err
+    assert not os.path.exists("r.jsonl")
+    # an explicit flag wins over the bad default
+    from dunkl_osc.cli import build_parser
+    assert build_parser().parse_args(["verify", "--threads", "3"]).threads == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1.5"])
+def test_threads_below_one_exit_2(workdir, capsys, value):
+    argv = ["sweep", "--kind", "prestini", "--n-panels", "2", "--output", "r.jsonl"]
+    assert main(argv + [f"--threads={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "argument --threads: expected a positive integer" in err
+    assert not os.path.exists("r.jsonl")
+
+
+def test_non_utf8_config_exits_2_with_one_line(workdir, capsys):
+    with open("bin.conf", "wb") as fh:
+        fh.write(b"\xff\xfe")
+    assert main(["range", "--predicate", "full", "--p", "2", "--config", "bin.conf"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.count("\n") == 1 and "bin.conf: a config file must be UTF-8 text" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--alpha", "x"],
     ["family", "--input", "f.csv", "--t-grid", "a,b"],

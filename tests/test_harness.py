@@ -12,6 +12,7 @@ from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec,
                        transference_demo, transforms,
                        w_ab_weight, weighted_carleson_sweep,
                        write_reports_jsonl, write_summary_csv)
+from dunkl_osc import cli, harness
 from dunkl_osc.cli import _t_grid_for
 from dunkl_osc.funcspace import CorpusMember, SampledFn
 from dunkl_osc.harness import IDENTITIES, _gate_members, _sweep_corpus, default_t_grid
@@ -285,3 +286,73 @@ def test_transference_high_dimension():
     ratios = dict(r.residuals_or_ratios)
     assert all(np.isfinite(v) for v in ratios.values())
     assert r.passed and ratios["max |fourier - hankel| orthogonal-norm gap"] <= 1e-6
+
+
+@pytest.fixture()
+def blas_get(monkeypatch):
+    """The bundled OpenBLAS's thread-count getter, with the count at 2, no
+    thread variable in the environment, and the old count restored after."""
+    if harness._openblas_threads() is None:
+        pytest.skip("the bundled OpenBLAS is not found")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    get, set_ = harness._openblas_threads()
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_one_blas_thread_scope_restores_the_count(blas_get):
+    with harness._one_blas_thread():
+        assert blas_get() == 1
+        with harness._one_blas_thread():
+            assert blas_get() == 1
+        assert blas_get() == 1
+    assert blas_get() == 2
+    with pytest.raises(RuntimeError, match="body"):
+        with harness._one_blas_thread():
+            assert blas_get() == 1
+            raise RuntimeError("body")
+    assert blas_get() == 2
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_one_blas_thread_yields_to_an_explicit_setting(blas_get, monkeypatch, var):
+    monkeypatch.setenv(var, "2")
+    with harness._one_blas_thread():
+        assert blas_get() == 2
+
+
+def test_one_blas_thread_without_the_library(blas_get, monkeypatch):
+    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
+    with harness._one_blas_thread():
+        assert blas_get() == 2
+
+
+def test_pool_and_cli_run_on_one_blas_thread(blas_get, monkeypatch, capsys):
+    # the count is process-wide, so the pool's workers see it too
+    assert harness._map_ordered(lambda _: blas_get(), [0, 1, 2], 2) == [1, 1, 1]
+    monkeypatch.setitem(cli.RANGES, "beta-star", (lambda args: blas_get(), "count"))
+    assert cli.main(["range", "--predicate", "beta-star", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == 1
+    assert blas_get() == 2
+
+
+def test_residuals_do_not_depend_on_the_blas_thread_count(blas_get, monkeypatch, small_res):
+    pinned = run_identity_suite(small_res, seed=5, alphas=(0.0, 1.0))
+    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
+    transforms.clear_kernel_cache()
+    free = run_identity_suite(small_res, seed=5, alphas=(0.0, 1.0))
+    assert [r.residuals_or_ratios for r in pinned] == [r.residuals_or_ratios for r in free]
+
+
+def test_bundled_openblas_symbols_are_found():
+    # a wheel-layout change must not silently switch the thread policy off
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy does not describe its BLAS build")
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy is built against {blas.get('name')!r}")
+    assert harness._openblas_threads() is not None

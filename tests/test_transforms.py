@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dunkl_osc import (HALF_LINE, ArgumentError, ResolutionError, SampledFn, bump, dunkl,
+from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError, SampledFn, bump, dunkl,
                        dunkl_inverse, dunkl_modified, dunkl_modified_inverse,
                        even_odd_split, fourier, fourier_inverse, frequency_grid,
                        gaussian, hankel,
@@ -356,3 +356,15 @@ def test_every_transform_acts_on_a_stack(space512, freq512, corpus512):
         for i in range(3):
             one = op(stack.with_values(stack.values[i])).values
             assert np.max(np.abs(out.values[i] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def test_fourier_kernel_equals_the_plain_formula(space512, freq512, cold_kernel_cache):
+    # the conjugate-symmetric build on symmetric grids (even and odd n) and the
+    # direct one along a non-symmetric grid give the formula's bits
+    odd = Grid(np.linspace(-2.0, 2.0, 9), np.full(9, 0.5), -2.25, 2.25)
+    skew = make_graded_grid(-1.0, 2.0, 4, 8, 1.0)
+    assert odd.is_symmetric and not skew.is_symmetric
+    for rows, cols in ((freq512, space512), (space512, freq512), (odd, space512),
+                       (space512, odd), (skew, space512), (odd, skew), (skew, skew)):
+        plain = np.exp(-1j * np.multiply.outer(rows.points, cols.points)) / np.sqrt(2.0 * np.pi)
+        assert np.array_equal(transforms._fourier_matrix(rows, cols), plain)
