@@ -2,14 +2,15 @@
 Muckenhoupt class checkers, and the closed-form admissible-range predicates.
 
 The A_p checker evaluates the product of mu(B)-averages against |x|^mu dx
-(mu = 0 for ap_check) over a deterministic family of intervals (centers 0
-and +-2^j, lengths 2^m), by graded quadrature in two array passes; the
+(mu = 0 for ap_check) over a deterministic family of intervals (centers 0 and
++-2^j, lengths 2^m), by graded quadrature in two array passes over a batch of
+weights (a weighted-Carleson sweep checks all of its weights in one); the
 integrands are even, so each distinct |x|-piece is integrated once.  A weight
-is accepted when the supremum is finite (a NaN product makes it non-finite)
-and stable both under doubling the center/length range and under refining
-the quadrature resolution (one routine, _ap_stable, for both checkers);
-power weights make the product scale-invariant, so divergence at a critical
-exponent shows up only through quadrature refinement, the second axis.
+is accepted when the supremum is finite (a NaN product makes it non-finite) and
+stable both under doubling the center/length range and under refining the
+quadrature resolution (one routine, _ap_stable, for both checkers); power
+weights make the product scale-invariant, so divergence at a critical exponent
+shows up only through quadrature refinement, the second axis.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ class NormSpec:
             raise ArgumentError("NormSpec needs finite p > 1, beta and alpha >= -1/2")
 
 
+def _powers(x):
+    """power(0, e) = |x|^e, power(1, e) = (1+|x|)^e at the nodes x, each computed once."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    bases = (ax, 1.0 + ax)
+    return lru_cache(maxsize=None)(lambda base, e: bases[base] ** e)
+
+
 @dataclass(frozen=True)
 class Weight:
     """Even nonnegative weight: power |x|^beta or w_ab = |x|^a (1+|x|)^{b-a}."""
@@ -51,11 +59,14 @@ class Weight:
                                 f"not {self.kind!r} with {self.params}")
 
     def __call__(self, x):
-        x = np.abs(np.asarray(x, dtype=float))
+        return self.at(_powers(x))
+
+    def at(self, power):
+        """The weight from the powers of its nodes (see _powers): the one formula."""
         if self.kind == "power":
-            return x ** self.params[0]
+            return power(0, self.params[0])
         a, b = self.params
-        return x ** a * (1.0 + x) ** (b - a)
+        return power(0, a) * power(1, b - a)
 
     @property
     def exponent_at_zero(self) -> float:
@@ -114,16 +125,17 @@ def _grading_for(exponent: float) -> float:
     return 60.0
 
 
-def _ap_products(weight: Weight, p: float, mu: float, k_range: int,
+def _ap_products(weights: list[Weight], p: float, mu: float, k_range: int,
                  n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """(products, level) over the intervals B of lengths 2^m and centers 0 and
-    +-2^j, |m|, |j| <= k_range, in (m, j, sign) order; level = max(|m|, |j|).
+    +-2^j, |m|, |j| <= k_range, in (m, j, sign) order, a row per weight; level = max(|m|, |j|).
     Product: (avg_B w)(avg_B w^{-p'/p})^{p/p'}, avg_B f = int_B f |x|^mu dx /
     mu(B) (mu = 0: mu(B) = |B|).  Each distinct |x|-piece is one row of nodes
     (the integrands are even): the plain template over [|lo|, |hi|] off 0, so
     (m, j, -1) copies (m, j, +1); for B straddling 0, its sides [0, -lo], [0, hi],
     graded to the integrand's blowup (1 for mu(B)) and shared by every such B.
-    The weight is evaluated once per block of rows; integrals are row sums."""
+    The rows, node blocks, mu(B) and each distinct power of a block's |x| or 1+|x|
+    are built once per batch; integrals are row sums."""
     pp = p / (p - 1.0)
     ex = np.arange(-k_range, k_range + 1.0)
     m, j, s = (a.ravel() for a in np.meshgrid(ex, ex, [-1.0, 0.0, 1.0], indexing="ij"))
@@ -134,39 +146,43 @@ def _ap_products(weight: Weight, p: float, mu: float, k_range: int,
     plain = np.flatnonzero((lo >= 0.0) & (s > 0.0))      # (m, j, -1) sits 1 or 2 rows before
     # the side radii are exact dyadic sums, so equal sides are equal floats
     sides, side_of = np.unique(np.concatenate([-lo[straddle], hi[straddle]]), return_inverse=True)
-    e0 = weight.exponent_at_zero       # integrands f: 1 (mu(B), if mu), w, w^{-p'/p}
-    grading = {f: _grading_for(mu + c * e0) for f, c in enumerate((0.0, 1.0, -pp / p)) if mu or f}
-    groups = [(lo[plain], length[plain], 1.0, list(grading))] + [   # pieces [start, start + size]
-        (np.zeros_like(sides), sides, g, [f for f in grading if grading[f] == g])
-        for g in set(grading.values())]
-    sums = np.empty((3, length.size))
+    # integrand f of weight i (0: mu(B), one for every weight; 1: w; 2: w^{-p'/p}) and its
+    # grading; one of w, w^{-p'/p} is bounded at 0, so mu(B)'s grading 1 is a group
+    tasks = [(slice(None), 0, 1.0)] * bool(mu) + [(i, f, _grading_for(mu + c * w.exponent_at_zero))
+             for i, w in enumerate(weights) for f, c in ((1, 1.0), (2, -pp / p))]
+    groups = [(lo[plain], length[plain], None)] + [   # pieces [start, start + size]
+        (np.zeros_like(sides), sides, g) for g in {t[2] for t in tasks}]
+    sums = np.empty((len(weights), 3, length.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start, size, g, need in groups:
-            x0, q0 = _side_template(n_panels, g)
-            piece = np.empty((3, size.size))
+        for start, size, g in groups:
+            x0, q0 = _side_template(n_panels, g or 1.0)
+            todo = [(i, f) for i, f, gf in tasks if g in (None, gf)]
+            piece = np.empty((len(weights), 3, size.size))
             # row blocks of ~2^13 nodes keep the temporaries small and cache-resident
             for r in np.array_split(np.arange(size.size), 1 + size.size * x0.size // 2 ** 13):
                 x, q = start[r, None] + size[r, None] * x0, size[r, None] * q0
-                dens, wx = (np.abs(x) ** mu if mu else 1.0), weight(x)
-                for f in need:
+                power = _powers(x)
+                dens = power(0, mu) if mu else 1.0
+                for i, f in todo:
+                    fx = dens if f == 0 else weights[i].at(power)
                     if f == 2:   # w^{-p'/p}, from the exponents where w(x) underflowed to 0
-                        wq = wx ** (-pp / p)
-                        if (lost := ~np.isfinite(wq)).any():
-                            wq[lost] = weight.raised(-pp / p)(x[lost])
-                    fx = dens if f == 0 else (wx if f == 1 else wq) * dens
-                    piece[f, r] = (q * fx).sum(axis=1)
-            if size is sides:   # a straddling row is the sum of its two sides
-                lr = piece[need][:, side_of.reshape(2, -1)]
-                sums[np.ix_(need, straddle)] = lr[:, 0] + lr[:, 1]
-            else:
-                sums[:, plain] = sums[:, plain - 1 - (j[plain] == 0.0)] = piece
-        meas = sums[0] if mu else length
-        return sums[1] / meas * (sums[2] / meas) ** (p / pp), np.maximum(abs(m), abs(j))
+                        fx = fx ** (-pp / p)
+                        if (lost := ~np.isfinite(fx)).any():
+                            fx[lost] = weights[i].raised(-pp / p)(x[lost])
+                    piece[i, f, r] = (q * (fx if f == 0 else fx * dens)).sum(axis=1)
+            if g is None:
+                sums[..., plain] = sums[..., plain - 1 - (j[plain] == 0.0)] = piece
+            else:   # a straddling row is the sum of its two sides
+                for i, f in todo:
+                    lr = piece[i, f][..., side_of.reshape(2, -1)]
+                    sums[i, f][..., straddle] = lr[..., 0, :] + lr[..., 1, :]
+        meas = sums[:, 0] if mu else length
+        return sums[:, 1] / meas * (sums[:, 2] / meas) ** (p / pp), np.maximum(abs(m), abs(j))
 
 
-def _ap_stable(weight: Weight, p: float, mu: float, refine: int,
-               interval_samples: int) -> tuple[bool, float]:
-    """(is_member, sup_estimate) of the A_p product against |x|^mu dx.
+def _ap_stable(weights: list[Weight], p: float, mu: float, refine: int,
+               interval_samples: int) -> list[tuple[bool, float]]:
+    """(is_member, sup_estimate) per weight of the A_p product against |x|^mu dx.
 
     The k_range = 10 supremum (base, read from the wide pass) must be finite
     and move by less than 5% both when the center/length range doubles (wide)
@@ -177,12 +193,14 @@ def _ap_stable(weight: Weight, p: float, mu: float, refine: int,
     Power weights make the product scale invariant, so only the resolution
     axis can expose a divergence at the origin; huge or tiny intervals expose
     failures at infinity."""
+    if type(interval_samples) is not int or interval_samples < 1:   # refuses bools and floats
+        raise ArgumentError(f"interval_samples must be an int >= 1, got {interval_samples!r}")
     n_panels = max(4, interval_samples // 8)
-    prod, level = _ap_products(weight, p, mu, 20, n_panels)
-    base, wide = float(np.max(prod[level <= 10])), float(np.max(prod))
-    fine = float(np.max(_ap_products(weight, p, mu, 10, refine * n_panels)[0]))
-    ok = wide <= 1.05 * base and fine <= 1.05 * base and np.isfinite(base)
-    return bool(ok), base
+    prod, level = _ap_products(weights, p, mu, 20, n_panels)
+    base, wide = np.max(prod[:, level <= 10], axis=1), np.max(prod, axis=1)
+    fine = np.max(_ap_products(weights, p, mu, 10, refine * n_panels)[0], axis=1)
+    ok = (wide <= 1.05 * base) & (fine <= 1.05 * base) & np.isfinite(base)
+    return [(bool(o), float(b)) for o, b in zip(ok, base)]
 
 
 def _require_p_alpha(name: str, p: float, alpha: float = -0.5) -> None:
@@ -194,7 +212,7 @@ def ap_check(weight: Weight, p: float, interval_samples: int = 96) -> tuple[bool
     """Numerical A_p membership: (is_member, sup_estimate), by the stability
     test of _ap_stable with Lebesgue measure."""
     _require_p_alpha("ap_check", p)
-    return _ap_stable(weight, p, 0.0, 4, interval_samples)
+    return _ap_stable([weight], p, 0.0, 4, interval_samples)[0]
 
 
 def ap_alpha_check(weight: Weight, p: float, alpha: float) -> bool:
@@ -208,13 +226,16 @@ def ap_alpha_check(weight: Weight, p: float, alpha: float) -> bool:
     return ap_check(weight.shifted(shift), p)[0]
 
 
-def conjectured_measure_ap_check(weight: Weight, p: float, alpha: float,
-                                 interval_samples: int = 96) -> tuple[bool, float]:
-    """Experimental: the Muckenhoupt product with the measure |x|^{2a+1} dx
-    in both averages.  No boundedness claim is attached to this predicate;
-    it is exposed only behind the CLI --experimental flag."""
+def conjectured_measure_ap_check(weights: Weight | list[Weight], p: float, alpha: float,
+                                 interval_samples: int = 96) -> tuple[bool, float] | list:
+    """Experimental: the Muckenhoupt product with the measure |x|^{2a+1} dx in
+    both averages; (is_member, sup_estimate) for a Weight, a list of them for a
+    list of weights, checked in one pass.  No boundedness claim is attached to
+    this predicate; it is exposed only behind the CLI --experimental flag."""
     _require_p_alpha("conjectured_measure_ap_check", p, alpha)
-    return _ap_stable(weight, p, 2.0 * alpha + 1.0, 2, interval_samples)
+    one = isinstance(weights, Weight)
+    out = _ap_stable([weights] if one else weights, p, 2.0 * alpha + 1.0, 2, interval_samples)
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------

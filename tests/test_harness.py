@@ -1,13 +1,14 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec,
-                       Resolution, bump, classical_ops, dyadic_indicator_family,
-                       interval_indicator_family, oscillation_ratio_sweep,
+                       Resolution, bump, classical_ops, conjectured_measure_ap_check,
+                       dyadic_indicator_family, interval_indicator_family, oscillation_ratio_sweep,
                        prestini_constant_sweep, resolution_n512, run_identity_suite, sample,
                        transference_demo, transforms,
                        w_ab_weight, weighted_carleson_sweep,
@@ -146,6 +147,29 @@ def test_weighted_carleson_skip_nonintegrable():
     (r,) = reps
     assert r.passed
     assert any("skipped" in k for (k, _) in r.residuals_or_ratios)
+
+
+def test_weighted_carleson_sweep_checks_once_at_any_thread_count(monkeypatch):
+    # one batched A_p call for the integrable weights; a = -2.5 is skipped unchecked
+    weights = [w_ab_weight(0.5, 0.5), w_ab_weight(-2.5, 0.0), w_ab_weight(-1.5, 1.5),
+               w_ab_weight(0.5, 1.5)]
+    batches = []
+
+    def recording_check(ws, p, alpha):
+        batches.append(list(ws))
+        return conjectured_measure_ap_check(ws, p, alpha)
+
+    monkeypatch.setattr(harness, "conjectured_measure_ap_check", recording_check)
+    runs = [weighted_carleson_sweep(weights, 2.0, 0.0, resolution_n512(), experimental=True,
+                                    threads=threads) for threads in (1, 2)]
+    assert batches == [weights[:1] + weights[2:]] * 2
+    one, two = ([replace(r, runtime_ms=0).to_json() for r in reps] for reps in runs)
+    assert one == two
+    assert "experimental_measure_ap" not in runs[0][1].inputs
+    for w, r in zip(weights[:1] + weights[2:], runs[0][:1] + runs[0][2:]):
+        ok, sup = conjectured_measure_ap_check(w, 2.0, 0.0)
+        assert r.inputs["experimental_measure_ap"]["stable"] is ok
+        assert r.inputs["experimental_measure_ap"]["sup"] == sup
 
 
 def test_reports_are_strict_json():
