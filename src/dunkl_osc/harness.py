@@ -41,7 +41,7 @@ from .funcspace import (FULL_LINE, HALF_LINE, CorpusMember, Grid, SampledFn,
                         default_corpus, even_odd_split, half_line_corpus,
                         make_graded_grid, moment_cancelled_corpus, sample,
                         smooth_corpus)
-from .projections import ThresholdSeq, _cut_rows, build_family
+from .projections import PartialSumFamily, ThresholdSeq, _cut_rows, build_family
 from .seminorms import max_oscillation
 from .classical_ops import default_sup_grid, prestini_majorant
 from .weights import (NormSpec, Weight, beta_star, conjectured_measure_ap_check,
@@ -386,14 +386,25 @@ def _resampled(members: list[CorpusMember], grid: Grid) -> list[CorpusMember]:
     return [CorpusMember(m.label, m.fn, sample(m.fn, grid, FULL_LINE)) for m in members]
 
 
-def _osc_of(member: CorpusMember, spec: NormSpec, t_grid: ThresholdSeq,
-            freq: Grid) -> SampledFn:
-    return max_oscillation(build_family(spec.alpha, member.sampled, t_grid, freq))
+def _grouped_families(reduce: Callable[[PartialSumFamily], SampledFn], width: int,
+                      order: float, stack: SampledFn, t_grid: ThresholdSeq, freq: Grid,
+                      kind: str | None = None) -> np.ndarray:
+    """The (B, N) values of reduce(family) for the families of a (B, N)
+    member stack, in member order.  The families are built in groups of
+    width // N members (at least one), so that a group holds no more columns
+    than the family of one function on a width-node grid: one call per group
+    keeps a pool thread busy in numpy for longer at the same peak memory."""
+    per = max(1, width // stack.grid.n)
+    return np.concatenate([
+        reduce(build_family(order, stack.with_values(stack.values[i:i + per]), t_grid, freq,
+                            kind)).values
+        for i in range(0, len(stack.values), per)])
 
 
 def _norm_ratio(num: SampledFn, den: SampledFn, spec: NormSpec,
-                window: float | None = None) -> float:
-    """||num|| / ||den||, both cut to |x| <= window when one is given."""
+                window: float | None = None) -> np.ndarray:
+    """||num|| / ||den|| per function of the stacks, both cut to |x| <=
+    window when one is given."""
     def norm(f):
         if window is not None:
             f = f.with_values(np.where(np.abs(f.grid.points) <= window, f.values, 0.0))
@@ -409,9 +420,12 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
     oscillation sup over every cut sequence from the t-grid, its
     dilation-invariance deviation over lambda in {1/2, 2}, and its
     refinement stability (factor 2 against the doubled resolution).  All
-    ratios are empirical lower bounds of the operator norm."""
+    ratios are empirical lower bounds of the operator norm.  The members'
+    families are built together, in groups no wider than one family on the
+    refined grid."""
     res = resolution or resolution_n512()
     fine = res.refined()
+    width = fine.space_grid().n
 
     def one_spec(spec: NormSpec) -> ExperimentReport:
         t0 = time.perf_counter()
@@ -425,9 +439,13 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
             t_grid = default_t_grid(res)
             in_range = (spec.p >= 2.0 and
                         range_full_oscillation(spec.p, spec.beta, spec.alpha))
-        oscs = [_osc_of(m, spec, t_grid, freq) for m in members]
-        ratios = {m.label: _norm_ratio(o, m.sampled, spec)
-                  for m, o in zip(members, oscs)}
+
+        def osc_of(f: SampledFn, ts: ThresholdSeq, fg: Grid) -> SampledFn:
+            return f.with_values(_grouped_families(max_oscillation, width, spec.alpha, f, ts, fg))
+
+        stack = _stack(members)
+        osc = osc_of(stack, t_grid, freq)
+        ratios = dict(zip([m.label for m in members], _norm_ratio(osc, stack, spec)))
         base = max(ratios.values())
         # dilation covariance S_t f_lam = (S_{t/lam} f)(lam .): the dilated
         # run scales the cut grid and the frequency grid together (so every
@@ -443,20 +461,18 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
             w_base = lam * w_dil
             space_d = space.window(w_dil)
             freq_d = freq.window(res.freq_max() / max(lam, 1.0)).scaled(lam)
-            for m, osc in zip(members, oscs):
-                dil = m.dilated(lam, space_d)
-                v = np.abs(dil.sampled.values)
-                if max(v[0], v[-1]) > 1e-7 * np.max(v):
-                    continue  # dilation leaves the grid; not comparable
-                r_b = _norm_ratio(osc, m.sampled, spec, w_base)
-                if not r_b > 0.0:
-                    continue
-                r_l = _norm_ratio(_osc_of(dil, spec, t_lam, freq_d),
-                                  dil.sampled, spec)
-                dev = max(dev, abs(r_l / r_b - 1.0))
+            dil = _stack([m.dilated(lam, space_d) for m in members])
+            v = np.abs(dil.values)
+            r_b = _norm_ratio(osc, stack, spec, w_base)
+            # a dilation that leaves the grid is not comparable
+            keep = ~(np.maximum(v[:, 0], v[:, -1]) > 1e-7 * np.max(v, axis=-1)) & (r_b > 0.0)
+            if keep.any():
+                dil = dil.with_values(dil.values[keep])
+                r_l = _norm_ratio(osc_of(dil, t_lam, freq_d), dil, spec)
+                dev = max([dev] + list(np.abs(r_l / r_b[keep] - 1.0)))
         # refinement stability at doubled resolution (same t-grid)
-        base2 = max(_norm_ratio(_osc_of(m, spec, t_grid, fine.freq_grid()), m.sampled, spec)
-                    for m in _resampled(members, fine.space_grid()))
+        fine_stack = _stack(_resampled(members, fine.space_grid()))
+        base2 = max(_norm_ratio(osc_of(fine_stack, t_grid, fine.freq_grid()), fine_stack, spec))
         stable = 0.5 <= base2 / base <= 2.0
         pairs = ([(k, v) for k, v in ratios.items()]
                  + [("max-ratio (empirical lower bound)", base),
@@ -480,6 +496,7 @@ def prestini_constant_sweep(alphas: Sequence[float],
     |S~_t f(x)| / majorant(x), reported across a resolution ladder; passed
     means every consecutive pair stays within a factor 2."""
     ladder = list(resolutions or (resolution_n512(), resolution_n1024()))
+    width = max(r.half_grid().n for r in ladder)   # the families' group width
 
     def one_alpha(alpha: float) -> ExperimentReport:
         t0 = time.perf_counter()
@@ -499,11 +516,11 @@ def prestini_constant_sweep(alphas: Sequence[float],
                     pairs.append((f"{m.label}@{res.n_line} skipped (zero)", 0.0))
                 else:
                     kept.append(m)
-            majs = prestini_majorant(alpha, _stack(kept), sup).values.real
-            best = 0.0
-            for m, maj in zip(kept, majs):
-                fam = build_family(alpha, m.sampled, t_grid, half_freq, kind="hankel")
-                best = max(best, float(np.max(np.max(np.abs(fam.values), axis=0) / maj)))
+            stack = _stack(kept)
+            majs = prestini_majorant(alpha, stack, sup).values.real
+            maxes = _grouped_families(PartialSumFamily.max_abs, width, alpha, stack, t_grid,
+                                      half_freq, "hankel").real
+            best = max([0.0] + [float(np.max(mx / maj)) for mx, maj in zip(maxes, majs)])
             consts.append(best)
             pairs.append((f"C(alpha={alpha:g}, N={res.n_line})", best))
         stable = all(0.5 <= consts[i + 1] / consts[i] <= 2.0 for i in range(len(consts) - 1))
@@ -647,8 +664,8 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
     def carleson_maxes(res_: Resolution, members) -> tuple[SampledFn, SampledFn]:
         """The member stack and the stack of its sup_t |S_t f|."""
         t_grid, freq, stack = default_t_grid(res_), res_.freq_grid(), _stack(members)
-        return stack, stack.with_values(np.stack(
-            [build_family(alpha, m.sampled, t_grid, freq).max_abs().values for m in members]))
+        return stack, stack.with_values(_grouped_families(
+            PartialSumFamily.max_abs, fine.space_grid().n, alpha, stack, t_grid, freq))
 
     def ratio_at(stack: SampledFn, cmaxes: SampledFn, weight: Weight) -> float:
         nspec = NormSpec(p, 0.0, alpha)

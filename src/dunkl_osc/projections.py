@@ -10,7 +10,8 @@ functions gives (..., T, N) rows from those same GEMMs.  build_family
 passes one cut per row, a partial sum is a one-row family and an iterated
 sum one row of multiplied masks; equal masks share one computed row, so
 P_s P_t = P_min holds exactly.  Cuts are snapped to midpoints between
-adjacent frequency nodes so the node mask is unambiguous.
+adjacent frequency nodes, all cuts of a call in one search, so the node
+mask is unambiguous.
 """
 
 from __future__ import annotations
@@ -71,22 +72,26 @@ class ThresholdSeq:
         return cls(vals)
 
 
-def snap_threshold(t: float, freq_points: np.ndarray) -> float:
-    """Move t to the midpoint of the node gap it falls in, so the node mask
-    |node| <= t is an exact, unambiguous comparison."""
+def _snap(ts, freq_points: np.ndarray) -> np.ndarray:
+    """Move each threshold of ts to the midpoint of the node gap it falls
+    in, so the node mask |node| <= t is an exact, unambiguous comparison:
+    one searchsorted for the whole array."""
     pos = freq_points[freq_points > 0.0]
-    i = int(np.searchsorted(pos, t, side="right"))
-    if i == 0:
-        return float(pos[0] / 2.0)
-    if i >= pos.size:
-        return float(pos[-1] + 1.0)
-    return float(0.5 * (pos[i - 1] + pos[i]))
+    i = np.searchsorted(pos, ts, side="right")
+    mid = 0.5 * (pos[np.maximum(i - 1, 0)] + pos[np.minimum(i, pos.size - 1)])
+    return np.where(i == 0, pos[0] / 2.0, np.where(i >= pos.size, pos[-1] + 1.0, mid))
+
+
+def snap_threshold(t: float, freq_points: np.ndarray) -> float:
+    """The snapped cut of one threshold t (see _snap)."""
+    return float(_snap(t, freq_points))
 
 
 @dataclass(frozen=True)
 class PartialSumFamily:
     """Rows S_t f over a threshold grid, sharing one forward transform:
-    values[i, j] = S_{t_i} f (x_j) on the base grid."""
+    values[..., i, j] = S_{t_i} f (x_j) on the base grid, for a base that
+    is one function or a (..., N) stack of them."""
 
     base: SampledFn
     order: float
@@ -95,20 +100,12 @@ class PartialSumFamily:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (len(self.t_grid), self.base.grid.n):
-            raise ArgumentError("family matrix must be (len(t_grid), grid.n)")
+        if self.values.shape != self.base.values.shape[:-1] + (len(self.t_grid), self.base.grid.n):
+            raise ArgumentError("family matrix must be (..., len(t_grid), grid.n)")
 
     def max_abs(self) -> SampledFn:
-        return SampledFn(self.base.grid, np.max(np.abs(self.values), axis=0),
+        return SampledFn(self.base.grid, np.max(np.abs(self.values), axis=-2),
                          self.base.domain_tag)
-
-
-def _mask(half_freq: Grid, ts) -> np.ndarray:
-    """Node mask of the cut list ts: the product of the masks |xi| <= t
-    (an empty list cuts nothing)."""
-    pts = half_freq.points
-    cuts = np.array([pts <= snap_threshold(t, pts) for t in ts], dtype=bool)
-    return np.logical_and.reduce(cuts.reshape(-1, pts.size))
 
 
 def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
@@ -126,12 +123,17 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
     if freq_grid is None:
         freq_grid = frequency_grid(f.grid)
     half_freq = freq_grid.positive_half() if freq_grid.is_symmetric else freq_grid
-    for t in (t for ts in cut_lists for t in ts):
-        if t > half_freq.hi:
-            raise ResolutionError(
-                f"cut t={t:g} exceeds the resolvable frequency band {half_freq.hi:g}")
+    flat = np.array([t for ts in cut_lists for t in ts], dtype=float)
+    over = flat[flat > half_freq.hi]
+    if over.size:
+        raise ResolutionError(
+            f"cut t={over[0]:g} exceeds the resolvable frequency band {half_freq.hi:g}")
+    # the mask of cut list i, the product of the masks |xi| <= t over the list,
+    # is the mask of its lowest snapped cut (an empty list cuts nothing)
+    snapped = iter(_snap(flat, half_freq.points))
+    lowest = np.array([min((next(snapped) for _ in ts), default=np.inf) for ts in cut_lists])
+    by_row = half_freq.points <= lowest[:, None]
     # (U, F) distinct masks, keyed by their bytes; sorted keys give np.unique's row order
-    by_row = [_mask(half_freq, ts) for ts in cut_lists]
     keys = sorted({m.tobytes(): m for m in by_row}.items())
     masks = np.stack([m for _, m in keys])
     slot = {k: i for i, (k, _) in enumerate(keys)}
@@ -179,13 +181,6 @@ def hankel_partial_sum(order: float, f: SampledFn, t: float,
     return SampledFn(f.grid, _cut_rows(order, f, [[t]], freq_grid, "hankel")[..., 0, :], HALF_LINE)
 
 
-def hankel_partial_sum_iterated(order: float, f: SampledFn, ts,
-                                freq_grid: Grid | None = None) -> SampledFn:
-    """S~_{t_k} ... S~_{t_1} f: one row whose mask is the product of every
-    cut, inverted once."""
-    return SampledFn(f.grid, _cut_rows(order, f, [ts], freq_grid, "hankel")[..., 0, :], HALF_LINE)
-
-
 def fourier_partial_sum(f: SampledFn, t: float,
                         freq_grid: Grid | None = None) -> SampledFn:
     """Sharp Fourier frequency truncation to [-t, t]; the order -1/2 Dunkl
@@ -205,7 +200,8 @@ def radial_partial_sum(dimension: int, f0: SampledFn, t: float,
 def build_family(order: float, f: SampledFn, t_grid: ThresholdSeq,
                  freq_grid: Grid | None = None, kind: str | None = None) -> PartialSumFamily:
     """All rows S_t f for t in t_grid: one spectral-cut row per threshold,
-    sharing one forward transform and one inverse GEMM per parity.  kind is
+    sharing one forward transform and one inverse GEMM per parity; a
+    (..., N) stack f gives (..., len(t_grid), N) rows.  kind is
     'dunkl' (full-line f, the default there), 'fourier' (the Dunkl kind at
     order -1/2) or 'hankel' (half-line f, the default there)."""
     if kind is None:
@@ -217,7 +213,10 @@ def build_family(order: float, f: SampledFn, t_grid: ThresholdSeq,
 
 
 def family_to_csv(path_or_buf, family: PartialSumFamily) -> None:
-    """Matrix CSV: header row of t values (first column is x)."""
+    """Matrix CSV of a one-function family: header row of t values (first
+    column is x)."""
+    if family.values.ndim != 2:
+        raise ArgumentError("family_to_csv writes the family of one function, not a stack")
     with _text_file(path_or_buf, "w") as buf:
         buf.write("x," + ",".join(f"{t:.17g}" for t in family.t_grid.values) + "\n")
         for j, x in enumerate(family.base.grid.points):

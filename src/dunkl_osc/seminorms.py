@@ -5,6 +5,8 @@ Both seminorms take their supremum over cuts drawn from the family's finite
 t-grid, and both are exact there: `variation` by the quadratic dynamic
 program over selection endpoints, `max_oscillation` by the same program over
 the last cut of a sequence.  `oscillation` evaluates one fixed cut sequence.
+Each reduces the family's t axis (axis -2), so the family of a (..., N)
+stack gives one (..., N) result, row for row equal to the lone calls.
 """
 
 from __future__ import annotations
@@ -41,59 +43,59 @@ def _cut_indices(family: PartialSumFamily, cuts: CutSequence) -> np.ndarray:
     return idx
 
 
-def _sq_gaps(parts, t: int, rows: slice, out: np.ndarray) -> np.ndarray:
-    """|a_i - a_t|^2 for i in rows as re^2 + im^2 from parts = (re, im), written
-    into out[0] with out[1] as scratch: no temporaries."""
-    for p, o in zip(parts, out):
-        np.square(np.subtract(p[rows], p[t], out=o), out=o)
+def _sq_gaps(parts: np.ndarray, t: int, rows: slice, out: np.ndarray) -> np.ndarray:
+    """|a_i - a_t|^2 for i in rows as re^2 + im^2 from parts, the (2, ..., T, N)
+    stack (re, im), written into out[0] with out[1] as scratch: three ufunc
+    calls over both parts, and no temporaries."""
+    np.square(np.subtract(parts[..., rows, :], parts[..., t, None, :], out=out), out=out)
     return np.add(out[0], out[1], out=out[0])
 
 
 def oscillation(family: PartialSumFamily, cuts: CutSequence) -> SampledFn:
     """O^2_{I,J}: sqrt of the sum over blocks of the squared sup of
-    |a_t - a_{I_j}| for t in the family's grid restricted to [I_j, I_{j+1})."""
+    |a_t - a_{I_j}| for t in the family's grid restricted to [I_j, I_{j+1}),
+    per function of a stacked family."""
     idx = _cut_indices(family, cuts)
-    vals = family.values
-    acc = np.zeros(vals.shape[1])
+    parts = np.stack([family.values.real, family.values.imag])
+    acc = np.zeros(parts.shape[1:-2] + parts.shape[-1:])
     for j in range(cuts.J):
         i0, i1 = idx[j], idx[j + 1]
-        gap = np.empty((2, i1 - i0, vals.shape[1]))
-        acc += np.max(_sq_gaps((vals.real, vals.imag), i0, slice(i0, i1), gap), axis=0)
+        gap = np.empty(parts.shape[:-2] + (i1 - i0, parts.shape[-1]))
+        acc += np.max(_sq_gaps(parts, i0, slice(i0, i1), gap), axis=-2)
     return SampledFn(family.base.grid, np.sqrt(acc), family.base.domain_tag)
 
 
 def max_oscillation(family: PartialSumFamily) -> SampledFn:
     """Pointwise sup of `oscillation` over every increasing cut sequence
     drawn from the family's t-grid, of any length, exact via dynamic
-    programming over the sequence's last cut: O(T^2 N) time, O(T N) memory.
-    The last cut closes its block without belonging to it, as in
-    `oscillation`."""
+    programming over the sequence's last cut: O(T^2 N) time, O(T N) memory
+    per function of a stacked family.  The last cut closes its block
+    without belonging to it, as in `oscillation`."""
     vals = family.values
-    T, N = vals.shape
-    parts, best, scratch = np.stack([vals.real, vals.imag]), np.zeros((T, N)), np.empty((2, T, N))
-    for k in range(1, T):
+    parts, best = np.stack([vals.real, vals.imag]), np.zeros(vals.shape)
+    scratch = np.empty(parts.shape)
+    for k in range(1, vals.shape[-2]):
         # best sequence whose last cut is k: extend the best one ending at i by |a_{k-1} - a_i|^2;
         # a block sup at t < k-1 is reached by cutting at t+1 instead (best is nondecreasing)
-        gap = _sq_gaps(parts, k - 1, slice(0, k), scratch[:, :k])
-        np.max(np.add(best[:k], gap, out=gap), axis=0, out=best[k])
+        gap = _sq_gaps(parts, k - 1, slice(0, k), scratch[..., :k, :])
+        np.max(np.add(best[..., :k, :], gap, out=gap), axis=-2, out=best[..., k, :])
     # best[k] >= best[k-1] + |a_{k-1} - a_{k-1}|^2 = best[k-1]: the last row is the sup
-    return SampledFn(family.base.grid, np.sqrt(best[-1]), family.base.domain_tag)
+    return SampledFn(family.base.grid, np.sqrt(best[..., -1, :]), family.base.domain_tag)
 
 
 def variation(family: PartialSumFamily, r: float) -> SampledFn:
     """V^r over the family's t-grid: sup over increasing selections of
     (sum |a_{t_{j+1}} - a_{t_j}|^r)^{1/r}, exact via dynamic programming
-    over the selection's last element."""
+    over the selection's last element, per function of a stacked family."""
     if r < 1.0:
         raise ArgumentError("variation exponent must satisfy r >= 1")
     vals = family.values
-    T, N = vals.shape
-    best = np.zeros((T, N))
-    for i in range(1, T):
+    best = np.zeros(vals.shape)
+    for i in range(1, vals.shape[-2]):
         # best chain ending at i: max over previous endpoints j < i
-        cand = best[:i] + np.abs(vals[i] - vals[:i]) ** r
-        best[i] = np.max(cand, axis=0)
-    return SampledFn(family.base.grid, np.max(best, axis=0) ** (1.0 / r),
+        cand = best[..., :i, :] + np.abs(vals[..., i, None, :] - vals[..., :i, :]) ** r
+        best[..., i, :] = np.max(cand, axis=-2)
+    return SampledFn(family.base.grid, np.max(best, axis=-2) ** (1.0 / r),
                      family.base.domain_tag)
 
 

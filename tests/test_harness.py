@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec,
-                       Resolution, bump, classical_ops, conjectured_measure_ap_check,
+from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec, PartialSumFamily,
+                       Resolution, build_family, bump, classical_ops, conjectured_measure_ap_check,
                        dyadic_indicator_family, interval_indicator_family, oscillation_ratio_sweep,
                        prestini_constant_sweep, resolution_n512, run_identity_suite, sample,
                        transference_demo, transforms,
@@ -112,6 +112,49 @@ def test_oscillation_sweep_report_fields():
     assert "dilation-deviation" in keys
     assert r.inputs["in_range"] is True
     assert "excluded_members" in r.inputs
+
+
+def test_oscillation_sweep_groups_members_and_ignores_threads(monkeypatch):
+    # the families are built in member groups of at most 1024 columns (the
+    # refined grid): 2 at N=512, 4 on the lambda=2 window, 1 at N=1024; the
+    # reports are the same at one and two pool threads
+    groups = []
+
+    def recording_build(order, f, *args):
+        groups.append(f.values.shape[:-1] + (f.grid.n,))
+        return build_family(order, f, *args)
+
+    monkeypatch.setattr(harness, "build_family", recording_build)
+    specs = [NormSpec(2.0, 0.0, 0.0), NormSpec(2.0, 0.0, 1.0)]
+    one, two = ([replace(r, runtime_ms=0).to_json() for r in
+                 oscillation_ratio_sweep(specs, seed=7, resolution=resolution_n512(),
+                                         threads=threads)] for threads in (1, 2))
+    assert one == two
+    assert all(b * n <= 1024 for b, n in groups)
+    assert {(2, 512), (4, 256), (1, 1024)} <= set(groups)
+
+
+@pytest.mark.parametrize("width", [1, 256, 512, 768, 4096])
+def test_grouped_families_respect_the_width_and_member_order(monkeypatch, width, res512):
+    space, freq = res512.space_grid(), res512.freq_grid()
+    members = [sample(bump(c, 1.0 + 0.1 * i), space) for i, c in enumerate(
+        (-0.4, -0.2, 0.0, 0.1, 0.3))]
+    stack = members[0].with_values(np.stack([m.values for m in members]))
+    tg = default_t_grid(res512)
+    groups = []
+
+    def recording_build(order, f, *args):
+        groups.append(f.values.shape[0])
+        return build_family(order, f, *args)
+
+    monkeypatch.setattr(harness, "build_family", recording_build)
+    out = harness._grouped_families(PartialSumFamily.max_abs, width, 0.0, stack, tg, freq)
+    per = max(1, width // space.n)
+    assert groups == [min(per, 5 - i) for i in range(0, 5, per)]
+    assert out.shape == (5, space.n)
+    for m, row in zip(members, out):
+        one = build_family(0.0, m, tg, freq).max_abs().values
+        assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
 
 
 def test_multiplier_family_validation():

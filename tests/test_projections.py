@@ -8,7 +8,7 @@ from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError,
                        gaussian, hankel_partial_sum, make_breakpoint_grid,
                        make_graded_grid, radial_partial_sum,
                        resolvable_frequency, sample, snap_threshold)
-from dunkl_osc.projections import _cut_rows
+from dunkl_osc.projections import PartialSumFamily, _cut_rows, _snap
 from conftest import l2_weighted
 
 TS = [0.5, 1.0, 2.0, 4.0]
@@ -32,6 +32,28 @@ def test_snap_threshold_between_nodes():
     assert snap_threshold(10.0, pts) == 4.5
     # mask is identical for the raw and snapped values
     assert np.array_equal(pts <= 2.2, pts <= snap_threshold(2.2, pts))
+
+
+def _gap_midpoint(t, pts):
+    """The snapping rule one threshold at a time (reference)."""
+    pos = pts[pts > 0.0]
+    i = int(np.searchsorted(pos, t, side="right"))
+    if i == 0:
+        return float(pos[0] / 2.0)
+    if i >= pos.size:
+        return float(pos[-1] + 1.0)
+    return float(0.5 * (pos[i - 1] + pos[i]))
+
+
+def test_snapping_an_array_equals_the_scalar_rule(freq512):
+    # below the first node, on nodes, between nodes, past the last node
+    pts = freq512.positive_half().points
+    ts = np.concatenate([[pts[0] / 3.0, pts[-1] * 2.0, 1.0, 0.5], pts[::37],
+                         0.5 * (pts[:-1] + pts[1:])[::41]])
+    ref = [_gap_midpoint(t, pts) for t in ts]
+    snapped = _snap(ts, pts)
+    assert [float(s) for s in snapped] == ref == [snap_threshold(t, pts) for t in ts]
+    assert np.array_equal(pts <= snapped[:, None], np.array([pts <= r for r in ref]))
 
 
 def test_zero_function(space512, freq512):
@@ -151,15 +173,14 @@ def test_radial_reduction_n1(space_hi, freq_hi):
 
 def test_radial_projection_property(space512, freq512):
     # n = 3: ball cuts compose as projections, S_s S_t = S_min
-    from dunkl_osc.projections import hankel_partial_sum_iterated
     half = space512.positive_half()
     half_freq = freq512.positive_half()
     prof = sample(bump(1.2, 0.9), half, HALF_LINE)
     alpha = (3 - 2) / 2.0
     for s, t in [(1.0, 2.0), (2.0, 1.0), (2.0, 2.0)]:
-        st = hankel_partial_sum_iterated(alpha, prof, [t, s], half_freq)
+        st = _cut_rows(alpha, prof, [[t, s]], half_freq, "hankel")[0]
         mn = radial_partial_sum(3, prof, min(s, t), half_freq)
-        assert np.max(np.abs(st.values - mn.values)) <= 1e-8
+        assert np.max(np.abs(st - mn.values)) <= 1e-8
     fam_t = ThresholdSeq(np.array([1.0, 2.0]))
     fam = build_family(alpha, prof, fam_t, half_freq, kind="hankel")
     one = hankel_partial_sum(alpha, prof, 1.0, half_freq)
@@ -196,6 +217,50 @@ def test_family_csv(tmp_path, freq512, one_bump):
     # a pathlib.Path writes the same file as its str
     family_to_csv(tmp_path / "fam2.csv", fam)
     assert (tmp_path / "fam2.csv").read_text() == path.read_text()
+
+
+def test_family_csv_refuses_a_stack(tmp_path, freq512, corpus512):
+    # a stacked family has no one matrix to write
+    tg = ThresholdSeq(np.array([0.5, 1.0, 2.0]))
+    stack = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:2]]))
+    fam = build_family(0.0, stack, tg, freq512)
+    with pytest.raises(ArgumentError):
+        family_to_csv(tmp_path / "stack.csv", fam)
+    assert not (tmp_path / "stack.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["dunkl", "hankel"])
+@pytest.mark.parametrize("members", [1, 2])
+def test_stacked_family_equals_member_families(kind, members, res512, freq512, corpus512):
+    """build_family of a (B, N) stack at N=512 gives the (B, T, N) rows of
+    the member families, to 1e-14 of their max-abs, and its max_abs the
+    members' max_abs."""
+    full = corpus512[1].sampled.with_values(
+        np.stack([m.sampled.values for m in corpus512[1:1 + members]]))
+    f, freq = (full, freq512) if kind == "dunkl" else (even_odd_split(full)[0],
+                                                       freq512.positive_half())
+    tg = ThresholdSeq.union(ThresholdSeq.octave_eighths(res512.freq_max()),
+                            ThresholdSeq.dyadic(-4, 4))
+    fam = build_family(1.0, f, tg, freq, kind)
+    assert fam.values.shape == (members, len(tg), f.grid.n)
+    assert fam.max_abs().values.shape == (members, f.grid.n)
+    for b in range(members):
+        one = build_family(1.0, f.with_values(f.values[b]), tg, freq, kind)
+        scale = np.max(np.abs(one.values))
+        assert np.max(np.abs(fam.values[b] - one.values)) <= 1e-14 * scale
+        assert np.max(np.abs(fam.max_abs().values[b] - one.max_abs().values)) <= 1e-14 * scale
+
+
+def test_family_shape_follows_its_base(freq512, one_bump):
+    tg = ThresholdSeq(np.array([0.5, 1.0]))
+    rows = build_family(0.0, one_bump, tg, freq512).values
+    stack = one_bump.with_values(np.stack([one_bump.values] * 2))
+    with pytest.raises(ArgumentError):
+        PartialSumFamily(stack, 0.0, "dunkl", tg, rows)
+    with pytest.raises(ArgumentError):
+        PartialSumFamily(one_bump, 0.0, "dunkl", tg, np.stack([rows] * 2))
+    assert PartialSumFamily(stack, 0.0, "dunkl", tg, np.stack([rows] * 2)).values.shape == (
+        2, 2, one_bump.grid.n)
 
 
 @pytest.mark.parametrize("kind", ["dunkl", "hankel"])

@@ -178,3 +178,21 @@ def test_zero_function_all_zero(space512, freq512):
     assert np.max(variation(fam, 2.0).values.real) == 0.0
     assert np.max(carleson_dunkl_max(0.0, z, tg, freq512).values.real) == 0.0
 
+
+
+def test_stacked_seminorms_equal_the_row_calls(res512, freq512, corpus512):
+    # a (B, T, N) family reduces along its t axis: each row of a stacked
+    # max_oscillation, oscillation and variation is the lone call's, bit for bit
+    stack = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:3]]))
+    tg = default_t_grid(res512)
+    fam = build_family(1.0, stack, tg, freq512)
+    cuts = CutSequence(ThresholdSeq(tg.values[[0, 7, 30, 52, len(tg) - 1]]), 4)
+    stacked = [max_oscillation(fam), oscillation(fam, cuts), variation(fam, 2.0),
+               variation(fam, 3.0)]
+    for b in range(3):
+        row = PartialSumFamily(stack.with_values(stack.values[b]), 1.0, "dunkl", tg, fam.values[b])
+        lone = [max_oscillation(row), oscillation(row, cuts), variation(row, 2.0),
+                variation(row, 3.0)]
+        for s, one in zip(stacked, lone):
+            assert s.values.shape == (3, stack.grid.n)
+            assert np.array_equal(s.values[b], one.values)
