@@ -25,8 +25,7 @@ from .projections import (PartialSumFamily, ThresholdSeq, build_family,
 from .classical_ops import (SupGrid, carleson_hunt, conjugate_hardy,
                             default_sup_grid, hardy_littlewood_max,
                             maximal_hilbert, prestini_majorant)
-from .seminorms import (CutSequence, carleson_dunkl_max, carleson_hankel_max,
-                        max_oscillation, oscillation, variation)
+from .seminorms import CutSequence, max_oscillation, oscillation, variation
 from .weights import (NormSpec, Weight, ap_alpha_check, ap_check, beta_star,
                       conjectured_measure_ap_check, power_weight,
                       range_dyadic_oscillation, range_full_oscillation,

@@ -3,15 +3,19 @@ Hilbert transform, Carleson-Hunt maximal operator, and the pointwise
 majorant |x|^{-(a+1/2)} (M_HL + H + H* + C)((.)^{a+1/2} f)(|x|) that
 dominates Hankel partial sums.
 
-Quadrature strategy: whole panels use the grid's own Gauss-Legendre weights
-with node-exact kernels (1/y, 1/(x-z), modulations), summed once per panel;
-a window or truncation reads the panels it keeps from a left prefix (panels
-before it) and a right suffix (panels after it), both sums of kept terms
-only.  The two panels it cuts are re-quadratured on their kept parts with a
-fresh Gauss rule, at samples linearly interpolated between grid nodes, so
-truncation boundaries cost no node-snapping error.  Modulations on cut
-panels take cos and sin on the positive half of the symmetric frequency set
-(-xi by conjugate symmetry, xi = 0 as the plain sum).
+Quadrature strategy: every window is first clipped to the grid's support
+[edges[0], edges[-1]], so each operator treats f as zero outside its grid.
+Whole panels use the grid's own Gauss-Legendre weights with node-exact
+kernels (1/y, 1/(x-z), modulations), summed once per panel; a window or
+truncation reads the panels it keeps from a left prefix (panels before it)
+and a right suffix (panels after it), both sums of kept terms only.  A
+window end on a panel edge cuts nothing; the kept parts of the panels it
+does cut go through one re-quadrature, `_cut_segments`: a fresh Gauss rule
+at samples linearly interpolated between grid nodes and held at the end
+samples between the end nodes and the support's edges, so truncation
+boundaries cost no node-snapping error.  Each caller applies its own kernel
+there; modulations take cos and sin on the positive half of the symmetric
+frequency set (-xi by conjugate symmetry, xi = 0 as the plain sum).
 
 Every operator acts along the last axis of a (..., N) SampledFn stack; the
 geometry of an evaluation block (1/(x-z) kernel, window searches, cut-panel
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ResolutionError
-from .funcspace import FULL_LINE, HALF_LINE, Grid, SampledFn, _freeze
+from .funcspace import HALF_LINE, Grid, SampledFn, _freeze
 
 _SUB_NODES = 12
 _GL_SUB = np.polynomial.legendre.leggauss(_SUB_NODES)
@@ -83,56 +87,66 @@ def _sub_gauss(a, b):
     return mid + hl * gx, hl * gw
 
 
+def _panel_of(edges: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Index of the panel holding each grid node z."""
+    return np.clip(np.searchsorted(edges, z, side="right") - 1, 0, edges.size - 2)
+
+
+def _window_panels(edges: np.ndarray, a, b):
+    """The window [a, b] (a <= b) clipped to the support [edges[0], edges[-1]]:
+    (first, stop, left cut, right cut) with panels first..stop-1 whole inside it
+    and the cut parts [a, edges[first]] and [edges[stop], b], or the one part
+    [a, b] when no edge lies inside; an end on an edge cuts nothing."""
+    a, b = np.clip(a, edges[0], edges[-1]), np.clip(b, edges[0], edges[-1])
+    first = np.searchsorted(edges, a, side="left")
+    stop = np.maximum(np.searchsorted(edges, b, side="right") - 1, first)
+    return first, stop, (a, np.minimum(edges[first], b)), (edges[stop], b)
+
+
+def _cut_segments(grid: Grid, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The nonempty cut parts [lo, hi] of panels: (cut, nodes, samples) with cut
+    the mask of hi > lo, nodes the (K, q) fresh Gauss nodes on those parts and
+    samples the (M, K, q) Gauss-weighted values of each of the (M, N) rows there,
+    linearly interpolated between grid nodes and held at the end samples between
+    the end nodes and the support's edges.  The caller applies its kernel."""
+    cut = hi > lo
+    nodes, wts = _sub_gauss(lo[cut], hi[cut])
+    return cut, nodes, wts * np.stack([np.interp(nodes, grid.points, row) for row in rows])
+
+
 def _window_integrals(grid: Grid, samples: np.ndarray, windows, kernel=None) -> list:
     """integral_a^b samples(y) kernel(y) dy for each (a, b) in windows, a <= b
     elementwise, as (M, n) rows, one per function of the real (..., N) stack samples.
-    Whole panels use the grid weights with node-exact kernel values, their prefix sums
-    formed once; the cut panels are re-quadratured with interpolated samples, held at
-    the end samples between the end nodes and the support's edges."""
+    Whole panels use the grid weights with node-exact kernel values, their prefix
+    sums formed once; the cut parts go through `_cut_segments`."""
     samples = samples.reshape(-1, grid.n)
     integrand = samples if kernel is None else samples * kernel(grid.points)
     edges = _require_panels(grid)
-    idx = np.clip(np.searchsorted(edges, grid.points, side="right") - 1, 0, edges.size - 2)
+    idx = _panel_of(edges, grid.points)
     masses = [np.bincount(idx, grid.weights * v, edges.size - 1) for v in integrand]
     prefix = np.pad(np.cumsum(masses, axis=-1), ((0, 0), (1, 0)))
-
-    def seg(lo, hi):
-        nodes, wts = _sub_gauss(lo, hi)
-        v = np.stack([np.interp(nodes, grid.points, row) for row in samples])
-        if kernel is not None:
-            v = v * kernel(nodes)
-        return np.sum(wts * v, axis=-1)
-
     outs = []
     for a, b in windows:
-        a = np.clip(a, edges[0], edges[-1])
-        b = np.clip(b, edges[0], edges[-1])
-        ia = np.clip(np.searchsorted(edges, a, side="right") - 1, 0, edges.size - 2)
-        ib = np.clip(np.searchsorted(edges, b, side="right") - 1, 0, edges.size - 2)
-        same, diff = ia == ib, ia != ib
-        out = np.zeros((samples.shape[0],) + a.shape)
-        out[:, same] = seg(a[same], b[same])
-        full = prefix[:, ib[diff]] - prefix[:, ia[diff] + 1]
-        out[:, diff] = full + seg(a[diff], edges[ia[diff] + 1]) + seg(edges[ib[diff]], b[diff])
+        first, stop, *parts = _window_panels(edges, a, b)
+        out = prefix[:, stop] - prefix[:, first]
+        for lo, hi in parts:
+            cut, nodes, vals = _cut_segments(grid, samples, lo, hi)
+            out[:, cut] += np.sum(vals if kernel is None else vals * kernel(nodes), axis=-1)
         outs.append(out)
     return outs
 
 
-def _hl_sups(grid: Grid, samples: np.ndarray, radii: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(M, xs.size): sup over radii of the window averages of samples about xs."""
-    sums = _window_integrals(grid, samples, [(xs - r, xs + r) for r in radii])
-    return np.max([t / (2.0 * r) for r, t in zip(radii, sums)], axis=0, initial=0.0)
-
-
 def hardy_littlewood_max(f: SampledFn, sup: SupGrid) -> SampledFn:
     """sup over radii of the window average (1/2r) integral_{x-r}^{x+r} |f|."""
-    best = _hl_sups(f.grid, np.abs(f.values), sup.radii, f.grid.points)
+    x = f.grid.points
+    sums = _window_integrals(f.grid, np.abs(f.values), [(x - r, x + r) for r in sup.radii])
+    best = np.max([t / (2.0 * r) for r, t in zip(sup.radii, sums)], axis=0, initial=0.0)
     return f.with_values(best.reshape(f.values.shape))
 
 
-def _conjugate_hardy_at(f: SampledFn, xa: np.ndarray) -> np.ndarray:
-    """(M, xa.size): integral_{xa}^sup-support |f(y)| / y dy at points xa >= 0."""
-    grid, samples = f.grid, np.abs(f.values)
+def conjugate_hardy(f: SampledFn) -> SampledFn:
+    """H f(x) = integral_{|x|}^sup-support |f(y)| / y dy."""
+    grid, samples, xa = f.grid, np.abs(f.values), np.abs(f.grid.points)
     edges = _require_panels(grid)
     if grid.lo < 0.0:   # integrate over the panels right of the edge at 0
         if not np.any(edges[:-1] == 0.0):
@@ -140,44 +154,35 @@ def _conjugate_hardy_at(f: SampledFn, xa: np.ndarray) -> np.ndarray:
         pos = grid.points > 0.0
         samples = samples[..., pos]
         grid = Grid(grid.points[pos], grid.weights[pos], 0.0, grid.hi, edges[edges >= 0.0])
-    with np.errstate(divide="ignore"):
-        (vals,) = _window_integrals(grid, samples, [(xa, np.full_like(xa, grid.hi))],
-                                    kernel=lambda y: 1.0 / y)
-    vals[:, xa >= grid.hi] = 0.0
-    return vals
+    (vals,) = _window_integrals(grid, samples, [(xa, np.full_like(xa, grid.hi))],
+                                kernel=lambda y: 1.0 / y)
+    return f.with_values(vals.reshape(f.values.shape))
 
 
-def conjugate_hardy(f: SampledFn) -> SampledFn:
-    """H f(x) = integral_{|x|}^sup-support |f(y)| / y dy."""
-    return f.with_values(_conjugate_hardy_at(f, np.abs(f.grid.points)).reshape(f.values.shape))
-
-
-def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
-                    eval_idx: np.ndarray | None = None) -> np.ndarray:
-    """(..., n_eval, Q): per function of the stack f and xi in frequencies (sorted,
+def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray) -> np.ndarray:
+    """(..., N, Q): per function of the stack f and xi in frequencies (sorted,
     exactly symmetric), the max over eps of |integral_{|x-z|>eps} f(z) e^{-i xi z}/(x-z) dz|
-    at the grid nodes x[eval_idx] (see the module docstring for the quadrature)."""
+    at the grid nodes x (see the module docstring for the quadrature)."""
     grid, vals = f.grid, f.values.reshape(-1, f.grid.n)
     edges, z = _require_panels(grid), grid.points
     if np.max(np.abs(frequencies)) * grid.max_spacing > np.pi / 3.0:
         raise ResolutionError("modulation frequency beyond the grid's resolvable band")
-    xs = z if eval_idx is None else z[eval_idx]
     M, n_pan, nQ, nP = vals.shape[0], edges.size - 1, frequencies.size, frequencies.size // 2
     pos = frequencies[nQ - nP:]                                # xi > 0, ascending
     block = max(8, _BLOCK_BUDGET // M)
     # nodes laid out as (panel, slot); short panels padded with zero-weight slots
-    panel_of = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, n_pan - 1)
+    panel_of = _panel_of(edges, z)
     counts = np.bincount(panel_of, minlength=n_pan)
     slot = np.arange(counts.max())
     node = np.minimum(np.searchsorted(panel_of, np.arange(n_pan))[:, None] + slot, z.size - 1)
     zp, wp = z[node], np.where(slot < counts[:, None], grid.weights[node], 0.0)
     gmat = (vals.T[node][..., None] * np.exp(-1j * zp[..., None, None] * frequencies)).view(float)
     gmat = gmat.reshape(n_pan, slot.size, M * 2 * nQ)          # columns (member, xi, re/im)
-    out = np.zeros((xs.size, M, nQ))
+    out = np.zeros((z.size, M, nQ))
     left = np.zeros((n_pan + 1, block, M * 2 * nQ))            # sum of the first i panels
     right = np.zeros((n_pan + 1, block, M * 2 * nQ))           # ... of the last i panels
-    for s in range(0, xs.size, block):
-        xb = xs[s:s + block]
+    for s in range(0, z.size, block):
+        xb = z[s:s + block]
         B = xb.size
         with np.errstate(divide="ignore"):
             kern = 1.0 / (xb[None, :, None] - zp[:, None, :])  # (P, B, m)
@@ -186,23 +191,15 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
         for i in range(n_pan):      # one add per panel: faster than cumsum over axis 0
             np.add(left[i, :B], psum[i], out=left[i + 1, :B])
             np.add(right[i, :B], psum[n_pan - 1 - i], out=right[i + 1, :B])
-        lo_w = xb[:, None] - sup.radii[None, :]                # (B, E)
-        hi_w = xb[:, None] + sup.radii[None, :]
-        ia = np.clip(np.searchsorted(edges, lo_w, side="right") - 1, 0, n_pan - 1)
-        ib = np.clip(np.searchsorted(edges, hi_w, side="right") - 1, 0, n_pan - 1)
+        # the kept windows [lo, x-eps] and [x+eps, hi] of the support
+        _, stop, _, left_cut = _window_panels(edges, edges[0], xb[:, None] - sup.radii)
+        first, _, right_cut, _ = _window_panels(edges, xb[:, None] + sup.radii, edges[-1])
         rows = np.arange(B)[:, None]
-        res = (left[ia, rows] + right[n_pan - 1 - ib, rows]).view(complex).reshape(B, -1, M, nQ)
-        # kept parts of the cut panels, [panel_lo, x-eps] and [x+eps, panel_hi];
-        # empty ones (window end beyond the support) add nothing and are skipped
-        xe = np.broadcast_to(xb[:, None], lo_w.shape)
-        for seg_lo, seg_hi in ((edges[ia], np.minimum(lo_w, edges[ia + 1])),
-                               (np.maximum(hi_w, edges[ib]), edges[ib + 1])):
-            seg_hi = np.maximum(seg_lo, np.clip(seg_hi, edges[0], edges[-1]))
-            seg_lo = np.clip(seg_lo, edges[0], edges[-1])
-            cut = seg_hi > seg_lo
-            nodes, wts = _sub_gauss(seg_lo[cut], seg_hi[cut])   # (K, q)
-            fv = np.stack([np.interp(nodes, z, v, left=0.0, right=0.0) for v in vals])
-            base = wts * fv * (1.0 / (xe[cut][:, None] - nodes))  # (M, K, q)
+        res = (left[stop, rows] + right[n_pan - first, rows]).view(complex).reshape(B, -1, M, nQ)
+        xe = np.broadcast_to(xb[:, None], stop.shape)
+        for seg_lo, seg_hi in (left_cut, right_cut):
+            cut, nodes, fv = _cut_segments(grid, vals, seg_lo, seg_hi)   # (K, q), (M, K, q)
+            base = fv * (1.0 / (xe[cut][:, None] - nodes))
             add = np.empty((nodes.shape[0], M, nQ), dtype=complex)
             if nQ % 2:
                 add[..., nP] = base.sum(axis=-1).T
@@ -224,7 +221,7 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray,
                 np.add(ic, rs, out=add.imag[..., nP - 1::-1])
             res[cut] += add
         out[s:s + B] = np.max(np.abs(res), axis=1)
-    return np.moveaxis(out, 1, 0).reshape(f.values.shape[:-1] + (xs.size, nQ))
+    return np.moveaxis(out, 1, 0).reshape(f.values.shape[:-1] + (z.size, nQ))
 
 
 def maximal_hilbert(f: SampledFn, sup: SupGrid) -> SampledFn:
@@ -237,36 +234,19 @@ def carleson_hunt(f: SampledFn, sup: SupGrid) -> SampledFn:
     return f.with_values(np.max(_truncated_sups(f, sup, sup.frequencies), axis=-1))
 
 
-def _even_zero_extension(f: SampledFn) -> SampledFn:
-    """Half-line f (grid lo = 0) viewed on the full line, zero on the negative axis."""
-    g = f.grid
-    edges = _require_panels(g)
-    pts = np.concatenate([-g.points[::-1], g.points])
-    wts = np.concatenate([g.weights[::-1], g.weights])
-    full = Grid(pts, wts, -g.hi, g.hi, np.concatenate([-edges[::-1], edges[1:]]))
-    vals = np.concatenate([np.zeros_like(f.values), f.values], axis=-1)
-    return SampledFn(full, vals, FULL_LINE)
-
-
 def prestini_majorant(order: float, f: SampledFn, sup: SupGrid) -> SampledFn:
-    """|x|^{-(a+1/2)} (M_HL + H + H* + C)((.)^{a+1/2} f)(|x|) for a
-    half-line f extended by zero; the unknown uniform constant is left out
-    and estimated empirically by the harness."""
+    """|x|^{-(a+1/2)} (M_HL + H + H* + C)((.)^{a+1/2} f)(|x|) for a half-line f,
+    zero beyond its grid like every operator here; the unknown uniform constant
+    is left out and estimated empirically by the harness."""
     if f.domain_tag != HALF_LINE:
         raise ArgumentError("prestini_majorant expects a half-line function")
     if f.grid.lo != 0.0:
         raise ArgumentError("prestini_majorant needs a half-line grid with lo = 0")
-    fx = _even_zero_extension(f)
     a = float(order)
-    g = fx.with_values(fx.values * np.abs(fx.grid.points) ** (a + 0.5))
-    pos_idx = np.arange(fx.grid.n // 2, fx.grid.n)
-    xs = fx.grid.points[pos_idx]   # M_HL and H only at the kept nodes x > 0
-    mhl = _hl_sups(fx.grid, np.abs(g.values), sup.radii, xs).reshape(f.values.shape)
-    hop = _conjugate_hardy_at(g, xs).reshape(f.values.shape)
+    g = f.with_values(f.values * f.grid.points ** (a + 0.5))
     # one pass: H* is the xi = 0 column, which C leaves out unless 0 is in sup
     q, mid = sup.frequencies, sup.frequencies.size // 2
-    sups = _truncated_sups(g, sup, q if q.size % 2 else np.insert(q, mid, 0.0), pos_idx)
-    hst = sups[..., mid]
+    sups = _truncated_sups(g, sup, q if q.size % 2 else np.insert(q, mid, 0.0))
     car = np.max(sups if q.size % 2 else np.delete(sups, mid, axis=-1), axis=-1)
-    total = (mhl + hop + hst + car) * f.grid.points ** (-(a + 0.5))
-    return f.with_values(total)
+    total = hardy_littlewood_max(g, sup).values + conjugate_hardy(g).values + sups[..., mid] + car
+    return f.with_values(total * f.grid.points ** (-(a + 0.5)))

@@ -31,8 +31,7 @@ from .errors import ArgumentError, DomainError, DunklOscError, GateError, Resolu
 from .funcspace import (FULL_LINE, HALF_LINE, read_sampled_fn, write_sampled_fn)
 from .projections import (ThresholdSeq, build_family, dunkl_partial_sum, family_to_csv,
                           fourier_partial_sum, hankel_partial_sum, radial_partial_sum)
-from .seminorms import (CutSequence, carleson_dunkl_max, carleson_hankel_max,
-                        max_oscillation, oscillation, variation)
+from .seminorms import CutSequence, max_oscillation, oscillation, variation
 from .classical_ops import (carleson_hunt, conjugate_hardy, default_sup_grid,
                             hardy_littlewood_max, maximal_hilbert, prestini_majorant)
 from .weights import (NormSpec, ap_alpha_check, ap_check, beta_star,
@@ -137,8 +136,10 @@ MAXIMALS = {
     "maximal-hilbert": lambda args, f: maximal_hilbert(f, _sup_grid(args, f)),
     "carleson-hunt": lambda args, f: carleson_hunt(f, _sup_grid(args, f)),
     "prestini-majorant": lambda args, f: prestini_majorant(args.alpha, f, _sup_grid(args, f)),
-    "carleson-dunkl": lambda args, f: carleson_dunkl_max(args.alpha, f, _t_grid_for(args, f)),
-    "carleson-hankel": lambda args, f: carleson_hankel_max(args.alpha, f, _t_grid_for(args, f)),
+    "carleson-dunkl": lambda args, f: build_family(args.alpha, f, _t_grid_for(args, f),
+                                                   kind="dunkl").max_abs(),
+    "carleson-hankel": lambda args, f: build_family(args.alpha, f, _t_grid_for(args, f),
+                                                    kind="hankel").max_abs(),
 }
 
 # predicate -> (verdict(args), formula)

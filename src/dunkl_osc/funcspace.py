@@ -135,15 +135,16 @@ class Grid:
 
 @dataclass(frozen=True)
 class SampledFn:
-    """A complex-valued function known at the quadrature nodes of a grid, or a
-    stack of them: values is (..., grid.n), the last axis on the grid."""
+    """A function known at the quadrature nodes of a grid, or a stack of them:
+    values is (..., grid.n), the last axis on the grid, stored as complex128
+    when complex and as float64 otherwise (moduli and maxima stay real)."""
 
     grid: Grid
     values: np.ndarray
     domain_tag: str = FULL_LINE
 
     def __post_init__(self):
-        vals = _freeze(self.values, complex)
+        vals = _freeze(self.values, complex if np.iscomplexobj(self.values) else float)
         if vals.shape[-1:] != self.grid.points.shape:
             raise ArgumentError("values must have one entry per grid point on the last axis")
         if not np.isfinite(vals).all():
@@ -250,17 +251,11 @@ def even_odd_split(f: SampledFn):
 
 
 def assemble_values(even_vals: np.ndarray, odd_vals: np.ndarray) -> np.ndarray:
-    """f(x) = f_e(|x|) + sgn(x) f_o(|x|) on a symmetric grid, from the parts
-    at the positive nodes, along the last axis: one (N/2,) pair gives an
-    (N,) vector, a (T, N/2) pair a (T, N) stack."""
+    """Inverse of even_odd_split: f(x) = f_e(|x|) + sgn(x) f_o(|x|) on a
+    symmetric grid, from the parts at the positive nodes, along the last
+    axis: one (N/2,) pair gives an (N,) vector, a (T, N/2) pair a (T, N)
+    stack."""
     return np.concatenate([(even_vals - odd_vals)[..., ::-1], even_vals + odd_vals], axis=-1)
-
-
-def assemble_from_parts(full_grid: Grid, even_vals: np.ndarray, odd_vals: np.ndarray) -> SampledFn:
-    """Inverse of even_odd_split: f(x) = f_e(|x|) + sgn(x) f_o(|x|)."""
-    if not full_grid.is_symmetric:
-        raise ArgumentError("assemble_from_parts needs a symmetric grid")
-    return SampledFn(full_grid, assemble_values(even_vals, odd_vals), FULL_LINE)
 
 
 def multiply_power(f: SampledFn, a: float) -> SampledFn:

@@ -517,9 +517,9 @@ def prestini_constant_sweep(alphas: Sequence[float],
                 else:
                     kept.append(m)
             stack = _stack(kept)
-            majs = prestini_majorant(alpha, stack, sup).values.real
+            majs = prestini_majorant(alpha, stack, sup).values
             maxes = _grouped_families(PartialSumFamily.max_abs, width, alpha, stack, t_grid,
-                                      half_freq, "hankel").real
+                                      half_freq, "hankel")
             best = max([0.0] + [float(np.max(mx / maj)) for mx, maj in zip(maxes, majs)])
             consts.append(best)
             pairs.append((f"C(alpha={alpha:g}, N={res.n_line})", best))

@@ -1,10 +1,10 @@
-"""Truncated oscillation seminorm, r-variation seminorm, and the
-Carleson-type maximal functions of a partial-sum family.
+"""Truncated oscillation seminorm and r-variation seminorm of a partial-sum
+family.
 
 Both seminorms take their supremum over cuts drawn from the family's finite
-t-grid, and both are exact there: `variation` by the quadratic dynamic
-program over selection endpoints, `max_oscillation` by the same program over
-the last cut of a sequence.  `oscillation` evaluates one fixed cut sequence.
+t-grid, and both are exact there, by one quadratic dynamic program over the
+last element of a chain (`_chain_sup`): a selection for `variation`, a cut
+sequence for `max_oscillation`.  `oscillation` evaluates one fixed cut sequence.
 Each reduces the family's t axis (axis -2), so the family of a (..., N)
 stack gives one (..., N) result, row for row equal to the lone calls.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .funcspace import SampledFn
-from .projections import PartialSumFamily, ThresholdSeq, build_family
+from .projections import PartialSumFamily, ThresholdSeq
 
 
 @dataclass(frozen=True)
@@ -65,22 +65,31 @@ def oscillation(family: PartialSumFamily, cuts: CutSequence) -> SampledFn:
     return SampledFn(family.base.grid, np.sqrt(acc), family.base.domain_tag)
 
 
+def _chain_sup(family: PartialSumFamily, lag: int, power: float) -> np.ndarray:
+    """best[k] = max over i < k of best[i] + |a_i - a_{k-lag}|^(2 power), the best
+    chain whose last element is k, over the (..., T, N) family values.  Adding a
+    step never lowers a sum, so best is nondecreasing in k: the last row is the sup."""
+    vals = family.values
+    parts, best = np.stack([vals.real, vals.imag]), np.zeros(vals.shape)
+    scratch = np.empty(parts.shape)
+    for k in range(1, vals.shape[-2]):
+        gap = _sq_gaps(parts, k - lag, slice(0, k), scratch[..., :k, :])
+        if power != 1.0:
+            np.power(gap, power, out=gap)
+        np.max(np.add(best[..., :k, :], gap, out=gap), axis=-2, out=best[..., k, :])
+    return best[..., -1, :]
+
+
 def max_oscillation(family: PartialSumFamily) -> SampledFn:
     """Pointwise sup of `oscillation` over every increasing cut sequence
     drawn from the family's t-grid, of any length, exact via dynamic
     programming over the sequence's last cut: O(T^2 N) time, O(T N) memory
     per function of a stacked family.  The last cut closes its block
-    without belonging to it, as in `oscillation`."""
-    vals = family.values
-    parts, best = np.stack([vals.real, vals.imag]), np.zeros(vals.shape)
-    scratch = np.empty(parts.shape)
-    for k in range(1, vals.shape[-2]):
-        # best sequence whose last cut is k: extend the best one ending at i by |a_{k-1} - a_i|^2;
-        # a block sup at t < k-1 is reached by cutting at t+1 instead (best is nondecreasing)
-        gap = _sq_gaps(parts, k - 1, slice(0, k), scratch[..., :k, :])
-        np.max(np.add(best[..., :k, :], gap, out=gap), axis=-2, out=best[..., k, :])
-    # best[k] >= best[k-1] + |a_{k-1} - a_{k-1}|^2 = best[k-1]: the last row is the sup
-    return SampledFn(family.base.grid, np.sqrt(best[..., -1, :]), family.base.domain_tag)
+    without belonging to it, as in `oscillation`: the best sequence ending
+    at k extends the best one ending at i by |a_{k-1} - a_i|^2, since a
+    block sup at t < k-1 is reached by cutting at t+1 instead."""
+    return SampledFn(family.base.grid, np.sqrt(_chain_sup(family, 1, 1.0)),
+                     family.base.domain_tag)
 
 
 def variation(family: PartialSumFamily, r: float) -> SampledFn:
@@ -89,25 +98,5 @@ def variation(family: PartialSumFamily, r: float) -> SampledFn:
     over the selection's last element, per function of a stacked family."""
     if r < 1.0:
         raise ArgumentError("variation exponent must satisfy r >= 1")
-    vals = family.values
-    best = np.zeros(vals.shape)
-    for i in range(1, vals.shape[-2]):
-        # best chain ending at i: max over previous endpoints j < i
-        cand = best[..., :i, :] + np.abs(vals[..., i, None, :] - vals[..., :i, :]) ** r
-        best[..., i, :] = np.max(cand, axis=-2)
-    return SampledFn(family.base.grid, np.max(best, axis=-2) ** (1.0 / r),
+    return SampledFn(family.base.grid, _chain_sup(family, 0, r / 2.0) ** (1.0 / r),
                      family.base.domain_tag)
-
-
-def carleson_dunkl_max(order: float, f: SampledFn, t_grid: ThresholdSeq,
-                       freq_grid=None) -> SampledFn:
-    """sup_t |S_t f| over the t-grid (full line)."""
-    fam = build_family(order, f, t_grid, freq_grid, kind="dunkl")
-    return fam.max_abs()
-
-
-def carleson_hankel_max(order: float, f: SampledFn, t_grid: ThresholdSeq,
-                        freq_grid=None) -> SampledFn:
-    """sup_t |S~_t f| over the t-grid (half line)."""
-    fam = build_family(order, f, t_grid, freq_grid, kind="hankel")
-    return fam.max_abs()

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, ResolutionError,
-                       SupGrid, ThresholdSeq, build_family, bump,
-                       carleson_hunt, conjugate_hardy, default_sup_grid,
-                       gaussian, hardy_littlewood_max, make_breakpoint_grid,
-                       make_graded_grid, maximal_hilbert, prestini_majorant,
-                       sample)
-from dunkl_osc.classical_ops import (_conjugate_hardy_at, _even_zero_extension, _hl_sups,
-                                     _truncated_sups)
+from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid,
+                       ResolutionError, SampledFn, SupGrid, ThresholdSeq,
+                       build_family, bump, carleson_hunt, conjugate_hardy,
+                       default_sup_grid, gaussian, hardy_littlewood_max,
+                       make_breakpoint_grid, make_graded_grid, maximal_hilbert,
+                       prestini_majorant, sample)
+from dunkl_osc.classical_ops import _truncated_sups
 
 
 @pytest.fixture(scope="module")
@@ -223,45 +222,75 @@ def test_carleson_without_zero_frequency(smooth_pair):
     assert np.array_equal(carleson_hunt(f2, sup).values.real, np.max(sups, axis=1))
 
 
-@pytest.mark.parametrize("freqs", [None, [-2.0, -1.0, 1.0, 2.0]], ids=["with-0", "without-0"])
-def test_prestini_parts_match_public_operators(freqs):
-    # the majorant's one pass gives H* (xi = 0 column) and C (sup's columns
-    # only) as the public operators do, for one function and for a stack
+def _prestini_stack():
     half = make_graded_grid(0.0, 3.0, 8, 32, 1.0)
     one = sample(bump(1.5, 1.2), half, HALF_LINE)
     stack = one.with_values(np.stack([one.values, sample(bump(1.0, 0.8), half).values,
                                       sample(gaussian(2.0, 0.4), half).values * (1 - 2j)]))
+    return half, one, stack
+
+
+@pytest.mark.parametrize("freqs", [None, [-2.0, -1.0, 1.0, 2.0]], ids=["with-0", "without-0"])
+def test_prestini_parts_match_public_operators(freqs):
+    # the majorant is the public operators on g = x^(a+1/2) f on f's own grid: its
+    # one pass gives H* (xi = 0 column) and C (sup's columns only) as maximal_hilbert
+    # and carleson_hunt do, up to the BLAS summation order of its wider panel product,
+    # for one function and for a stack
+    half, one, stack = _prestini_stack()
     sup = default_sup_grid(half, [0.5, 1.0, 2.0]) if freqs is None else \
         SupGrid(3.0 * 2.0 ** np.arange(8, -9, -1), np.array(freqs))
     a = 0.5
     for f in (one, stack):
-        fx = _even_zero_extension(f)
-        g = fx.with_values(fx.values * np.abs(fx.grid.points) ** (a + 0.5))
-        idx = np.arange(fx.grid.n // 2, fx.grid.n)
-        hst = maximal_hilbert(g, sup).values[..., idx]
-        car = carleson_hunt(g, sup).values[..., idx]
+        g = f.with_values(f.values * half.points ** (a + 0.5))
+        hst, car = maximal_hilbert(g, sup).values, carleson_hunt(g, sup).values
         assert freqs is None or np.any(hst > car)   # a stray xi = 0 column in C would show
-        parts = (hardy_littlewood_max(g, sup).values[..., idx]
-                 + conjugate_hardy(g).values[..., idx] + hst + car) * half.points ** (-(a + 0.5))
+        parts = (hardy_littlewood_max(g, sup).values + conjugate_hardy(g).values
+                 + hst + car) * half.points ** (-(a + 0.5))
         maj = prestini_majorant(a, f, sup).values
         assert maj.shape == f.values.shape
-        assert np.max(np.abs(maj - parts) / np.abs(parts)) <= 1e-14
+        assert np.max(np.abs(maj - parts) / np.abs(parts)) <= 1e-15
 
 
-def test_majorant_windows_at_the_kept_nodes_are_bitwise():
-    # the majorant takes M_HL and H at the positive nodes of the zero extension
-    # only; the full operators restricted to those nodes give the same bits
-    half = make_graded_grid(0.0, 3.0, 8, 32, 1.0)
-    f = sample(bump(1.5, 1.2), half, HALF_LINE)
-    stack = f.with_values(np.stack([f.values, sample(gaussian(2.0, 0.4), half).values * 1j]))
+def test_half_line_operators_match_the_zero_extension():
+    # every operator treats f as zero beyond its grid, so on a half-line grid it
+    # matches f extended by zero to the mirrored full-line grid, at the kept nodes;
+    # they differ only where the full grid interpolates across 0 (from the zero
+    # at -x_0) and the half grid holds the first sample, for g = x f of the majorant
+    half, _, stack = _prestini_stack()
+    stack = stack * half.points
+    edges = half.panel_edges
+    full = Grid(np.concatenate([-half.points[::-1], half.points]),
+                np.concatenate([half.weights[::-1], half.weights]), -half.hi, half.hi,
+                np.concatenate([-edges[::-1], edges[1:]]))
+    ext = SampledFn(full, np.concatenate([np.zeros_like(stack.values), stack.values], axis=-1))
     sup = default_sup_grid(half, [0.5, 1.0, 2.0])
-    for h in (_even_zero_extension(f), _even_zero_extension(stack)):
-        idx = np.arange(h.grid.n // 2, h.grid.n)
-        xs = h.grid.points[idx]
-        full = (hardy_littlewood_max(h, sup).values, conjugate_hardy(h).values)
-        kept = (_hl_sups(h.grid, np.abs(h.values), sup.radii, xs), _conjugate_hardy_at(h, xs))
-        for a, b in zip(full, kept):
-            assert np.array_equal(a[..., idx].reshape(b.shape), b)
+    for op in (lambda h: hardy_littlewood_max(h, sup).values, lambda h: conjugate_hardy(h).values,
+               lambda h: _truncated_sups(h, sup, sup.frequencies)):
+        on_half, on_full = op(stack), op(ext)[:, half.n:]
+        assert np.all(np.abs(on_half - on_full) <= 1e-10 * np.abs(on_full))
+
+
+def test_hardy_littlewood_windows_past_the_support_are_exact():
+    # radius 4 covers the support [0.2, 2] from every node: the clipped window is
+    # the whole support, integrated by the grid's own rule, so M_HL x^2 is
+    # integral_0.2^2 y^2 dy / 8 to rounding
+    g = make_graded_grid(0.2, 2.0, 6, 8)
+    out = hardy_littlewood_max(sample(lambda y: np.asarray(y) ** 2, g, HALF_LINE),
+                               SupGrid(np.array([4.0]), np.array([0.0]))).values
+    exact = (2.0 ** 3 - 0.2 ** 3) / 3.0 / 8.0
+    assert np.max(np.abs(out - exact)) <= 1e-14 * exact
+
+
+def test_maximal_hilbert_of_one_clips_windows_to_the_support():
+    # for f = 1 on [0, 2] every eps < min(x, 2 - x) truncates to log(x / (2 - x)) and
+    # larger eps, whose windows reach past the support, give less; with 8 nodes a
+    # panel the end panels' sub-nodes lie beyond the end nodes and read the end samples
+    g = make_graded_grid(0.0, 2.0, 6, 8)
+    out = maximal_hilbert(sample(lambda y: np.ones_like(np.asarray(y, float)), g, HALF_LINE),
+                          default_sup_grid(g)).values
+    mid = slice(g.n // 4, 3 * g.n // 4)
+    x = g.points[mid]
+    assert np.max(np.abs(out[mid] - np.abs(np.log(x / (2.0 - x))))) <= 2e-3
 
 
 def _rows_match(stacked, single_calls):
@@ -280,16 +309,14 @@ def test_operators_act_along_the_last_axis(smooth_pair):
     funcs = [f1, f2, f1 * (0.5 - 1j), sample(bump(-1.0, 0.7), g),
              sample(gaussian(1.2, 0.5), g) * 2j, f1 + f2]
     stack = f1.with_values(np.stack([f.values for f in funcs]).reshape(2, 3, g.n))
-    idx = np.arange(3, g.n, 7)
     ops = {"hardy-littlewood": lambda h: hardy_littlewood_max(h, sup).values,
            "conjugate-hardy": lambda h: conjugate_hardy(h).values,
            "maximal-hilbert": lambda h: maximal_hilbert(h, sup).values,
            "carleson-hunt": lambda h: carleson_hunt(h, sup).values,
-           "truncated sups": lambda h: _truncated_sups(h, sup, sup.frequencies),
-           "truncated sups at nodes": lambda h: _truncated_sups(h, sup, sup.frequencies, idx)}
+           "truncated sups": lambda h: _truncated_sups(h, sup, sup.frequencies)}
     for name, op in ops.items():
         singles = [op(f) for f in funcs]
-        assert singles[0].shape[0] == (g.n if "nodes" not in name else idx.size), name
+        assert singles[0].shape[0] == g.n, name
         out = op(stack)
         assert out.shape == (2, 3) + singles[0].shape, name
         _rows_match(out, singles)
@@ -323,7 +350,7 @@ def test_truncated_sups_match_quad_oracle():
     xis = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
     sup = SupGrid(np.array([5.0, 3.0, 0.4, 0.2, 0.1]), np.concatenate([-xis, [0.0], xis]))
     idx = np.array([np.argmin(np.abs(g.points - c)) for c in (-0.4, 0.1, 0.35)])
-    sups = _truncated_sups(f, sup, sup.frequencies, idx)
+    sups = _truncated_sups(f, sup, sup.frequencies)[idx]
     hilb, carl = maximal_hilbert(f, sup).values[idx], carleson_hunt(f, sup).values[idx]
     for i, x in enumerate(g.points[idx]):
         ref = np.zeros((sup.radii.size, sup.frequencies.size))

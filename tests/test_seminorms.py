@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dunkl_osc import (ArgumentError, CutSequence, PartialSumFamily,
-                       ThresholdSeq, build_family, carleson_dunkl_max,
-                       default_t_grid,
-                       carleson_hankel_max, even_odd_split, make_graded_grid,
-                       max_oscillation, oscillation, sample, variation)
+                       ThresholdSeq, build_family, default_t_grid,
+                       even_odd_split, make_graded_grid, max_oscillation,
+                       oscillation, sample, variation)
 
 
 def synthetic_family(rows, grid):
@@ -97,6 +96,22 @@ def test_max_oscillation_matches_brute_force(grid):
     assert np.array_equal(max_oscillation(fam).values.real, brute)
 
 
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+def test_variation_matches_brute_force(grid, r):
+    # T=8 complex rows that differ from node to node: the DP reaches the max over
+    # all 247 increasing selections of at least two elements, to rounding
+    rng = np.random.Generator(np.random.Philox(key=13))
+    T = 8
+    vals = rng.standard_normal((T, grid.n)) + 1j * rng.standard_normal((T, grid.n))
+    fam = synthetic_family(list(vals), grid)
+    brute = np.zeros(grid.n)
+    for k in range(2, T + 1):
+        for pick in itertools.combinations(range(T), k):
+            steps = np.abs(np.diff(vals[list(pick)], axis=0)) ** r
+            brute = np.maximum(brute, np.sum(steps, axis=0) ** (1.0 / r))
+    assert np.max(np.abs(variation(fam, r).values - brute) / brute) <= 1e-14
+
+
 def _run_table_max_oscillation(family):
     """The DP with a running table run[i] = max over i <= t < k of |a_t - a_i|^2
     and best[k] = max over i < k of best[i] + run[i]."""
@@ -153,8 +168,8 @@ def test_carleson_max_operators(space512, freq512, corpus512):
     m = corpus512[1]
     tg = ThresholdSeq.union(ThresholdSeq.geometric(0.1, 50.0, 32),
                             ThresholdSeq.dyadic(-3, 5))
-    cd = carleson_dunkl_max(0.5, m.sampled, tg, freq512)
-    fam = build_family(0.5, m.sampled, tg, freq512)
+    fam = build_family(0.5, m.sampled, tg, freq512, kind="dunkl")
+    cd = fam.max_abs()
     for i in (0, 10, 20):
         assert np.all(cd.values.real >= np.abs(fam.values[i]) - 1e-14)
     # at the band limit the rows approach f, so the max nearly dominates |f|
@@ -162,8 +177,8 @@ def test_carleson_max_operators(space512, freq512, corpus512):
     # parity-decomposition bound for the maximal operator
     fe, fo = even_odd_split(m.sampled)
     foy = fo.with_values(fo.values / fo.grid.points)
-    he = carleson_hankel_max(0.5, fe, tg, freq512.positive_half())
-    ho = carleson_hankel_max(1.5, foy, tg, freq512.positive_half())
+    he = build_family(0.5, fe, tg, freq512.positive_half(), kind="hankel").max_abs()
+    ho = build_family(1.5, foy, tg, freq512.positive_half(), kind="hankel").max_abs()
     half_pts = fe.grid.points
     bound = np.concatenate([(he.values.real + half_pts * ho.values.real)[::-1],
                             he.values.real + half_pts * ho.values.real])
@@ -176,7 +191,7 @@ def test_zero_function_all_zero(space512, freq512):
     fam = build_family(0.0, z, tg, freq512)
     assert np.max(max_oscillation(fam).values.real) == 0.0
     assert np.max(variation(fam, 2.0).values.real) == 0.0
-    assert np.max(carleson_dunkl_max(0.0, z, tg, freq512).values.real) == 0.0
+    assert np.max(fam.max_abs().values.real) == 0.0
 
 
 
