@@ -128,7 +128,10 @@ def bessel_j_normalized(alpha: float, u):
     if alpha == -0.5:
         out = _SQRT_2_OVER_PI * np.cos(uu)
     elif alpha == 0.5:
-        out = _SQRT_2_OVER_PI * np.sinc(uu / np.pi)
+        out = np.sin(uu)
+        np.divide(out, uu, out=out, where=uu > 0.0)
+        out[uu == 0.0] = 1.0
+        out *= _SQRT_2_OVER_PI
     else:
         turn = max(_TURN, alpha)
         edges = np.array(sorted(set(_EDGES) | {turn}))

@@ -5,12 +5,17 @@ Everything is dense quadrature, O(N_in * N_out): a kernel matrix is built
 once and cached, so sweeping a corpus over fixed grids costs one matrix
 build plus one GEMM per transform.  Every transform acts along the last
 axis of f.values, so a (..., N) stack of functions on one grid is the
-columns of that one GEMM.  A Bessel kernel j_a(xy) is symmetric in the
-product, so it is cached once per order and unordered grid pair, and the
-other orientation is served as its transposed view.  The Bessel kernels
-are real and the data complex; they are applied in real arithmetic
-(_apply_real), with the real and imaginary parts of the data as GEMM
-columns, so the cached kernel is never upcast to a complex copy.  Every
+columns of that one GEMM.  Each kernel is stored at its symmetric size.
+A Bessel kernel j_a(xy) is symmetric in the product, so it is cached once
+per order and unordered grid pair, and the other orientation is served as
+its transposed view.  The Fourier kernel is stored as its real cos and sin
+halves on the nodes >= 0 of a symmetric axis and applied to the even and
+odd folds of the data.  When the two node sets are proportional (a
+frequency half-grid is a scaled copy of its space half-grid) a kernel is
+evaluated on one triangle and mirrored (_outer_kernel).  Every kernel is
+real and the data complex; it is applied in real arithmetic (_apply_real),
+with the real and imaginary parts of the data as GEMM columns, so no
+cached kernel is upcast to a complex copy.  Every
 full-line transform reuses the cached half-line kernels: the direct Dunkl
 route sums the four (sign x, sign y) quadrants instead of building a
 full-line kernel.  An oscillatory resolution guard refuses output
@@ -48,7 +53,8 @@ MIN_NODES_PER_WAVELENGTH = 6.0
 _cache_lock = threading.Lock()
 _matrix_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _building: dict[tuple, Future] = {}   # keys whose build is in flight
-_CACHE_BUDGET = 1 << 30   # bytes of stored kernels; an N=1536 identity suite stores 66 MB
+_CACHE_BUDGET = 1 << 30   # bytes of stored kernels; an N=1536 identity suite stores 38 MB
+_MIRROR_BLOCK = 64   # rows per block when a symmetric kernel's triangle is mirrored
 
 
 def _cached(key, builder):
@@ -136,6 +142,39 @@ def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.view(np.complex128).reshape(mat.shape[:1] + v.shape[1:])
 
 
+def _outer_kernel(r: np.ndarray, c: np.ndarray, *fns) -> np.ndarray:
+    """The (len(fns), r.size, c.size) stack of fn(u) at u_ij = r_i c_j, each
+    fn mapping a 1-d array of arguments to their values.  When r and c are
+    proportional node sets of one length (a frequency half-grid is a scaled
+    copy of the space half-grid), u is symmetric up to rounding: each fn
+    runs on the j >= i triangle only, packed row by row, and the triangle
+    is mirrored in row blocks, so the stored kernel is exactly symmetric."""
+    n = r.size
+    out = np.empty((len(fns), n, c.size))
+    lam = r[-1] / c[-1] if n == c.size and c[-1] != 0.0 else 0.0
+    if lam == 0.0 or np.any(np.abs(r - lam * c) > 4.0 * np.finfo(float).eps * np.abs(lam * c)):
+        u = np.multiply.outer(r, c).ravel()
+        for o, fn in zip(out, fns):
+            o.ravel()[:] = fn(u)
+        return out
+    u = np.empty(n * (n + 1) // 2)
+    start = 0
+    for i in range(n):
+        np.multiply(r[i], c[i:], out=u[start:start + n - i])
+        start += n - i
+    low = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)
+    for o, fn in zip(out, fns):
+        vals, start = fn(u), 0
+        for i in range(n):
+            o[i, i:] = vals[start:start + n - i]
+            start += n - i
+        for s in range(0, n, _MIRROR_BLOCK):
+            e = min(s + _MIRROR_BLOCK, n)
+            o[s:e, :s] = o[:s, s:e].T
+            np.copyto(o[s:e, s:e], o[s:e, s:e].T, where=low[:e - s, :e - s])
+    return out
+
+
 def _j_matrix(alpha: float, rows: Grid, cols: Grid) -> np.ndarray:
     """j_alpha(outer(|rows|, |cols|)) for half-line grids, cached once per
     order and unordered grid pair: x*y = y*x exactly, so the orientation
@@ -145,41 +184,44 @@ def _j_matrix(alpha: float, rows: Grid, cols: Grid) -> np.ndarray:
     key = ("j", round(float(alpha), 12), rows.key, cols.key)
 
     def build():
-        u = np.abs(rows.points)[:, None] * np.abs(cols.points)[None, :]
-        return bessel_j_normalized(alpha, u.ravel()).reshape(u.shape)
-
-    return _cached(key, build)
-
-
-def _fourier_matrix(rows: Grid, cols: Grid) -> np.ndarray:
-    key = ("fourier", rows.key, cols.key)
-
-    def build():
-        # on a symmetric row grid row -xi is exactly the conjugate of row xi,
-        # and likewise column -x of column x, so exp runs on the non-negative
-        # rows and columns only (m = 0 or k = 0: on all of them)
-        m = rows.n // 2 if rows.is_symmetric else 0
-        k = cols.n // 2 if cols.is_symmetric else 0
-        mat = np.empty((rows.n, cols.n), dtype=complex)
-        top = mat[m:, k:]
-        top[...] = np.multiply.outer(rows.points[m:], cols.points[k:])
-        top *= -1j
-        np.exp(top, out=top)
-        top /= np.sqrt(2.0 * np.pi)
-        np.conjugate(top[:, ::-1][:, :k], out=mat[m:, :k])
-        np.conjugate(mat[m:][::-1][:m], out=mat[:m])
-        return mat
+        return _outer_kernel(np.abs(rows.points), np.abs(cols.points),
+                             lambda u: bessel_j_normalized(alpha, u))[0]
 
     return _cached(key, build)
 
 
 def fourier(f: SampledFn, output_grid: Grid) -> SampledFn:
-    """(2 pi)^{-1/2} integral f(y) e^{-ixy} dy on the output grid."""
+    """(2 pi)^{-1/2} integral f(y) e^{-ixy} dy on the output grid.
+
+    The cached kernel is real: [C; S] = [cos; sin](x y) / sqrt(2 pi) on the
+    nodes x >= 0 and y >= 0 of a symmetric axis (a non-symmetric axis is
+    kept whole).  On a symmetric input grid the weighted samples fold into
+    e = v+ + v- and o = v+ - v- at y >= 0 (v- the mirrored samples at
+    y < 0; an odd grid's node y = 0 counted once; unfolded, e = o = v), so
+    F(x) = C e - i S o and, on a symmetric output grid, F(-x) = C e + i S o.
+    One GEMM applies [C; S] to [e | o]."""
     if f.domain_tag != FULL_LINE:
         raise ArgumentError("fourier needs a full-line function")
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
-    mat = _fourier_matrix(output_grid, f.grid)
-    return SampledFn(output_grid, (f.grid.weights * f.values) @ mat.T, FULL_LINE)
+    m = output_grid.n // 2 if output_grid.is_symmetric else 0
+    k = f.grid.n // 2 if f.grid.is_symmetric else 0
+    p, q = output_grid.n - m, f.grid.n - k
+
+    def build():
+        halves = _outer_kernel(output_grid.points[m:], f.grid.points[k:], np.cos, np.sin)
+        halves /= np.sqrt(2.0 * np.pi)
+        return halves.reshape(2 * p, q)
+
+    halves = _cached(("fourier", output_grid.key, f.grid.key), build)
+    v = f.grid.weights * f.values
+    folded = np.stack([v[..., k:], v[..., k:]], axis=-2)   # (..., 2, q): e, o
+    neg = v[..., :k][..., ::-1]
+    folded[..., 0, q - k:] += neg
+    folded[..., 1, q - k:] -= neg
+    out = _apply_real(halves, folded.T).T
+    ce, so = out[..., 0, :p], out[..., 1, p:]
+    vals = np.concatenate([(ce + 1j * so)[..., p - m:][..., ::-1], ce - 1j * so], axis=-1)
+    return SampledFn(output_grid, vals, FULL_LINE)
 
 
 def fourier_inverse(g: SampledFn, output_grid: Grid) -> SampledFn:

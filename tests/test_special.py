@@ -127,7 +127,7 @@ def _kernel_arguments(res, n, rng):
                            rng.choice(u[u > 14.0], n // 2, replace=False)])
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
 def test_kernel_grids_against_mpmath(alpha):
     # 1000 points of each of the N=512 and N=1536 kernels per order
     import mpmath as mp
@@ -135,6 +135,14 @@ def test_kernel_grids_against_mpmath(alpha):
     rng = np.random.default_rng(11)
     u = np.concatenate([_kernel_arguments(r, 1000, rng)
                         for r in (resolution_n512(), default_resolution())])
+    if abs(alpha) == 0.5:
+        # the closed forms, against the envelope sqrt(2/pi) max(1, u)^(-a-1/2)
+        # of |j_a|: J_{-1/2} is unbounded at 0, so no absolute bound on J applies
+        with mp.workdps(30):
+            ref = np.array([float(mp.besselj(alpha, mp.mpf(x)) / mp.mpf(x) ** alpha) for x in u])
+        env = np.sqrt(2.0 / np.pi) * np.maximum(1.0, u) ** (-alpha - 0.5)
+        assert np.max(np.abs(bessel_j_normalized(alpha, u) - ref) / env) <= 1e-15
+        return
     with mp.workdps(30):
         ref = np.array([float(mp.besselj(alpha, mp.mpf(x))) for x in u])
     err = np.abs(bessel_j(alpha, u) - ref)

@@ -327,12 +327,34 @@ def test_kernel_cache_evicts_by_bytes(monkeypatch, cold_kernel_cache):
     assert cold_kernel_cache[("bytes", "big")] is big
 
 
-def test_identity_suite_builds_each_kernel_once(cold_kernel_cache):
+@pytest.fixture(scope="module")
+def suite512_kernels():
+    """The kernel cache that the N=512 identity suite leaves, from cold."""
+    with transforms._cache_lock:
+        saved = dict(transforms._matrix_cache)
+        transforms._matrix_cache.clear()
+    try:
+        run_identity_suite(resolution_n512(), 7, (-0.5, 0.0, 0.5, 1.0), 1)
+        with transforms._cache_lock:
+            kernels = dict(transforms._matrix_cache)
+        yield kernels
+    finally:
+        with transforms._cache_lock:
+            transforms._matrix_cache.clear()
+            transforms._matrix_cache.update(saved)
+
+
+def test_identity_suite_builds_each_kernel_once(suite512_kernels):
     """Six j-kernels (orders -1/2 .. 2, one per unordered grid pair) and
     one Fourier kernel serve the whole N=512 identity suite."""
-    run_identity_suite(resolution_n512(), 7, (-0.5, 0.0, 0.5, 1.0), 1)
-    kinds = Counter(key[0] for key in cold_kernel_cache)
+    kinds = Counter(key[0] for key in suite512_kernels)
     assert kinds == Counter({"j": 6, "fourier": 1})
+
+
+def test_identity_suite_kernel_bytes(suite512_kernels):
+    """Each kernel at its symmetric size: six real 256^2 j-kernels and the
+    real 512 x 256 cos/sin halves of the Fourier kernel."""
+    assert sum(mat.nbytes for mat in suite512_kernels.values()) == 4_194_304
 
 
 def test_every_transform_acts_on_a_stack(space512, freq512, corpus512):
@@ -358,13 +380,52 @@ def test_every_transform_acts_on_a_stack(space512, freq512, corpus512):
             assert np.max(np.abs(out.values[i] - one)) <= 1e-14 * np.max(np.abs(one))
 
 
-def test_fourier_kernel_equals_the_plain_formula(space512, freq512, cold_kernel_cache):
-    # the conjugate-symmetric build on symmetric grids (even and odd n) and the
-    # direct one along a non-symmetric grid give the formula's bits
+def test_fourier_equals_the_plain_formula(monkeypatch, space512, freq512, corpus512,
+                                          cold_kernel_cache):
+    """The folded cos/sin route on symmetric grids (even and odd n) and the
+    unfolded one along a non-symmetric grid give the dense formula, for one
+    function and for a stack, to 4e-15 of max |F|: against a long-double
+    sum the dense formula itself is off by up to 1.6e-15 of it."""
+    monkeypatch.setattr(transforms, "check_resolution", lambda *args: None)   # coarse pairs
     odd = Grid(np.linspace(-2.0, 2.0, 9), np.full(9, 0.5), -2.25, 2.25)
     skew = make_graded_grid(-1.0, 2.0, 4, 8, 1.0)
     assert odd.is_symmetric and not skew.is_symmetric
     for rows, cols in ((freq512, space512), (space512, freq512), (odd, space512),
                        (space512, odd), (skew, space512), (odd, skew), (skew, skew)):
         plain = np.exp(-1j * np.multiply.outer(rows.points, cols.points)) / np.sqrt(2.0 * np.pi)
-        assert np.array_equal(transforms._fourier_matrix(rows, cols), plain)
+        one = np.exp(-(cols.points - 0.3) ** 2)
+        stack = np.stack([one] + [np.broadcast_to(m.fn(cols.points), (cols.n,))
+                                  for m in corpus512[::3]])
+        for vals in (one, stack):
+            got = fourier(SampledFn(cols, vals), rows).values
+            want = (cols.weights * vals) @ plain.T
+            scale = np.max(np.abs(want), axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 4e-15 * scale), (rows.n, cols.n)
+    halves = cold_kernel_cache[("fourier", freq512.key, space512.key)]
+    assert halves.dtype == np.float64 and halves.shape == (512, 256)
+
+
+def test_j_kernel_on_a_proportional_pair_is_built_on_one_triangle(monkeypatch,
+                                                                  cold_kernel_cache, res512):
+    """The res512 half-frequency grid is a scaled copy of the half-space
+    grid: one build per order on the j >= i triangle, served in both
+    orientations, exactly symmetric, and within 4 eps max(u_ij, 1) of the
+    full evaluation (the argument moves by rounding, about eps u, and near
+    u = 0 the value by its last bit)."""
+    rows, cols = res512.half_freq_grid(), res512.half_grid()
+    sizes = []
+
+    def counted(order, u):
+        sizes.append(u.size)
+        return bessel_j_normalized(order, u)
+
+    monkeypatch.setattr(transforms, "bessel_j_normalized", counted)
+    u = np.multiply.outer(rows.points, cols.points)
+    for alpha in ALPHAS:
+        mat = transforms._j_matrix(alpha, rows, cols)
+        assert np.array_equal(mat, mat.T)
+        assert np.array_equal(transforms._j_matrix(alpha, cols, rows), mat)
+        full = bessel_j_normalized(alpha, u.ravel()).reshape(u.shape)
+        assert np.all(np.abs(mat - full) <= 4.0 * np.finfo(float).eps * np.maximum(u, 1.0))
+    assert sizes == [rows.n * (rows.n + 1) // 2] * len(ALPHAS)
+    assert len(cold_kernel_cache) == len(ALPHAS)
