@@ -1,17 +1,17 @@
 """Sharp frequency-cut partial sums S_t f = D_a^{-1} 1_{[-t,t]} D_a f and
 their families over a t-grid, all rows of one spectral-cut pipeline.
 
-_cut_rows makes one forward transform, applies a (T, F) node-mask
-matrix whose row i is the product of the masks of cut list i, and makes one
-inverse GEMM per parity: the full-line Dunkl spectrum is cut through the
-half-line spectra E = Hk_a f_e and O = Hk_{a+1}(f_o/y) of the even and odd
-parts, and the rows are reassembled by parity once; a (..., N) stack of
-functions gives (..., T, N) rows from those same GEMMs.  build_family
-passes one cut per row, a partial sum is a one-row family and an iterated
-sum one row of multiplied masks; equal masks share one computed row, so
-P_s P_t = P_min holds exactly.  Cuts are snapped to midpoints between
-adjacent frequency nodes, all cuts of a call in one search, so the node
-mask is unambiguous.
+_cut_rows makes one forward transform, applies the (U, F) matrix of the
+distinct masks (cut list i masks by the product of its cuts' masks), and
+makes one inverse GEMM per parity: the full-line Dunkl spectrum is cut
+through the half-line spectra E = Hk_a f_e and O = Hk_{a+1}(f_o/y) of the
+even and odd parts, and the U rows are reassembled by parity before they
+are copied to the T cut lists; a (..., N) stack gives (..., T, N) rows.
+build_family passes one cut per row, a partial sum is a one-row family and
+an iterated sum one row of multiplied masks; equal masks share one computed
+row, so P_s P_t = P_min holds exactly.  Cuts are snapped to midpoints
+between adjacent frequency nodes, all cuts of a call in one search, so the
+node mask is unambiguous.
 """
 
 from __future__ import annotations
@@ -146,18 +146,18 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
         orders, specs = [order, order + 1.0], transforms._hankel_parts(order, f, half_freq)
     transforms.check_resolution(half_freq, float(np.max(np.abs(out_grid.points))))
     # fetch every inverse kernel before the first GEMM, so that a cold kernel
-    # build never runs while the (T, N) products are alive (peak memory)
+    # build never runs while the (U, N) products are alive (peak memory)
     mats = [transforms._j_matrix(a, out_grid, half_freq) for a in orders]
-    rows = []                                      # (..., T, N_out) per parity
+    rows = []                                      # (..., U, N_out) per parity
     for a, mat, spec in zip(orders, mats, specs):
         wt = half_freq.weights * half_freq.points ** (2.0 * a + 1.0)
         cut = masks * (wt * spec.values)[..., None, :]
-        rows.append(transforms._apply_real(mat, cut.T).T[..., row_of, :])
+        rows.append(transforms._apply_real(mat, cut.T).T)
     if want == HALF_LINE:
-        return rows[0]
+        return rows[0][..., row_of, :]
     even, odd = rows
-    odd *= out_grid.points                         # in place: one (T, N/2) buffer fewer
-    return assemble_values(even, odd)
+    odd *= out_grid.points                         # in place: one (U, N/2) buffer fewer
+    return assemble_values(even, odd)[..., row_of, :]
 
 
 def dunkl_partial_sum(order: float, f: SampledFn, t: float,

@@ -7,6 +7,8 @@ from dunkl_osc import (ArgumentError, CutSequence, PartialSumFamily,
                        ThresholdSeq, build_family, default_t_grid,
                        even_odd_split, make_graded_grid, max_oscillation,
                        oscillation, sample, variation)
+from dunkl_osc import seminorms
+from dunkl_osc.seminorms import _run_ends
 
 
 def synthetic_family(rows, grid):
@@ -80,20 +82,35 @@ def test_oscillation_monotone_in_blocks(grid):
                   >= oscillation(fam, c2).values.real - 1e-15)
 
 
+def _brute_max_oscillation(fam):
+    """max of `oscillation` over every cut sequence of at least two cuts."""
+    T, tg = len(fam.t_grid), fam.t_grid
+    brute = np.zeros(fam.values.shape[-1])
+    for k in range(2, T + 1):
+        for pick in itertools.combinations(range(T), k):
+            cuts = CutSequence(ThresholdSeq(tg.values[list(pick)]), k - 1)
+            brute = np.maximum(brute, oscillation(fam, cuts).values.real)
+    return brute
+
+
+def _brute_variation(vals, r):
+    """max over every increasing selection of at least two rows of vals."""
+    brute = np.zeros(vals.shape[-1])
+    for k in range(2, vals.shape[0] + 1):
+        for pick in itertools.combinations(range(vals.shape[0]), k):
+            steps = np.abs(np.diff(vals[list(pick)], axis=0)) ** r
+            brute = np.maximum(brute, np.sum(steps, axis=0) ** (1.0 / r))
+    return brute
+
+
 def test_max_oscillation_matches_brute_force(grid):
     # T=9 complex rows that differ from node to node, so different nodes
-    # attain their supremum on different cut sequences
+    # attain their supremum on different cut sequences (all 502 of them)
     rng = np.random.Generator(np.random.Philox(key=5))
     T = 9
     fam = synthetic_family(list(rng.standard_normal((T, grid.n))
                                 + 1j * rng.standard_normal((T, grid.n))), grid)
-    tg = fam.t_grid
-    brute = np.zeros(grid.n)
-    for k in range(2, T + 1):   # all 502 sequences of at least two cuts
-        for pick in itertools.combinations(range(T), k):
-            cuts = CutSequence(ThresholdSeq(tg.values[list(pick)]), k - 1)
-            brute = np.maximum(brute, oscillation(fam, cuts).values.real)
-    assert np.array_equal(max_oscillation(fam).values.real, brute)
+    assert np.array_equal(max_oscillation(fam).values.real, _brute_max_oscillation(fam))
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
@@ -104,12 +121,99 @@ def test_variation_matches_brute_force(grid, r):
     T = 8
     vals = rng.standard_normal((T, grid.n)) + 1j * rng.standard_normal((T, grid.n))
     fam = synthetic_family(list(vals), grid)
-    brute = np.zeros(grid.n)
-    for k in range(2, T + 1):
-        for pick in itertools.combinations(range(T), k):
-            steps = np.abs(np.diff(vals[list(pick)], axis=0)) ** r
-            brute = np.maximum(brute, np.sum(steps, axis=0) ** (1.0 / r))
+    brute = _brute_variation(vals, r)
     assert np.max(np.abs(variation(fam, r).values - brute) / brute) <= 1e-14
+
+
+def _full_chain_sup(vals, lag, power):
+    """The chain DP over all T rows of vals, as it ran before run-interior
+    rows were dropped: best[k] = max over i < k of best[i] + |a_i - a_{k-lag}|^(2 power)."""
+    parts, best = np.stack([vals.real, vals.imag]), np.zeros(vals.shape)
+    scratch = np.empty(parts.shape)
+    for k in range(1, vals.shape[-2]):
+        gap = np.square(np.subtract(parts[..., :k, :], parts[..., k - lag, None, :],
+                                    out=scratch[..., :k, :]), out=scratch[..., :k, :])
+        gap = np.add(gap[0], gap[1], out=gap[0])
+        if power != 1.0:
+            np.power(gap, power, out=gap)
+        np.max(np.add(best[..., :k, :], gap, out=gap), axis=-2, out=best[..., k, :])
+    return best[..., -1, :]
+
+
+def _full_row_seminorms(vals):
+    """max_oscillation and V^r, r = 1, 2, 3, from the full-T DP."""
+    return [np.sqrt(_full_chain_sup(vals, 1, 1.0))] + [
+        _full_chain_sup(vals, 0, r / 2.0) ** (1.0 / r) for r in (1.0, 2.0, 3.0)]
+
+
+def _row_seminorms(fam):
+    return [max_oscillation(fam).values.real] + [
+        variation(fam, r).values for r in (1.0, 2.0, 3.0)]
+
+
+# run lengths of equal consecutive rows: runs of 1, 2, 3 and 9 rows at the
+# start, in the middle and at the end, a duplicated last row, all rows equal,
+# T = 1 and T = 2
+RUNS = [[9, 1, 2, 3, 1], [1, 3, 9, 2, 1], [2, 1, 1, 3, 9], [3, 2, 1, 9], [1, 1, 1, 1, 2],
+        [9], [4], [1], [1, 1], [2], [1, 2, 1, 1, 3, 1, 1, 9, 2, 1, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("runs", RUNS, ids=lambda r: "-".join(map(str, r)))
+@pytest.mark.parametrize("signed_zero", [False, True], ids=["plain", "pm0"])
+def test_repeated_rows_give_the_full_dp_bitwise(grid, runs, signed_zero):
+    # the DP over the rows that start or end a run equals the DP over every
+    # row bit for bit, and the brute force where it is affordable; with
+    # signed_zero the copies inside each run differ from its first row only
+    # by the sign of zero parts, which compare equal
+    rng = np.random.Generator(np.random.Philox(key=len(runs) + 17 * sum(runs)))
+    base = rng.standard_normal((len(runs), grid.n)) + 1j * rng.standard_normal((len(runs), grid.n))
+    base[:, :5] = 0.0
+    vals = np.repeat(base, runs, axis=0)
+    if signed_zero:
+        starts = np.cumsum([0] + runs[:-1])
+        inner = np.setdiff1d(np.arange(len(vals)), starts)
+        vals.real[inner, :5] = -0.0
+        vals.imag[inner, :3] = -0.0
+    fam = synthetic_family(list(vals), grid)
+    assert _run_ends(vals).shape[0] == sum(min(r, 2) for r in runs)
+    got, want = _row_seminorms(fam), _full_row_seminorms(vals)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert np.array_equal(fam.max_abs().values.real, np.max(np.abs(vals), axis=0))
+    if len(vals) <= 9:
+        assert np.array_equal(got[0], _brute_max_oscillation(fam))
+        for r, g in zip((1.0, 2.0, 3.0), got[1:]):
+            brute = _brute_variation(vals, r)
+            assert np.all(np.abs(g - brute) <= 1e-14 * brute)
+
+
+def test_member_repeats_and_dp_step_count(res512, freq512, corpus512, monkeypatch):
+    # member 1's spectrum vanishes on the band (t_20, t_40], so its S_t f is
+    # constant there: alone it drops more rows than the stack, and the rows
+    # of the stacked seminorms still equal the lone calls and the full DP
+    tg = default_t_grid(res512)
+    stack = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:2]]))
+    vals = build_family(0.0, stack, tg, freq512).values.copy()
+    vals[1, 21:41] = vals[1, 20]
+    fam = PartialSumFamily(stack, 0.0, "dunkl", tg, vals)
+    assert _run_ends(vals[1]).shape[0] < _run_ends(vals).shape[1] < len(tg)
+    stacked = [max_oscillation(fam).values, fam.max_abs().values]
+    for b in range(2):
+        row = PartialSumFamily(stack.with_values(stack.values[b]), 0.0, "dunkl", tg, vals[b])
+        assert np.array_equal(stacked[0][b], max_oscillation(row).values)
+        assert np.array_equal(stacked[0][b], np.sqrt(_full_chain_sup(vals[b], 1, 1.0)))
+        assert np.array_equal(stacked[1][b], row.max_abs().values)
+    # the sweep grid at N=512 has K = 49 run-end rows of T = 71, so the DP
+    # makes K - 1 steps
+    calls, sq_gaps = [], seminorms._sq_gaps
+
+    def counted(*args):
+        calls.append(1)
+        return sq_gaps(*args)
+
+    monkeypatch.setattr(seminorms, "_sq_gaps", counted)
+    max_oscillation(build_family(0.0, corpus512[0].sampled, tg, freq512))
+    assert (len(tg), len(calls)) == (71, 48)
 
 
 def _run_table_max_oscillation(family):
