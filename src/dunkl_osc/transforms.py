@@ -133,13 +133,15 @@ def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """mat @ v for a real matrix and a vector or (n, ...) stack v (a (..., n)
     stack of functions goes as _apply_real(mat, v.T).T), without upcasting
     mat: v is viewed as interleaved real columns, so one real GEMM yields
-    the real and imaginary parts together.  The GEMM runs in row form,
-    (w.T @ mat.T).T, which streams the stored kernel row by row whether mat
-    is the stored array or its transposed view."""
+    the real and imaginary parts together.  A (k, r, n) stack of matrices
+    takes a (k, n, ...) v and applies mat[i] to v[i], in one batched call.
+    The GEMM runs in row form, (w.T @ mat.T).T, which streams the stored
+    kernel row by row whether mat is the stored array or its transposed view."""
     v = np.ascontiguousarray(v, dtype=np.complex128)
-    w = v.reshape(v.shape[0], -1).view(np.float64)
-    out = np.ascontiguousarray((w.T @ mat.T).T)
-    return out.view(np.complex128).reshape(mat.shape[:1] + v.shape[1:])
+    b = mat.ndim - 2   # the leading stack axes of mat, matched by v's
+    w = v.reshape(v.shape[:b + 1] + (-1,)).view(np.float64)
+    out = np.ascontiguousarray((w.mT @ mat.mT).mT)
+    return out.view(np.complex128).reshape(mat.shape[:-1] + v.shape[b + 1:])
 
 
 def _outer_kernel(r: np.ndarray, c: np.ndarray, *fns) -> np.ndarray:
@@ -199,7 +201,7 @@ def fourier(f: SampledFn, output_grid: Grid) -> SampledFn:
     e = v+ + v- and o = v+ - v- at y >= 0 (v- the mirrored samples at
     y < 0; an odd grid's node y = 0 counted once; unfolded, e = o = v), so
     F(x) = C e - i S o and, on a symmetric output grid, F(-x) = C e + i S o.
-    One GEMM applies [C; S] to [e | o]."""
+    One batched product applies the row block C to e and S to o."""
     if f.domain_tag != FULL_LINE:
         raise ArgumentError("fourier needs a full-line function")
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
@@ -214,12 +216,11 @@ def fourier(f: SampledFn, output_grid: Grid) -> SampledFn:
 
     halves = _cached(("fourier", output_grid.key, f.grid.key), build)
     v = f.grid.weights * f.values
-    folded = np.stack([v[..., k:], v[..., k:]], axis=-2)   # (..., 2, q): e, o
-    neg = v[..., :k][..., ::-1]
-    folded[..., 0, q - k:] += neg
-    folded[..., 1, q - k:] -= neg
-    out = _apply_real(halves, folded.T).T
-    ce, so = out[..., 0, :p], out[..., 1, p:]
+    eo = np.stack([v[..., k:].T] * 2)   # (2, q, ...): e, o
+    neg = v[..., :k][..., ::-1].T
+    eo[0, q - k:] += neg
+    eo[1, q - k:] -= neg
+    ce, so = (a.T for a in _apply_real(halves.reshape(2, p, q), eo))
     vals = np.concatenate([(ce + 1j * so)[..., p - m:][..., ::-1], ce - 1j * so], axis=-1)
     return SampledFn(output_grid, vals, FULL_LINE)
 

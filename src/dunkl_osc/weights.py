@@ -5,12 +5,16 @@ The A_p checker evaluates the product of mu(B)-averages against |x|^mu dx
 (mu = 0 for ap_check) over a deterministic family of intervals (centers 0 and
 +-2^j, lengths 2^m), by graded quadrature in two array passes over a batch of
 weights (a weighted-Carleson sweep checks all of its weights in one); the
-integrands are even, so each distinct |x|-piece is integrated once.  A weight
-is accepted when the supremum is finite (a NaN product makes it non-finite) and
-stable both under doubling the center/length range and under refining the
-quadrature resolution (one routine, _ap_stable, for both checkers); power
-weights make the product scale-invariant, so divergence at a critical exponent
-shows up only through quadrature refinement, the second axis.
+integrands are even, so each distinct |x|-piece is integrated once.  Each
+integrand (mu(B), w or w^{-p'/p}) is |x|^A (1+|x|)^C, and each distinct pair
+(A, C) is integrated once per batch.  An average with A <= -1 is not
+integrable at 0: every interval touching 0 gets +inf, so the supremum is inf
+(null in a JSON report).  A weight is accepted when the supremum is finite (a
+NaN product makes it non-finite) and stable both under doubling the
+center/length range and under refining the quadrature resolution (one
+routine, _ap_stable, for both checkers); power weights make the product
+scale-invariant, so a near-critical exponent shows up only through
+quadrature refinement, the second axis.
 """
 
 from __future__ import annotations
@@ -59,14 +63,16 @@ class Weight:
                                 f"not {self.kind!r} with {self.params}")
 
     def __call__(self, x):
-        return self.at(_powers(x))
+        power, (e0, e1) = _powers(x), self.exponents
+        return power(0, e0) * power(1, e1) if e1 else power(0, e0)
 
-    def at(self, power):
-        """The weight from the powers of its nodes (see _powers): the one formula."""
+    @property
+    def exponents(self) -> tuple[float, float]:
+        """(e0, e1) with w = |x|^e0 (1+|x|)^e1: (beta, 0) or (a, b - a)."""
         if self.kind == "power":
-            return power(0, self.params[0])
+            return self.params[0], 0.0
         a, b = self.params
-        return power(0, a) * power(1, b - a)
+        return a, b - a
 
     @property
     def exponent_at_zero(self) -> float:
@@ -89,9 +95,14 @@ def w_ab_weight(a: float, b: float) -> Weight:
     return Weight("w_ab", (float(a), float(b)))
 
 
+_LOW_SUM = np.finfo(float).tiny / np.finfo(float).eps   # below it, terms lost to underflow count
+
+
 def weighted_lp_norm(f: SampledFn, spec: NormSpec, weight: Weight | None = None) -> float:
     """(integral |f|^p w(x) |x|^{2 alpha + 1} dx)^{1/p}, one value per function
-    of a (..., N) stack; w defaults to the power weight |x|^{spec.beta}."""
+    of a (..., N) stack; w defaults to the power weight |x|^{spec.beta}.
+    Where the plain sum of |f|^p is not a normal float above tiny/eps (at large
+    p, |f|^p under- or overflows), max|f| is factored out first."""
     w = weight if weight is not None else power_weight(spec.beta)
     exp_at_zero = w.exponent_at_zero + 2.0 * spec.alpha + 1.0
     if exp_at_zero <= -1.0:
@@ -99,8 +110,16 @@ def weighted_lp_norm(f: SampledFn, spec: NormSpec, weight: Weight | None = None)
             f"weight exponent {exp_at_zero:g} at the origin is not integrable")
     x = f.grid.points
     dens = w(x) * np.abs(x) ** (2.0 * spec.alpha + 1.0)
-    total = np.sum(f.grid.weights * dens * np.abs(f.values) ** spec.p, axis=-1)
-    return total ** (1.0 / spec.p)
+    af = np.abs(f.values)
+    with np.errstate(over="ignore"):
+        total = np.sum(f.grid.weights * dens * af ** spec.p, axis=-1)
+    if total.min() > _LOW_SUM and total.max() < np.inf:
+        return total ** (1.0 / spec.p)
+    top = np.max(af, axis=-1)
+    redo = ~((total > _LOW_SUM) & (total < np.inf)) & (top > 0.0) & (top < np.inf)
+    top = np.where(redo, top, 1.0)
+    scaled = np.sum(f.grid.weights * dens * (af / top[..., None]) ** spec.p, axis=-1)
+    return np.where(redo, top * scaled ** (1.0 / spec.p), total ** (1.0 / spec.p))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +134,11 @@ def _side_template(n_panels: int, grading: float):
 
 
 def _grading_for(exponent: float) -> float:
-    """Panel grading that maps |x|^exponent to a polynomial-like integrand in
-    the panel coordinate; non-integrable exponents get the deepest probe so
-    refinement exposes the divergence."""
+    """Panel grading that maps |x|^exponent (exponent > -1) to a
+    polynomial-like integrand in the panel coordinate."""
     if exponent >= 0.0:
         return 1.0
-    if exponent > -1.0:
-        return float(min(60.0, np.ceil(2.0 / (1.0 + exponent))))
-    return 60.0
+    return float(min(60.0, np.ceil(2.0 / (1.0 + exponent))))
 
 
 def _ap_products(weights: list[Weight], p: float, mu: float, k_range: int,
@@ -130,12 +146,14 @@ def _ap_products(weights: list[Weight], p: float, mu: float, k_range: int,
     """(products, level) over the intervals B of lengths 2^m and centers 0 and
     +-2^j, |m|, |j| <= k_range, in (m, j, sign) order, a row per weight; level = max(|m|, |j|).
     Product: (avg_B w)(avg_B w^{-p'/p})^{p/p'}, avg_B f = int_B f |x|^mu dx /
-    mu(B) (mu = 0: mu(B) = |B|).  Each distinct |x|-piece is one row of nodes
-    (the integrands are even): the plain template over [|lo|, |hi|] off 0, so
-    (m, j, -1) copies (m, j, +1); for B straddling 0, its sides [0, -lo], [0, hi],
-    graded to the integrand's blowup (1 for mu(B)) and shared by every such B.
-    The rows, node blocks, mu(B) and each distinct power of a block's |x| or 1+|x|
-    are built once per batch; integrals are row sums."""
+    mu(B) (mu = 0: mu(B) = |B|).  The integrand is |x|^A (1+|x|)^C: (A, C) = (mu, 0)
+    for mu(B), (mu + e0, e1) for w, (mu + c e0, c e1), c = -p'/p, for w^{-p'/p}, with
+    (e0, e1) = Weight.exponents.  Each distinct |x|-piece is one row of nodes (the
+    integrands are even): the plain template over [|lo|, |hi|] off 0, so (m, j, -1)
+    copies (m, j, +1); for B straddling 0, its sides [0, -lo], [0, hi], graded to |x|^A
+    and shared by every such B.  The rows, node blocks, each power of a block's |x| or
+    1+|x|, q |x|^A per distinct A and each distinct (A, C) integral (a row sum) are
+    computed once per batch; for A <= -1, a B that touches 0 gets exactly +inf."""
     pp = p / (p - 1.0)
     ex = np.arange(-k_range, k_range + 1.0)
     m, j, s = (a.ravel() for a in np.meshgrid(ex, ex, [-1.0, 0.0, 1.0], indexing="ij"))
@@ -146,38 +164,40 @@ def _ap_products(weights: list[Weight], p: float, mu: float, k_range: int,
     plain = np.flatnonzero((lo >= 0.0) & (s > 0.0))      # (m, j, -1) sits 1 or 2 rows before
     # the side radii are exact dyadic sums, so equal sides are equal floats
     sides, side_of = np.unique(np.concatenate([-lo[straddle], hi[straddle]]), return_inverse=True)
-    # integrand f of weight i (0: mu(B), one for every weight; 1: w; 2: w^{-p'/p}) and its
-    # grading; one of w, w^{-p'/p} is bounded at 0, so mu(B)'s grading 1 is a group
-    tasks = [(slice(None), 0, 1.0)] * bool(mu) + [(i, f, _grading_for(mu + c * w.exponent_at_zero))
-             for i, w in enumerate(weights) for f, c in ((1, 1.0), (2, -pp / p))]
+    # (A, C) of w and w^{-p'/p} of each weight, then of mu(B); the distinct ones are integrated
+    keys = [(mu + c * e0, c * e1) for e0, e1 in (w.exponents for w in weights)
+            for c in (1.0, -pp / p)] + [(mu, 0.0)] * bool(mu)
+    pairs = list(dict.fromkeys(keys))
+    grading = {k: _grading_for(a) for k, (a, _) in enumerate(pairs) if a > -1.0}
     groups = [(lo[plain], length[plain], None)] + [   # pieces [start, start + size]
-        (np.zeros_like(sides), sides, g) for g in {t[2] for t in tasks}]
-    sums = np.empty((len(weights), 3, length.size))
+        (np.zeros_like(sides), sides, g) for g in set(grading.values())]
+    total = np.empty((len(pairs), length.size))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start, size, g in groups:
             x0, q0 = _side_template(n_panels, g or 1.0)
-            todo = [(i, f) for i, f, gf in tasks if g in (None, gf)]
-            piece = np.empty((len(weights), 3, size.size))
+            todo = range(len(pairs)) if g is None else [k for k, gk in grading.items() if gk == g]
+            piece = np.empty((len(pairs), size.size))
             # row blocks of ~2^13 nodes keep the temporaries small and cache-resident
             for r in np.array_split(np.arange(size.size), 1 + size.size * x0.size // 2 ** 13):
                 x, q = start[r, None] + size[r, None] * x0, size[r, None] * q0
-                power = _powers(x)
-                dens = power(0, mu) if mu else 1.0
-                for i, f in todo:
-                    fx = dens if f == 0 else weights[i].at(power)
-                    if f == 2:   # w^{-p'/p}, from the exponents where w(x) underflowed to 0
-                        fx = fx ** (-pp / p)
-                        if (lost := ~np.isfinite(fx)).any():
-                            fx[lost] = weights[i].raised(-pp / p)(x[lost])
-                    piece[i, f, r] = (q * (fx if f == 0 else fx * dens)).sum(axis=1)
+                power, qa, buf = _powers(x), {}, np.empty_like(x)
+                for k in todo:
+                    a, c = pairs[k]
+                    if a not in qa:
+                        qa[a] = q * power(0, a)
+                    integrand = np.multiply(qa[a], power(1, c), out=buf) if c else qa[a]
+                    piece[k, r] = integrand.sum(axis=1)
             if g is None:
-                sums[..., plain] = sums[..., plain - 1 - (j[plain] == 0.0)] = piece
+                total[:, plain] = total[:, plain - 1 - (j[plain] == 0.0)] = piece
             else:   # a straddling row is the sum of its two sides
-                for i, f in todo:
-                    lr = piece[i, f][..., side_of.reshape(2, -1)]
-                    sums[i, f][..., straddle] = lr[..., 0, :] + lr[..., 1, :]
-        meas = sums[:, 0] if mu else length
-        return sums[:, 1] / meas * (sums[:, 2] / meas) ** (p / pp), np.maximum(abs(m), abs(j))
+                lr = piece[todo][:, side_of.reshape(2, -1)]
+                total[np.ix_(todo, straddle)] = lr[:, 0] + lr[:, 1]
+        diverge = [k for k, (a, _) in enumerate(pairs) if a <= -1.0]
+        total[np.ix_(diverge, np.flatnonzero((lo <= 0.0) & (hi >= 0.0)))] = np.inf
+        sums = total[[pairs.index(key) for key in keys]]
+        meas = sums[-1] if mu else length
+        n = 2 * len(weights)
+        return sums[0:n:2] / meas * (sums[1:n:2] / meas) ** (p / pp), np.maximum(abs(m), abs(j))
 
 
 def _ap_stable(weights: list[Weight], p: float, mu: float, refine: int,
@@ -187,11 +207,12 @@ def _ap_stable(weights: list[Weight], p: float, mu: float, refine: int,
     The k_range = 10 supremum (base, read from the wide pass) must be finite
     and move by less than 5% both when the center/length range doubles (wide)
     and when the per-interval quadrature resolution is multiplied by refine
-    (fine): 4 for ap_check (mu = 0), whose quadrupling resolves even the slow
-    log-divergence at the critical exponent, and 2 for the experimental
-    conjectured_measure_ap_check (mu = 2 alpha + 1); a NaN product fails it.
-    Power weights make the product scale invariant, so only the resolution
-    axis can expose a divergence at the origin; huge or tiny intervals expose
+    (fine): 4 for ap_check (mu = 0), whose quadrupling resolves the slow
+    growth just inside the critical exponent, and 2 for the experimental
+    conjectured_measure_ap_check (mu = 2 alpha + 1); an inf or NaN product
+    fails it.  Power weights make the product scale invariant, so only the
+    resolution axis can expose a near-critical exponent at the origin (a
+    non-integrable one gives inf exactly); huge or tiny intervals expose
     failures at infinity."""
     if type(interval_samples) is not int or interval_samples < 1:   # refuses bools and floats
         raise ArgumentError(f"interval_samples must be an int >= 1, got {interval_samples!r}")

@@ -1,9 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from dunkl_osc import (HALF_LINE, ArgumentError, DomainError, NormSpec,
+from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, DomainError, NormSpec,
                        Weight, ap_alpha_check, ap_check, beta_star,
                        conjectured_measure_ap_check, make_graded_grid,
                        power_weight, range_dyadic_oscillation,
@@ -29,6 +30,34 @@ def test_norm_integrability_guard():
     one = sample(lambda x: np.ones_like(np.asarray(x, float)), g, HALF_LINE)
     with pytest.raises(DomainError):
         weighted_lp_norm(one, NormSpec(2, -1.2, -0.5))
+
+
+def _log_sum_norm(f, p, dens):
+    """(sum q dens |f|^p)^{1/p} of one sampled function, as a log-sum-exp in
+    exactly rounded sums, so no power under- or overflows."""
+    t = [p * np.log(a) + np.log(d) for a, d in zip(np.abs(f.values), f.grid.weights * dens) if a]
+    top = max(t)
+    return float(np.exp((top + np.log(math.fsum(np.exp(np.array(t) - top)))) / p))
+
+
+@pytest.mark.parametrize("p", [500.0, 2000.0])
+@pytest.mark.parametrize("amp", [0.01, 0.5, 8.0])   # |f|^p underflows at all but (0.5, 500)
+def test_norm_at_large_p_factors_out_the_max(p, amp):
+    g = make_graded_grid(-3.0, 3.0, 4, 8, 1.0)
+    f = sample(lambda x: amp * np.exp(-np.asarray(x, float) ** 2), g, FULL_LINE)
+    got = weighted_lp_norm(f, NormSpec(p, 0.0, -0.5))
+    assert got == pytest.approx(_log_sum_norm(f, p, 1.0), rel=1e-13)
+    unit = weighted_lp_norm(f.with_values(f.values / amp), NormSpec(p, 0.0, -0.5))
+    assert got == pytest.approx(amp * unit, rel=1e-13)   # the norm is homogeneous
+    assert (amp, p) != (0.5, 2000.0) or got == pytest.approx(0.49925, abs=1e-5)
+    w, spec = w_ab_weight(0.5, -0.5), NormSpec(p, 0.0, 0.0)
+    dens = w(g.points) * np.abs(g.points)
+    assert weighted_lp_norm(f, spec, w) == pytest.approx(_log_sum_norm(f, p, dens), rel=1e-13)
+    # a stack: a zero member stays 0 and the plain members keep the plain sum
+    stack = f.with_values(np.stack([f.values, 0.0 * f.values, f.values / amp]))
+    norms = weighted_lp_norm(stack, spec, w)
+    plain = np.sum(g.weights * dens * (f.values / amp) ** p) ** (1.0 / p)
+    assert norms[0] == weighted_lp_norm(f, spec, w) and norms[1] == 0.0 and norms[2] == plain
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -168,8 +197,8 @@ def test_experimental_check_matches_closed_criterion(p, alpha):
 
 
 def test_nan_product_is_not_a_member():
-    # beta = -4.5 is not integrable against |x|^3 dx; the deepest graded
-    # probe meets 0 * inf = NaN products, which must not be skipped
+    # beta = -4.5 is not integrable against |x|^3 dx: the intervals touching 0
+    # give inf products, and a non-finite sup must not be skipped
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         member, sup = conjectured_measure_ap_check(power_weight(-4.5), 2.0, 1.0)
@@ -184,6 +213,44 @@ def test_underflowing_weight_keeps_the_dual_average_finite():
     assert np.isfinite(prod).all()
     _, sup = conjectured_measure_ap_check(power_weight(3.9), 3, 0)
     assert np.isfinite(sup)
+
+
+def _power_integral(lo, hi, k):
+    """Exact integral of |x|^k over [lo, hi], k a nonnegative integer, without
+    cancellation: (hi - lo) sum_i hi^i lo^{k-i} / (k+1) on one side of 0."""
+    if lo < 0.0 < hi:
+        return ((-lo) ** (k + 1) + hi ** (k + 1)) / (k + 1)
+    a, b = sorted((abs(lo), abs(hi)))
+    return (hi - lo) * sum(b ** i * a ** (k - i) for i in range(k + 1)) / (k + 1)
+
+
+@pytest.mark.parametrize("k_range,n_panels", [(20, 12), (10, 24)])
+def test_products_of_polynomial_integrands_match_the_closed_form(k_range, n_panels):
+    # at p = 2 and mu = 1, |x|^{+-1} give the integrands |x|^2, |x|^0 and mu(B)'s |x|,
+    # which Gauss panels integrate exactly; the two weights share all three
+    (up, down), _ = _ap_products([power_weight(1.0), power_weight(-1.0)], 2.0, 1.0,
+                                     k_range, n_panels)
+    m, j, s = _rows(k_range)
+    length, center = 2.0 ** m, s * 2.0 ** j
+    ref = []
+    for lo, hi in zip(center - length / 2.0, center + length / 2.0):
+        meas = _power_integral(lo, hi, 1)
+        ref.append(_power_integral(lo, hi, 2) / meas * _power_integral(lo, hi, 0) / meas)
+    assert np.max(np.abs(up - ref) / ref) <= 1e-13 and np.array_equal(up, down)
+
+
+@pytest.mark.parametrize("beta,alpha", [(-1.0, -0.5), (-1.5, -0.5), (-2.5, 0.0), (3.0, 0.0)])
+def test_non_integrable_average_at_zero_is_exactly_infinite(beta, alpha):
+    # |x|^A with A <= -1 (A = 1 - 3 for the dual of beta = 3 at p = 2) is not
+    # integrable at 0: every interval touching 0 reads inf, none reads NaN
+    mu = 2.0 * alpha + 1.0
+    (prod,), _ = _ap_products([power_weight(beta)], 2.0, mu, 20, 12)
+    m, j, s = _rows(20)
+    lo, hi = s * 2.0 ** j - 2.0 ** m / 2.0, s * 2.0 ** j + 2.0 ** m / 2.0
+    touch = (lo <= 0.0) & (hi >= 0.0)
+    assert np.all(prod[touch] == np.inf) and np.isfinite(prod[~touch]).all()
+    member, sup = conjectured_measure_ap_check(power_weight(beta), 2.0, alpha)
+    assert member is False and sup == np.inf
 
 
 def _scalar_products(weight, p, mu, k_range, n_panels):
@@ -265,24 +332,20 @@ def test_mirrored_intervals_give_equal_products(weight, p, mu, k_range, n_panels
 
 def _two_sided_products(weight, p, mu, k_range, n_panels):
     """Products of the intervals that straddle 0, each integral taken as the
-    sum of one row that concatenates the nodes of both sides [0, -lo], [0, hi]."""
+    sum of one row that concatenates the nodes of both sides [0, -lo], [0, hi];
+    the integrand of exponents (A, C) is (q |x|^A) (1+|x|)^C."""
     pp = p / (p - 1.0)
     m, j, s = _rows(k_range)
     length, center = 2.0 ** m, s * 2.0 ** j
     lo, hi = center - length / 2.0, center + length / 2.0
     st = (lo < 0.0) & (hi > 0.0)
+    e0, e1 = weight.exponents
     sums = []
-    with np.errstate(divide="ignore", over="ignore"):
-        for f, c in enumerate((0.0, 1.0, -pp / p)):
-            x0, q0 = _side_template(n_panels, _grading_for(mu + c * weight.exponent_at_zero))
-            span = np.stack([-lo[st], hi[st]], axis=1)[:, :, None]
-            x, q = ((span * a).reshape(np.count_nonzero(st), -1) for a in (x0, q0))
-            dens, fx = (np.abs(x) ** mu if mu else 1.0), weight(x)
-            if f == 2:
-                fx = fx ** (-pp / p)
-                lost = ~np.isfinite(fx)
-                fx[lost] = weight.raised(-pp / p)(x[lost])
-            sums.append((q * (dens if f == 0 else fx * dens)).sum(axis=1))
+    for a, c in ((mu, 0.0), (mu + e0, e1), (mu - pp / p * e0, -pp / p * e1)):
+        x0, q0 = _side_template(n_panels, _grading_for(a))
+        span = np.stack([-lo[st], hi[st]], axis=1)[:, :, None]
+        x, q = ((span * t).reshape(np.count_nonzero(st), -1) for t in (x0, q0))
+        sums.append((q * np.abs(x) ** a * (1.0 + np.abs(x)) ** c).sum(axis=1))
     meas = sums[0] if mu else length[st]
     return sums[1] / meas * (sums[2] / meas) ** (p / pp), st
 
@@ -335,8 +398,36 @@ def test_a_batch_computes_each_shared_power_once(monkeypatch):
     assert 0 < counts()[1] - single < single / 3
 
 
+def test_each_distinct_integrand_is_integrated_once_per_block(monkeypatch):
+    # every integral of exponents (A, C), C != 0, raises 1+|x| to C once, after the
+    # block's one q |x|^A: in each row block, the (1, C) calls count the distinct
+    # (A, C != 0) of the batch whose A the block raised |x| to; the 25 BCV weights
+    # need 31 distinct (A, C) for their 50 averages and mu(B)
+    blocks, powers = [], weights._powers
+
+    def recording_powers(x):
+        power, calls = powers(x), []
+        blocks.append(calls)
+        return lambda base, e: calls.append((base, e)) or power(base, e)
+
+    monkeypatch.setattr(weights, "_powers", recording_powers)
+    bcv, pp = bcv_lattice_weights(), 2.0
+    conjectured_measure_ap_check(bcv, 2.0, 0.0)
+    pairs = {(1.0 + c * e0, c * e1) for e0, e1 in (w.exponents for w in bcv)
+             for c in (1.0, -pp / 2.0)} | {(1.0, 0.0)}
+    assert len(pairs) == 31 and blocks
+    for calls in blocks:
+        raised = [e for base, e in calls if base == 0]
+        assert len(raised) == len(set(raised))
+        assert sum(base == 1 for base, _ in calls) == sum(
+            1 for a, c in pairs if c and a in raised)
+
+
+# w_ab(-1.5, 0.5) comes twice; at p = 2, w_ab(0.5, 1.5) and w_ab(-0.5, -1.5) share
+# their integrands (each one's w^{-1} average is the other's w average)
 _LATTICE = [power_weight(0.3), power_weight(-0.9), power_weight(3.9), w_ab_weight(-1.5, 0.5),
-            w_ab_weight(0.6, -0.3), w_ab_weight(0.5, 1.5), w_ab_weight(-1.5, 0.5)]
+            w_ab_weight(0.6, -0.3), w_ab_weight(0.5, 1.5), w_ab_weight(-0.5, -1.5),
+            w_ab_weight(-1.5, 0.5)]
 
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0])   # mu = 0 and 1
