@@ -680,7 +680,7 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
     fine_maxes = carleson_maxes(fine, _resampled(members, fine.space_grid()))
 
     # one batched A_p pass checks every weight integrable against |x|^{2 alpha + 1}
-    checked = [w for w in weights if w.exponent_at_zero + 2.0 * alpha + 1.0 > -1.0]
+    checked = [w for w in weights if w.exponents[0] + 2.0 * alpha + 1.0 > -1.0]
     ap = dict(zip(checked, conjectured_measure_ap_check(checked, p, alpha))) if experimental else {}
 
     def one_weight(weight: Weight) -> ExperimentReport:

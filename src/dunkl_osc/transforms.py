@@ -140,7 +140,7 @@ def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=np.complex128)
     b = mat.ndim - 2   # the leading stack axes of mat, matched by v's
     w = v.reshape(v.shape[:b + 1] + (-1,)).view(np.float64)
-    out = np.ascontiguousarray((w.mT @ mat.mT).mT)
+    out = np.ascontiguousarray((w.swapaxes(-1, -2) @ mat.swapaxes(-1, -2)).swapaxes(-1, -2))
     return out.view(np.complex128).reshape(mat.shape[:-1] + v.shape[b + 1:])
 
 

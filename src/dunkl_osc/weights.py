@@ -74,14 +74,6 @@ class Weight:
         a, b = self.params
         return a, b - a
 
-    @property
-    def exponent_at_zero(self) -> float:
-        return self.params[0]
-
-    def raised(self, s: float) -> "Weight":
-        """w^s from the exponents (finite where w(x) itself is 0 or inf)."""
-        return Weight(self.kind, tuple(s * e for e in self.params))
-
     def shifted(self, s: float) -> "Weight":
         """The weight times |x|^s: both families add s to every exponent."""
         return Weight(self.kind, tuple(e + s for e in self.params))
@@ -104,7 +96,7 @@ def weighted_lp_norm(f: SampledFn, spec: NormSpec, weight: Weight | None = None)
     Where the plain sum of |f|^p is not a normal float above tiny/eps (at large
     p, |f|^p under- or overflows), max|f| is factored out first."""
     w = weight if weight is not None else power_weight(spec.beta)
-    exp_at_zero = w.exponent_at_zero + 2.0 * spec.alpha + 1.0
+    exp_at_zero = w.exponents[0] + 2.0 * spec.alpha + 1.0
     if exp_at_zero <= -1.0:
         raise DomainError(
             f"weight exponent {exp_at_zero:g} at the origin is not integrable")
