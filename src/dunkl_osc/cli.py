@@ -164,11 +164,12 @@ SWEEPS = {
     "oscillation": lambda args, res: _oscillation_sweep(args, res, False),
     "oscillation-dyadic": lambda args, res: _oscillation_sweep(args, res, True),
     "prestini": lambda args, res: prestini_constant_sweep(
-        args.alpha, [res, res.refined()], args.seed, args.threads),
+        args.alpha, res, args.seed, args.threads),
     "transference": _transference,
-    "weighted-carleson": lambda args, res: weighted_carleson_sweep(
-        bcv_lattice_weights(), args.p, args.alpha[0], res, args.seed,
-        experimental=args.experimental, threads=args.threads),
+    "weighted-carleson": lambda args, res: [
+        r for a in args.alpha for r in weighted_carleson_sweep(
+            bcv_lattice_weights(), args.p, a, res, args.seed,
+            experimental=args.experimental, threads=args.threads)],
     "transplant-roundtrip": lambda args, res: [
         transplant_roundtrip_report([(-0.5, 0.5), (0.0, 1.0)], args.seed)],
 }

@@ -338,14 +338,6 @@ class CorpusMember:
     fn: Callable
     sampled: SampledFn
 
-    def dilated(self, lam: float, grid: Grid | None = None) -> "CorpusMember":
-        """f_lam(x) := f(lam x) sampled on ``grid`` (default: the member's grid)."""
-        f = self.fn
-        g = lambda x, _f=f, _l=lam: _f(_l * np.asarray(x))
-        return CorpusMember(f"{self.label}|dil{lam:g}", g,
-                            sample(g, self.sampled.grid if grid is None else grid,
-                                   self.sampled.domain_tag))
-
 
 def _combine(label, parts, grid, domain):
     def fn(x, _parts=tuple(parts)):

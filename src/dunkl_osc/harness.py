@@ -29,7 +29,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,8 +66,8 @@ class Resolution:
     def n_line(self) -> int:
         return 2 * self.n_side_panels * self.nodes_per_panel
 
-    def refined(self, factor: int = 2) -> "Resolution":
-        return Resolution(self.n_side_panels * factor, self.nodes_per_panel, self.x_max)
+    def refined(self) -> "Resolution":
+        return Resolution(2 * self.n_side_panels, self.nodes_per_panel, self.x_max)
 
     def describe(self) -> dict:
         return {"n_line": self.n_line, "panels_per_side": self.n_side_panels,
@@ -223,6 +223,19 @@ def _stack(members: list[CorpusMember]) -> SampledFn:
     return members[0].sampled.with_values(np.stack([m.sampled.values for m in members]))
 
 
+def _sampled(fns: Sequence[Callable], grid: Grid, domain: str) -> SampledFn:
+    """The functions sampled afresh on grid, as one (B, N) SampledFn."""
+    return SampledFn(grid, np.stack([sample(fn, grid, domain).values for fn in fns]), domain)
+
+
+def _stable(base, fine) -> bool:
+    """The refinement test of every ratio sweep: each ratio on the refined
+    profile within a factor 2 of its base ratio (a NaN ratio fails)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.divide(fine, base)
+    return bool(np.all((r >= 0.5) & (r <= 2.0)))
+
+
 def _max_gap(a: np.ndarray, b: np.ndarray, f: SampledFn) -> np.ndarray:
     """max |a - b| per function of the stack f, over every trailing axis."""
     return np.abs(a - b).reshape(f.values.shape[:-1] + (-1,)).max(axis=-1)
@@ -325,9 +338,9 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
     res = resolution or default_resolution()
     space, freq = res.space_grid(), res.freq_grid()
     default = default_corpus(space, seed)
-    zero = lambda x: np.zeros_like(np.asarray(x, float))
     corpora = {"default": default, "head": default[:4],
-               "default+zero": default + [CorpusMember("zero", zero, sample(zero, space))],
+               "default+zero": default + [CorpusMember("zero", np.zeros_like,
+                                                       sample(np.zeros_like, space))],
                "away": away_from_zero_corpus(space, seed)}
     stacks = {name: _stack(members) for name, members in corpora.items()}
 
@@ -381,24 +394,19 @@ def _sweep_corpus(space: Grid, seed: int) -> list[CorpusMember]:
     return members
 
 
-def _resampled(members: list[CorpusMember], grid: Grid) -> list[CorpusMember]:
-    """The members sampled afresh on another full-line grid."""
-    return [CorpusMember(m.label, m.fn, sample(m.fn, grid, FULL_LINE)) for m in members]
-
-
 def _grouped_families(reduce: Callable[[PartialSumFamily], SampledFn], width: int,
-                      order: float, stack: SampledFn, t_grid: ThresholdSeq, freq: Grid,
-                      kind: str | None = None) -> np.ndarray:
-    """The (B, N) values of reduce(family) for the families of a (B, N)
-    member stack, in member order.  The families are built in groups of
+                      order: float, stack: SampledFn, t_grid: ThresholdSeq,
+                      freq: Grid) -> SampledFn:
+    """reduce(family) for the families of a (B, N) member stack, as one
+    (B, N) stack in member order.  The families are built in groups of
     width // N members (at least one), so that a group holds no more columns
     than the family of one function on a width-node grid: one call per group
     keeps a pool thread busy in numpy for longer at the same peak memory."""
     per = max(1, width // stack.grid.n)
-    return np.concatenate([
-        reduce(build_family(order, stack.with_values(stack.values[i:i + per]), t_grid, freq,
-                            kind)).values
-        for i in range(0, len(stack.values), per)])
+    return stack.with_values(np.concatenate([
+        reduce(build_family(order, stack.with_values(stack.values[i:i + per]), t_grid,
+                            freq)).values
+        for i in range(0, len(stack.values), per)]))
 
 
 def _norm_ratio(num: SampledFn, den: SampledFn, spec: NormSpec,
@@ -432,18 +440,15 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
         space, freq = res.space_grid(), res.freq_grid()
         members, dropped = _gate_members(_sweep_corpus(space, seed), [spec.alpha], res)
         if dyadic_only:
-            f = res.freq_max()
-            t_grid = ThresholdSeq.dyadic(-4, int(np.floor(np.log2(0.45 * f))))
+            t_grid = ThresholdSeq.dyadic(-4, int(np.floor(np.log2(0.45 * res.freq_max()))))
             in_range = range_dyadic_oscillation(spec.p, spec.beta, spec.alpha)
         else:
             t_grid = default_t_grid(res)
             in_range = (spec.p >= 2.0 and
                         range_full_oscillation(spec.p, spec.beta, spec.alpha))
 
-        def osc_of(f: SampledFn, ts: ThresholdSeq, fg: Grid) -> SampledFn:
-            return f.with_values(_grouped_families(max_oscillation, width, spec.alpha, f, ts, fg))
-
-        stack = _stack(members)
+        osc_of = partial(_grouped_families, max_oscillation, width, spec.alpha)
+        fns, stack = [m.fn for m in members], _stack(members)
         osc = osc_of(stack, t_grid, freq)
         ratios = dict(zip([m.label for m in members], _norm_ratio(osc, stack, spec)))
         base = max(ratios.values())
@@ -461,7 +466,7 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
             w_base = lam * w_dil
             space_d = space.window(w_dil)
             freq_d = freq.window(res.freq_max() / max(lam, 1.0)).scaled(lam)
-            dil = _stack([m.dilated(lam, space_d) for m in members])
+            dil = _sampled([lambda x, g=g: g(lam * x) for g in fns], space_d, FULL_LINE)
             v = np.abs(dil.values)
             r_b = _norm_ratio(osc, stack, spec, w_base)
             # a dilation that leaves the grid is not comparable
@@ -471,17 +476,15 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
                 r_l = _norm_ratio(osc_of(dil, t_lam, freq_d), dil, spec)
                 dev = max([dev] + list(np.abs(r_l / r_b[keep] - 1.0)))
         # refinement stability at doubled resolution (same t-grid)
-        fine_stack = _stack(_resampled(members, fine.space_grid()))
+        fine_stack = _sampled(fns, fine.space_grid(), FULL_LINE)
         base2 = max(_norm_ratio(osc_of(fine_stack, t_grid, fine.freq_grid()), fine_stack, spec))
-        stable = 0.5 <= base2 / base <= 2.0
-        pairs = ([(k, v) for k, v in ratios.items()]
-                 + [("max-ratio (empirical lower bound)", base),
-                    ("refined-ratio", base2), ("dilation-deviation", dev)])
-        passed = stable and dev <= 0.01
+        pairs = list(ratios.items()) + [("max-ratio (empirical lower bound)", base),
+                                        ("refined-ratio", base2), ("dilation-deviation", dev)]
         return _finish("oscillation-ratio" + ("-dyadic" if dyadic_only else ""),
                        {"p": spec.p, "beta": spec.beta, "alpha": spec.alpha,
                         "in_range": in_range, "excluded_members": dropped},
-                       pairs, float("inf"), res, seed, t0, passed=passed)
+                       pairs, float("inf"), res, seed, t0,
+                       passed=_stable(base, base2) and dev <= 0.01)
 
     return _map_ordered(one_spec, list(spec_list), threads)
 
@@ -489,44 +492,40 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
 # ---------------------------------------------------------------------------
 # Prestini majorant constant sweep
 
-def prestini_constant_sweep(alphas: Sequence[float],
-                            resolutions: Sequence[Resolution] | None = None,
+def prestini_constant_sweep(alphas: Sequence[float], resolution: Resolution | None = None,
                             seed: int = 7, threads: int = 1) -> list[ExperimentReport]:
     """Empirical majorant constant: max over corpus, cuts and nodes of
-    |S~_t f(x)| / majorant(x), reported across a resolution ladder; passed
-    means every consecutive pair stays within a factor 2."""
-    ladder = list(resolutions or (resolution_n512(), resolution_n1024()))
-    width = max(r.half_grid().n for r in ladder)   # the families' group width
+    |S~_t f(x)| / majorant(x), reported at the profile and its refinement;
+    passed means the two stay within a factor 2.  A zero member is skipped
+    (the corpus carries one); a profile on which every member is zero
+    refuses to run."""
+    res = resolution or resolution_n512()
+    fine = res.refined()
+    members = half_line_corpus(res.half_grid(), seed)
+    labels, fns = [m.label for m in members] + ["zero"], [m.fn for m in members] + [np.zeros_like]
 
     def one_alpha(alpha: float) -> ExperimentReport:
         t0 = time.perf_counter()
-        pairs = []
-        consts = []
-        for res in ladder:
-            half = res.half_grid()
-            half_freq = res.half_freq_grid()
-            k_hi = int(np.floor(np.log2(0.9 * res.freq_max())))
-            t_grid = ThresholdSeq.dyadic(-4, k_hi)
-            sup = default_sup_grid(half, t_grid.values)
-            members = half_line_corpus(half, seed)
-            zero_v = sample(lambda x: np.zeros_like(np.asarray(x, float)), half, HALF_LINE)
-            kept = []
-            for m in members + [CorpusMember("zero", lambda x: 0 * np.asarray(x), zero_v)]:
-                if np.all(m.sampled.values == 0.0):
-                    pairs.append((f"{m.label}@{res.n_line} skipped (zero)", 0.0))
-                else:
-                    kept.append(m)
-            stack = _stack(kept)
-            majs = prestini_majorant(alpha, stack, sup).values
-            maxes = _grouped_families(PartialSumFamily.max_abs, width, alpha, stack, t_grid,
-                                      half_freq, "hankel")
-            best = max([0.0] + [float(np.max(mx / maj)) for mx, maj in zip(maxes, majs)])
-            consts.append(best)
-            pairs.append((f"C(alpha={alpha:g}, N={res.n_line})", best))
-        stable = all(0.5 <= consts[i + 1] / consts[i] <= 2.0 for i in range(len(consts) - 1))
+        pairs, consts = [], []
+        for r in (res, fine):
+            half = r.half_grid()
+            t_grid = ThresholdSeq.dyadic(-4, int(np.floor(np.log2(0.9 * r.freq_max()))))
+            stack = _sampled(fns, half, HALF_LINE)
+            live = np.any(stack.values != 0.0, axis=-1)
+            pairs += [(f"{label}@{r.n_line} skipped (zero)", 0.0)
+                      for label, ok in zip(labels, live) if not ok]
+            if not live.any():
+                raise GateError(f"every Prestini corpus member is zero at N={r.n_line}; "
+                                "refusing to sweep")
+            stack = stack.with_values(stack.values[live])
+            majs = prestini_majorant(alpha, stack, default_sup_grid(half, t_grid.values)).values
+            maxes = _grouped_families(PartialSumFamily.max_abs, fine.half_grid().n, alpha,
+                                      stack, t_grid, r.half_freq_grid()).values
+            consts.append(max([0.0] + [float(np.max(mx / maj)) for mx, maj in zip(maxes, majs)]))
+            pairs.append((f"C(alpha={alpha:g}, N={r.n_line})", consts[-1]))
         return _finish("prestini-constant", {"alpha": alpha,
-                                             "ladder": [r.n_line for r in ladder]},
-                       pairs, float("inf"), ladder[0], seed, t0, passed=stable)
+                                             "ladder": [res.n_line, fine.n_line]},
+                       pairs, float("inf"), res, seed, t0, passed=_stable(*consts))
 
     return _map_ordered(one_alpha, list(alphas), threads)
 
@@ -594,17 +593,17 @@ def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
     bstar = beta_star(spec.beta, alpha, spec.p)
     fr_spec = NormSpec(spec.p, spec.beta, -0.5)      # measure |x|^beta
     hk_spec = NormSpec(spec.p, bstar, alpha)         # measure x^{beta*+2a+1}
+    members = smooth_corpus(res.space_grid(), seed)[:4]
+    fns = [m.fn for m in members]
 
     def ratios(res_: Resolution, parseval: bool = False):
-        """Labels, then per side (Fourier, Hankel) the members' square-function
-        norm ratios and, with parseval, their orthogonal-decomposition norm
-        ratios from the same spectra.  At p = 2 the two coincide; the spectral
-        side is exact, while a sharp band piece has 1/x tails in space."""
+        """Per side (Fourier, Hankel) the members' square-function norm ratios
+        and, with parseval, their orthogonal-decomposition norm ratios from
+        the same spectra.  At p = 2 the two coincide; the spectral side is
+        exact, while a sharp band piece has 1/x tails in space."""
         space, freq = res_.space_grid(), res_.freq_grid()
         half, half_freq = res_.half_grid(), res_.half_freq_grid()
-        members = smooth_corpus(space, seed)[:4]
-        full = _stack(members)
-        prof = SampledFn(half, np.stack([m.fn(half.points) for m in members]), HALF_LINE)
+        full, prof = _sampled(fns, space, FULL_LINE), _sampled(fns, half, HALF_LINE)
         sides = ((full, fr_spec, transforms.fourier(full, freq), np.abs(freq.points),
                   freq.weights, lambda g: transforms.fourier_inverse(g, space)),
                  (prof, hk_spec, transforms.hankel(alpha, prof, half_freq), half_freq.points,
@@ -620,19 +619,18 @@ def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
                 # one sum per piece k, then the K sums in order
                 num2 = np.sum(np.sum((w * mult ** 2)[:, None, :] * power, axis=-1), axis=0)
                 orth.append(np.sqrt(num2 / np.sum(w * power, axis=-1)))
-        return [m.label for m in members], out, orth
+        return out, orth
 
-    labels, base, orth = ratios(res, parseval=spec.p == 2.0)
-    _, fine, _ = ratios(res.refined())
-    pairs = [(f"{side}-side {label}", float(r[i])) for i, label in enumerate(labels)
+    base, orth = ratios(res, parseval=spec.p == 2.0)
+    pairs = [(f"{side}-side {m.label}", float(r[i])) for i, m in enumerate(members)
              for side, r in zip(("fourier", "hankel"), base)]
-    stable = all(0.5 <= f / b <= 2.0 for b, f in zip(np.ravel(base), np.ravel(fine)))
+    passed = _stable(base, ratios(res.refined())[0])
     if spec.p == 2.0:
         agree = float(np.max(np.abs(orth[0] - orth[1])))
         pairs.append(("max |fourier - hankel| orthogonal-norm gap", agree))
-        passed = stable and agree <= 1e-6
+        passed = passed and agree <= 1e-6
     else:
-        passed = stable and all(np.isfinite(v) for (_, v) in pairs)
+        passed = passed and all(np.isfinite(v) for (_, v) in pairs)
     return _finish("transference", {"p": spec.p, "beta": spec.beta,
                                     "dimension": dimension, "beta_star": bstar,
                                     "members": family.labels},
@@ -661,23 +659,22 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
     res = resolution or resolution_n512()
     fine = res.refined()
 
-    def carleson_maxes(res_: Resolution, members) -> tuple[SampledFn, SampledFn]:
+    def carleson_maxes(res_: Resolution, stack: SampledFn) -> tuple[SampledFn, SampledFn]:
         """The member stack and the stack of its sup_t |S_t f|."""
-        t_grid, freq, stack = default_t_grid(res_), res_.freq_grid(), _stack(members)
-        return stack, stack.with_values(_grouped_families(
-            PartialSumFamily.max_abs, fine.space_grid().n, alpha, stack, t_grid, freq))
+        return stack, _grouped_families(PartialSumFamily.max_abs, fine.space_grid().n, alpha,
+                                        stack, default_t_grid(res_), res_.freq_grid())
 
     def ratio_at(stack: SampledFn, cmaxes: SampledFn, weight: Weight) -> float:
         nspec = NormSpec(p, 0.0, alpha)
         return float(np.max(weighted_lp_norm(cmaxes, nspec, weight)
                             / weighted_lp_norm(stack, nspec, weight)))
 
-    space = res.space_grid()
-    members, dropped = _gate_members(_sweep_corpus(space, seed), [alpha], res)
+    members, dropped = _gate_members(_sweep_corpus(res.space_grid(), seed), [alpha], res)
     # sup_t |S_t f| does not depend on the weight: one family per member and
     # resolution serves every weight
-    base_maxes = carleson_maxes(res, members)
-    fine_maxes = carleson_maxes(fine, _resampled(members, fine.space_grid()))
+    base_maxes = carleson_maxes(res, _stack(members))
+    fine_maxes = carleson_maxes(fine, _sampled([m.fn for m in members], fine.space_grid(),
+                                               FULL_LINE))
 
     # one batched A_p pass checks every weight integrable against |x|^{2 alpha + 1}
     checked = [w for w in weights if w.exponents[0] + 2.0 * alpha + 1.0 > -1.0]
@@ -701,10 +698,9 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
                                                  "note": "no pass/fail semantics"}
         base = ratio_at(*base_maxes, weight)
         ref = ratio_at(*fine_maxes, weight)
-        stable = 0.5 <= ref / base <= 2.0
         pairs = [("max-ratio (empirical lower bound)", base), ("refined-ratio", ref)]
         return _finish("weighted-carleson", inputs, pairs, float("inf"),
-                       res, seed, t0, passed=stable)
+                       res, seed, t0, passed=_stable(base, ref))
 
     return _map_ordered(one_weight, list(weights), threads)
 

@@ -9,9 +9,9 @@ even and odd parts, and the U rows are reassembled by parity before they
 are copied to the T cut lists; a (..., N) stack gives (..., T, N) rows.
 build_family passes one cut per row, a partial sum is a one-row family and
 an iterated sum one row of multiplied masks; equal masks share one computed
-row, so P_s P_t = P_min holds exactly.  Cuts are snapped to midpoints
-between adjacent frequency nodes, all cuts of a call in one search, so the
-node mask is unambiguous.
+row, so P_s P_t = P_min holds exactly.  A cut keeps the frequency nodes at
+or below it, a count from one search over all cuts of a call: the mask of
+the cut snapped to the midpoint of its node gap (snap_threshold).
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class ThresholdSeq:
         v = _freeze(self.values)
         if v.ndim != 1 or v.size == 0:
             raise ArgumentError("threshold sequence must be a nonempty 1-d array")
+        if not np.all(np.isfinite(v)):
+            raise ArgumentError("thresholds must be finite")
         if np.any(v <= 0.0) or np.any(np.diff(v) <= 0.0):
             raise ArgumentError("thresholds must be positive and strictly increasing")
         object.__setattr__(self, "values", v)
@@ -113,8 +115,8 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
     """The (..., len(cut_lists), f.grid.n) rows S_{cut list} f of the single
     pipeline for a (..., f.grid.n) stack f: kind 'hankel' cuts the Hankel
     spectrum of a half-line f, kinds 'dunkl' and 'fourier' the Dunkl
-    spectrum of a full-line f.  Every cut is checked against the band, and
-    the inverse against the resolution guard."""
+    spectrum of a full-line f.  Every cut is checked to be finite and in
+    the band, and the inverse against the resolution guard."""
     want = {"dunkl": FULL_LINE, "fourier": FULL_LINE, "hankel": HALF_LINE}.get(kind)
     if want is None:
         raise ArgumentError(f"unknown family kind {kind!r}")
@@ -124,20 +126,18 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
         freq_grid = frequency_grid(f.grid)
     half_freq = freq_grid.positive_half() if freq_grid.is_symmetric else freq_grid
     flat = np.array([t for ts in cut_lists for t in ts], dtype=float)
+    if not np.all(np.isfinite(flat)):
+        raise ArgumentError("cuts must be finite")
     over = flat[flat > half_freq.hi]
     if over.size:
         raise ResolutionError(
             f"cut t={over[0]:g} exceeds the resolvable frequency band {half_freq.hi:g}")
-    # the mask of cut list i, the product of the masks |xi| <= t over the list,
-    # is the mask of its lowest snapped cut (an empty list cuts nothing)
-    snapped = iter(_snap(flat, half_freq.points))
-    lowest = np.array([min((next(snapped) for _ in ts), default=np.inf) for ts in cut_lists])
-    by_row = half_freq.points <= lowest[:, None]
-    # (U, F) distinct masks, keyed by their bytes; sorted keys give np.unique's row order
-    keys = sorted({m.tobytes(): m for m in by_row}.items())
-    masks = np.stack([m for _, m in keys])
-    slot = {k: i for i, (k, _) in enumerate(keys)}
-    row_of = np.array([slot[m.tobytes()] for m in by_row])
+    # cut list i keeps the nodes up to its lowest cut (an empty list cuts
+    # nothing): the (U, F) masks of the distinct node counts, ascending
+    counts = iter(np.searchsorted(half_freq.points, flat, side="right"))
+    lowest = [min((next(counts) for _ in ts), default=half_freq.n) for ts in cut_lists]
+    distinct, row_of = np.unique(lowest, return_inverse=True)
+    masks = np.arange(half_freq.n) < distinct[:, None]
     if want == HALF_LINE:
         out_grid = f.grid
         orders, specs = [order], [transforms.hankel(order, f, half_freq)]

@@ -116,17 +116,15 @@ def check_resolution(input_grid: Grid, max_abs_freq: float) -> None:
 
 
 def frequency_grid(space_grid: Grid, freq_max: float | None = None,
-                   n_panels: int | None = None, nodes_per_panel: int = 32) -> Grid:
+                   nodes_per_panel: int = 32) -> Grid:
     """Symmetric frequency grid matched to a space grid: the default span is
     98% of the resolution guard and the node budget mirrors the space grid."""
     limit = resolvable_frequency(space_grid)
     f = 0.98 * limit if freq_max is None else float(freq_max)
     if f > limit:
         raise ResolutionError(f"requested band {f:g} beyond resolvable {limit:g}")
-    if n_panels is None:
-        budget = space_grid.n if space_grid.lo >= 0.0 else space_grid.n // 2
-        n_panels = max(1, budget // nodes_per_panel)
-    return make_graded_grid(-f, f, n_panels, nodes_per_panel, 1.0)
+    budget = space_grid.n if space_grid.lo >= 0.0 else space_grid.n // 2
+    return make_graded_grid(-f, f, max(1, budget // nodes_per_panel), nodes_per_panel, 1.0)
 
 
 def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:

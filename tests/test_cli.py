@@ -147,6 +147,23 @@ def test_argument_error_exits_2(workdir):
                  "--input", "f.csv"]) == 2
 
 
+def test_prestini_on_an_all_zero_corpus_exits_1_with_one_line(workdir, capsys):
+    # on [-0.1, 0.1] every half-line corpus member (supported near 1) is zero
+    assert main(["sweep", "--kind", "prestini", "--x-max", "0.1", "--n-panels", "8",
+                 "--output", "r.jsonl"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numerical failure:") and "zero" in err and "\n" not in err
+    assert not os.path.exists("r.jsonl")
+
+
+def test_weighted_carleson_runs_one_batch_per_order(workdir):
+    assert main(["sweep", "--kind", "weighted-carleson", "--p", "2", "--alpha", "0,1",
+                 "--n-panels", "8", "--output", "r.jsonl"]) == 0
+    with open("r.jsonl") as fh:
+        alphas = [json.loads(line)["inputs"]["alpha"] for line in fh]
+    assert alphas == [0.0] * 25 + [1.0] * 25
+
+
 def test_config_file_flags_win(workdir, capsys):
     with open("run.conf", "w") as fh:
         fh.write("# comment\nalpha=0.25\nn-panels=8\n")

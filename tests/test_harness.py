@@ -134,6 +134,16 @@ def test_oscillation_sweep_groups_members_and_ignores_threads(monkeypatch):
     assert {(2, 512), (4, 256), (1, 1024)} <= set(groups)
 
 
+def test_stable_is_the_closed_factor_two_test():
+    assert harness._stable(1.0, 0.5) and harness._stable(1.0, 2.0)
+    assert harness._stable(np.array([1.0, 4.0]), np.array([2.0, 2.0]))
+    assert not harness._stable(1.0, np.nextafter(2.0, 3.0))
+    assert not harness._stable(1.0, np.nextafter(0.5, 0.0))
+    assert not harness._stable(1.0, np.nan) and not harness._stable(np.nan, 1.0)
+    assert not harness._stable(np.array([1.0, 1.0]), np.array([1.0, np.nan]))
+    assert not harness._stable(0.0, 1.0) and not harness._stable(0.0, 0.0)
+
+
 @pytest.mark.parametrize("width", [1, 256, 512, 768, 4096])
 def test_grouped_families_respect_the_width_and_member_order(monkeypatch, width, res512):
     space, freq = res512.space_grid(), res512.freq_grid()
@@ -148,7 +158,7 @@ def test_grouped_families_respect_the_width_and_member_order(monkeypatch, width,
         return build_family(order, f, *args)
 
     monkeypatch.setattr(harness, "build_family", recording_build)
-    out = harness._grouped_families(PartialSumFamily.max_abs, width, 0.0, stack, tg, freq)
+    out = harness._grouped_families(PartialSumFamily.max_abs, width, 0.0, stack, tg, freq).values
     per = max(1, width // space.n)
     assert groups == [min(per, 5 - i) for i in range(0, 5, per)]
     assert out.shape == (5, space.n)

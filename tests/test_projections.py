@@ -24,6 +24,40 @@ def test_threshold_seq_validation():
     assert not ThresholdSeq(np.array([1.0, 3.0])).is_dyadic
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_thresholds_and_cuts_are_refused(bad, one_bump, freq512):
+    # a NaN cut used to mask nothing away (NaN sorts past the last node)
+    for ts in ([1.0, bad, 3.0], [1.0, 2.0, bad]):
+        with pytest.raises(ArgumentError):
+            ThresholdSeq(np.array(ts))
+    with pytest.raises(ArgumentError):
+        dunkl_partial_sum(0.0, one_bump, bad, freq512)
+    with pytest.raises(ArgumentError):
+        dunkl_partial_sum_iterated(0.0, one_bump, [1.0, bad], freq512)
+    with pytest.raises(ArgumentError):
+        _cut_rows(0.0, one_bump, [[1.0], [bad]], freq512, "dunkl")
+
+
+def test_cut_rows_match_the_snapped_node_masks(freq512, space512):
+    """Each row is the inverse of the spectrum masked by |xi| <= the snapped
+    cut, for cuts below the first node, on a node and just below it, between
+    nodes and at the band edge, in any order and with repeated masks."""
+    pts = freq512.positive_half().points
+    ts = [freq512.hi, pts[0] / 3.0, pts[40], np.nextafter(pts[5], 0.0),
+          pts[5], 0.5 * (pts[5] + pts[6]), 0.5 * (pts[40] + pts[41]), pts[0], pts[-1]]
+    f = sample(bump(0.3, 1.4), space512)
+    f = f.with_values(np.stack([f.values, gaussian(-0.4, 0.3)(space512.points) * 1j]))
+    rows = _cut_rows(0.5, f, [[t] for t in ts], freq512, "dunkl")
+    spec = dunkl(0.5, f, freq512, route="direct")
+    for t, row in zip(ts, np.moveaxis(rows, -2, 0)):
+        keep = np.abs(freq512.points) <= snap_threshold(t, pts)
+        ref = dunkl_inverse(0.5, spec.with_values(np.where(keep, spec.values, 0.0)), space512,
+                            route="direct")
+        assert np.max(np.abs(row - ref.values)) <= 1e-9
+    # the on-node cut keeps its node, the cut just below it does not
+    assert np.max(np.abs(rows[:, 4] - rows[:, 3])) > 1e-6
+
+
 def test_snap_threshold_between_nodes():
     pts = np.array([0.5, 1.5, 2.5, 3.5])
     s = snap_threshold(2.0, pts)
