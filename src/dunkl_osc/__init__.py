@@ -25,14 +25,14 @@ from .projections import (PartialSumFamily, ThresholdSeq, build_family,
 from .classical_ops import (SupGrid, carleson_hunt, conjugate_hardy,
                             default_sup_grid, hardy_littlewood_max,
                             maximal_hilbert, prestini_majorant)
-from .seminorms import CutSequence, max_oscillation, oscillation, variation
+from .seminorms import max_oscillation, oscillation, variation
 from .weights import (NormSpec, Weight, ap_alpha_check, ap_check, beta_star,
                       conjectured_measure_ap_check, power_weight,
                       range_dyadic_oscillation, range_full_oscillation,
                       transplant_range, w_ab_weight, weighted_lp_norm)
 from .harness import (ExperimentReport, MultiplierFamily, Resolution,
                       bcv_lattice_weights, default_resolution, default_t_grid,
-                      dyadic_indicator_family, interval_indicator_family,
+                      dyadic_indicator_family, dyadic_partition, interval_indicator_family,
                       oscillation_ratio_sweep, prestini_constant_sweep,
                       resolution_n1024, resolution_n512, run_identity_suite,
                       transference_demo, transplant_roundtrip_report,

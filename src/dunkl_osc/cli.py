@@ -9,7 +9,8 @@ attribute (a tracer, a test double) sees every call.
 
 Each subcommand declares only the flags it reads: the ones acting on a
 SampledFn take their grid from ``--input``, and only verify and sweep take
-the resolution flags, ``--seed`` and ``--threads``.  A ``--config`` file of
+the resolution flags, ``--seed`` and ``--threads``; a sweep kind refuses a
+flag it does not read whose value is not the default.  A ``--config`` file of
 key=value lines becomes flags placed before the explicit ones, so its
 values are typed and checked like flags and explicit flags win; keys the
 subcommand does not take are ignored.  Float flags take finite numbers only.
@@ -31,14 +32,14 @@ from .errors import ArgumentError, DomainError, DunklOscError, GateError, Resolu
 from .funcspace import (FULL_LINE, HALF_LINE, read_sampled_fn, write_sampled_fn)
 from .projections import (ThresholdSeq, build_family, dunkl_partial_sum, family_to_csv,
                           fourier_partial_sum, hankel_partial_sum, radial_partial_sum)
-from .seminorms import CutSequence, max_oscillation, oscillation, variation
+from .seminorms import max_oscillation, oscillation, variation
 from .classical_ops import (carleson_hunt, conjugate_hardy, default_sup_grid,
                             hardy_littlewood_max, maximal_hilbert, prestini_majorant)
 from .weights import (NormSpec, ap_alpha_check, ap_check, beta_star,
                       power_weight, range_dyadic_oscillation,
                       range_full_oscillation, transplant_range, w_ab_weight)
 from .harness import (Resolution, _one_blas_thread, bcv_lattice_weights,
-                      dyadic_indicator_family, oscillation_ratio_sweep,
+                      dyadic_partition, oscillation_ratio_sweep,
                       prestini_constant_sweep, run_identity_suite, transference_demo,
                       transplant_roundtrip_report, weighted_carleson_sweep,
                       write_reports_jsonl, write_summary_csv)
@@ -77,8 +78,7 @@ def _t_grid_for(args, f) -> ThresholdSeq:
     return ThresholdSeq.octave_eighths(transforms.frequency_grid(f.grid).hi)
 
 
-def _family(args):
-    f = _load(args)
+def _family(args, f):
     return build_family(args.alpha, f, _t_grid_for(args, f))
 
 
@@ -94,17 +94,6 @@ def _oscillation_sweep(args, res, dyadic_only: bool):
     return oscillation_ratio_sweep([NormSpec(args.p, args.beta, a) for a in args.alpha],
                                    args.seed, res, dyadic_only=dyadic_only,
                                    threads=args.threads)
-
-
-def _transference(args, res):
-    # the dyadic partition must cover every frequency node, including the
-    # refined grid's, so the orthogonal decompositions telescope
-    fine = res.refined()
-    k_min = int(np.floor(np.log2(float(fine.half_freq_grid().points[0]))))
-    k_max = int(np.ceil(np.log2(fine.freq_max())))
-    return [transference_demo(dyadic_indicator_family(k_min, k_max),
-                              NormSpec(args.p, args.beta, -0.5),
-                              args.dimension, res, args.seed)]
 
 
 # kind -> (input domain, transform(alpha, f, freq)); the Hankel kinds map
@@ -127,19 +116,19 @@ PARTIAL_SUMS = {
     "radial": (HALF_LINE, lambda args, f: radial_partial_sum(args.dimension, f, args.t)),
 }
 
-# operator -> maximal function(args, f); each operator checks its own input
-# domain.  The classical ones take the sup grid of the input grid (with the
-# --t-grid values as its frequencies), the Carleson ones the t-grid.
+# operator -> (input domain, maximal function(args, f)); a classical operator
+# checks its own input domain (None).  The classical ones take the sup grid of
+# the input grid (with the --t-grid values as its frequencies), the Carleson
+# ones the t-grid.
 MAXIMALS = {
-    "hardy-littlewood": lambda args, f: hardy_littlewood_max(f, _sup_grid(args, f)),
-    "conjugate-hardy": lambda args, f: conjugate_hardy(f),
-    "maximal-hilbert": lambda args, f: maximal_hilbert(f, _sup_grid(args, f)),
-    "carleson-hunt": lambda args, f: carleson_hunt(f, _sup_grid(args, f)),
-    "prestini-majorant": lambda args, f: prestini_majorant(args.alpha, f, _sup_grid(args, f)),
-    "carleson-dunkl": lambda args, f: build_family(args.alpha, f, _t_grid_for(args, f),
-                                                   kind="dunkl").max_abs(),
-    "carleson-hankel": lambda args, f: build_family(args.alpha, f, _t_grid_for(args, f),
-                                                    kind="hankel").max_abs(),
+    "hardy-littlewood": (None, lambda args, f: hardy_littlewood_max(f, _sup_grid(args, f))),
+    "conjugate-hardy": (None, lambda args, f: conjugate_hardy(f)),
+    "maximal-hilbert": (None, lambda args, f: maximal_hilbert(f, _sup_grid(args, f))),
+    "carleson-hunt": (None, lambda args, f: carleson_hunt(f, _sup_grid(args, f))),
+    "prestini-majorant": (None, lambda args, f:
+                          prestini_majorant(args.alpha, f, _sup_grid(args, f))),
+    "carleson-dunkl": (FULL_LINE, lambda args, f: _family(args, f).max_abs()),
+    "carleson-hankel": (HALF_LINE, lambda args, f: _family(args, f).max_abs()),
 }
 
 # predicate -> (verdict(args), formula)
@@ -159,19 +148,24 @@ RANGES = {
                   "beta* = beta - (alpha+1/2)(2-p)"),
 }
 
-# kind -> reports(args, resolution)
+# kind -> (the sweep flags it reads besides --seed, reports(args, resolution))
+_RES = ("n_panels", "nodes_per_panel", "x_max")
 SWEEPS = {
-    "oscillation": lambda args, res: _oscillation_sweep(args, res, False),
-    "oscillation-dyadic": lambda args, res: _oscillation_sweep(args, res, True),
-    "prestini": lambda args, res: prestini_constant_sweep(
-        args.alpha, res, args.seed, args.threads),
-    "transference": _transference,
-    "weighted-carleson": lambda args, res: [
+    "oscillation": (("p", "beta", "alpha", "threads", *_RES),
+                    lambda args, res: _oscillation_sweep(args, res, False)),
+    "oscillation-dyadic": (("p", "beta", "alpha", "threads", *_RES),
+                           lambda args, res: _oscillation_sweep(args, res, True)),
+    "prestini": (("alpha", "threads", *_RES), lambda args, res: prestini_constant_sweep(
+        args.alpha, res, args.seed, args.threads)),
+    "transference": (("p", "beta", "dimension", *_RES), lambda args, res: [transference_demo(
+        dyadic_partition(res), NormSpec(args.p, args.beta, -0.5), args.dimension, res,
+        args.seed)]),
+    "weighted-carleson": (("p", "alpha", "experimental", "threads", *_RES), lambda args, res: [
         r for a in args.alpha for r in weighted_carleson_sweep(
             bcv_lattice_weights(), args.p, a, res, args.seed,
-            experimental=args.experimental, threads=args.threads)],
-    "transplant-roundtrip": lambda args, res: [
-        transplant_roundtrip_report([(-0.5, 0.5), (0.0, 1.0)], args.seed)],
+            experimental=args.experimental, threads=args.threads)]),
+    "transplant-roundtrip": ((), lambda args, res: [
+        transplant_roundtrip_report([(-0.5, 0.5), (0.0, 1.0)], args.seed)]),
 }
 
 
@@ -211,7 +205,7 @@ def _run_partial_sum(args) -> int:
 
 
 def _run_family(args) -> int:
-    fam = _family(args)
+    fam = _family(args, _load(args))
     out = args.output or "family.csv"
     family_to_csv(out, fam)
     print(f"family alpha={args.alpha:g} with {len(fam.t_grid)} thresholds -> {out}")
@@ -219,20 +213,20 @@ def _run_family(args) -> int:
 
 
 def _run_osc(args) -> int:
-    fam = _family(args)
+    fam = _family(args, _load(args))
     if not args.cuts:
         return _emit_fn(args, max_oscillation(fam), "oscillation sup over all cut sequences")
-    cuts = sorted(args.cuts)
-    seq = CutSequence(ThresholdSeq(np.array(cuts)), len(cuts) - 1)
-    return _emit_fn(args, oscillation(fam, seq), f"oscillation (J={len(cuts) - 1})")
+    cuts = ThresholdSeq(np.array(sorted(args.cuts)))
+    return _emit_fn(args, oscillation(fam, cuts), f"oscillation (J={len(cuts) - 1})")
 
 
 def _run_var(args) -> int:
-    return _emit_fn(args, variation(_family(args), args.r), f"V^{args.r:g}")
+    return _emit_fn(args, variation(_family(args, _load(args)), args.r), f"V^{args.r:g}")
 
 
 def _run_maximal(args) -> int:
-    return _emit_fn(args, MAXIMALS[args.operator](args, _load(args)), args.operator)
+    domain, op = MAXIMALS[args.operator]
+    return _emit_fn(args, op(args, _load(args, domain)), args.operator)
 
 
 def _run_range(args) -> int:
@@ -261,8 +255,16 @@ def _run_verify(args) -> int:
 
 
 def _run_sweep(args) -> int:
+    """Run the kind's sweep; a flag the kind does not read, set away from its
+    default (by the command line or --config), is refused."""
+    reads, run = SWEEPS[args.kind]
+    default = vars(build_parser().parse_args(["sweep", "--kind", args.kind]))
+    unread = ["--" + d.replace("_", "-") for d, v in default.items()
+              if d not in reads + ("seed", "output", "config") and getattr(args, d) != v]
+    if unread:
+        raise ArgumentError(f"sweep --kind {args.kind} does not read {', '.join(unread)}")
     res = Resolution(args.n_panels, args.nodes_per_panel, args.x_max)
-    return _emit_reports(args, SWEEPS[args.kind](args, res), f"sweep {args.kind}")
+    return _emit_reports(args, run(args, res), f"sweep {args.kind}")
 
 
 def _add_run_flags(sp):

@@ -362,20 +362,20 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
 # ---------------------------------------------------------------------------
 # member gate for coarse-resolution sweeps
 
-def _gate_members(members: list[CorpusMember], alphas: Sequence[float],
-                  res: Resolution, tol: float = 1e-6):
+def _gate_members(members: list[CorpusMember], alphas: Sequence[float], res: Resolution):
     """Keep the nonzero members whose Plancherel and inversion residuals (from
-    one Dunkl spectrum of the member stack per order) meet the tolerance at
-    every requested order.  The excluded labels are reported; a sweep with
-    fewer than two survivors refuses to run."""
+    one Dunkl spectrum of the member stack per order) meet their IDENTITIES
+    tolerances at every requested order.  The excluded labels are reported; a
+    sweep with fewer than two survivors refuses to run."""
     space, freq = res.space_grid(), res.freq_grid()
+    tol_p, tol_i = IDENTITIES["plancherel"][2], IDENTITIES["inversion"][2]
     stack = _stack(members)
     ok = np.ones(len(members), dtype=bool)
     for a in alphas:
         spec = transforms.dunkl(a, stack, freq)
         ok &= ((_l2(stack.values, space, a) != 0.0)
-               & (_plancherel(a, stack, space, freq, spec) <= tol)
-               & (_inversion(a, stack, space, freq, spec) <= tol))
+               & (_plancherel(a, stack, space, freq, spec) <= tol_p)
+               & (_inversion(a, stack, space, freq, spec) <= tol_i))
     keep = [m for m, k in zip(members, ok) if k]
     if len(keep) < 2:
         raise GateError("identity gate at this resolution left fewer than two "
@@ -557,6 +557,16 @@ class MultiplierFamily:
 
 def dyadic_indicator_family(k_min: int, k_max: int) -> MultiplierFamily:
     return interval_indicator_family([(2.0 ** k, 2.0 ** (k + 1)) for k in range(k_min, k_max + 1)])
+
+
+def dyadic_partition(res: Resolution) -> MultiplierFamily:
+    """The dyadic indicators covering every positive frequency node of res and
+    of res.refined(), the two profiles of transference_demo, so that its
+    orthogonal decompositions telescope on both."""
+    profiles = (res, res.refined())
+    k_min = min(int(np.floor(np.log2(r.half_freq_grid().points[0]))) for r in profiles)
+    k_max = max(int(np.ceil(np.log2(r.freq_max()))) for r in profiles)
+    return dyadic_indicator_family(k_min, k_max)
 
 
 def interval_indicator_family(intervals: Sequence[tuple]) -> MultiplierFamily:

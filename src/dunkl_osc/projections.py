@@ -96,8 +96,6 @@ class PartialSumFamily:
     is one function or a (..., N) stack of them."""
 
     base: SampledFn
-    order: float
-    kind: str
     t_grid: ThresholdSeq
     values: np.ndarray
 
@@ -114,10 +112,10 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
               kind: str) -> np.ndarray:
     """The (..., len(cut_lists), f.grid.n) rows S_{cut list} f of the single
     pipeline for a (..., f.grid.n) stack f: kind 'hankel' cuts the Hankel
-    spectrum of a half-line f, kinds 'dunkl' and 'fourier' the Dunkl
-    spectrum of a full-line f.  Every cut is checked to be finite and in
-    the band, and the inverse against the resolution guard."""
-    want = {"dunkl": FULL_LINE, "fourier": FULL_LINE, "hankel": HALF_LINE}.get(kind)
+    spectrum of a half-line f, kind 'dunkl' the Dunkl spectrum of a
+    full-line f.  Every cut is checked to be finite and in the band, and
+    the inverse against the resolution guard."""
+    want = {"dunkl": FULL_LINE, "hankel": HALF_LINE}.get(kind)
     if want is None:
         raise ArgumentError(f"unknown family kind {kind!r}")
     if f.domain_tag != want:
@@ -198,18 +196,14 @@ def radial_partial_sum(dimension: int, f0: SampledFn, t: float,
 
 
 def build_family(order: float, f: SampledFn, t_grid: ThresholdSeq,
-                 freq_grid: Grid | None = None, kind: str | None = None) -> PartialSumFamily:
+                 freq_grid: Grid | None = None) -> PartialSumFamily:
     """All rows S_t f for t in t_grid: one spectral-cut row per threshold,
     sharing one forward transform and one inverse GEMM per parity; a
-    (..., N) stack f gives (..., len(t_grid), N) rows.  kind is
-    'dunkl' (full-line f, the default there), 'fourier' (the Dunkl kind at
-    order -1/2) or 'hankel' (half-line f, the default there)."""
-    if kind is None:
-        kind = "dunkl" if f.domain_tag == FULL_LINE else "hankel"
-    if kind == "fourier":
-        order = -0.5
+    (..., N) stack f gives (..., len(t_grid), N) rows.  A full-line f gets
+    the Dunkl partial sums, a half-line f the Hankel ones."""
+    kind = "dunkl" if f.domain_tag == FULL_LINE else "hankel"
     rows = _cut_rows(order, f, [[t] for t in t_grid.values], freq_grid, kind)
-    return PartialSumFamily(f, float(order), kind, t_grid, rows)
+    return PartialSumFamily(f, t_grid, rows)
 
 
 def family_to_csv(path_or_buf, family: PartialSumFamily) -> None:

@@ -13,8 +13,6 @@ result, row for row equal to the lone calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ArgumentError
@@ -22,25 +20,10 @@ from .funcspace import SampledFn
 from .projections import PartialSumFamily, ThresholdSeq
 
 
-@dataclass(frozen=True)
-class CutSequence:
-    """Strictly increasing cuts I_1 < ... < I_{J+1} drawn from a family's
-    t-grid; J is the number of oscillation blocks actually used."""
-
-    seq: ThresholdSeq
-    J: int
-
-    def __post_init__(self):
-        if self.J < 1:
-            raise ArgumentError("need at least one oscillation block")
-        if len(self.seq) < self.J + 1:
-            raise ArgumentError("cut sequence must have length >= J+1")
-
-
-def _cut_indices(family: PartialSumFamily, cuts: CutSequence) -> np.ndarray:
+def _cut_indices(family: PartialSumFamily, cuts: ThresholdSeq) -> np.ndarray:
     tg = family.t_grid.values
-    idx = np.clip(np.searchsorted(tg, cuts.seq.values), 0, tg.size - 1)
-    if not np.all(np.isclose(tg[idx], cuts.seq.values, rtol=1e-12, atol=0.0)):
+    idx = np.clip(np.searchsorted(tg, cuts.values), 0, tg.size - 1)
+    if not np.all(np.isclose(tg[idx], cuts.values, rtol=1e-12, atol=0.0)):
         raise ArgumentError("every cut must belong to the family's t-grid")
     return idx
 
@@ -53,15 +36,17 @@ def _sq_gaps(parts: np.ndarray, t: int, rows: slice, out: np.ndarray) -> np.ndar
     return np.add(out[0], out[1], out=out[0])
 
 
-def oscillation(family: PartialSumFamily, cuts: CutSequence) -> SampledFn:
-    """O^2_{I,J}: sqrt of the sum over blocks of the squared sup of
-    |a_t - a_{I_j}| for t in the family's grid restricted to [I_j, I_{j+1}),
-    per function of a stacked family."""
+def oscillation(family: PartialSumFamily, cuts: ThresholdSeq) -> SampledFn:
+    """O^2_{I,J} for the cuts I_1 < ... < I_{J+1}, each in the family's t-grid,
+    with J = len(cuts) - 1 blocks: sqrt of the sum over blocks of the squared
+    sup of |a_t - a_{I_j}| for t in the family's grid restricted to
+    [I_j, I_{j+1}), per function of a stacked family."""
+    if len(cuts) < 2:
+        raise ArgumentError("an oscillation needs at least two cuts")
     idx = _cut_indices(family, cuts)
     parts = np.stack([family.values.real, family.values.imag])
     acc = np.zeros(parts.shape[1:-2] + parts.shape[-1:])
-    for j in range(cuts.J):
-        i0, i1 = idx[j], idx[j + 1]
+    for i0, i1 in zip(idx[:-1], idx[1:]):
         gap = np.empty(parts.shape[:-2] + (i1 - i0, parts.shape[-1]))
         acc += np.max(_sq_gaps(parts, i0, slice(i0, i1), gap), axis=-2)
     return SampledFn(family.base.grid, np.sqrt(acc), family.base.domain_tag)

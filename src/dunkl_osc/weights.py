@@ -88,6 +88,7 @@ def w_ab_weight(a: float, b: float) -> Weight:
 
 
 _LOW_SUM = np.finfo(float).tiny / np.finfo(float).eps   # below it, terms lost to underflow count
+_AP_PANELS = 12   # 8-point Gauss panels per interval side in the A_p checkers' base pass
 
 
 def weighted_lp_norm(f: SampledFn, spec: NormSpec, weight: Weight | None = None) -> float:
@@ -192,13 +193,12 @@ def _ap_products(weights: list[Weight], p: float, mu: float, k_range: int,
         return sums[0:n:2] / meas * (sums[1:n:2] / meas) ** (p / pp), np.maximum(abs(m), abs(j))
 
 
-def _ap_stable(weights: list[Weight], p: float, mu: float, refine: int,
-               interval_samples: int) -> list[tuple[bool, float]]:
+def _ap_stable(weights: list[Weight], p: float, mu: float, refine: int) -> list[tuple[bool, float]]:
     """(is_member, sup_estimate) per weight of the A_p product against |x|^mu dx.
 
     The k_range = 10 supremum (base, read from the wide pass) must be finite
     and move by less than 5% both when the center/length range doubles (wide)
-    and when the per-interval quadrature resolution is multiplied by refine
+    and when the _AP_PANELS panels per interval side are multiplied by refine
     (fine): 4 for ap_check (mu = 0), whose quadrupling resolves the slow
     growth just inside the critical exponent, and 2 for the experimental
     conjectured_measure_ap_check (mu = 2 alpha + 1); an inf or NaN product
@@ -206,12 +206,9 @@ def _ap_stable(weights: list[Weight], p: float, mu: float, refine: int,
     resolution axis can expose a near-critical exponent at the origin (a
     non-integrable one gives inf exactly); huge or tiny intervals expose
     failures at infinity."""
-    if type(interval_samples) is not int or interval_samples < 1:   # refuses bools and floats
-        raise ArgumentError(f"interval_samples must be an int >= 1, got {interval_samples!r}")
-    n_panels = max(4, interval_samples // 8)
-    prod, level = _ap_products(weights, p, mu, 20, n_panels)
+    prod, level = _ap_products(weights, p, mu, 20, _AP_PANELS)
     base, wide = np.max(prod[:, level <= 10], axis=1), np.max(prod, axis=1)
-    fine = np.max(_ap_products(weights, p, mu, 10, refine * n_panels)[0], axis=1)
+    fine = np.max(_ap_products(weights, p, mu, 10, refine * _AP_PANELS)[0], axis=1)
     ok = (wide <= 1.05 * base) & (fine <= 1.05 * base) & np.isfinite(base)
     return [(bool(o), float(b)) for o, b in zip(ok, base)]
 
@@ -221,11 +218,11 @@ def _require_p_alpha(name: str, p: float, alpha: float = -0.5) -> None:
         raise ArgumentError(f"{name} needs finite p > 1 and alpha >= -1/2, got {p}, {alpha}")
 
 
-def ap_check(weight: Weight, p: float, interval_samples: int = 96) -> tuple[bool, float]:
+def ap_check(weight: Weight, p: float) -> tuple[bool, float]:
     """Numerical A_p membership: (is_member, sup_estimate), by the stability
-    test of _ap_stable with Lebesgue measure."""
+    test of _ap_stable with Lebesgue measure (_AP_PANELS panels, refined 4x)."""
     _require_p_alpha("ap_check", p)
-    return _ap_stable([weight], p, 0.0, 4, interval_samples)[0]
+    return _ap_stable([weight], p, 0.0, 4)[0]
 
 
 def ap_alpha_check(weight: Weight, p: float, alpha: float) -> bool:
@@ -239,15 +236,16 @@ def ap_alpha_check(weight: Weight, p: float, alpha: float) -> bool:
     return ap_check(weight.shifted(shift), p)[0]
 
 
-def conjectured_measure_ap_check(weights: Weight | list[Weight], p: float, alpha: float,
-                                 interval_samples: int = 96) -> tuple[bool, float] | list:
+def conjectured_measure_ap_check(weights: Weight | list[Weight], p: float,
+                                 alpha: float) -> tuple[bool, float] | list:
     """Experimental: the Muckenhoupt product with the measure |x|^{2a+1} dx in
     both averages; (is_member, sup_estimate) for a Weight, a list of them for a
-    list of weights, checked in one pass.  No boundedness claim is attached to
-    this predicate; it is exposed only behind the CLI --experimental flag."""
+    list of weights, checked in one pass (_AP_PANELS panels, refined 2x).  No
+    boundedness claim is attached to this predicate; it is exposed only behind
+    the CLI --experimental flag."""
     _require_p_alpha("conjectured_measure_ap_check", p, alpha)
     one = isinstance(weights, Weight)
-    out = _ap_stable([weights] if one else weights, p, 2.0 * alpha + 1.0, 2, interval_samples)
+    out = _ap_stable([weights] if one else weights, p, 2.0 * alpha + 1.0, 2)
     return out[0] if one else out
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dunkl_osc import (CutSequence, NormSpec, Resolution, ThresholdSeq,
+from dunkl_osc import (NormSpec, Resolution, ThresholdSeq,
                        ap_check, build_family, default_corpus,
                        default_resolution, default_t_grid, dunkl,
                        dunkl_inverse, dunkl_partial_sum,
@@ -209,7 +209,7 @@ def test_criterion_09_oscillation_below_variation(one_bump, freq512, corpus512):
             rng = np.random.Generator(np.random.Philox(key=[123, i]))
             k = int(rng.integers(2, min(12, T // 2)))
             pick = np.sort(rng.choice(T, size=k, replace=False))
-            cuts = CutSequence(ThresholdSeq(tg.values[pick]), k - 1)
+            cuts = ThresholdSeq(tg.values[pick])
             osc = oscillation(fam, cuts).values.real
             ok = ok and bool(np.all(osc <= v2 + 1e-12))
         ok = ok and bool(np.all(max_oscillation(fam).values.real <= v2 + 1e-12))

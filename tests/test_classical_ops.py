@@ -205,7 +205,7 @@ def test_majorant_dominates_partial_sums():
     t_grid = ThresholdSeq.dyadic(-3, 4)
     sup = default_sup_grid(half, t_grid.values)
     for alpha in (-0.5, 0.5):
-        fam = build_family(alpha, f, t_grid, kind="hankel")
+        fam = build_family(alpha, f, t_grid)
         maj = prestini_majorant(alpha, f, sup).values.real
         ratio = np.max(np.abs(fam.values), axis=0) / maj
         assert np.isfinite(ratio).all()

@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from dunkl_osc import (FULL_LINE, HALF_LINE, Grid, SampledFn, bump,
-                       make_graded_grid, read_sampled_fn, sample,
+from dunkl_osc import (FULL_LINE, HALF_LINE, Grid, SampledFn, ThresholdSeq, build_family,
+                       bump, make_graded_grid, oscillation, read_sampled_fn, sample,
                        write_sampled_fn)
 from dunkl_osc.cli import MAXIMALS, PARTIAL_SUMS, RANGES, TRANSFORMS, main
 
@@ -65,6 +65,46 @@ def test_osc_var_maximal(workdir):
                  "--output", "mj.csv"]) == 0
     mj = read_sampled_fn("mj.csv")
     assert np.all(mj.values.real > 0)
+
+
+@pytest.mark.parametrize("operator,inp", [("carleson-dunkl", "fh.csv"),
+                                          ("carleson-hankel", "f.csv")])
+def test_carleson_maximal_on_the_wrong_domain_exits_2_with_one_line(workdir, capsys,
+                                                                    operator, inp):
+    assert main(["maximal", "--operator", operator, "--input", inp,
+                 "--t-grid", "0.5,1,2,4", "--output", "m.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and err.startswith(f"error: {inp}:")
+    assert not os.path.exists("m.csv")
+
+
+def test_osc_cuts_are_the_library_oscillation(workdir, capsys):
+    assert main(["osc", "--input", "f.csv", "--t-grid", "0.5,1,2,4",
+                 "--cuts", "1", "--output", "o1.csv"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1 and not os.path.exists("o1.csv")
+    assert main(["osc", "--alpha", "0.5", "--input", "f.csv", "--t-grid", "0.5,1,2,4",
+                 "--cuts", "2,0.5,4", "--output", "o3.csv"]) == 0
+    fam = build_family(0.5, read_sampled_fn("f.csv"), ThresholdSeq(np.array([0.5, 1, 2, 4])))
+    want = oscillation(fam, ThresholdSeq(np.array([0.5, 2.0, 4.0])))
+    assert np.array_equal(read_sampled_fn("o3.csv").values, want.values)
+
+
+def test_sweep_refuses_a_flag_its_kind_does_not_read(workdir, capsys):
+    # prestini reads neither --beta nor --p: set on the command line or in a
+    # config file, a value other than the default is refused before any work
+    base = ["sweep", "--kind", "prestini", "--alpha", "0", "--n-panels", "8"]
+    assert main(base + ["--beta", "0.7", "--p", "5", "--output", "r.jsonl"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: sweep --kind prestini does not read --p, --beta\n"
+    with open("run.conf", "w") as fh:
+        fh.write("beta=0.7\n")
+    assert main(base + ["--config", "run.conf", "--output", "r.jsonl"]) == 2
+    assert "does not read --beta" in capsys.readouterr().err
+    assert not os.path.exists("r.jsonl")
+    # a value equal to the default is accepted, and so is every flag the kind reads
+    assert main(base + ["--beta", "0", "--threads", "2", "--x-max", "3",
+                        "--output", "r.jsonl"]) == 0
+    assert os.path.exists("r.jsonl")
 
 
 def test_maximal_on_graded_half_line_csv(workdir):

@@ -10,7 +10,7 @@ from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec, PartialSumFami
                        Resolution, build_family, bump, classical_ops, conjectured_measure_ap_check,
                        dyadic_indicator_family, interval_indicator_family, oscillation_ratio_sweep,
                        prestini_constant_sweep, resolution_n512, run_identity_suite, sample,
-                       transference_demo, transforms,
+                       dyadic_partition, transference_demo, transforms,
                        w_ab_weight, weighted_carleson_sweep,
                        write_reports_jsonl, write_summary_csv)
 from dunkl_osc import cli, harness
@@ -60,12 +60,12 @@ def test_member_gate_keeps_exactly_the_table_passes(res512):
     space, freq = res512.space_grid(), res512.freq_grid()
     zero = lambda x: np.zeros_like(np.asarray(x, float))
     members = _sweep_corpus(space, 7) + [CorpusMember("zero", zero, sample(zero, space))]
-    alphas, tol = (0.0, 1.0), 1e-6
-    keep, dropped = _gate_members(members, alphas, res512, tol)
-    plancherel, inversion = IDENTITIES["plancherel"][0], IDENTITIES["inversion"][0]
+    alphas = (0.0, 1.0)
+    keep, dropped = _gate_members(members, alphas, res512)
+    (plancherel, _, tol_p), (inversion, _, tol_i) = IDENTITIES["plancherel"], IDENTITIES["inversion"]
     expected = [m.label for m in members[:-1]
-                if all(plancherel(a, m.sampled, space, freq) <= tol
-                       and inversion(a, m.sampled, space, freq) <= tol for a in alphas)]
+                if all(plancherel(a, m.sampled, space, freq) <= tol_p
+                       and inversion(a, m.sampled, space, freq) <= tol_i for a in alphas)]
     assert [m.label for m in keep] == expected
     assert dropped == [m.label for m in members if m.label not in expected]
     assert dropped[-1] == "zero" and len(dropped) > 1   # a zero norm is never kept
@@ -186,6 +186,16 @@ def test_transference_identity_multiplier():
     r = transference_demo(one, NormSpec(2.0, 0.0, -0.5), 1, resolution_n512())
     ratios = [v for (k, v) in r.residuals_or_ratios if k.startswith("fourier-side")]
     assert all(abs(v - 1.0) < 1e-9 for v in ratios)
+
+
+@pytest.mark.parametrize("res", [Resolution(2, 8, 3.0), resolution_n512(), Resolution(24, 32, 3.0)])
+def test_dyadic_partition_covers_both_profiles_once(res):
+    fam = dyadic_partition(res)
+    for r in (res, res.refined()):
+        xi = r.half_freq_grid().points
+        xi = xi[xi > 0.0]
+        hits = np.sum([fam.evaluate(k, xi) for k in range(len(fam))], axis=0)
+        assert np.array_equal(hits, np.ones_like(xi))
 
 
 def test_transference_hypothesis_guard():

@@ -216,7 +216,7 @@ def test_radial_projection_property(space512, freq512):
         mn = radial_partial_sum(3, prof, min(s, t), half_freq)
         assert np.max(np.abs(st - mn.values)) <= 1e-8
     fam_t = ThresholdSeq(np.array([1.0, 2.0]))
-    fam = build_family(alpha, prof, fam_t, half_freq, kind="hankel")
+    fam = build_family(alpha, prof, fam_t, half_freq)
     one = hankel_partial_sum(alpha, prof, 1.0, half_freq)
     assert np.max(np.abs(fam.values[0] - one.values)) <= 1e-12
 
@@ -275,11 +275,11 @@ def test_stacked_family_equals_member_families(kind, members, res512, freq512, c
                                                        freq512.positive_half())
     tg = ThresholdSeq.union(ThresholdSeq.octave_eighths(res512.freq_max()),
                             ThresholdSeq.dyadic(-4, 4))
-    fam = build_family(1.0, f, tg, freq, kind)
+    fam = build_family(1.0, f, tg, freq)
     assert fam.values.shape == (members, len(tg), f.grid.n)
     assert fam.max_abs().values.shape == (members, f.grid.n)
     for b in range(members):
-        one = build_family(1.0, f.with_values(f.values[b]), tg, freq, kind)
+        one = build_family(1.0, f.with_values(f.values[b]), tg, freq)
         scale = np.max(np.abs(one.values))
         assert np.max(np.abs(fam.values[b] - one.values)) <= 1e-14 * scale
         assert np.max(np.abs(fam.max_abs().values[b] - one.max_abs().values)) <= 1e-14 * scale
@@ -290,10 +290,10 @@ def test_family_shape_follows_its_base(freq512, one_bump):
     rows = build_family(0.0, one_bump, tg, freq512).values
     stack = one_bump.with_values(np.stack([one_bump.values] * 2))
     with pytest.raises(ArgumentError):
-        PartialSumFamily(stack, 0.0, "dunkl", tg, rows)
+        PartialSumFamily(stack, tg, rows)
     with pytest.raises(ArgumentError):
-        PartialSumFamily(one_bump, 0.0, "dunkl", tg, np.stack([rows] * 2))
-    assert PartialSumFamily(stack, 0.0, "dunkl", tg, np.stack([rows] * 2)).values.shape == (
+        PartialSumFamily(one_bump, tg, np.stack([rows] * 2))
+    assert PartialSumFamily(stack, tg, np.stack([rows] * 2)).values.shape == (
         2, 2, one_bump.grid.n)
 
 

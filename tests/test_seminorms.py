@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dunkl_osc import (ArgumentError, CutSequence, PartialSumFamily,
+from dunkl_osc import (ArgumentError, PartialSumFamily,
                        ThresholdSeq, build_family, default_t_grid,
                        even_odd_split, make_graded_grid, max_oscillation,
                        oscillation, sample, variation)
@@ -17,7 +18,7 @@ def synthetic_family(rows, grid):
     t = ThresholdSeq(np.arange(1.0, len(rows) + 1.0))
     base = sample(lambda x: np.zeros_like(np.asarray(x, float)), grid)
     vals = np.stack([np.broadcast_to(np.asarray(r, complex), grid.n) for r in rows])
-    return PartialSumFamily(base, 0.0, "dunkl", t, vals)
+    return PartialSumFamily(base, t, vals)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ def grid():
 
 def test_constant_family_zero(grid):
     fam = synthetic_family([3.0, 3.0, 3.0, 3.0], grid)
-    cuts = CutSequence(ThresholdSeq(np.array([1.0, 2.0, 4.0])), 2)
+    cuts = ThresholdSeq(np.array([1.0, 2.0, 4.0]))
     assert np.max(oscillation(fam, cuts).values.real) == 0.0
     assert np.max(variation(fam, 2.0).values.real) == 0.0
 
@@ -35,7 +36,7 @@ def test_constant_family_zero(grid):
 def test_step_family_single_jump(grid):
     # rows 0 below t=3, 1 at and above; cuts straddling the jump see size 1
     fam = synthetic_family([0.0, 0.0, 1.0, 1.0], grid)
-    cuts = CutSequence(ThresholdSeq(np.array([1.0, 4.0])), 1)
+    cuts = ThresholdSeq(np.array([1.0, 4.0]))
     assert np.max(np.abs(oscillation(fam, cuts).values.real - 1.0)) < 1e-15
 
 
@@ -45,7 +46,7 @@ def test_single_block_equals_direct_max(grid):
     fam = synthetic_family(list(rows), grid)
     # J=1 with the block [t_1, t_6): sup_t |a_t - a_{t_min}| over the half-open
     # window (the closing edge is a block base only, per the defining formula)
-    cuts = CutSequence(ThresholdSeq(np.array([1.0, 6.0])), 1)
+    cuts = ThresholdSeq(np.array([1.0, 6.0]))
     direct = np.max(np.abs(rows[:-1] - rows[0]))
     assert np.max(np.abs(oscillation(fam, cuts).values.real - direct)) < 1e-15
 
@@ -53,7 +54,9 @@ def test_single_block_equals_direct_max(grid):
 def test_cut_membership_enforced(grid):
     fam = synthetic_family([0.0, 1.0, 2.0], grid)
     with pytest.raises(ArgumentError):
-        oscillation(fam, CutSequence(ThresholdSeq(np.array([1.0, 2.5])), 1))
+        oscillation(fam, ThresholdSeq(np.array([1.0, 2.5])))
+    with pytest.raises(ArgumentError):   # one cut closes no block
+        oscillation(fam, ThresholdSeq(np.array([1.0])))
 
 
 def test_variation_examples(grid):
@@ -76,8 +79,8 @@ def test_oscillation_monotone_in_blocks(grid):
     rng = np.random.Generator(np.random.Philox(key=1))
     rows = rng.standard_normal(8)
     fam = synthetic_family(list(rows), grid)
-    c2 = CutSequence(ThresholdSeq(np.array([1.0, 4.0, 6.0])), 2)
-    c3 = CutSequence(ThresholdSeq(np.array([1.0, 4.0, 6.0, 8.0])), 3)
+    c2 = ThresholdSeq(np.array([1.0, 4.0, 6.0]))
+    c3 = ThresholdSeq(np.array([1.0, 4.0, 6.0, 8.0]))
     assert np.all(oscillation(fam, c3).values.real
                   >= oscillation(fam, c2).values.real - 1e-15)
 
@@ -88,7 +91,7 @@ def _brute_max_oscillation(fam):
     brute = np.zeros(fam.values.shape[-1])
     for k in range(2, T + 1):
         for pick in itertools.combinations(range(T), k):
-            cuts = CutSequence(ThresholdSeq(tg.values[list(pick)]), k - 1)
+            cuts = ThresholdSeq(tg.values[list(pick)])
             brute = np.maximum(brute, oscillation(fam, cuts).values.real)
     return brute
 
@@ -195,11 +198,11 @@ def test_member_repeats_and_dp_step_count(res512, freq512, corpus512, monkeypatc
     stack = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:2]]))
     vals = build_family(0.0, stack, tg, freq512).values.copy()
     vals[1, 21:41] = vals[1, 20]
-    fam = PartialSumFamily(stack, 0.0, "dunkl", tg, vals)
+    fam = PartialSumFamily(stack, tg, vals)
     assert _run_ends(vals[1]).shape[0] < _run_ends(vals).shape[1] < len(tg)
     stacked = [max_oscillation(fam).values, fam.max_abs().values]
     for b in range(2):
-        row = PartialSumFamily(stack.with_values(stack.values[b]), 0.0, "dunkl", tg, vals[b])
+        row = PartialSumFamily(stack.with_values(stack.values[b]), tg, vals[b])
         assert np.array_equal(stacked[0][b], max_oscillation(row).values)
         assert np.array_equal(stacked[0][b], np.sqrt(_full_chain_sup(vals[b], 1, 1.0)))
         assert np.array_equal(stacked[1][b], row.max_abs().values)
@@ -249,30 +252,31 @@ def test_max_oscillation_between_fixed_and_variation(space512, freq512, one_bump
     full = max_oscillation(fam).values.real
     # dominates fixed sequences: sparse, a single block, every other threshold
     for pick in ([0, 9, 19], [0, len(tg) - 1], list(range(0, len(tg), 2))):
-        cuts = CutSequence(ThresholdSeq(tg.values[pick]), len(pick) - 1)
+        cuts = ThresholdSeq(tg.values[pick])
         assert np.all(full >= oscillation(fam, cuts).values.real)
     assert np.all(full <= variation(fam, 2.0).values.real + 1e-12)
     assert np.max(full) > 0.0
 
 
-def test_oscillation_bounded_by_variation(space512, freq512, one_bump):
-    tg = ThresholdSeq.geometric(0.1, 20.0, 32)
-    fam = build_family(0.5, one_bump, tg, freq512)
-    v2 = variation(fam, 2.0).values.real
-    rng = np.random.Generator(np.random.Philox(key=9))
-    for _ in range(25):
-        k = int(rng.integers(2, 10))
-        pick = np.sort(rng.choice(len(tg), size=k, replace=False))
-        cuts = CutSequence(ThresholdSeq(tg.values[pick]), k - 1)
-        osc = oscillation(fam, cuts).values.real
-        assert np.all(osc <= v2 + 1e-12)
+@pytest.fixture(scope="module")
+def family_and_v2(freq512, one_bump):
+    fam = build_family(0.5, one_bump, ThresholdSeq.geometric(0.1, 20.0, 32), freq512)
+    return fam, variation(fam, 2.0).values.real
+
+
+@settings(derandomize=True, deadline=None)
+@given(pick=st.sets(st.integers(0, 31), min_size=2))
+def test_oscillation_bounded_by_variation(family_and_v2, pick):
+    fam, v2 = family_and_v2
+    osc = oscillation(fam, ThresholdSeq(fam.t_grid.values[sorted(pick)])).values.real
+    assert np.all(osc <= v2 + 1e-12)
 
 
 def test_carleson_max_operators(space512, freq512, corpus512):
     m = corpus512[1]
     tg = ThresholdSeq.union(ThresholdSeq.geometric(0.1, 50.0, 32),
                             ThresholdSeq.dyadic(-3, 5))
-    fam = build_family(0.5, m.sampled, tg, freq512, kind="dunkl")
+    fam = build_family(0.5, m.sampled, tg, freq512)
     cd = fam.max_abs()
     for i in (0, 10, 20):
         assert np.all(cd.values.real >= np.abs(fam.values[i]) - 1e-14)
@@ -281,8 +285,8 @@ def test_carleson_max_operators(space512, freq512, corpus512):
     # parity-decomposition bound for the maximal operator
     fe, fo = even_odd_split(m.sampled)
     foy = fo.with_values(fo.values / fo.grid.points)
-    he = build_family(0.5, fe, tg, freq512.positive_half(), kind="hankel").max_abs()
-    ho = build_family(1.5, foy, tg, freq512.positive_half(), kind="hankel").max_abs()
+    he = build_family(0.5, fe, tg, freq512.positive_half()).max_abs()
+    ho = build_family(1.5, foy, tg, freq512.positive_half()).max_abs()
     half_pts = fe.grid.points
     bound = np.concatenate([(he.values.real + half_pts * ho.values.real)[::-1],
                             he.values.real + half_pts * ho.values.real])
@@ -305,11 +309,11 @@ def test_stacked_seminorms_equal_the_row_calls(res512, freq512, corpus512):
     stack = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:3]]))
     tg = default_t_grid(res512)
     fam = build_family(1.0, stack, tg, freq512)
-    cuts = CutSequence(ThresholdSeq(tg.values[[0, 7, 30, 52, len(tg) - 1]]), 4)
+    cuts = ThresholdSeq(tg.values[[0, 7, 30, 52, len(tg) - 1]])
     stacked = [max_oscillation(fam), oscillation(fam, cuts), variation(fam, 2.0),
                variation(fam, 3.0)]
     for b in range(3):
-        row = PartialSumFamily(stack.with_values(stack.values[b]), 1.0, "dunkl", tg, fam.values[b])
+        row = PartialSumFamily(stack.with_values(stack.values[b]), tg, fam.values[b])
         lone = [max_oscillation(row), oscillation(row, cuts), variation(row, 2.0),
                 variation(row, 3.0)]
         for s, one in zip(stacked, lone):

@@ -461,15 +461,6 @@ def test_batched_check_equals_single_checks(p, alpha):
         assert np.array_equal(row, one, equal_nan=True) and np.array_equal(level, one_level)
 
 
-@pytest.mark.parametrize("samples", [2.5, np.nan, True, 0, -8, "96"])
-def test_interval_samples_must_be_a_positive_int(samples):
-    w = w_ab_weight(0.5, 0.5)
-    with pytest.raises(ArgumentError):
-        ap_check(w, 2.0, samples)
-    with pytest.raises(ArgumentError):
-        conjectured_measure_ap_check(w, 2.0, 0.0, interval_samples=samples)
-
-
 @pytest.mark.xfail(strict=True, reason="the 5% wide test rejects these: the product nears its "
                    "sup only at lengths up to 2^20 (base 2.687 and 2.784, wide 2.938)")
 @pytest.mark.parametrize("a", [-0.5, 0.5])
