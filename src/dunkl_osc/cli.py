@@ -254,11 +254,11 @@ def _run_verify(args) -> int:
                          f" (N={res.n_line}, seed={args.seed})")
 
 
-def _run_sweep(args) -> int:
+def _run_sweep(args, parser) -> int:
     """Run the kind's sweep; a flag the kind does not read, set away from its
-    default (by the command line or --config), is refused."""
+    default in the sweep parser (by the command line or --config), is refused."""
     reads, run = SWEEPS[args.kind]
-    default = vars(build_parser().parse_args(["sweep", "--kind", args.kind]))
+    default = vars(parser.parse_args(["--kind", args.kind]))
     unread = ["--" + d.replace("_", "-") for d, v in default.items()
               if d not in reads + ("seed", "output", "config") and getattr(args, d) != v]
     if unread:
@@ -269,10 +269,10 @@ def _run_sweep(args) -> int:
 
 def _add_run_flags(sp):
     """Resolution, seed and thread flags of the experiment subcommands."""
-    sp.add_argument("--n-panels", type=int, default=24,
-                    help="Gauss panels per half axis (default 24; 8 gives the N=512 profile)")
-    sp.add_argument("--nodes-per-panel", type=int, default=32)
-    sp.add_argument("--x-max", type=_finite, default=3.0)
+    sp.add_argument("--n-panels", type=int, default=Resolution.n_side_panels,
+                    help="Gauss panels per half axis (default %(default)s; 8 gives N=512)")
+    sp.add_argument("--nodes-per-panel", type=int, default=Resolution.nodes_per_panel)
+    sp.add_argument("--x-max", type=_finite, default=Resolution.x_max)
     sp.add_argument("--seed", type=int, default=7)
     # argparse types a string default too, so a bad environment value exits 2
     sp.add_argument("--threads", type=_positive_int,
@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--summary", type=str, default=None, help="summary CSV path")
     _add_run_flags(sp)
 
-    sp = command("sweep", _run_sweep, "norm-ratio sweeps and demos")
+    sp = command("sweep", None, "norm-ratio sweeps and demos")
+    sp.set_defaults(handler=lambda args, parser=sp: _run_sweep(args, parser))
     sp.add_argument("--kind", required=True, choices=tuple(SWEEPS))
     sp.add_argument("--p", type=_finite, default=2.0)
     sp.add_argument("--beta", type=_finite, default=0.0)

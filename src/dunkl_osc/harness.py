@@ -94,15 +94,15 @@ class Resolution:
 
 
 def default_resolution() -> Resolution:
-    return Resolution(24, 32, 3.0)
+    return Resolution()
 
 
 def resolution_n512() -> Resolution:
-    return Resolution(8, 32, 3.0)
+    return Resolution(8)
 
 
 def resolution_n1024() -> Resolution:
-    return Resolution(16, 32, 3.0)
+    return Resolution(16)
 
 
 def default_t_grid(res: Resolution) -> ThresholdSeq:
@@ -216,11 +216,6 @@ def _finish(name, inputs, pairs, tol, res, seed, t0, passed=None) -> ExperimentR
 # identity suite
 
 PROJECTION_TS = (0.5, 1.0, 2.0, 4.0)
-
-
-def _stack(members: list[CorpusMember]) -> SampledFn:
-    """The members' samples, all on one grid, as one (B, N) SampledFn."""
-    return members[0].sampled.with_values(np.stack([m.sampled.values for m in members]))
 
 
 def _sampled(fns: Sequence[Callable], grid: Grid, domain: str) -> SampledFn:
@@ -342,7 +337,8 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
                "default+zero": default + [CorpusMember("zero", np.zeros_like,
                                                        sample(np.zeros_like, space))],
                "away": away_from_zero_corpus(space, seed)}
-    stacks = {name: _stack(members) for name, members in corpora.items()}
+    stacks = {name: _sampled([m.fn for m in members], space, FULL_LINE)
+              for name, members in corpora.items()}
 
     def unit(name_alpha) -> ExperimentReport:
         name, alpha = name_alpha
@@ -369,7 +365,7 @@ def _gate_members(members: list[CorpusMember], alphas: Sequence[float], res: Res
     sweep with fewer than two survivors refuses to run."""
     space, freq = res.space_grid(), res.freq_grid()
     tol_p, tol_i = IDENTITIES["plancherel"][2], IDENTITIES["inversion"][2]
-    stack = _stack(members)
+    stack = _sampled([m.fn for m in members], space, FULL_LINE)
     ok = np.ones(len(members), dtype=bool)
     for a in alphas:
         spec = transforms.dunkl(a, stack, freq)
@@ -409,14 +405,36 @@ def _grouped_families(reduce: Callable[[PartialSumFamily], SampledFn], width: in
         for i in range(0, len(stack.values), per)]))
 
 
-def _norm_ratio(num: SampledFn, den: SampledFn, spec: NormSpec,
-                window: float | None = None) -> np.ndarray:
-    """||num|| / ||den|| per function of the stacks, both cut to |x| <=
-    window when one is given."""
+def _refinement_study(fns: Sequence[Callable], domain: str, res: Resolution, order: float,
+                      reduce: Callable, t_grid_of: Callable, before: Callable | None = None):
+    """The base/refined study of every ratio sweep: yields for res and then
+    res.refined() (live mask, live stack, reduce of its families on the
+    t-grid t_grid_of(profile), before(stack, t_grid) or None).  The stack is
+    fns sampled afresh on the profile's grid of their domain, less the
+    members that are zero there (none left raises GateError); before runs
+    ahead of the families, which are grouped to the refined grid's width."""
+    grid_of, freq_of = ((Resolution.space_grid, Resolution.freq_grid) if domain == FULL_LINE
+                        else (Resolution.half_grid, Resolution.half_freq_grid))
+    width = grid_of(res.refined()).n
+    for r in (res, res.refined()):
+        stack = _sampled(fns, grid_of(r), domain)
+        live = np.any(stack.values != 0.0, axis=-1)
+        if not live.any():
+            raise GateError(f"every corpus member is zero at N={r.n_line}; refusing to sweep")
+        stack, t_grid = stack.with_values(stack.values[live]), t_grid_of(r)
+        prior = before(stack, t_grid) if before else None
+        yield live, stack, _grouped_families(reduce, width, order, stack, t_grid,
+                                             freq_of(r)), prior
+
+
+def _norm_ratio(num: SampledFn, den: SampledFn, spec: NormSpec, window: float | None = None,
+                weight: Weight | None = None) -> np.ndarray:
+    """||num|| / ||den|| per function of the stacks in the weight (the power
+    weight of spec by default), both cut to |x| <= window when one is given."""
     def norm(f):
         if window is not None:
             f = f.with_values(np.where(np.abs(f.grid.points) <= window, f.values, 0.0))
-        return weighted_lp_norm(f, spec)
+        return weighted_lp_norm(f, spec, weight)
     return norm(num) / norm(den)
 
 
@@ -428,12 +446,9 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
     oscillation sup over every cut sequence from the t-grid, its
     dilation-invariance deviation over lambda in {1/2, 2}, and its
     refinement stability (factor 2 against the doubled resolution).  All
-    ratios are empirical lower bounds of the operator norm.  The members'
-    families are built together, in groups no wider than one family on the
-    refined grid."""
+    ratios are empirical lower bounds of the operator norm."""
     res = resolution or resolution_n512()
-    fine = res.refined()
-    width = fine.space_grid().n
+    width = res.refined().space_grid().n
 
     def one_spec(spec: NormSpec) -> ExperimentReport:
         t0 = time.perf_counter()
@@ -448,8 +463,10 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
                         range_full_oscillation(spec.p, spec.beta, spec.alpha))
 
         osc_of = partial(_grouped_families, max_oscillation, width, spec.alpha)
-        fns, stack = [m.fn for m in members], _stack(members)
-        osc = osc_of(stack, t_grid, freq)
+        fns = [m.fn for m in members]
+        # the refined profile keeps the base t-grid
+        (_, stack, osc, _), (_, fine_stack, fine_osc, _) = _refinement_study(
+            fns, FULL_LINE, res, spec.alpha, max_oscillation, lambda r: t_grid)
         ratios = dict(zip([m.label for m in members], _norm_ratio(osc, stack, spec)))
         base = max(ratios.values())
         # dilation covariance S_t f_lam = (S_{t/lam} f)(lam .): the dilated
@@ -475,9 +492,7 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
                 dil = dil.with_values(dil.values[keep])
                 r_l = _norm_ratio(osc_of(dil, t_lam, freq_d), dil, spec)
                 dev = max([dev] + list(np.abs(r_l / r_b[keep] - 1.0)))
-        # refinement stability at doubled resolution (same t-grid)
-        fine_stack = _sampled(fns, fine.space_grid(), FULL_LINE)
-        base2 = max(_norm_ratio(osc_of(fine_stack, t_grid, fine.freq_grid()), fine_stack, spec))
+        base2 = max(_norm_ratio(fine_osc, fine_stack, spec))
         pairs = list(ratios.items()) + [("max-ratio (empirical lower bound)", base),
                                         ("refined-ratio", base2), ("dilation-deviation", dev)]
         return _finish("oscillation-ratio" + ("-dyadic" if dyadic_only else ""),
@@ -500,31 +515,27 @@ def prestini_constant_sweep(alphas: Sequence[float], resolution: Resolution | No
     (the corpus carries one); a profile on which every member is zero
     refuses to run."""
     res = resolution or resolution_n512()
-    fine = res.refined()
+    profiles = (res, res.refined())
     members = half_line_corpus(res.half_grid(), seed)
     labels, fns = [m.label for m in members] + ["zero"], [m.fn for m in members] + [np.zeros_like]
 
     def one_alpha(alpha: float) -> ExperimentReport:
         t0 = time.perf_counter()
         pairs, consts = [], []
-        for r in (res, fine):
-            half = r.half_grid()
-            t_grid = ThresholdSeq.dyadic(-4, int(np.floor(np.log2(0.9 * r.freq_max()))))
-            stack = _sampled(fns, half, HALF_LINE)
-            live = np.any(stack.values != 0.0, axis=-1)
+        # each profile's majorant is computed ahead of its families (peak memory)
+        study = _refinement_study(
+            fns, HALF_LINE, res, alpha, PartialSumFamily.max_abs,
+            lambda r: ThresholdSeq.dyadic(-4, int(np.floor(np.log2(0.9 * r.freq_max())))),
+            lambda stack, t_grid: prestini_majorant(
+                alpha, stack, default_sup_grid(stack.grid, t_grid.values)).values)
+        for r, (live, _, maxes, majs) in zip(profiles, study):
             pairs += [(f"{label}@{r.n_line} skipped (zero)", 0.0)
                       for label, ok in zip(labels, live) if not ok]
-            if not live.any():
-                raise GateError(f"every Prestini corpus member is zero at N={r.n_line}; "
-                                "refusing to sweep")
-            stack = stack.with_values(stack.values[live])
-            majs = prestini_majorant(alpha, stack, default_sup_grid(half, t_grid.values)).values
-            maxes = _grouped_families(PartialSumFamily.max_abs, fine.half_grid().n, alpha,
-                                      stack, t_grid, r.half_freq_grid()).values
-            consts.append(max([0.0] + [float(np.max(mx / maj)) for mx, maj in zip(maxes, majs)]))
+            consts.append(max([0.0] + [float(np.max(mx / maj))
+                                       for mx, maj in zip(maxes.values, majs)]))
             pairs.append((f"C(alpha={alpha:g}, N={r.n_line})", consts[-1]))
         return _finish("prestini-constant", {"alpha": alpha,
-                                             "ladder": [res.n_line, fine.n_line]},
+                                             "ladder": [r.n_line for r in profiles]},
                        pairs, float("inf"), res, seed, t0, passed=_stable(*consts))
 
     return _map_ordered(one_alpha, list(alphas), threads)
@@ -667,24 +678,12 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
     refinement-stability flag; w_ab weights carry their position relative to
     the boundedness rectangle in the report inputs."""
     res = resolution or resolution_n512()
-    fine = res.refined()
-
-    def carleson_maxes(res_: Resolution, stack: SampledFn) -> tuple[SampledFn, SampledFn]:
-        """The member stack and the stack of its sup_t |S_t f|."""
-        return stack, _grouped_families(PartialSumFamily.max_abs, fine.space_grid().n, alpha,
-                                        stack, default_t_grid(res_), res_.freq_grid())
-
-    def ratio_at(stack: SampledFn, cmaxes: SampledFn, weight: Weight) -> float:
-        nspec = NormSpec(p, 0.0, alpha)
-        return float(np.max(weighted_lp_norm(cmaxes, nspec, weight)
-                            / weighted_lp_norm(stack, nspec, weight)))
-
+    nspec = NormSpec(p, 0.0, alpha)
     members, dropped = _gate_members(_sweep_corpus(res.space_grid(), seed), [alpha], res)
     # sup_t |S_t f| does not depend on the weight: one family per member and
     # resolution serves every weight
-    base_maxes = carleson_maxes(res, _stack(members))
-    fine_maxes = carleson_maxes(fine, _sampled([m.fn for m in members], fine.space_grid(),
-                                               FULL_LINE))
+    study = list(_refinement_study([m.fn for m in members], FULL_LINE, res, alpha,
+                                   PartialSumFamily.max_abs, default_t_grid))
 
     # one batched A_p pass checks every weight integrable against |x|^{2 alpha + 1}
     checked = [w for w in weights if w.exponents[0] + 2.0 * alpha + 1.0 > -1.0]
@@ -706,8 +705,8 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
             ok, supv = ap[weight]
             inputs["experimental_measure_ap"] = {"stable": ok, "sup": supv,
                                                  "note": "no pass/fail semantics"}
-        base = ratio_at(*base_maxes, weight)
-        ref = ratio_at(*fine_maxes, weight)
+        base, ref = (float(np.max(_norm_ratio(cmaxes, stack, nspec, weight=weight)))
+                     for _, stack, cmaxes, _ in study)
         pairs = [("max-ratio (empirical lower bound)", base), ("refined-ratio", ref)]
         return _finish("weighted-carleson", inputs, pairs, float("inf"),
                        res, seed, t0, passed=_stable(base, ref))
@@ -726,7 +725,7 @@ def transplant_roundtrip_report(pairs_ag: Sequence[tuple], seed: int = 7) -> Exp
     freq = make_graded_grid(-100.0, 100.0, 57, 32, 1.0)
     wide = make_graded_grid(-12.0, 12.0, 57, 32, 1.0)
     members = moment_cancelled_corpus(fgrid)
-    stack = _stack(members)
+    stack = _sampled([m.fn for m in members], fgrid, FULL_LINE)
     out = []
     for (a, g) in pairs_ag:
         mid = transforms.transplant_dunkl(g, a, stack, freq, output_grid=wide)

@@ -115,9 +115,7 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
     spectrum of a half-line f, kind 'dunkl' the Dunkl spectrum of a
     full-line f.  Every cut is checked to be finite and in the band, and
     the inverse against the resolution guard."""
-    want = {"dunkl": FULL_LINE, "hankel": HALF_LINE}.get(kind)
-    if want is None:
-        raise ArgumentError(f"unknown family kind {kind!r}")
+    want = FULL_LINE if kind == "dunkl" else HALF_LINE
     if f.domain_tag != want:
         raise ArgumentError(f"{kind} partial sums need a {want.replace('_', '-')} function")
     if freq_grid is None:

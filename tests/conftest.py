@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,19 @@ def corpus_hi(space_hi):
 def l2_weighted(vals, grid, alpha):
     meas = grid.weights * np.abs(grid.points) ** (2.0 * alpha + 1.0)
     return float(np.sqrt(np.sum(meas * np.abs(vals) ** 2)))
+
+
+# residuals_or_ratios of the N=512, seed-7 sweep runs that the harness and
+# acceptance tests make, one list per report (null for NaN)
+PINNED_SWEEPS = json.loads((Path(__file__).parent / "sweep_reports_n512_seed7.json").read_text())
+
+
+def assert_pinned(kind, reports):
+    """The reports carry the pinned labels, in order, and values within 1e-12
+    relative of the pinned ones (NaN where null)."""
+    want = PINNED_SWEEPS[kind]
+    assert ([[k for k, _ in r.residuals_or_ratios] for r in reports]
+            == [[k for k, _ in w] for w in want])
+    np.testing.assert_allclose([v for r in reports for _, v in r.residuals_or_ratios],
+                               [np.nan if v is None else v for w in want for _, v in w],
+                               rtol=1e-12, atol=0.0)

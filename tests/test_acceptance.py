@@ -27,7 +27,7 @@ from dunkl_osc import (NormSpec, Resolution, ThresholdSeq,
                        w_ab_weight)
 from dunkl_osc.funcspace import away_from_zero_corpus
 from dunkl_osc.transforms import clear_kernel_cache, dunkl_modified
-from conftest import l2_weighted
+from conftest import assert_pinned, l2_weighted
 
 ALPHAS = (-0.5, 0.0, 0.5, 1.0)
 TS = (0.5, 1.0, 2.0, 4.0)
@@ -192,6 +192,7 @@ def test_criterion_07_transplantation(hi_grids):
 
 def test_criterion_08_prestini_stability():
     reports = prestini_constant_sweep([-0.5, 0.0, 1.0], resolution_n512(), seed=7)
+    assert_pinned("prestini", reports)
     ok = all(r.passed for r in reports)
     consts = {r.inputs["alpha"]: [v for (k, v) in r.residuals_or_ratios
                                   if k.startswith("C(")] for r in reports}

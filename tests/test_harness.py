@@ -17,6 +17,7 @@ from dunkl_osc import cli, harness
 from dunkl_osc.cli import _t_grid_for
 from dunkl_osc.funcspace import CorpusMember, SampledFn
 from dunkl_osc.harness import IDENTITIES, _gate_members, _sweep_corpus, default_t_grid
+from conftest import assert_pinned
 
 
 @pytest.fixture(scope="module")
@@ -114,10 +115,29 @@ def test_oscillation_sweep_report_fields():
     assert "excluded_members" in r.inputs
 
 
-def test_oscillation_sweep_groups_members_and_ignores_threads(monkeypatch):
-    # the families are built in member groups of at most 1024 columns (the
-    # refined grid): 2 at N=512, 4 on the lambda=2 window, 1 at N=1024; the
-    # reports are the same at one and two pool threads
+PINNED_WEIGHTS = [w_ab_weight(0.5, 0.5), w_ab_weight(-2.5, 0.0), w_ab_weight(-1.5, 1.5),
+                  w_ab_weight(0.5, 1.5)]
+# kind -> (run(threads) at N=512 and seed 7, the refined family width, group
+# shapes (members, nodes) that must occur)
+SWEEP_RUNS = {
+    # 2 members at N=512, 4 on the lambda=2 window, 1 at N=1024
+    "oscillation": (lambda threads: oscillation_ratio_sweep(
+        [NormSpec(2.0, 0.0, 0.0), NormSpec(2.0, 0.0, 1.0)], seed=7,
+        resolution=resolution_n512(), threads=threads), 1024, {(2, 512), (4, 256), (1, 1024)}),
+    "weighted-carleson": (lambda threads: weighted_carleson_sweep(
+        PINNED_WEIGHTS, 2.0, 0.0, resolution_n512(), threads=threads), 1024, {(2, 512), (1, 1024)}),
+    # half-line profiles: 2 members at 256 nodes, 1 at 512
+    "prestini": (lambda threads: prestini_constant_sweep(
+        [-0.5, 0.0, 1.0], resolution_n512(), seed=7, threads=threads), 512, {(2, 256), (1, 512)}),
+}
+
+
+@pytest.mark.parametrize("kind", SWEEP_RUNS)
+def test_oscillation_sweep_groups_members_and_ignores_threads(monkeypatch, kind):
+    # every ratio sweep builds its families in member groups of at most one
+    # family on the refined grid; the reports are the same at one and two pool
+    # threads, and equal to the pinned ones
+    run, width, shapes = SWEEP_RUNS[kind]
     groups = []
 
     def recording_build(order, f, *args):
@@ -125,13 +145,12 @@ def test_oscillation_sweep_groups_members_and_ignores_threads(monkeypatch):
         return build_family(order, f, *args)
 
     monkeypatch.setattr(harness, "build_family", recording_build)
-    specs = [NormSpec(2.0, 0.0, 0.0), NormSpec(2.0, 0.0, 1.0)]
-    one, two = ([replace(r, runtime_ms=0).to_json() for r in
-                 oscillation_ratio_sweep(specs, seed=7, resolution=resolution_n512(),
-                                         threads=threads)] for threads in (1, 2))
+    runs = [run(threads) for threads in (1, 2)]
+    one, two = ([replace(r, runtime_ms=0).to_json() for r in reps] for reps in runs)
     assert one == two
-    assert all(b * n <= 1024 for b, n in groups)
-    assert {(2, 512), (4, 256), (1, 1024)} <= set(groups)
+    assert all(b * n <= width for b, n in groups)
+    assert shapes <= set(groups)
+    assert_pinned(kind, runs[0])
 
 
 def test_stable_is_the_closed_factor_two_test():
@@ -214,8 +233,7 @@ def test_weighted_carleson_skip_nonintegrable():
 
 def test_weighted_carleson_sweep_checks_once_at_any_thread_count(monkeypatch):
     # one batched A_p call for the integrable weights; a = -2.5 is skipped unchecked
-    weights = [w_ab_weight(0.5, 0.5), w_ab_weight(-2.5, 0.0), w_ab_weight(-1.5, 1.5),
-               w_ab_weight(0.5, 1.5)]
+    weights = PINNED_WEIGHTS
     batches = []
 
     def recording_check(ws, p, alpha):
@@ -228,6 +246,7 @@ def test_weighted_carleson_sweep_checks_once_at_any_thread_count(monkeypatch):
     assert batches == [weights[:1] + weights[2:]] * 2
     one, two = ([replace(r, runtime_ms=0).to_json() for r in reps] for reps in runs)
     assert one == two
+    assert_pinned("weighted-carleson", runs[0])
     assert "experimental_measure_ap" not in runs[0][1].inputs
     for w, r in zip(weights[:1] + weights[2:], runs[0][:1] + runs[0][2:]):
         ok, sup = conjectured_measure_ap_check(w, 2.0, 0.0)

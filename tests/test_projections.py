@@ -109,6 +109,14 @@ def test_band_exceeded_raises(space512, freq512, one_bump):
         dunkl_partial_sum(0.0, one_bump, freq512.hi * 2.0, freq512)
 
 
+def test_partial_sums_name_the_domain_they_need(space512, freq512, one_bump):
+    prof = sample(bump(1.2, 0.9), space512.positive_half(), HALF_LINE)
+    with pytest.raises(ArgumentError, match="dunkl partial sums need a full-line function"):
+        dunkl_partial_sum(0.0, prof, 1.0, freq512)
+    with pytest.raises(ArgumentError, match="hankel partial sums need a half-line function"):
+        hankel_partial_sum(0.0, one_bump, 1.0, freq512.positive_half())
+
+
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
 def test_projection_algebra(alpha, space512, freq512, one_bump):
     worst = 0.0
