@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ResolutionError
-from .funcspace import HALF_LINE, Grid, SampledFn, _freeze
+from .funcspace import HALF_LINE, Grid, SampledFn, _freeze, multiply_power
 
 _SUB_NODES = 12
 _GL_SUB = np.polynomial.legendre.leggauss(_SUB_NODES)
@@ -242,11 +242,10 @@ def prestini_majorant(order: float, f: SampledFn, sup: SupGrid) -> SampledFn:
         raise ArgumentError("prestini_majorant expects a half-line function")
     if f.grid.lo != 0.0:
         raise ArgumentError("prestini_majorant needs a half-line grid with lo = 0")
-    a = float(order)
-    g = f.with_values(f.values * f.grid.points ** (a + 0.5))
+    g = multiply_power(f, order + 0.5)
     # one pass: H* is the xi = 0 column, which C leaves out unless 0 is in sup
     q, mid = sup.frequencies, sup.frequencies.size // 2
     sups = _truncated_sups(g, sup, q if q.size % 2 else np.insert(q, mid, 0.0))
     car = np.max(sups if q.size % 2 else np.delete(sups, mid, axis=-1), axis=-1)
     total = hardy_littlewood_max(g, sup).values + conjugate_hardy(g).values + sups[..., mid] + car
-    return f.with_values(total * f.grid.points ** (-(a + 0.5)))
+    return multiply_power(f.with_values(total), -(order + 0.5))

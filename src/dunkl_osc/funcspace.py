@@ -334,12 +334,13 @@ def sample(fn: Callable, grid: Grid, domain_tag: str = FULL_LINE) -> SampledFn:
 
 @dataclass(frozen=True)
 class CorpusMember:
+    """A labelled test function; callers sample it on the grid they need."""
+
     label: str
     fn: Callable
-    sampled: SampledFn
 
 
-def _combine(label, parts, grid, domain):
+def _combine(label, parts):
     def fn(x, _parts=tuple(parts)):
         x = np.asarray(x, dtype=float)
         acc = np.zeros(x.shape, dtype=complex)
@@ -347,10 +348,10 @@ def _combine(label, parts, grid, domain):
             acc = acc + c * g(x)
         return acc
 
-    return CorpusMember(label, fn, sample(fn, grid, domain))
+    return CorpusMember(label, fn)
 
 
-def default_corpus(grid: Grid, seed: int = 7) -> list[CorpusMember]:
+def default_corpus(seed: int = 7) -> list[CorpusMember]:
     """Twelve smooth compactly supported members: six bumps, three truncated
     Gaussians, three seeded band-mode sums.  Supports stay inside [-2.9, 2.9];
     bump radii >= 1.6 keep the e^{-sqrt(r xi)} spectral tails an order below
@@ -358,43 +359,40 @@ def default_corpus(grid: Grid, seed: int = 7) -> list[CorpusMember]:
     members = []
     for c, r in [(0.0, 1.6), (0.45, 1.6), (-0.45, 1.6),
                  (0.9, 1.8), (-0.85, 2.0), (0.3, 2.0)]:
-        members.append(_combine(f"bump(c={c:g},r={r:g})", [(1.0, bump(c, r))], grid, FULL_LINE))
+        members.append(_combine(f"bump(c={c:g},r={r:g})", [(1.0, bump(c, r))]))
     for c, s in [(0.0, 0.22), (0.5, 0.2), (-0.3, 0.18)]:
-        members.append(_combine(f"gauss(c={c:g},s={s:g})", [(1.0, gaussian(c, s))], grid, FULL_LINE))
+        members.append(_combine(f"gauss(c={c:g},s={s:g})", [(1.0, gaussian(c, s))]))
     for k in range(3):
-        members.append(_combine(f"band(seed={seed + k})",
-                                [(1.0, random_band_modes(seed + k))], grid, FULL_LINE))
+        members.append(_combine(f"band(seed={seed + k})", [(1.0, random_band_modes(seed + k))]))
     return members
 
 
-def smooth_corpus(grid: Grid, seed: int = 7) -> list[CorpusMember]:
+def smooth_corpus(seed: int = 7) -> list[CorpusMember]:
     """Gaussian/band members only; spectrally dead beyond ~40 rad, so the
     identity gate passes even on coarse sweep grids."""
     members = []
     for c, s in [(0.0, 0.3), (0.5, 0.24), (-0.4, 0.2), (0.2, 0.35)]:
-        members.append(_combine(f"gauss(c={c:g},s={s:g})", [(1.0, gaussian(c, s))], grid, FULL_LINE))
+        members.append(_combine(f"gauss(c={c:g},s={s:g})", [(1.0, gaussian(c, s))]))
     for k in range(4):
         members.append(_combine(f"band(seed={seed + k})",
-                                [(1.0, random_band_modes(seed + k, sigma=0.3, omega_max=6.0))],
-                                grid, FULL_LINE))
+                                [(1.0, random_band_modes(seed + k, sigma=0.3, omega_max=6.0))]))
     return members
 
 
-def away_from_zero_corpus(grid: Grid, seed: int = 7) -> list[CorpusMember]:
+def away_from_zero_corpus(seed: int = 7) -> list[CorpusMember]:
     """Members supported in {0.2 <= |x| <= 2.9}; used for the conjugation
     and transplantation checks, which avoid the origin."""
     a = bump(1.55, 1.3)
     e = bump(-1.5, 1.3)
     g = gaussian(1.5, 0.1)
-    members = [
-        _combine("one-sided bump", [(1.0, a)], grid, FULL_LINE),
-        _combine("even pair", [(1.0, a), (1.0, lambda x: a(-np.asarray(x)))], grid, FULL_LINE),
-        _combine("odd pair", [(1.0, a), (-1.0, lambda x: a(-np.asarray(x)))], grid, FULL_LINE),
-        _combine("one-sided gauss", [(1.0, g)], grid, FULL_LINE),
-        _combine("left bump", [(1.0, e)], grid, FULL_LINE),
-        _combine("complex mix", [(1.0, a), (1j, e)], grid, FULL_LINE),
+    return [
+        _combine("one-sided bump", [(1.0, a)]),
+        _combine("even pair", [(1.0, a), (1.0, lambda x: a(-np.asarray(x)))]),
+        _combine("odd pair", [(1.0, a), (-1.0, lambda x: a(-np.asarray(x)))]),
+        _combine("one-sided gauss", [(1.0, g)]),
+        _combine("left bump", [(1.0, e)]),
+        _combine("complex mix", [(1.0, a), (1j, e)]),
     ]
-    return members
 
 
 def moment_cancelled_corpus(grid: Grid) -> list[CorpusMember]:
@@ -438,24 +436,21 @@ def moment_cancelled_corpus(grid: Grid) -> list[CorpusMember]:
     even = lambda x: pe(x)
     odd = lambda x: np.sign(np.asarray(x, dtype=float)) * po(x)
     mix = lambda x: pe(x) + 1j * np.sign(np.asarray(x, dtype=float)) * po(x)
-    return [CorpusMember("moment-free even", even, sample(even, grid, FULL_LINE)),
-            CorpusMember("moment-free odd", odd, sample(odd, grid, FULL_LINE)),
-            CorpusMember("moment-free mix", mix, sample(mix, grid, FULL_LINE))]
+    return [CorpusMember("moment-free even", even), CorpusMember("moment-free odd", odd),
+            CorpusMember("moment-free mix", mix)]
 
 
-def half_line_corpus(grid: Grid, seed: int = 7) -> list[CorpusMember]:
+def half_line_corpus(seed: int = 7) -> list[CorpusMember]:
     """Profiles in C_c-infinity of the open half line (support away from 0)."""
-    members = [
-        _combine("bump(1.55,1.25)", [(1.0, bump(1.55, 1.25))], grid, HALF_LINE),
-        _combine("bump(1.2,0.9)", [(1.0, bump(1.2, 0.9))], grid, HALF_LINE),
-        _combine("bump(2.0,0.7)", [(1.0, bump(2.0, 0.7))], grid, HALF_LINE),
-        _combine("gauss(1.5,0.1)", [(1.0, gaussian(1.5, 0.1))], grid, HALF_LINE),
-        _combine("gauss(0.9,0.06)", [(1.0, gaussian(0.9, 0.06))], grid, HALF_LINE),
+    return [
+        _combine("bump(1.55,1.25)", [(1.0, bump(1.55, 1.25))]),
+        _combine("bump(1.2,0.9)", [(1.0, bump(1.2, 0.9))]),
+        _combine("bump(2.0,0.7)", [(1.0, bump(2.0, 0.7))]),
+        _combine("gauss(1.5,0.1)", [(1.0, gaussian(1.5, 0.1))]),
+        _combine("gauss(0.9,0.06)", [(1.0, gaussian(0.9, 0.06))]),
         _combine(f"band(seed={seed})",
-                 [(1.0, random_band_modes(seed, center=1.4, sigma=0.1, omega_max=6.0))],
-                 grid, HALF_LINE),
+                 [(1.0, random_band_modes(seed, center=1.4, sigma=0.1, omega_max=6.0))]),
     ]
-    return members
 
 
 # ---------------------------------------------------------------------------

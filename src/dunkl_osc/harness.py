@@ -10,8 +10,8 @@ spectra exceed a coarse grid's resolvable band are excluded by the gate
 member-by-member and recorded in the report.
 
 The identity suite is one table, IDENTITIES: name -> (residual, corpus,
-tolerance), where residual(alpha, f, space, freq) takes the corpus as one
-(B, N) SampledFn stack and returns the identity's residual at order alpha
+tolerance), where residual(alpha, f, freq) takes the corpus as one (B, N)
+SampledFn stack and returns the identity's residual at order alpha
 per member, a (B,) vector, and corpus names the member list.  A suite unit
 is one (name, order) entry; the member gate calls the same Plancherel and
 inversion residuals on its corpus stack, from one spectrum per order.
@@ -39,8 +39,8 @@ from . import transforms
 from .funcspace import (FULL_LINE, HALF_LINE, CorpusMember, Grid, SampledFn,
                         _combine, assemble_values, away_from_zero_corpus, bump,
                         default_corpus, even_odd_split, half_line_corpus,
-                        make_graded_grid, moment_cancelled_corpus, sample,
-                        smooth_corpus)
+                        make_graded_grid, moment_cancelled_corpus, multiply_power,
+                        sample, smooth_corpus)
 from .projections import PartialSumFamily, ThresholdSeq, _cut_rows, build_family
 from .seminorms import max_oscillation
 from .classical_ops import default_sup_grid, prestini_majorant
@@ -199,10 +199,9 @@ def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
             return list(pool.map(fn, items))
 
 
-def _l2(vals: np.ndarray, grid: Grid, alpha: float):
-    """The L^2(|x|^{2 alpha + 1} dx) norm along the last axis."""
-    meas = grid.weights * np.abs(grid.points) ** (2.0 * alpha + 1.0)
-    return np.sqrt(np.sum(meas * np.abs(vals) ** 2, axis=-1))
+def _l2(f: SampledFn, alpha: float):
+    """The L^2(|x|^{2 alpha + 1} dx) norm of each function of the stack f."""
+    return weighted_lp_norm(f, NormSpec(2.0, 0.0, alpha))
 
 
 def _finish(name, inputs, pairs, tol, res, seed, t0, passed=None) -> ExperimentReport:
@@ -241,43 +240,42 @@ def _over_norm(num, nf, zero: float):
     return np.divide(num, nf, out=np.full_like(nf, zero), where=nf != 0.0)
 
 
-def _plancherel(alpha, f, space, freq, spec=None):
+def _plancherel(alpha, f, freq, spec=None):
     """spec is f's Dunkl spectrum on freq when the caller already has it."""
     spec = transforms.dunkl(alpha, f, freq) if spec is None else spec
-    return abs(_over_norm(_l2(spec.values, freq, alpha), _l2(f.values, space, alpha), 1.0) - 1.0)
+    return abs(_over_norm(_l2(spec, alpha), _l2(f, alpha), 1.0) - 1.0)
 
 
-def _inversion(alpha, f, space, freq, spec=None):
+def _inversion(alpha, f, freq, spec=None):
     spec = transforms.dunkl(alpha, f, freq) if spec is None else spec
-    back = transforms.dunkl_inverse(alpha, spec, space)
-    return _over_norm(_l2(back.values - f.values, space, alpha), _l2(f.values, space, alpha), 0.0)
+    back = transforms.dunkl_inverse(alpha, spec, f.grid)
+    return _over_norm(_l2(back - f, alpha), _l2(f, alpha), 0.0)
 
 
-def _fourier_reduction(alpha, f, space, freq):
+def _fourier_reduction(alpha, f, freq):
     return _max_gap(transforms.dunkl(alpha, f, freq).values,
                     transforms.fourier(f, freq).values, f)
 
 
-def _two_route(alpha, f, space, freq):
+def _two_route(alpha, f, freq):
     return _max_gap(transforms.dunkl(alpha, f, freq, route="decomposition").values,
                     transforms.dunkl(alpha, f, freq, route="direct").values, f)
 
 
-def _conjugation(alpha, f, space, freq):
-    lifted = f.with_values(f.values * np.abs(space.points) ** (alpha + 0.5))
-    mid = transforms.dunkl_modified(alpha, lifted, freq)
+def _conjugation(alpha, f, freq):
+    mid = transforms.dunkl_modified(alpha, multiply_power(f, alpha + 0.5), freq)
     return _max_gap(transforms.dunkl(alpha, f, freq).values,
-                    mid.values * np.abs(freq.points) ** (-(alpha + 0.5)), f)
+                    multiply_power(mid, -(alpha + 0.5)).values, f)
 
 
-def _modified_plancherel(alpha, f, space, freq):
+def _modified_plancherel(alpha, f, freq):
     # the flat-measure transform needs profiles vanishing at the origin
     # (the kernel's (xy)^{1/2} factor kinks the spectrum otherwise)
     spec = transforms.dunkl_modified(alpha, f, freq)
-    return abs(_l2(spec.values, freq, -0.5) / _l2(f.values, space, -0.5) - 1.0)
+    return abs(_l2(spec, -0.5) / _l2(f, -0.5) - 1.0)
 
 
-def _projection_algebra(alpha, f, space, freq):
+def _projection_algebra(alpha, f, freq):
     """S_t S_s f against S_min(s,t) f, both sides rows of one cut call."""
     pairs = [(s, t) for s in PROJECTION_TS for t in PROJECTION_TS]
     rows = _cut_rows(alpha, f, [[t, s] for s, t in pairs] + [[min(s, t)] for s, t in pairs],
@@ -285,7 +283,7 @@ def _projection_algebra(alpha, f, space, freq):
     return _max_gap(rows[..., :len(pairs), :], rows[..., len(pairs):, :], f)
 
 
-def _partial_sum_decomposition(alpha, f, space, freq):
+def _partial_sum_decomposition(alpha, f, freq):
     half_freq = freq.positive_half()
     fe, fo = even_odd_split(f)
     foy = fo.with_values(fo.values / fo.grid.points)
@@ -295,9 +293,9 @@ def _partial_sum_decomposition(alpha, f, space, freq):
     return _max_gap(_cut_rows(alpha, f, cuts, freq, "dunkl"), rec, f)
 
 
-def _transplant_identity(alpha, f, space, freq):
+def _transplant_identity(alpha, f, freq):
     out = transforms.transplant_dunkl(alpha, alpha, f, freq)
-    return _l2(out.values - f.values, space, -0.5) / _l2(f.values, space, -0.5)
+    return _l2(out - f, -0.5) / _l2(f, -0.5)
 
 
 # name -> (residual, corpus, tolerance).  Corpora: "default" (twelve smooth
@@ -332,11 +330,10 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
     Failures are reported, never raised."""
     res = resolution or default_resolution()
     space, freq = res.space_grid(), res.freq_grid()
-    default = default_corpus(space, seed)
+    default = default_corpus(seed)
     corpora = {"default": default, "head": default[:4],
-               "default+zero": default + [CorpusMember("zero", np.zeros_like,
-                                                       sample(np.zeros_like, space))],
-               "away": away_from_zero_corpus(space, seed)}
+               "default+zero": default + [CorpusMember("zero", np.zeros_like)],
+               "away": away_from_zero_corpus(seed)}
     stacks = {name: _sampled([m.fn for m in members], space, FULL_LINE)
               for name, members in corpora.items()}
 
@@ -344,7 +341,7 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
         name, alpha = name_alpha
         residual, corpus, tol = IDENTITIES[name]
         t0 = time.perf_counter()
-        values = residual(alpha, stacks[corpus], space, freq)
+        values = residual(alpha, stacks[corpus], freq)
         pairs = [(m.label, float(v)) for m, v in zip(corpora[corpus], values)]
         inputs = {"alpha": alpha, "ts": PROJECTION_TS} if corpus == "head" else {"alpha": alpha}
         return _finish(name, inputs, pairs, tol, res, seed, t0)
@@ -369,9 +366,8 @@ def _gate_members(members: list[CorpusMember], alphas: Sequence[float], res: Res
     ok = np.ones(len(members), dtype=bool)
     for a in alphas:
         spec = transforms.dunkl(a, stack, freq)
-        ok &= ((_l2(stack.values, space, a) != 0.0)
-               & (_plancherel(a, stack, space, freq, spec) <= tol_p)
-               & (_inversion(a, stack, space, freq, spec) <= tol_i))
+        ok &= ((_l2(stack, a) != 0.0) & (_plancherel(a, stack, freq, spec) <= tol_p)
+               & (_inversion(a, stack, freq, spec) <= tol_i))
     keep = [m for m, k in zip(members, ok) if k]
     if len(keep) < 2:
         raise GateError("identity gate at this resolution left fewer than two "
@@ -382,12 +378,9 @@ def _gate_members(members: list[CorpusMember], alphas: Sequence[float], res: Res
 # ---------------------------------------------------------------------------
 # oscillation ratio sweep
 
-def _sweep_corpus(space: Grid, seed: int) -> list[CorpusMember]:
-    members = smooth_corpus(space, seed)
-    for c, r in [(0.0, 2.0), (0.3, 2.2)]:
-        members.append(_combine(f"bump(c={c:g},r={r:g})", [(1.0, bump(c, r))],
-                                space, FULL_LINE))
-    return members
+def _sweep_corpus(seed: int) -> list[CorpusMember]:
+    return smooth_corpus(seed) + [_combine(f"bump(c={c:g},r={r:g})", [(1.0, bump(c, r))])
+                                  for c, r in [(0.0, 2.0), (0.3, 2.2)]]
 
 
 def _grouped_families(reduce: Callable[[PartialSumFamily], SampledFn], width: int,
@@ -453,7 +446,7 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
     def one_spec(spec: NormSpec) -> ExperimentReport:
         t0 = time.perf_counter()
         space, freq = res.space_grid(), res.freq_grid()
-        members, dropped = _gate_members(_sweep_corpus(space, seed), [spec.alpha], res)
+        members, dropped = _gate_members(_sweep_corpus(seed), [spec.alpha], res)
         if dyadic_only:
             t_grid = ThresholdSeq.dyadic(-4, int(np.floor(np.log2(0.45 * res.freq_max()))))
             in_range = range_dyadic_oscillation(spec.p, spec.beta, spec.alpha)
@@ -516,7 +509,7 @@ def prestini_constant_sweep(alphas: Sequence[float], resolution: Resolution | No
     refuses to run."""
     res = resolution or resolution_n512()
     profiles = (res, res.refined())
-    members = half_line_corpus(res.half_grid(), seed)
+    members = half_line_corpus(seed)
     labels, fns = [m.label for m in members] + ["zero"], [m.fn for m in members] + [np.zeros_like]
 
     def one_alpha(alpha: float) -> ExperimentReport:
@@ -614,7 +607,7 @@ def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
     bstar = beta_star(spec.beta, alpha, spec.p)
     fr_spec = NormSpec(spec.p, spec.beta, -0.5)      # measure |x|^beta
     hk_spec = NormSpec(spec.p, bstar, alpha)         # measure x^{beta*+2a+1}
-    members = smooth_corpus(res.space_grid(), seed)[:4]
+    members = smooth_corpus(seed)[:4]
     fns = [m.fn for m in members]
 
     def ratios(res_: Resolution, parseval: bool = False):
@@ -679,7 +672,7 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
     the boundedness rectangle in the report inputs."""
     res = resolution or resolution_n512()
     nspec = NormSpec(p, 0.0, alpha)
-    members, dropped = _gate_members(_sweep_corpus(res.space_grid(), seed), [alpha], res)
+    members, dropped = _gate_members(_sweep_corpus(seed), [alpha], res)
     # sup_t |S_t f| does not depend on the weight: one family per member and
     # resolution serves every weight
     study = list(_refinement_study([m.fn for m in members], FULL_LINE, res, alpha,
@@ -721,7 +714,8 @@ def transplant_roundtrip_report(pairs_ag: Sequence[tuple], seed: int = 7) -> Exp
     """T_ag(T_ga f) = f on moment-cancelled members, composing the public
     transplant operator twice through a wide intermediate grid."""
     t0 = time.perf_counter()
-    fgrid = make_graded_grid(-5.0, 5.0, 25, 32, 1.0)
+    res = Resolution(25, 32, 5.0)
+    fgrid = res.space_grid()
     freq = make_graded_grid(-100.0, 100.0, 57, 32, 1.0)
     wide = make_graded_grid(-12.0, 12.0, 57, 32, 1.0)
     members = moment_cancelled_corpus(fgrid)
@@ -730,8 +724,10 @@ def transplant_roundtrip_report(pairs_ag: Sequence[tuple], seed: int = 7) -> Exp
     for (a, g) in pairs_ag:
         mid = transforms.transplant_dunkl(g, a, stack, freq, output_grid=wide)
         back = transforms.transplant_dunkl(a, g, mid, freq, output_grid=fgrid)
-        err = _l2(back.values - stack.values, fgrid, -0.5) / _l2(stack.values, fgrid, -0.5)
+        err = _l2(back - stack, -0.5) / _l2(stack, -0.5)
         out += [(f"({a:g},{g:g}) {m.label}", float(e)) for m, e in zip(members, err)]
-    res = Resolution(25, 32, 5.0)
-    return _finish("transplant-roundtrip", {"pairs": [list(p) for p in pairs_ag]},
+    # the transforms run on these grids, not on the profile's own frequency grid
+    grids = {name: {"n_line": g.n, "lo": g.lo, "hi": g.hi}
+             for name, g in (("freq_grid", freq), ("pivot_grid", wide))}
+    return _finish("transplant-roundtrip", {"pairs": [list(p) for p in pairs_ag], **grids},
                    out, 1e-5, res, seed, t0)

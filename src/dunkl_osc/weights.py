@@ -213,9 +213,11 @@ def _ap_stable(weights: list[Weight], p: float, mu: float, refine: int) -> list[
     return [(bool(o), float(b)) for o, b in zip(ok, base)]
 
 
-def _require_p_alpha(name: str, p: float, alpha: float = -0.5) -> None:
-    if not (1.0 < p < np.inf and -0.5 <= alpha < np.inf):   # NaN fails too
-        raise ArgumentError(f"{name} needs finite p > 1 and alpha >= -1/2, got {p}, {alpha}")
+def _require_p_alpha(name: str, p: float, *orders: float, beta: float = 0.0) -> None:
+    if not (1.0 < p < np.inf and all(-0.5 <= a < np.inf for a in orders)   # NaN fails too
+            and np.isfinite(beta)):
+        raise ArgumentError(f"{name} needs finite p > 1, finite beta and orders >= -1/2, "
+                            f"got p={p}, beta={beta}, orders {list(orders)}")
 
 
 def ap_check(weight: Weight, p: float) -> tuple[bool, float]:
@@ -257,6 +259,7 @@ def range_full_oscillation(p: float, beta: float, alpha: float) -> bool:
     admissible point beta = 0 at p = 2."""
     if not 2.0 <= p < np.inf:
         raise ArgumentError(f"the full-range predicate needs a finite p >= 2, got {p}")
+    _require_p_alpha("range_full_oscillation", p, alpha, beta=beta)
     if p == 2.0 and beta == 0.0:
         return True
     c = beta + (alpha + 0.5) * (2.0 - p)
@@ -265,7 +268,7 @@ def range_full_oscillation(p: float, beta: float, alpha: float) -> bool:
 
 def range_dyadic_oscillation(p: float, beta: float, alpha: float) -> bool:
     """-1 < beta + (alpha+1/2)(2-p) < p - 1, for p > 1."""
-    _require_p_alpha("range_dyadic_oscillation", p)
+    _require_p_alpha("range_dyadic_oscillation", p, alpha, beta=beta)
     c = beta + (alpha + 0.5) * (2.0 - p)
     return -1.0 < c < p - 1.0
 
@@ -273,7 +276,7 @@ def range_dyadic_oscillation(p: float, beta: float, alpha: float) -> bool:
 def transplant_range(p: float, beta: float, alpha: float, gamma: float) -> bool:
     """Two-sided transplantation condition:
     -1 - p min(a+1/2, g+1/2) < beta < -1 + p min(a+3/2, g+3/2)."""
-    _require_p_alpha("transplant_range", p)
+    _require_p_alpha("transplant_range", p, alpha, gamma, beta=beta)
     lo = -1.0 - p * min(alpha + 0.5, gamma + 0.5)
     hi = -1.0 + p * min(alpha + 1.5, gamma + 1.5)
     return lo < beta < hi
@@ -282,4 +285,5 @@ def transplant_range(p: float, beta: float, alpha: float, gamma: float) -> bool:
 def beta_star(beta: float, alpha: float, p: float) -> float:
     """Weight-exponent shift beta* = beta - (alpha+1/2)(2-p); with
     alpha = (n-2)/2 this is beta - (n-1)(1-p/2)."""
+    _require_p_alpha("beta_star", p, alpha, beta=beta)
     return beta - (alpha + 0.5) * (2.0 - p)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dunkl_osc import FULL_LINE, Resolution, bump, default_corpus, sample
+from dunkl_osc import FULL_LINE, Resolution, SampledFn, bump, default_corpus, sample
 
 
 @pytest.fixture(scope="session")
@@ -23,8 +23,8 @@ def freq512(res512):
 
 
 @pytest.fixture(scope="session")
-def corpus512(space512):
-    return default_corpus(space512, 7)
+def corpus512():
+    return default_corpus(7)
 
 
 @pytest.fixture(scope="session")
@@ -48,8 +48,13 @@ def freq_hi(res_hi):
 
 
 @pytest.fixture(scope="session")
-def corpus_hi(space_hi):
-    return default_corpus(space_hi, 7)
+def corpus_hi():
+    return default_corpus(7)
+
+
+def stack_of(members, grid):
+    """The corpus members sampled on grid, as one (B, N) SampledFn."""
+    return SampledFn(grid, np.stack([sample(m.fn, grid).values for m in members]))
 
 
 def l2_weighted(vals, grid, alpha):
@@ -57,15 +62,18 @@ def l2_weighted(vals, grid, alpha):
     return float(np.sqrt(np.sum(meas * np.abs(vals) ** 2)))
 
 
-# residuals_or_ratios of the N=512, seed-7 sweep runs that the harness and
-# acceptance tests make, one list per report (null for NaN)
-PINNED_SWEEPS = json.loads((Path(__file__).parent / "sweep_reports_n512_seed7.json").read_text())
+# residuals_or_ratios, one list per report (null for NaN), of the N=512, seed-7
+# sweep runs that the harness and acceptance tests make and of the identity
+# suite on the light N=384 profile at seed 3
+PINNED = {kind: reports
+          for name in ("sweep_reports_n512_seed7.json", "identity_reports_small_seed3.json")
+          for kind, reports in json.loads((Path(__file__).parent / name).read_text()).items()}
 
 
 def assert_pinned(kind, reports):
     """The reports carry the pinned labels, in order, and values within 1e-12
     relative of the pinned ones (NaN where null)."""
-    want = PINNED_SWEEPS[kind]
+    want = PINNED[kind]
     assert ([[k for k, _ in r.residuals_or_ratios] for r in reports]
             == [[k for k, _ in w] for w in want])
     np.testing.assert_allclose([v for r in reports for _, v in r.residuals_or_ratios],

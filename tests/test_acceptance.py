@@ -22,7 +22,7 @@ from dunkl_osc import (NormSpec, Resolution, ThresholdSeq,
                        moment_cancelled_corpus, oscillation,
                        oscillation_ratio_sweep, power_weight,
                        prestini_constant_sweep,
-                       resolution_n512, run_identity_suite,
+                       resolution_n512, run_identity_suite, sample,
                        transference_demo, transplant_dunkl, variation,
                        w_ab_weight)
 from dunkl_osc.funcspace import away_from_zero_corpus
@@ -50,8 +50,8 @@ def hi_grids(hi):
 
 
 @pytest.fixture(scope="module")
-def hi_corpus(hi_grids):
-    return default_corpus(hi_grids[0], 7)
+def hi_corpus():
+    return default_corpus(7)
 
 
 def test_criterion_01_plancherel(hi_grids, hi_corpus):
@@ -59,8 +59,9 @@ def test_criterion_01_plancherel(hi_grids, hi_corpus):
     worst = 0.0
     for alpha in ALPHAS:
         for m in hi_corpus:
-            nf = l2_weighted(m.sampled.values, space, alpha)
-            spec = dunkl(alpha, m.sampled, freq)
+            f = sample(m.fn, space)
+            nf = l2_weighted(f.values, space, alpha)
+            spec = dunkl(alpha, f, freq)
             worst = max(worst, abs(l2_weighted(spec.values, freq, alpha) / nf - 1.0))
     ok = worst <= 1e-6
     assert _report("01 plancherel", ok, f"max |ratio-1| = {worst:.3e}")
@@ -68,11 +69,11 @@ def test_criterion_01_plancherel(hi_grids, hi_corpus):
     clear_kernel_cache()
     res = resolution_n512()
     sp5, fq5 = res.space_grid(), res.freq_grid()
-    corpus5 = default_corpus(sp5, 7)
+    corpus5 = default_corpus(7)
     t0 = time.perf_counter()
     for alpha in ALPHAS:
         for m in corpus5:
-            spec = dunkl(alpha, m.sampled, fq5)
+            spec = dunkl(alpha, sample(m.fn, sp5), fq5)
             l2_weighted(spec.values, fq5, alpha)
     dt = time.perf_counter() - t0
     assert _report("01 plancherel runtime", dt <= 10.0, f"{dt:.2f}s at N=512")
@@ -83,11 +84,11 @@ def test_criterion_02_inversion(hi_grids, hi_corpus):
     worst = 0.0
     for alpha in ALPHAS:
         for m in hi_corpus:
-            nf = l2_weighted(m.sampled.values, space, alpha)
-            spec = dunkl(alpha, m.sampled, freq)
+            f = sample(m.fn, space)
+            nf = l2_weighted(f.values, space, alpha)
+            spec = dunkl(alpha, f, freq)
             back = dunkl_inverse(alpha, spec, space)
-            worst = max(worst, l2_weighted(back.values - m.sampled.values,
-                                           space, alpha) / nf)
+            worst = max(worst, l2_weighted(back.values - f.values, space, alpha) / nf)
     ok = worst <= 1e-6
     assert _report("02 inversion", ok, f"max rel err = {worst:.3e}")
 
@@ -96,8 +97,8 @@ def test_criterion_03_fourier_reduction(hi_grids, hi_corpus):
     space, freq = hi_grids
     worst = 0.0
     for m in hi_corpus:
-        d = dunkl(-0.5, m.sampled, freq)
-        f = fourier(m.sampled, freq)
+        f = sample(m.fn, space)
+        d, f = dunkl(-0.5, f, freq), fourier(f, freq)
         worst = max(worst, float(np.max(np.abs(d.values - f.values))))
     ok = worst <= 1e-9
     assert _report("03 fourier reduction", ok, f"max nodewise = {worst:.3e}")
@@ -108,8 +109,9 @@ def test_criterion_04_decompositions(hi_grids, hi_corpus):
     worst_route = 0.0
     for alpha in ALPHAS:
         for m in hi_corpus[:6]:
-            d1 = dunkl(alpha, m.sampled, freq, route="decomposition")
-            d2 = dunkl(alpha, m.sampled, freq, route="direct")
+            f = sample(m.fn, space)
+            d1 = dunkl(alpha, f, freq, route="decomposition")
+            d2 = dunkl(alpha, f, freq, route="direct")
             worst_route = max(worst_route, float(np.max(np.abs(d1.values - d2.values))))
     ok1 = worst_route <= 1e-9
     half_freq = freq.positive_half()
@@ -117,10 +119,11 @@ def test_criterion_04_decompositions(hi_grids, hi_corpus):
     worst_ps = 0.0
     for alpha in (-0.5, 0.0, 1.0):
         for m in hi_corpus[:4]:
-            fe, fo = even_odd_split(m.sampled)
+            f = sample(m.fn, space)
+            fe, fo = even_odd_split(f)
             foy = fo.with_values(fo.values / fo.grid.points)
             for t in TS:
-                full = dunkl_partial_sum(alpha, m.sampled, t, freq)
+                full = dunkl_partial_sum(alpha, f, t, freq)
                 se = hankel_partial_sum(alpha, fe, t, half_freq)
                 so = hankel_partial_sum(alpha + 1.0, foy, t, half_freq)
                 rec = np.concatenate([(se.values - half.points * so.values)[::-1],
@@ -136,10 +139,11 @@ def test_criterion_05_projection_algebra(hi_grids, hi_corpus):
     worst = 0.0
     for alpha in (-0.5, 0.0, 1.0):
         for m in hi_corpus[:3]:
+            f = sample(m.fn, space)
             for s in TS:
                 for t in TS:
-                    st = dunkl_partial_sum_iterated(alpha, m.sampled, [t, s], freq)
-                    mn = dunkl_partial_sum(alpha, m.sampled, min(s, t), freq)
+                    st = dunkl_partial_sum_iterated(alpha, f, [t, s], freq)
+                    mn = dunkl_partial_sum(alpha, f, min(s, t), freq)
                     worst = max(worst, float(np.max(np.abs(st.values - mn.values))))
     ok = worst <= 1e-8
     assert _report("05 projection algebra", ok, f"max sup-norm = {worst:.3e}")
@@ -147,13 +151,13 @@ def test_criterion_05_projection_algebra(hi_grids, hi_corpus):
 
 def test_criterion_06_conjugation(hi_grids):
     space, freq = hi_grids
-    away = away_from_zero_corpus(space, 7)
+    away = away_from_zero_corpus(7)
     worst = 0.0
     for alpha in ALPHAS:
         for m in away:
-            lhs = dunkl(alpha, m.sampled, freq)
-            lifted = m.sampled.with_values(
-                m.sampled.values * np.abs(space.points) ** (alpha + 0.5))
+            f = sample(m.fn, space)
+            lhs = dunkl(alpha, f, freq)
+            lifted = f.with_values(f.values * np.abs(space.points) ** (alpha + 0.5))
             mid = dunkl_modified(alpha, lifted, freq)
             rhs = mid.values * np.abs(freq.points) ** (-(alpha + 0.5))
             worst = max(worst, float(np.max(np.abs(lhs.values - rhs))))
@@ -163,14 +167,14 @@ def test_criterion_06_conjugation(hi_grids):
 
 def test_criterion_07_transplantation(hi_grids):
     space, freq = hi_grids
-    away = away_from_zero_corpus(space, 7)
+    away = away_from_zero_corpus(7)
     worst_id = 0.0
     for alpha in (-0.5, 0.0, 1.0):
         for m in away:
-            out = transplant_dunkl(alpha, alpha, m.sampled, freq)
-            nf = l2_weighted(m.sampled.values, space, -0.5)
-            worst_id = max(worst_id, l2_weighted(out.values - m.sampled.values,
-                                                 space, -0.5) / nf)
+            f = sample(m.fn, space)
+            out = transplant_dunkl(alpha, alpha, f, freq)
+            nf = l2_weighted(f.values, space, -0.5)
+            worst_id = max(worst_id, l2_weighted(out.values - f.values, space, -0.5) / nf)
     ok1 = worst_id <= 1e-6
     # roundtrip through a wide pivot on moment-cancelled members
     fgrid = make_graded_grid(-5.0, 5.0, 25, 32, 1.0)
@@ -180,11 +184,11 @@ def test_criterion_07_transplantation(hi_grids):
     worst_rt = 0.0
     for (a, g) in ((-0.5, 0.5), (0.0, 1.0)):
         for m in members:
-            mid = transplant_dunkl(g, a, m.sampled, froude, output_grid=wide)
+            f = sample(m.fn, fgrid)
+            mid = transplant_dunkl(g, a, f, froude, output_grid=wide)
             back = transplant_dunkl(a, g, mid, froude, output_grid=fgrid)
-            nf = l2_weighted(m.sampled.values, fgrid, -0.5)
-            worst_rt = max(worst_rt, l2_weighted(back.values - m.sampled.values,
-                                                 fgrid, -0.5) / nf)
+            nf = l2_weighted(f.values, fgrid, -0.5)
+            worst_rt = max(worst_rt, l2_weighted(back.values - f.values, fgrid, -0.5) / nf)
     ok2 = worst_rt <= 1e-5
     assert _report("07 transplantation", ok1 and ok2,
                    f"identity {worst_id:.3e}, roundtrip {worst_rt:.3e}")
@@ -199,11 +203,11 @@ def test_criterion_08_prestini_stability():
     assert _report("08 prestini constants", ok, f"{consts}")
 
 
-def test_criterion_09_oscillation_below_variation(one_bump, freq512, corpus512):
+def test_criterion_09_oscillation_below_variation(one_bump, space512, freq512, corpus512):
     tg = default_t_grid(resolution_n512())
     ok = True
     for m in (corpus512[6], corpus512[9]):
-        fam = build_family(0.0, m.sampled, tg, freq512)
+        fam = build_family(0.0, sample(m.fn, space512), tg, freq512)
         v2 = variation(fam, 2.0).values.real
         T = len(tg)
         for i in range(100):

@@ -274,8 +274,9 @@ def test_non_utf8_config_exits_2_with_one_line(workdir, capsys):
     ["maximal", "--operator", "carleson-hunt", "--input", "f.csv", "--t-grid", "x"],
     ["sweep", "--kind", "weighted-carleson", "--alpha", ","],
     ["range", "--predicate", "ap", "--p", "2", "--a", "0.5"],
+    ["range", "--predicate", "transplant", "--p", "2", "--alpha", "-3"],
 ], ids=["verify-alpha", "family-t-grid", "maximal-t-grid", "sweep-empty-alpha",
-        "range-a-without-b"])
+        "range-a-without-b", "range-transplant-alpha-below-half"])
 def test_bad_values_exit_2_without_traceback(workdir, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err

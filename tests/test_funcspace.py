@@ -267,7 +267,7 @@ def test_moment_cancelled_members_kill_moments():
     members = moment_cancelled_corpus(g)
     half = g.positive_half()
     y, w = half.points, half.weights
-    fe = members[0].sampled.values[g.n // 2:].real
+    fe = sample(members[0].fn, g).values[g.n // 2:].real
     for p in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
         assert abs(np.sum(w * y ** p * fe)) < 1e-9 * np.max(np.abs(fe))
 
@@ -331,3 +331,14 @@ def test_sampled_fn_stacks_on_the_last_axis():
     for bad in (np.ones((g.n, 3)), np.ones((3, g.n + 1)), np.ones(())):
         with pytest.raises(ArgumentError):
             SampledFn(g, bad)
+
+
+def test_sampled_fn_sum_and_difference_need_one_grid():
+    # same node count, so only the grid check stands between the operands
+    g, wide = make_graded_grid(-1.0, 1.0, 2, 4), make_graded_grid(-2.0, 2.0, 2, 4)
+    f = sample(np.cos, g)
+    assert np.array_equal((f - sample(np.sin, make_graded_grid(-1.0, 1.0, 2, 4))).values,
+                          f.values - np.sin(g.points))
+    for op in (f.__add__, f.__sub__):
+        with pytest.raises(ArgumentError):
+            op(sample(np.cos, wide))

@@ -28,6 +28,7 @@ def small_res():
 
 def test_identity_suite_reports_structure(small_res):
     reports = run_identity_suite(small_res, seed=3, alphas=(-0.5, 0.0))
+    assert_pinned("identities", reports)
     names = {r.name for r in reports}
     assert {"plancherel", "inversion", "fourier-reduction", "dunkl-two-route",
             "conjugation", "projection-algebra", "partial-sum-decomposition",
@@ -60,13 +61,13 @@ def test_identity_suite_unit_order_and_inputs(small_res):
 def test_member_gate_keeps_exactly_the_table_passes(res512):
     space, freq = res512.space_grid(), res512.freq_grid()
     zero = lambda x: np.zeros_like(np.asarray(x, float))
-    members = _sweep_corpus(space, 7) + [CorpusMember("zero", zero, sample(zero, space))]
+    members = _sweep_corpus(7) + [CorpusMember("zero", zero)]
     alphas = (0.0, 1.0)
     keep, dropped = _gate_members(members, alphas, res512)
     (plancherel, _, tol_p), (inversion, _, tol_i) = IDENTITIES["plancherel"], IDENTITIES["inversion"]
     expected = [m.label for m in members[:-1]
-                if all(plancherel(a, m.sampled, space, freq) <= tol_p
-                       and inversion(a, m.sampled, space, freq) <= tol_i for a in alphas)]
+                if all(plancherel(a, sample(m.fn, space), freq) <= tol_p
+                       and inversion(a, sample(m.fn, space), freq) <= tol_i for a in alphas)]
     assert [m.label for m in keep] == expected
     assert dropped == [m.label for m in members if m.label not in expected]
     assert dropped[-1] == "zero" and len(dropped) > 1   # a zero norm is never kept
@@ -303,15 +304,15 @@ def test_projection_identities_read_exactly_zero(small_res):
 
 def test_residuals_take_a_stack_and_return_one_value_per_member(res512):
     space, freq = res512.space_grid(), res512.freq_grid()
-    members = _sweep_corpus(space, 7)[:3]
-    stack = SampledFn(space, np.stack([m.sampled.values for m in members]
+    members = _sweep_corpus(7)[:3]
+    stack = SampledFn(space, np.stack([sample(m.fn, space).values for m in members]
                                       + [np.zeros(space.n)]))
     for name in ("plancherel", "inversion", "dunkl-two-route", "fourier-reduction"):
         residual = IDENTITIES[name][0]
-        values = residual(-0.5, stack, space, freq)
+        values = residual(-0.5, stack, freq)
         assert values.shape == (4,) and values[3] == 0.0, name
         for i in range(3):
-            one = residual(-0.5, stack.with_values(stack.values[i]), space, freq)
+            one = residual(-0.5, stack.with_values(stack.values[i]), freq)
             assert abs(values[i] - one) <= 1e-14 + 1e-12 * one, name
 
 
@@ -345,7 +346,7 @@ def test_member_gate_takes_one_spectrum_per_order(monkeypatch, res512):
         return real(alpha, f, output_grid)
 
     monkeypatch.setattr(transforms, "hankel", counted)
-    keep, dropped = _gate_members(_sweep_corpus(space, 7), (0.0, 1.0), res512)
+    keep, dropped = _gate_members(_sweep_corpus(7), (0.0, 1.0), res512)
     assert calls == Counter({2: 8}) and len(keep) + len(dropped) == 10
 
 

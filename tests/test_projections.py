@@ -9,7 +9,7 @@ from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError,
                        make_graded_grid, radial_partial_sum,
                        resolvable_frequency, sample, snap_threshold)
 from dunkl_osc.projections import PartialSumFamily, _cut_rows, _snap
-from conftest import l2_weighted
+from conftest import l2_weighted, stack_of
 
 TS = [0.5, 1.0, 2.0, 4.0]
 
@@ -97,11 +97,11 @@ def test_zero_function(space512, freq512):
 
 
 def test_band_limit_recovers_f(space_hi, freq_hi, corpus_hi):
-    m = corpus_hi[1]
+    f = sample(corpus_hi[1].fn, space_hi)
     for alpha in (0.0, 1.0):
-        s = dunkl_partial_sum(alpha, m.sampled, freq_hi.hi * 0.999, freq_hi)
-        nf = l2_weighted(m.sampled.values, space_hi, alpha)
-        assert l2_weighted(s.values - m.sampled.values, space_hi, alpha) / nf <= 1e-5
+        s = dunkl_partial_sum(alpha, f, freq_hi.hi * 0.999, freq_hi)
+        nf = l2_weighted(f.values, space_hi, alpha)
+        assert l2_weighted(s.values - f.values, space_hi, alpha) / nf <= 1e-5
 
 
 def test_band_exceeded_raises(space512, freq512, one_bump):
@@ -169,13 +169,13 @@ def test_family_resolution_guard(freq512):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_parity_decomposition(alpha, space512, freq512, corpus512):
-    m = corpus512[1]
+    f = sample(corpus512[1].fn, space512)
     half_freq = freq512.positive_half()
     half = space512.positive_half()
-    fe, fo = even_odd_split(m.sampled)
+    fe, fo = even_odd_split(f)
     foy = fo.with_values(fo.values / fo.grid.points)
     for t in TS:
-        full = dunkl_partial_sum(alpha, m.sampled, t, freq512)
+        full = dunkl_partial_sum(alpha, f, t, freq512)
         se = hankel_partial_sum(alpha, fe, t, half_freq)
         so = hankel_partial_sum(alpha + 1.0, foy, t, half_freq)
         rec = np.concatenate([(se.values - half.points * so.values)[::-1],
@@ -261,10 +261,10 @@ def test_family_csv(tmp_path, freq512, one_bump):
     assert (tmp_path / "fam2.csv").read_text() == path.read_text()
 
 
-def test_family_csv_refuses_a_stack(tmp_path, freq512, corpus512):
+def test_family_csv_refuses_a_stack(tmp_path, space512, freq512, corpus512):
     # a stacked family has no one matrix to write
     tg = ThresholdSeq(np.array([0.5, 1.0, 2.0]))
-    stack = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:2]]))
+    stack = stack_of(corpus512[:2], space512)
     fam = build_family(0.0, stack, tg, freq512)
     with pytest.raises(ArgumentError):
         family_to_csv(tmp_path / "stack.csv", fam)
@@ -273,12 +273,12 @@ def test_family_csv_refuses_a_stack(tmp_path, freq512, corpus512):
 
 @pytest.mark.parametrize("kind", ["dunkl", "hankel"])
 @pytest.mark.parametrize("members", [1, 2])
-def test_stacked_family_equals_member_families(kind, members, res512, freq512, corpus512):
+def test_stacked_family_equals_member_families(kind, members, res512, space512, freq512,
+                                                corpus512):
     """build_family of a (B, N) stack at N=512 gives the (B, T, N) rows of
     the member families, to 1e-14 of their max-abs, and its max_abs the
     members' max_abs."""
-    full = corpus512[1].sampled.with_values(
-        np.stack([m.sampled.values for m in corpus512[1:1 + members]]))
+    full = stack_of(corpus512[1:1 + members], space512)
     f, freq = (full, freq512) if kind == "dunkl" else (even_odd_split(full)[0],
                                                        freq512.positive_half())
     tg = ThresholdSeq.union(ThresholdSeq.octave_eighths(res512.freq_max()),
@@ -306,11 +306,11 @@ def test_family_shape_follows_its_base(freq512, one_bump):
 
 
 @pytest.mark.parametrize("kind", ["dunkl", "hankel"])
-def test_cut_rows_stack_equals_one_list_calls(kind, freq512, corpus512):
+def test_cut_rows_stack_equals_one_list_calls(kind, space512, freq512, corpus512):
     """Many cut lists over a member stack give the rows of the one-list
     calls of each member, to 1e-14 of their max-abs; cut lists with equal
     masks give bitwise equal rows."""
-    full = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:3]]))
+    full = stack_of(corpus512[:3], space512)
     f, freq = (full, freq512) if kind == "dunkl" else (even_odd_split(full)[0],
                                                        freq512.positive_half())
     cut_lists = [[0.5], [2.0, 1.0], [4.0], [1.0, 4.0], [3.0, 0.7, 2.0], [4.0, 1.0]]

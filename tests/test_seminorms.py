@@ -10,6 +10,7 @@ from dunkl_osc import (ArgumentError, PartialSumFamily,
                        oscillation, sample, variation)
 from dunkl_osc import seminorms
 from dunkl_osc.seminorms import _run_ends
+from conftest import stack_of
 
 
 def synthetic_family(rows, grid):
@@ -190,12 +191,12 @@ def test_repeated_rows_give_the_full_dp_bitwise(grid, runs, signed_zero):
             assert np.all(np.abs(g - brute) <= 1e-14 * brute)
 
 
-def test_member_repeats_and_dp_step_count(res512, freq512, corpus512, monkeypatch):
+def test_member_repeats_and_dp_step_count(res512, space512, freq512, corpus512, monkeypatch):
     # member 1's spectrum vanishes on the band (t_20, t_40], so its S_t f is
     # constant there: alone it drops more rows than the stack, and the rows
     # of the stacked seminorms still equal the lone calls and the full DP
     tg = default_t_grid(res512)
-    stack = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:2]]))
+    stack = stack_of(corpus512[:2], space512)
     vals = build_family(0.0, stack, tg, freq512).values.copy()
     vals[1, 21:41] = vals[1, 20]
     fam = PartialSumFamily(stack, tg, vals)
@@ -215,7 +216,7 @@ def test_member_repeats_and_dp_step_count(res512, freq512, corpus512, monkeypatc
         return sq_gaps(*args)
 
     monkeypatch.setattr(seminorms, "_sq_gaps", counted)
-    max_oscillation(build_family(0.0, corpus512[0].sampled, tg, freq512))
+    max_oscillation(build_family(0.0, sample(corpus512[0].fn, space512), tg, freq512))
     assert (len(tg), len(calls)) == (71, 48)
 
 
@@ -232,14 +233,14 @@ def _run_table_max_oscillation(family):
     return np.sqrt(best[-1])
 
 
-def test_max_oscillation_needs_no_run_table(grid, res512, freq512, corpus512):
+def test_max_oscillation_needs_no_run_table(grid, res512, space512, freq512, corpus512):
     # cutting a block just after its arg-sup never lowers the sum, so the DP
     # over |a_{k-1} - a_i|^2 alone reaches the same floats
     rng = np.random.Generator(np.random.Philox(key=11))
     fams = [synthetic_family(list(rng.standard_normal((T, grid.n))
                                   + 1j * rng.standard_normal((T, grid.n))), grid)
             for T in (2, 5, 40)]
-    fams += [build_family(a, m.sampled, default_t_grid(res512), freq512)
+    fams += [build_family(a, sample(m.fn, space512), default_t_grid(res512), freq512)
              for a in (0.0, 1.0) for m in corpus512[:3]]
     for fam in fams:
         assert np.array_equal(max_oscillation(fam).values.real, _run_table_max_oscillation(fam))
@@ -273,17 +274,17 @@ def test_oscillation_bounded_by_variation(family_and_v2, pick):
 
 
 def test_carleson_max_operators(space512, freq512, corpus512):
-    m = corpus512[1]
+    f = sample(corpus512[1].fn, space512)
     tg = ThresholdSeq.union(ThresholdSeq.geometric(0.1, 50.0, 32),
                             ThresholdSeq.dyadic(-3, 5))
-    fam = build_family(0.5, m.sampled, tg, freq512)
+    fam = build_family(0.5, f, tg, freq512)
     cd = fam.max_abs()
     for i in (0, 10, 20):
         assert np.all(cd.values.real >= np.abs(fam.values[i]) - 1e-14)
     # at the band limit the rows approach f, so the max nearly dominates |f|
-    assert np.all(cd.values.real >= np.abs(m.sampled.values) - 1e-3)
+    assert np.all(cd.values.real >= np.abs(f.values) - 1e-3)
     # parity-decomposition bound for the maximal operator
-    fe, fo = even_odd_split(m.sampled)
+    fe, fo = even_odd_split(f)
     foy = fo.with_values(fo.values / fo.grid.points)
     he = build_family(0.5, fe, tg, freq512.positive_half()).max_abs()
     ho = build_family(1.5, foy, tg, freq512.positive_half()).max_abs()
@@ -303,10 +304,10 @@ def test_zero_function_all_zero(space512, freq512):
 
 
 
-def test_stacked_seminorms_equal_the_row_calls(res512, freq512, corpus512):
+def test_stacked_seminorms_equal_the_row_calls(res512, space512, freq512, corpus512):
     # a (B, T, N) family reduces along its t axis: each row of a stacked
     # max_oscillation, oscillation and variation is the lone call's, bit for bit
-    stack = corpus512[0].sampled.with_values(np.stack([m.sampled.values for m in corpus512[:3]]))
+    stack = stack_of(corpus512[:3], space512)
     tg = default_t_grid(res512)
     fam = build_family(1.0, stack, tg, freq512)
     cuts = ThresholdSeq(tg.values[[0, 7, 30, 52, len(tg) - 1]])

@@ -13,7 +13,7 @@ from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError, SampledF
                        multiply_power, resolution_n512, run_identity_suite,
                        sample, transforms, transplant_dunkl, transplant_hankel)
 from dunkl_osc.special import bessel_j_normalized
-from conftest import l2_weighted
+from conftest import l2_weighted, stack_of
 
 ALPHAS = [-0.5, 0.0, 0.5, 1.0]
 
@@ -95,17 +95,18 @@ def test_hankel_modified_conjugation_identity(alpha):
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_plancherel_and_inversion(alpha, space_hi, freq_hi, corpus_hi):
     for m in corpus_hi[:4]:
-        nf = l2_weighted(m.sampled.values, space_hi, alpha)
-        spec = dunkl(alpha, m.sampled, freq_hi)
+        f = sample(m.fn, space_hi)
+        nf = l2_weighted(f.values, space_hi, alpha)
+        spec = dunkl(alpha, f, freq_hi)
         assert abs(l2_weighted(spec.values, freq_hi, alpha) / nf - 1.0) <= 1e-6
         back = dunkl_inverse(alpha, spec, space_hi)
-        assert l2_weighted(back.values - m.sampled.values, space_hi, alpha) / nf <= 1e-6
+        assert l2_weighted(back.values - f.values, space_hi, alpha) / nf <= 1e-6
 
 
 def test_fourier_reduction_nodewise(space512, freq512, corpus512):
     for m in corpus512[:3]:
-        d = dunkl(-0.5, m.sampled, freq512)
-        f = fourier(m.sampled, freq512)
+        f = sample(m.fn, space512)
+        d, f = dunkl(-0.5, f, freq512), fourier(f, freq512)
         assert np.max(np.abs(d.values - f.values)) <= 1e-9
 
 
@@ -119,14 +120,14 @@ def test_even_function_real_transform(space512, freq512):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_two_route_agreement(alpha, space512, freq512, corpus512):
-    m = corpus512[1]
-    d1 = dunkl(alpha, m.sampled, freq512, route="decomposition")
-    d2 = dunkl(alpha, m.sampled, freq512, route="direct")
+    f = sample(corpus512[1].fn, space512)
+    d1 = dunkl(alpha, f, freq512, route="decomposition")
+    d2 = dunkl(alpha, f, freq512, route="direct")
     assert np.max(np.abs(d1.values - d2.values)) <= 1e-9
 
 
 def test_linearity(space512, freq512, corpus512):
-    f, g = corpus512[0].sampled, corpus512[7].sampled
+    f, g = sample(corpus512[0].fn, space512), sample(corpus512[7].fn, space512)
     a, b = 1.3 - 0.2j, -0.8j
     lhs = dunkl(0.5, (a * f) + (b * g), freq512)
     rhs = a * dunkl(0.5, f, freq512) + b * dunkl(0.5, g, freq512)
@@ -360,7 +361,7 @@ def test_identity_suite_kernel_bytes(suite512_kernels):
 def test_every_transform_acts_on_a_stack(space512, freq512, corpus512):
     """A (3, N) stack gives its three single-function results, to 1e-14 of
     their max-abs, through one GEMM per transform."""
-    full = SampledFn(space512, np.stack([m.sampled.values for m in corpus512[:3]]))
+    full = stack_of(corpus512[:3], space512)
     half = even_odd_split(full)[0]
     half_freq = freq512.positive_half()
     ops = [(full, lambda f: fourier(f, freq512)),

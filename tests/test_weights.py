@@ -500,10 +500,27 @@ def test_checkers_reject_bad_p_and_alpha(p, alpha):
             ap_check(w, p)
 
 
-@pytest.mark.parametrize("p", [np.nan, np.inf])
-def test_range_predicates_reject_non_finite_p(p):
-    for predicate in (range_full_oscillation, range_dyadic_oscillation):
+def _every_range_predicate_at(p):
+    return [(range_full_oscillation, (p, 0.0, 0.0)), (range_dyadic_oscillation, (p, 0.0, 0.0)),
+            (transplant_range, (p, 0.0, 0.0, 0.0))]
+
+
+@pytest.mark.parametrize("calls", [
+    pytest.param(_every_range_predicate_at(np.nan), id="nan"),
+    pytest.param(_every_range_predicate_at(np.inf), id="inf"),
+    pytest.param([(range_full_oscillation, (2.0, 0.0, -3.0)),
+                  (range_full_oscillation, (2.0, 0.0, np.nan))], id="full-alpha"),
+    pytest.param([(range_dyadic_oscillation, (2.0, 0.0, -3.0))], id="dyadic-alpha"),
+    pytest.param([(transplant_range, (2.0, 0.0, 0.0, -2.0))], id="transplant-gamma"),
+    pytest.param([(beta_star, (0.0, 0.0, 0.5))], id="beta-star-p"),
+    pytest.param([(range_full_oscillation, (2.0, np.inf, 0.0)),
+                  (range_dyadic_oscillation, (2.0, np.nan, 0.0)),
+                  (transplant_range, (2.0, np.nan, 0.0, 0.0)),
+                  (beta_star, (np.inf, 0.0, 2.0))], id="non-finite-beta"),
+])
+def test_range_predicates_reject_non_finite_p(calls):
+    """A non-finite p, and also p <= 1, an order below -1/2 or a non-finite
+    beta, is refused with ArgumentError."""
+    for predicate, args in calls:
         with pytest.raises(ArgumentError):
-            predicate(p, 0.0, 0.0)
-    with pytest.raises(ArgumentError):
-        transplant_range(p, 0.0, 0.0, 0.0)
+            predicate(*args)
