@@ -18,10 +18,10 @@ from .transforms import (check_resolution, dunkl, dunkl_inverse,
                          hankel_modified, resolvable_frequency,
                          transplant_dunkl, transplant_hankel)
 from .projections import (PartialSumFamily, ThresholdSeq, build_family,
-                          dunkl_partial_sum, dunkl_partial_sum_iterated,
-                          family_to_csv, fourier_partial_sum,
-                          hankel_partial_sum, radial_partial_sum,
-                          snap_threshold)
+                          default_t_grid, dunkl_partial_sum,
+                          dunkl_partial_sum_iterated, family_to_csv,
+                          fourier_partial_sum, hankel_partial_sum,
+                          radial_partial_sum, snap_threshold)
 from .classical_ops import (SupGrid, carleson_hunt, conjugate_hardy,
                             default_sup_grid, hardy_littlewood_max,
                             maximal_hilbert, prestini_majorant)
@@ -30,9 +30,8 @@ from .weights import (NormSpec, Weight, ap_alpha_check, ap_check, beta_star,
                       conjectured_measure_ap_check, power_weight,
                       range_dyadic_oscillation, range_full_oscillation,
                       transplant_range, w_ab_weight, weighted_lp_norm)
-from .harness import (ExperimentReport, MultiplierFamily, Resolution,
-                      bcv_lattice_weights, default_resolution, default_t_grid,
-                      dyadic_indicator_family, dyadic_partition, interval_indicator_family,
+from .harness import (ExperimentReport, Resolution, bcv_lattice_weights,
+                      default_resolution, dyadic_partition,
                       oscillation_ratio_sweep, prestini_constant_sweep,
                       resolution_n1024, resolution_n512, run_identity_suite,
                       transference_demo, transplant_roundtrip_report,

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import ArgumentError, ResolutionError
 from .funcspace import HALF_LINE, Grid, SampledFn, _freeze, multiply_power
+from .projections import ThresholdSeq
 
 _SUB_NODES = 12
 _GL_SUB = np.polynomial.legendre.leggauss(_SUB_NODES)
@@ -68,7 +69,8 @@ def default_sup_grid(grid: Grid, t_values=None) -> SupGrid:
     grid's resolvable modulation band."""
     scale = max(abs(grid.lo), abs(grid.hi))
     radii = scale * 2.0 ** np.arange(8, -9, -1)
-    pos = 2.0 ** np.arange(-4, 8) if t_values is None else np.asarray(t_values, dtype=float)
+    pos = (ThresholdSeq.octaves(2.0 ** -4, 2.0 ** 7).values if t_values is None
+           else np.asarray(t_values, dtype=float))
     pos = pos[pos * grid.max_spacing <= np.pi / 3.0]
     freqs = np.unique(np.concatenate([-pos, [0.0], pos]))
     return SupGrid(radii, freqs)

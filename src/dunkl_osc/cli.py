@@ -30,8 +30,9 @@ import numpy as np
 from . import transforms
 from .errors import ArgumentError, DomainError, DunklOscError, GateError, ResolutionError
 from .funcspace import (FULL_LINE, HALF_LINE, read_sampled_fn, write_sampled_fn)
-from .projections import (ThresholdSeq, build_family, dunkl_partial_sum, family_to_csv,
-                          fourier_partial_sum, hankel_partial_sum, radial_partial_sum)
+from .projections import (ThresholdSeq, build_family, default_t_grid, dunkl_partial_sum,
+                          family_to_csv, fourier_partial_sum, hankel_partial_sum,
+                          radial_partial_sum)
 from .seminorms import max_oscillation, oscillation, variation
 from .classical_ops import (carleson_hunt, conjugate_hardy, default_sup_grid,
                             hardy_littlewood_max, maximal_hilbert, prestini_majorant)
@@ -71,11 +72,11 @@ def _float_list(text: str) -> list[float]:
 
 
 def _t_grid_for(args, f) -> ThresholdSeq:
-    """Thresholds from the flag, or 2^{k/8} across the band of the input
-    grid's default frequency grid (harness.default_t_grid on a profile)."""
+    """Thresholds from the flag, or default_t_grid of the input grid's
+    default frequency grid."""
     if args.t_grid:
         return ThresholdSeq(np.array(sorted(args.t_grid)))
-    return ThresholdSeq.octave_eighths(transforms.frequency_grid(f.grid).hi)
+    return default_t_grid(transforms.frequency_grid(f.grid))
 
 
 def _family(args, f):
@@ -83,7 +84,7 @@ def _family(args, f):
 
 
 def _sup_grid(args, f):
-    return default_sup_grid(f.grid, args.t_grid)
+    return default_sup_grid(f.grid, _t_grid_for(args, f).values if args.t_grid else None)
 
 
 def _weight(args):
@@ -118,8 +119,8 @@ PARTIAL_SUMS = {
 
 # operator -> (input domain, maximal function(args, f)); a classical operator
 # checks its own input domain (None).  The classical ones take the sup grid of
-# the input grid (with the --t-grid values as its frequencies), the Carleson
-# ones the t-grid.
+# the input grid (with the checked --t-grid values as its frequencies), the
+# Carleson ones the t-grid.
 MAXIMALS = {
     "hardy-littlewood": (None, lambda args, f: hardy_littlewood_max(f, _sup_grid(args, f))),
     "conjugate-hardy": (None, lambda args, f: conjugate_hardy(f)),

@@ -312,6 +312,8 @@ def random_band_modes(seed: int, center: float = 0.0, sigma: float = 0.24,
                       n_modes: int = 4, omega_max: float = 8.0) -> Callable:
     """Gaussian-windowed random cosine sum: nearly band-limited, smooth,
     compactly supported after the 12-sigma truncation."""
+    if not 0 <= seed < 2 ** 128:
+        raise ArgumentError(f"seed must lie in [0, 2**128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     omegas = omega_max * (np.arange(1, n_modes + 1) / n_modes)
     coeff = rng.standard_normal(n_modes) / np.sqrt(n_modes)

@@ -28,7 +28,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from typing import Callable, Sequence
 
@@ -41,7 +41,8 @@ from .funcspace import (FULL_LINE, HALF_LINE, CorpusMember, Grid, SampledFn,
                         default_corpus, even_odd_split, half_line_corpus,
                         make_graded_grid, moment_cancelled_corpus, multiply_power,
                         sample, smooth_corpus)
-from .projections import PartialSumFamily, ThresholdSeq, _cut_rows, build_family
+from .projections import (PartialSumFamily, ThresholdSeq, _cut_rows, build_family,
+                          default_t_grid)
 from .seminorms import max_oscillation
 from .classical_ops import default_sup_grid, prestini_majorant
 from .weights import (NormSpec, Weight, beta_star, conjectured_measure_ap_check,
@@ -103,11 +104,6 @@ def resolution_n512() -> Resolution:
 
 def resolution_n1024() -> Resolution:
     return Resolution(16)
-
-
-def default_t_grid(res: Resolution) -> ThresholdSeq:
-    """ThresholdSeq.octave_eighths over the profile's frequency band."""
-    return ThresholdSeq.octave_eighths(res.freq_max())
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +444,10 @@ def oscillation_ratio_sweep(spec_list: Sequence[NormSpec], seed: int = 7,
         space, freq = res.space_grid(), res.freq_grid()
         members, dropped = _gate_members(_sweep_corpus(seed), [spec.alpha], res)
         if dyadic_only:
-            t_grid = ThresholdSeq.dyadic(-4, int(np.floor(np.log2(0.45 * res.freq_max()))))
+            t_grid = ThresholdSeq.octaves(2.0 ** -4, 0.45 * res.freq_max())
             in_range = range_dyadic_oscillation(spec.p, spec.beta, spec.alpha)
         else:
-            t_grid = default_t_grid(res)
+            t_grid = default_t_grid(freq)
             in_range = (spec.p >= 2.0 and
                         range_full_oscillation(spec.p, spec.beta, spec.alpha))
 
@@ -518,7 +514,7 @@ def prestini_constant_sweep(alphas: Sequence[float], resolution: Resolution | No
         # each profile's majorant is computed ahead of its families (peak memory)
         study = _refinement_study(
             fns, HALF_LINE, res, alpha, PartialSumFamily.max_abs,
-            lambda r: ThresholdSeq.dyadic(-4, int(np.floor(np.log2(0.9 * r.freq_max())))),
+            lambda r: ThresholdSeq.octaves(2.0 ** -4, 0.9 * r.freq_max()),
             lambda stack, t_grid: prestini_majorant(
                 alpha, stack, default_sup_grid(stack.grid, t_grid.values)).values)
         for r, (live, _, maxes, majs) in zip(profiles, study):
@@ -537,50 +533,15 @@ def prestini_constant_sweep(alphas: Sequence[float], resolution: Resolution | No
 # ---------------------------------------------------------------------------
 # multiplier transference
 
-@dataclass(frozen=True)
-class MultiplierFamily:
-    """Finite family of even multipliers m_k, each given as an evaluator of
-    |xi| and bounded by 1 in absolute value."""
-
-    labels: list
-    evaluators: list = field(repr=False, default_factory=list)
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.evaluators) or not self.labels:
-            raise ArgumentError("labels and evaluators must pair up (nonempty)")
-
-    def __len__(self):
-        return len(self.labels)
-
-    def evaluate(self, k: int, xi_abs: np.ndarray) -> np.ndarray:
-        m = np.asarray(self.evaluators[k](xi_abs), dtype=float)
-        if np.max(np.abs(m)) > 1.0 + 1e-12:
-            raise ArgumentError(f"multiplier {self.labels[k]!r} exceeds the unit bound")
-        return m
-
-
-def dyadic_indicator_family(k_min: int, k_max: int) -> MultiplierFamily:
-    return interval_indicator_family([(2.0 ** k, 2.0 ** (k + 1)) for k in range(k_min, k_max + 1)])
-
-
-def dyadic_partition(res: Resolution) -> MultiplierFamily:
-    """The dyadic indicators covering every positive frequency node of res and
-    of res.refined(), the two profiles of transference_demo, so that its
-    orthogonal decompositions telescope on both."""
+def dyadic_partition(res: Resolution) -> ThresholdSeq:
+    """The edges 2^k of the dyadic intervals covering every positive
+    frequency node of res and of res.refined(), the two profiles of
+    transference_demo, so that its orthogonal decompositions telescope on
+    both."""
     profiles = (res, res.refined())
     k_min = min(int(np.floor(np.log2(r.half_freq_grid().points[0]))) for r in profiles)
     k_max = max(int(np.ceil(np.log2(r.freq_max()))) for r in profiles)
-    return dyadic_indicator_family(k_min, k_max)
-
-
-def interval_indicator_family(intervals: Sequence[tuple]) -> MultiplierFamily:
-    labels, evals = [], []
-    for lo, hi in intervals:
-        if not 0.0 <= lo < hi:
-            raise ArgumentError("indicator intervals must satisfy 0 <= lo < hi")
-        labels.append(f"1_[{lo:g},{hi:g})")
-        evals.append(lambda u, lo=lo, hi=hi: ((u >= lo) & (u < hi)).astype(float))
-    return MultiplierFamily(labels, evals)
+    return ThresholdSeq.octaves(2.0 ** k_min, 2.0 ** (k_max + 1))
 
 
 def _square_function(mult: np.ndarray, spec: SampledFn,
@@ -591,12 +552,14 @@ def _square_function(mult: np.ndarray, spec: SampledFn,
     return np.sqrt(np.sum(np.abs(back.values) ** 2, axis=-2))
 
 
-def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
+def transference_demo(edges: ThresholdSeq, spec: NormSpec, dimension: int,
                       resolution: Resolution | None = None, seed: int = 7) -> ExperimentReport:
-    """Vector-valued square-function ratios: the 1D Fourier side in
-    L^p(|x|^beta dx) against the Hankel side at order (n-2)/2 in the
-    beta*-shifted radial weight.  At p = 2 with a disjoint-indicator
-    partition both are exactly the orthogonal-decomposition norm."""
+    """Vector-valued square-function ratios for the indicators 1_[e_k, e_{k+1})
+    of consecutive edges: the 1D Fourier side in L^p(|x|^beta dx) against the
+    Hankel side at order (n-2)/2 in the beta*-shifted radial weight.  At p = 2
+    both are exactly the orthogonal-decomposition norm."""
+    if len(edges) < 2:
+        raise ArgumentError("transference needs at least two edges (one interval)")
     if not -1.0 < spec.beta < spec.p - 1.0:
         raise ArgumentError("transference needs -1 < beta < p - 1")
     if dimension < 1:
@@ -609,6 +572,7 @@ def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
     hk_spec = NormSpec(spec.p, bstar, alpha)         # measure x^{beta*+2a+1}
     members = smooth_corpus(seed)[:4]
     fns = [m.fn for m in members]
+    lo, hi = edges.values[:-1], edges.values[1:]
 
     def ratios(res_: Resolution, parseval: bool = False):
         """Per side (Fourier, Hankel) the members' square-function norm ratios
@@ -625,13 +589,14 @@ def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
                   lambda g: transforms.hankel(alpha, g, half)))
         out, orth = [], []
         for f, nspec, spec_f, xi, w, inverse in sides:
-            mult = np.stack([family.evaluate(k, xi) for k in range(len(family))])
+            mult = ((xi >= lo[:, None]) & (xi < hi[:, None])).astype(float)
             sq = f.with_values(_square_function(mult, spec_f, inverse))
             out.append(weighted_lp_norm(sq, nspec) / weighted_lp_norm(f, nspec))
             if parseval:
                 power = np.abs(spec_f.values) ** 2
-                # one sum per piece k, then the K sums in order
-                num2 = np.sum(np.sum((w * mult ** 2)[:, None, :] * power, axis=-1), axis=0)
+                # one sum per piece k, then the K sums in order (an
+                # indicator row is its own square)
+                num2 = np.sum(np.sum((w * mult)[:, None, :] * power, axis=-1), axis=0)
                 orth.append(np.sqrt(num2 / np.sum(w * power, axis=-1)))
         return out, orth
 
@@ -647,7 +612,7 @@ def transference_demo(family: MultiplierFamily, spec: NormSpec, dimension: int,
         passed = passed and all(np.isfinite(v) for (_, v) in pairs)
     return _finish("transference", {"p": spec.p, "beta": spec.beta,
                                     "dimension": dimension, "beta_star": bstar,
-                                    "members": family.labels},
+                                    "members": [f"1_[{a:g},{b:g})" for a, b in zip(lo, hi)]},
                    pairs, float("inf"), res, seed, t0, passed=passed)
 
 
@@ -676,7 +641,8 @@ def weighted_carleson_sweep(weights: Sequence[Weight], p: float, alpha: float,
     # sup_t |S_t f| does not depend on the weight: one family per member and
     # resolution serves every weight
     study = list(_refinement_study([m.fn for m in members], FULL_LINE, res, alpha,
-                                   PartialSumFamily.max_abs, default_t_grid))
+                                   PartialSumFamily.max_abs,
+                                   lambda r: default_t_grid(r.freq_grid())))
 
     # one batched A_p pass checks every weight integrable against |x|^{2 alpha + 1}
     checked = [w for w in weights if w.exponents[0] + 2.0 * alpha + 1.0 > -1.0]

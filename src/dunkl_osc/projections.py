@@ -46,32 +46,21 @@ class ThresholdSeq:
     def __len__(self):
         return self.values.size
 
-    @property
-    def is_dyadic(self) -> bool:
-        m, _ = np.frexp(self.values)
-        return bool(np.all(m == 0.5))
-
     @classmethod
-    def geometric(cls, t_min: float, t_max: float, count: int) -> "ThresholdSeq":
-        return cls(np.geomspace(t_min, t_max, count))
+    def octaves(cls, lo: float, hi: float, per_octave: int = 1) -> "ThresholdSeq":
+        """Every 2^{k/per_octave} in [lo, hi]: per_octave points per octave,
+        containing the dyadic points in range, so the ladder is closed under
+        the dilations lambda in {1/2, 2} away from its ends."""
+        k = np.arange(int(np.ceil(per_octave * np.log2(lo))),
+                      int(np.floor(per_octave * np.log2(hi))) + 1)
+        return cls(2.0 ** (k / per_octave))
 
-    @classmethod
-    def dyadic(cls, k_min: int, k_max: int) -> "ThresholdSeq":
-        return cls(2.0 ** np.arange(k_min, k_max + 1))
 
-    @classmethod
-    def octave_eighths(cls, band: float) -> "ThresholdSeq":
-        """Thresholds 2^{k/8} across [band/2^10, 0.45 band]: eight points per
-        octave, containing the dyadic points, and closed under the dilation
-        shifts lambda in {1/2, 2} within the band."""
-        k_min = int(np.ceil(8.0 * np.log2(band / 2.0 ** 10)))
-        k_max = int(np.floor(8.0 * np.log2(0.45 * band)))
-        return cls(2.0 ** (np.arange(k_min, k_max + 1) / 8.0))
-
-    @classmethod
-    def union(cls, *seqs: "ThresholdSeq") -> "ThresholdSeq":
-        vals = np.unique(np.concatenate([s.values for s in seqs]))
-        return cls(vals)
+def default_t_grid(freq_grid: Grid) -> ThresholdSeq:
+    """Octave eighths across [band/2^10, 0.45 band] of the frequency grid's
+    band: a dilation by 1/2 or 2 keeps the grid inside the band."""
+    band = freq_grid.hi
+    return ThresholdSeq.octaves(band / 2.0 ** 10, 0.45 * band, 8)
 
 
 def _snap(ts, freq_points: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dunkl_osc import (NormSpec, Resolution, ThresholdSeq,
                        ap_check, build_family, default_corpus,
                        default_resolution, default_t_grid, dunkl,
                        dunkl_inverse, dunkl_partial_sum,
-                       dunkl_partial_sum_iterated, dyadic_indicator_family,
+                       dunkl_partial_sum_iterated,
                        even_odd_split, fourier, hankel_partial_sum,
                        make_graded_grid, max_oscillation,
                        moment_cancelled_corpus, oscillation,
@@ -204,7 +204,7 @@ def test_criterion_08_prestini_stability():
 
 
 def test_criterion_09_oscillation_below_variation(one_bump, space512, freq512, corpus512):
-    tg = default_t_grid(resolution_n512())
+    tg = default_t_grid(freq512)
     ok = True
     for m in (corpus512[6], corpus512[9]):
         fam = build_family(0.0, sample(m.fn, space512), tg, freq512)
@@ -259,7 +259,7 @@ def test_criterion_11_weight_criteria():
 def test_criterion_12_transference():
     res = resolution_n512()
     k_hi = int(np.floor(np.log2(res.freq_max())))
-    fam = dyadic_indicator_family(-9, k_hi)
+    fam = ThresholdSeq(2.0 ** np.arange(-9, k_hi + 2))
     r2 = transference_demo(fam, NormSpec(2.0, 0.0, -0.5), 3, res)
     gap = dict(r2.residuals_or_ratios)["max |fourier - hankel| orthogonal-norm gap"]
     r3 = transference_demo(fam, NormSpec(3.0, 0.0, -0.5), 2, res)

@@ -202,7 +202,7 @@ def test_prestini_majorant_zero_and_positive():
 def test_majorant_dominates_partial_sums():
     half = make_graded_grid(0.0, 3.0, 8, 32, 1.0)
     f = sample(bump(1.5, 1.2), half, HALF_LINE)
-    t_grid = ThresholdSeq.dyadic(-3, 4)
+    t_grid = ThresholdSeq(2.0 ** np.arange(-3, 5))
     sup = default_sup_grid(half, t_grid.values)
     for alpha in (-0.5, 0.5):
         fam = build_family(alpha, f, t_grid)

@@ -275,8 +275,11 @@ def test_non_utf8_config_exits_2_with_one_line(workdir, capsys):
     ["sweep", "--kind", "weighted-carleson", "--alpha", ","],
     ["range", "--predicate", "ap", "--p", "2", "--a", "0.5"],
     ["range", "--predicate", "transplant", "--p", "2", "--alpha", "-3"],
+    ["verify", "--seed", "-1", "--n-panels", "2"],
+    ["maximal", "--operator", "carleson-hunt", "--input", "f.csv", "--t-grid", "-1,2"],
 ], ids=["verify-alpha", "family-t-grid", "maximal-t-grid", "sweep-empty-alpha",
-        "range-a-without-b", "range-transplant-alpha-below-half"])
+        "range-a-without-b", "range-transplant-alpha-below-half", "verify-negative-seed",
+        "maximal-negative-t-grid"])
 def test_bad_values_exit_2_without_traceback(workdir, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -6,7 +6,8 @@ import pytest
 from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid, Resolution, SampledFn,
                        SupGrid, ThresholdSeq, bump, even_odd_split, gaussian, integrate,
                        make_breakpoint_grid, make_graded_grid, moment_cancelled_corpus,
-                       multiply_power, read_sampled_fn, sample, write_sampled_fn)
+                       multiply_power, random_band_modes, read_sampled_fn, sample,
+                       write_sampled_fn)
 from dunkl_osc.funcspace import _mapped_side, assemble_values
 
 
@@ -134,6 +135,15 @@ def test_gaussian_truncation():
     g = gaussian(0.0, 0.1)
     assert g(np.array([1.3]))[0] == 0.0
     assert g(np.array([0.0]))[0] == 1.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
+def test_random_band_modes_refuses_a_seed_outside_the_key_range(seed):
+    with pytest.raises(ArgumentError, match="seed"):
+        random_band_modes(seed)
+    # the ends of the range are keys
+    for ok in (0, 2 ** 128 - 1):
+        assert np.isfinite(random_band_modes(ok)(np.array([0.0, 0.1]))).all()
 
 
 def test_csv_roundtrip():

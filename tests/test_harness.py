@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -6,17 +9,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dunkl_osc import (ArgumentError, MultiplierFamily, NormSpec, PartialSumFamily,
-                       Resolution, build_family, bump, classical_ops, conjectured_measure_ap_check,
-                       dyadic_indicator_family, interval_indicator_family, oscillation_ratio_sweep,
+from dunkl_osc import (ArgumentError, NormSpec, PartialSumFamily, Resolution, ThresholdSeq,
+                       build_family, bump, classical_ops, conjectured_measure_ap_check,
+                       default_t_grid, dyadic_partition, oscillation_ratio_sweep,
                        prestini_constant_sweep, resolution_n512, run_identity_suite, sample,
-                       dyadic_partition, transference_demo, transforms,
-                       w_ab_weight, weighted_carleson_sweep,
+                       transference_demo, transforms, w_ab_weight, weighted_carleson_sweep,
                        write_reports_jsonl, write_summary_csv)
 from dunkl_osc import cli, harness
 from dunkl_osc.cli import _t_grid_for
 from dunkl_osc.funcspace import CorpusMember, SampledFn
-from dunkl_osc.harness import IDENTITIES, _gate_members, _sweep_corpus, default_t_grid
+from dunkl_osc.harness import IDENTITIES, _gate_members, _sweep_corpus
 from conftest import assert_pinned
 
 
@@ -154,6 +156,27 @@ def test_oscillation_sweep_groups_members_and_ignores_threads(monkeypatch, kind)
     assert_pinned(kind, runs[0])
 
 
+@pytest.mark.skipif(harness._openblas_threads() is None,
+                    reason="needs the OpenBLAS bundled in the numpy wheel")
+def test_pins_hold_under_another_blas_kernel():
+    # the identity and sweep pins of the tests above, each run once in a fresh
+    # process on OpenBLAS's SandyBridge kernels instead of the dispatched ones
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    code = ("from conftest import assert_pinned\n"
+            "from test_harness import SWEEP_RUNS\n"
+            "from dunkl_osc import Resolution, run_identity_suite\n"
+            "assert_pinned('identities', run_identity_suite(Resolution(6, 32, 3.0), seed=3,\n"
+            "                                               alphas=(-0.5, 0.0)))\n"
+            "for kind, (run, _, _) in SWEEP_RUNS.items():\n"
+            "    assert_pinned(kind, run(1))\n")
+    env = dict(os.environ, OPENBLAS_CORETYPE="SandyBridge",
+               PYTHONPATH=os.pathsep.join([src, here]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
 def test_stable_is_the_closed_factor_two_test():
     assert harness._stable(1.0, 0.5) and harness._stable(1.0, 2.0)
     assert harness._stable(np.array([1.0, 4.0]), np.array([2.0, 2.0]))
@@ -170,7 +193,7 @@ def test_grouped_families_respect_the_width_and_member_order(monkeypatch, width,
     members = [sample(bump(c, 1.0 + 0.1 * i), space) for i, c in enumerate(
         (-0.4, -0.2, 0.0, 0.1, 0.3))]
     stack = members[0].with_values(np.stack([m.values for m in members]))
-    tg = default_t_grid(res512)
+    tg = default_t_grid(freq)
     groups = []
 
     def recording_build(order, f, *args):
@@ -187,39 +210,53 @@ def test_grouped_families_respect_the_width_and_member_order(monkeypatch, width,
         assert np.max(np.abs(row - one)) <= 1e-14 * np.max(np.abs(one))
 
 
-def test_multiplier_family_validation():
+def test_transference_edges_and_labels(monkeypatch):
+    spec = NormSpec(2.0, 0.0, -0.5)
+    # one edge is no interval
     with pytest.raises(ArgumentError):
-        MultiplierFamily([], [])
-    fam = MultiplierFamily(["big"], [lambda u: 2.0 * np.ones_like(u)])
-    with pytest.raises(ArgumentError):
-        fam.evaluate(0, np.array([1.0]))
-    with pytest.raises(ArgumentError):
-        interval_indicator_family([(2.0, 1.0)])
-    dy = dyadic_indicator_family(-2, 2)
-    assert dy.labels == ["1_[0.25,0.5)", "1_[0.5,1)", "1_[1,2)", "1_[2,4)", "1_[4,8)"]
-    vals = dy.evaluate(1, np.array([0.4, 0.6]))
-    assert vals.tolist() == [0.0, 1.0]
+        transference_demo(ThresholdSeq(np.array([1.0])), spec, 1)
+    rows, square_function = [], harness._square_function
+
+    def recording(mult, spec_f, inverse):
+        rows.append((mult, np.abs(spec_f.grid.points)))
+        return square_function(mult, spec_f, inverse)
+
+    monkeypatch.setattr(harness, "_square_function", recording)
+    r = transference_demo(ThresholdSeq(2.0 ** np.arange(-2, 4)), spec, 1, Resolution(2, 8, 3.0))
+    assert r.inputs["members"] == ["1_[0.25,0.5)", "1_[0.5,1)", "1_[1,2)", "1_[2,4)", "1_[4,8)"]
+    # row k is 1 exactly on the nodes of [e_k, e_{k+1}), and the rows are disjoint
+    assert len(rows) == 4   # two sides, two profiles
+    for mult, xi in rows:
+        assert mult.shape == (5, xi.size)
+        assert np.array_equal(mult[1], ((xi >= 0.5) & (xi < 1.0)).astype(float))
+        assert np.array_equal(mult.sum(axis=0), ((xi >= 0.25) & (xi < 8.0)).astype(float))
 
 
 def test_transference_identity_multiplier():
-    one = MultiplierFamily(["unit"], [lambda u: np.ones_like(np.asarray(u, float))])
-    r = transference_demo(one, NormSpec(2.0, 0.0, -0.5), 1, resolution_n512())
+    # one interval that covers every node of both profiles
+    res = resolution_n512()
+    one = ThresholdSeq(np.array([2.0 ** -30, 2.0 ** 30]))
+    for r in (res, res.refined()):
+        xi = np.abs(r.freq_grid().points)
+        assert np.all((xi >= one.values[0]) & (xi < one.values[1]))
+    r = transference_demo(one, NormSpec(2.0, 0.0, -0.5), 1, res)
     ratios = [v for (k, v) in r.residuals_or_ratios if k.startswith("fourier-side")]
     assert all(abs(v - 1.0) < 1e-9 for v in ratios)
 
 
 @pytest.mark.parametrize("res", [Resolution(2, 8, 3.0), resolution_n512(), Resolution(24, 32, 3.0)])
 def test_dyadic_partition_covers_both_profiles_once(res):
-    fam = dyadic_partition(res)
+    edges = dyadic_partition(res).values
+    assert np.all(np.frexp(edges)[0] == 0.5) and np.array_equal(edges[1:], 2.0 * edges[:-1])
     for r in (res, res.refined()):
         xi = r.half_freq_grid().points
         xi = xi[xi > 0.0]
-        hits = np.sum([fam.evaluate(k, xi) for k in range(len(fam))], axis=0)
+        hits = np.sum((xi >= edges[:-1, None]) & (xi < edges[1:, None]), axis=0)
         assert np.array_equal(hits, np.ones_like(xi))
 
 
 def test_transference_hypothesis_guard():
-    fam = dyadic_indicator_family(-2, 2)
+    fam = ThresholdSeq(2.0 ** np.arange(-2, 4))
     with pytest.raises(ArgumentError):
         transference_demo(fam, NormSpec(2.0, 1.5, -0.5), 2)
 
@@ -270,17 +307,20 @@ def test_reports_are_strict_json():
                                                               reps[1].residuals_or_ratios]
 
 
-def test_default_t_grid_dilation_closure():
+def test_default_t_grid_dilation_closure(monkeypatch):
     res = resolution_n512()
-    tg = default_t_grid(res)
+    tg = default_t_grid(res.freq_grid())
     assert tg.values[-1] <= 0.45 * res.freq_max() * (1 + 1e-12)
     # lambda in {1/2, 2} keeps the scaled grid inside the band
     assert 2.0 * tg.values[-1] <= 0.98 * res.freq_max()
     m, _ = np.frexp(tg.values)
     assert np.any(m == 0.5)  # dyadic points present
-    # the CLI derives the same grid from the profile's space grid
+    # the CLI's default is the same function of the input grid's frequency grid
     f = sample(bump(0.3, 1.4), res.space_grid())
+    seen = []
+    monkeypatch.setattr(cli, "default_t_grid", lambda g: seen.append(g) or default_t_grid(g))
     cli_tg = _t_grid_for(SimpleNamespace(t_grid=None), f)
+    assert [g.key for g in seen] == [transforms.frequency_grid(f.grid).key]
     assert np.array_equal(cli_tg.values, tg.values)
 
 
@@ -376,7 +416,7 @@ def test_transference_takes_each_spectrum_once(monkeypatch):
         real = getattr(transforms, name)
         monkeypatch.setattr(transforms, name,
                             lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
-    fam = dyadic_indicator_family(-2, 4)
+    fam = ThresholdSeq(2.0 ** np.arange(-2, 6))
     per_p = {}
     for p in (2.0, 3.0):
         calls.clear()
@@ -389,7 +429,7 @@ def test_transference_takes_each_spectrum_once(monkeypatch):
 def test_transference_high_dimension():
     # the radial side at n = 30 is the Hankel transform of order 14
     res = resolution_n512()
-    fam = dyadic_indicator_family(-9, int(np.floor(np.log2(res.freq_max()))))
+    fam = ThresholdSeq(2.0 ** np.arange(-9, int(np.floor(np.log2(res.freq_max()))) + 2))
     r = transference_demo(fam, NormSpec(2.0, 0.0, -0.5), 30, res)
     ratios = dict(r.residuals_or_ratios)
     assert all(np.isfinite(v) for v in ratios.values())

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError,
-                       ThresholdSeq, build_family, bump, dunkl, dunkl_inverse,
+from dunkl_osc import (HALF_LINE, ArgumentError, Grid, Resolution, ResolutionError,
+                       ThresholdSeq, build_family, bump, default_t_grid, dunkl, dunkl_inverse,
                        dunkl_partial_sum, dunkl_partial_sum_iterated,
                        even_odd_split, family_to_csv, fourier_partial_sum,
                        gaussian, hankel_partial_sum, make_breakpoint_grid,
@@ -19,9 +19,30 @@ def test_threshold_seq_validation():
         ThresholdSeq(np.array([1.0, 1.0]))
     with pytest.raises(ArgumentError):
         ThresholdSeq(np.array([-1.0, 2.0]))
-    dy = ThresholdSeq.dyadic(-3, 5)
-    assert dy.is_dyadic and len(dy) == 9
-    assert not ThresholdSeq(np.array([1.0, 3.0])).is_dyadic
+    dy = ThresholdSeq.octaves(2.0 ** -3, 2.0 ** 5)
+    assert np.all(np.frexp(dy.values)[0] == 0.5) and len(dy) == 9
+    halves = ThresholdSeq.octaves(1.0, 3.0, 2)
+    assert not np.all(np.frexp(halves.values)[0] == 0.5) and len(halves) == 4
+    # a range holding no ladder point gives no sequence
+    with pytest.raises(ArgumentError):
+        ThresholdSeq.octaves(3.0, 3.5)
+
+
+@pytest.mark.parametrize("res", [Resolution(2, 8, 3.0), Resolution(8), Resolution(16),
+                                 Resolution(24)], ids=lambda r: f"N{r.n_line}")
+def test_octaves_reproduce_the_inline_ladders(res):
+    """ThresholdSeq.octaves gives, bit for bit, the octave eighths of the
+    band, the dyadic ladders 2^-4 ... 0.45 and 0.9 of the band and the
+    default sup-grid frequencies, as the inline formulas wrote them."""
+    band = res.freq_max()
+    eighths = 2.0 ** (np.arange(int(np.ceil(8.0 * np.log2(band / 2.0 ** 10))),
+                                int(np.floor(8.0 * np.log2(0.45 * band))) + 1) / 8.0)
+    assert default_t_grid(res.freq_grid()).values.tobytes() == eighths.tobytes()
+    for frac in (0.45, 0.9):
+        dyadic = 2.0 ** np.arange(-4, int(np.floor(np.log2(frac * band))) + 1)
+        assert ThresholdSeq.octaves(2.0 ** -4, frac * band).values.tobytes() == dyadic.tobytes()
+    sup = ThresholdSeq.octaves(2.0 ** -4, 2.0 ** 7).values
+    assert sup.tobytes() == (2.0 ** np.arange(-4, 8)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -230,8 +251,7 @@ def test_radial_projection_property(space512, freq512):
 
 
 def test_family_shape_and_consistency(space512, freq512, one_bump):
-    tg = ThresholdSeq.union(ThresholdSeq.geometric(0.06, 20.0, 40),
-                            ThresholdSeq.dyadic(-4, 4))
+    tg = ThresholdSeq(np.union1d(np.geomspace(0.06, 20.0, 40), 2.0 ** np.arange(-4, 5)))
     fam = build_family(0.0, one_bump, tg, freq512)
     assert fam.values.shape == (len(tg), space512.n)
     i = 17
@@ -281,8 +301,7 @@ def test_stacked_family_equals_member_families(kind, members, res512, space512, 
     full = stack_of(corpus512[1:1 + members], space512)
     f, freq = (full, freq512) if kind == "dunkl" else (even_odd_split(full)[0],
                                                        freq512.positive_half())
-    tg = ThresholdSeq.union(ThresholdSeq.octave_eighths(res512.freq_max()),
-                            ThresholdSeq.dyadic(-4, 4))
+    tg = ThresholdSeq(np.union1d(default_t_grid(freq512).values, 2.0 ** np.arange(-4, 5)))
     fam = build_family(1.0, f, tg, freq)
     assert fam.values.shape == (members, len(tg), f.grid.n)
     assert fam.max_abs().values.shape == (members, f.grid.n)

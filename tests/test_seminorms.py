@@ -191,11 +191,11 @@ def test_repeated_rows_give_the_full_dp_bitwise(grid, runs, signed_zero):
             assert np.all(np.abs(g - brute) <= 1e-14 * brute)
 
 
-def test_member_repeats_and_dp_step_count(res512, space512, freq512, corpus512, monkeypatch):
+def test_member_repeats_and_dp_step_count(space512, freq512, corpus512, monkeypatch):
     # member 1's spectrum vanishes on the band (t_20, t_40], so its S_t f is
     # constant there: alone it drops more rows than the stack, and the rows
     # of the stacked seminorms still equal the lone calls and the full DP
-    tg = default_t_grid(res512)
+    tg = default_t_grid(freq512)
     stack = stack_of(corpus512[:2], space512)
     vals = build_family(0.0, stack, tg, freq512).values.copy()
     vals[1, 21:41] = vals[1, 20]
@@ -233,22 +233,21 @@ def _run_table_max_oscillation(family):
     return np.sqrt(best[-1])
 
 
-def test_max_oscillation_needs_no_run_table(grid, res512, space512, freq512, corpus512):
+def test_max_oscillation_needs_no_run_table(grid, space512, freq512, corpus512):
     # cutting a block just after its arg-sup never lowers the sum, so the DP
     # over |a_{k-1} - a_i|^2 alone reaches the same floats
     rng = np.random.Generator(np.random.Philox(key=11))
     fams = [synthetic_family(list(rng.standard_normal((T, grid.n))
                                   + 1j * rng.standard_normal((T, grid.n))), grid)
             for T in (2, 5, 40)]
-    fams += [build_family(a, sample(m.fn, space512), default_t_grid(res512), freq512)
+    fams += [build_family(a, sample(m.fn, space512), default_t_grid(freq512), freq512)
              for a in (0.0, 1.0) for m in corpus512[:3]]
     for fam in fams:
         assert np.array_equal(max_oscillation(fam).values.real, _run_table_max_oscillation(fam))
 
 
 def test_max_oscillation_between_fixed_and_variation(space512, freq512, one_bump):
-    tg = ThresholdSeq.union(ThresholdSeq.geometric(0.1, 20.0, 24),
-                            ThresholdSeq.dyadic(-3, 4))
+    tg = ThresholdSeq(np.union1d(np.geomspace(0.1, 20.0, 24), 2.0 ** np.arange(-3, 5)))
     fam = build_family(0.0, one_bump, tg, freq512)
     full = max_oscillation(fam).values.real
     # dominates fixed sequences: sparse, a single block, every other threshold
@@ -261,7 +260,7 @@ def test_max_oscillation_between_fixed_and_variation(space512, freq512, one_bump
 
 @pytest.fixture(scope="module")
 def family_and_v2(freq512, one_bump):
-    fam = build_family(0.5, one_bump, ThresholdSeq.geometric(0.1, 20.0, 32), freq512)
+    fam = build_family(0.5, one_bump, ThresholdSeq(np.geomspace(0.1, 20.0, 32)), freq512)
     return fam, variation(fam, 2.0).values.real
 
 
@@ -275,8 +274,7 @@ def test_oscillation_bounded_by_variation(family_and_v2, pick):
 
 def test_carleson_max_operators(space512, freq512, corpus512):
     f = sample(corpus512[1].fn, space512)
-    tg = ThresholdSeq.union(ThresholdSeq.geometric(0.1, 50.0, 32),
-                            ThresholdSeq.dyadic(-3, 5))
+    tg = ThresholdSeq(np.union1d(np.geomspace(0.1, 50.0, 32), 2.0 ** np.arange(-3, 6)))
     fam = build_family(0.5, f, tg, freq512)
     cd = fam.max_abs()
     for i in (0, 10, 20):
@@ -296,7 +294,7 @@ def test_carleson_max_operators(space512, freq512, corpus512):
 
 def test_zero_function_all_zero(space512, freq512):
     z = sample(lambda x: np.zeros_like(np.asarray(x, float)), space512)
-    tg = ThresholdSeq.dyadic(-2, 3)
+    tg = ThresholdSeq(2.0 ** np.arange(-2, 4))
     fam = build_family(0.0, z, tg, freq512)
     assert np.max(max_oscillation(fam).values.real) == 0.0
     assert np.max(variation(fam, 2.0).values.real) == 0.0
@@ -304,11 +302,11 @@ def test_zero_function_all_zero(space512, freq512):
 
 
 
-def test_stacked_seminorms_equal_the_row_calls(res512, space512, freq512, corpus512):
+def test_stacked_seminorms_equal_the_row_calls(space512, freq512, corpus512):
     # a (B, T, N) family reduces along its t axis: each row of a stacked
     # max_oscillation, oscillation and variation is the lone call's, bit for bit
     stack = stack_of(corpus512[:3], space512)
-    tg = default_t_grid(res512)
+    tg = default_t_grid(freq512)
     fam = build_family(1.0, stack, tg, freq512)
     cuts = ThresholdSeq(tg.values[[0, 7, 30, 52, len(tg) - 1]])
     stacked = [max_oscillation(fam), oscillation(fam, cuts), variation(fam, 2.0),
