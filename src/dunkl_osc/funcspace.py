@@ -331,7 +331,8 @@ def random_band_modes(seed: int, center: float = 0.0, sigma: float = 0.24,
 
 
 def sample(fn: Callable, grid: Grid, domain_tag: str = FULL_LINE) -> SampledFn:
-    return SampledFn(grid, np.asarray(fn(grid.points), dtype=complex), domain_tag)
+    """fn at the grid's nodes, as float64 values unless fn returns complex ones."""
+    return SampledFn(grid, fn(grid.points), domain_tag)
 
 
 @dataclass(frozen=True)
@@ -345,7 +346,7 @@ class CorpusMember:
 def _combine(label, parts):
     def fn(x, _parts=tuple(parts)):
         x = np.asarray(x, dtype=float)
-        acc = np.zeros(x.shape, dtype=complex)
+        acc = np.zeros(x.shape, dtype=np.result_type(*(c for c, _ in _parts)))
         for c, g in _parts:
             acc = acc + c * g(x)
         return acc

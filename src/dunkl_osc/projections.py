@@ -6,7 +6,8 @@ distinct masks (cut list i masks by the product of its cuts' masks), and
 makes one inverse GEMM per parity: the full-line Dunkl spectrum is cut
 through the half-line spectra E = Hk_a f_e and O = Hk_{a+1}(f_o/y) of the
 even and odd parts, and the U rows are reassembled by parity before they
-are copied to the T cut lists; a (..., N) stack gives (..., T, N) rows.
+are copied to the T cut lists; a (..., N) stack gives C-ordered
+(..., T, N) rows of its dtype (a float64 f has real spectra and rows).
 build_family passes one cut per row, a partial sum is a one-row family and
 an iterated sum one row of multiplied masks; equal masks share one computed
 row, so P_s P_t = P_min holds exactly.  A cut keeps the frequency nodes at
@@ -137,12 +138,12 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
     for a, mat, spec in zip(orders, mats, specs):
         wt = half_freq.weights * half_freq.points ** (2.0 * a + 1.0)
         cut = masks * (wt * spec.values)[..., None, :]
-        rows.append(transforms._apply_real(mat, cut.T).T)
+        rows.append(transforms._apply_real(mat, cut))
     if want == HALF_LINE:
-        return rows[0][..., row_of, :]
+        return np.take(rows[0], row_of, axis=-2)
     even, odd = rows
     odd *= out_grid.points                         # in place: one (U, N/2) buffer fewer
-    return assemble_values(even, odd)[..., row_of, :]
+    return np.take(assemble_values(even, odd), row_of, axis=-2)
 
 
 def dunkl_partial_sum(order: float, f: SampledFn, t: float,

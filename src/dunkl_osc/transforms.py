@@ -13,9 +13,10 @@ halves on the nodes >= 0 of a symmetric axis and applied to the even and
 odd folds of the data.  When the two node sets are proportional (a
 frequency half-grid is a scaled copy of its space half-grid) a kernel is
 evaluated on one triangle and mirrored (_outer_kernel).  Every kernel is
-real and the data complex; it is applied in real arithmetic (_apply_real),
-with the real and imaginary parts of the data as GEMM columns, so no
-cached kernel is upcast to a complex copy.  Every
+real and is applied in real arithmetic (_apply_real), so no cached kernel
+is upcast to a complex copy, and the data's dtype carries through: hankel
+and hankel_modified of a float64 f are float64, while fourier and the
+Dunkl transforms, which multiply by +-i, are complex128.  Every
 full-line transform reuses the cached half-line kernels: the direct Dunkl
 route sums the four (sign x, sign y) quadrants instead of building a
 full-line kernel.  An oscillatory resolution guard refuses output
@@ -128,18 +129,22 @@ def frequency_grid(space_grid: Grid, freq_max: float | None = None,
 
 
 def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat @ v for a real matrix and a vector or (n, ...) stack v (a (..., n)
-    stack of functions goes as _apply_real(mat, v.T).T), without upcasting
-    mat: v is viewed as interleaved real columns, so one real GEMM yields
-    the real and imaginary parts together.  A (k, r, n) stack of matrices
-    takes a (k, n, ...) v and applies mat[i] to v[i], in one batched call.
-    The GEMM runs in row form, (w.T @ mat.T).T, which streams the stored
-    kernel row by row whether mat is the stored array or its transposed view."""
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    b = mat.ndim - 2   # the leading stack axes of mat, matched by v's
-    w = v.reshape(v.shape[:b + 1] + (-1,)).view(np.float64)
-    out = np.ascontiguousarray((w.swapaxes(-1, -2) @ mat.swapaxes(-1, -2)).swapaxes(-1, -2))
-    return out.view(np.complex128).reshape(mat.shape[:-1] + v.shape[b + 1:])
+    """mat applied along the last axis of a (..., n) stack v, for a real
+    (r, n) matrix, without upcasting mat: the C-ordered (..., r) result keeps
+    v's dtype.  v's functions are the columns of one real GEMM: a float64 v
+    as they are, a complex v viewed as interleaved real and imaginary
+    columns.  A (k, r, n) stack of matrices takes a (k, ..., n) v and
+    applies mat[i] to v[i], in one batched call.  The GEMM runs in row form,
+    (w.T @ mat.T), which streams the stored kernel row by row whether mat is
+    the stored array or its transposed view."""
+    b, r, cplx = mat.ndim - 2, mat.shape[-2], np.iscomplexobj(v)
+    w = np.ascontiguousarray(np.moveaxis(v, -1, b), dtype=np.complex128 if cplx else np.float64)
+    w = w.reshape(w.shape[:b + 1] + (-1,))
+    out = (w.view(np.float64) if cplx else w).swapaxes(-1, -2) @ mat.swapaxes(-1, -2)
+    if cplx:   # (k, 2M, r) rows re, im -> (k, M, r) complex
+        out = np.ascontiguousarray(out.reshape(w.shape[:b] + (-1, 2, r)).swapaxes(-1, -2))
+        out = out.view(np.complex128)
+    return out.reshape(v.shape[:-1] + (r,))
 
 
 def _outer_kernel(r: np.ndarray, c: np.ndarray, *fns) -> np.ndarray:
@@ -214,11 +219,11 @@ def fourier(f: SampledFn, output_grid: Grid) -> SampledFn:
 
     halves = _cached(("fourier", output_grid.key, f.grid.key), build)
     v = f.grid.weights * f.values
-    eo = np.stack([v[..., k:].T] * 2)   # (2, q, ...): e, o
-    neg = v[..., :k][..., ::-1].T
-    eo[0, q - k:] += neg
-    eo[1, q - k:] -= neg
-    ce, so = (a.T for a in _apply_real(halves.reshape(2, p, q), eo))
+    eo = np.stack([v[..., k:]] * 2)   # (2, ..., q): e, o
+    neg = v[..., :k][..., ::-1]
+    eo[0, ..., q - k:] += neg
+    eo[1, ..., q - k:] -= neg
+    ce, so = _apply_real(halves.reshape(2, p, q), eo)
     vals = np.concatenate([(ce + 1j * so)[..., p - m:][..., ::-1], ce - 1j * so], axis=-1)
     return SampledFn(output_grid, vals, FULL_LINE)
 
@@ -238,7 +243,7 @@ def hankel(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
     mat = _j_matrix(alpha, output_grid, f.grid)
     y = f.grid.points
-    out = _apply_real(mat, (f.grid.weights * y ** (2.0 * alpha + 1.0) * f.values).T).T
+    out = _apply_real(mat, f.grid.weights * y ** (2.0 * alpha + 1.0) * f.values)
     return SampledFn(output_grid, out, HALF_LINE)
 
 
@@ -253,7 +258,7 @@ def hankel_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     y = f.grid.points
     x = output_grid.points
     v = f.grid.weights * y ** (alpha + 0.5) * f.values
-    out = x ** (alpha + 0.5) * _apply_real(mat, v.T).T
+    out = x ** (alpha + 0.5) * _apply_real(mat, v)
     return SampledFn(output_grid, out, HALF_LINE)
 
 
@@ -296,8 +301,8 @@ def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposi
         m = f.grid.n // 2
         v = f.grid.weights * np.abs(f.grid.points) ** (2.0 * alpha + 1.0) * f.values
         quad = np.stack([v[..., m:], v[..., m - 1::-1]], axis=-2)   # y > 0, mirrored y < 0
-        a = _apply_real(ja, quad.T).T
-        b = _apply_real(jb, (half_in.points * quad).T).T
+        a = _apply_real(ja, quad)
+        b = _apply_real(jb, half_in.points * quad)
         even = 0.5 * (a[..., 0, :] + a[..., 1, :])
         odd = 0.5 * half_out.points * (b[..., 0, :] - b[..., 1, :])
         return SampledFn(output_grid, assemble_values(even, -1j * odd), FULL_LINE)

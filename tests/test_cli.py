@@ -361,3 +361,13 @@ def _table_argv(table, key):
 def test_every_table_key_runs(workdir, table, key):
     assert main(_table_argv(table, key) + ["--output", "o.out"]) == 0
     assert os.path.exists("o.out")
+
+
+def test_var_refuses_r_beyond_its_bound(workdir):
+    for r in ("1001", "inf", "nan"):
+        assert main(["var", "--alpha", "0", "--r", r, "--input", "f.csv",
+                     "--output", "v.csv"]) == 2
+    assert not os.path.exists("v.csv")
+    assert main(["var", "--alpha", "0", "--r", "1000", "--input", "f.csv",
+                 "--output", "v.csv"]) == 0
+    assert np.max(np.abs(read_sampled_fn("v.csv").values)) > 0.0

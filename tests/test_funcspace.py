@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid, Resolution, SampledFn,
-                       SupGrid, ThresholdSeq, bump, even_odd_split, gaussian, integrate,
+                       SupGrid, ThresholdSeq, away_from_zero_corpus, bump, default_corpus,
+                       even_odd_split, gaussian, half_line_corpus, integrate,
                        make_breakpoint_grid, make_graded_grid, moment_cancelled_corpus,
                        multiply_power, random_band_modes, read_sampled_fn, sample,
-                       write_sampled_fn)
+                       smooth_corpus, write_sampled_fn)
 from dunkl_osc.funcspace import _mapped_side, assemble_values
 
 
@@ -352,3 +353,15 @@ def test_sampled_fn_sum_and_difference_need_one_grid():
     for op in (f.__add__, f.__sub__):
         with pytest.raises(ArgumentError):
             op(sample(np.cos, wide))
+
+
+def test_sampling_keeps_real_members_real():
+    # float64 unless the function returns complex values; a corpus member
+    # accumulates in its coefficients' dtype, so only "complex mix" is complex
+    g = make_graded_grid(-3.0, 3.0, 2, 8)
+    assert sample(bump(0.3, 1.4), g).values.dtype == np.float64
+    assert sample(lambda x: np.exp(1j * x), g).values.dtype == np.complex128
+    real = default_corpus(7) + smooth_corpus(7) + half_line_corpus(7)
+    for m in real + away_from_zero_corpus(7):
+        want = np.complex128 if m.label == "complex mix" else np.float64
+        assert m.fn(g.points).dtype == sample(m.fn, g).values.dtype == want, m.label

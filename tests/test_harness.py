@@ -9,9 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dunkl_osc import (ArgumentError, NormSpec, PartialSumFamily, Resolution, ThresholdSeq,
-                       build_family, bump, classical_ops, conjectured_measure_ap_check,
-                       default_t_grid, dyadic_partition, oscillation_ratio_sweep,
+from dunkl_osc import (FULL_LINE, ArgumentError, NormSpec, PartialSumFamily, Resolution,
+                       ThresholdSeq, build_family, bump, classical_ops,
+                       conjectured_measure_ap_check, default_t_grid, dyadic_partition,
+                       max_oscillation, oscillation_ratio_sweep,
                        prestini_constant_sweep, resolution_n512, run_identity_suite, sample,
                        transference_demo, transforms, w_ab_weight, weighted_carleson_sweep,
                        write_reports_jsonl, write_summary_csv)
@@ -504,3 +505,16 @@ def test_bundled_openblas_symbols_are_found():
     if blas.get("name") != "scipy-openblas":
         pytest.skip(f"numpy is built against {blas.get('name')!r}")
     assert harness._openblas_threads() is not None
+
+
+def test_the_sweep_hot_path_stays_real():
+    # the sweep corpus is real, so its stack, families, grouped seminorms and
+    # maxima are float64: a stray complex cast would double the DP's work
+    res = resolution_n512()
+    space, freq = res.space_grid(), res.freq_grid()
+    stack = harness._sampled([m.fn for m in _sweep_corpus(7)], space, FULL_LINE)
+    tg = default_t_grid(freq)
+    fam = build_family(0.0, stack, tg, freq)
+    osc = harness._grouped_families(max_oscillation, 1024, 0.0, stack, tg, freq)
+    for values in (stack.values, fam.values, osc.values, fam.max_abs().values):
+        assert values.dtype == np.float64

@@ -341,3 +341,32 @@ def test_cut_rows_stack_equals_one_list_calls(kind, space512, freq512, corpus512
             one = _cut_rows(0.0, single, [ts], freq, kind)[0]
             assert np.max(np.abs(rows[b, i] - one)) <= 1e-14 * np.max(np.abs(one))
     assert np.array_equal(rows[:, 1], rows[:, 3]) and np.array_equal(rows[:, 1], rows[:, 5])
+
+
+@pytest.mark.parametrize("kind", ["dunkl", "hankel"])
+@pytest.mark.parametrize("members", [1, 2])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_families_are_c_ordered_in_their_input_dtype(kind, members, dtype, space512, freq512,
+                                                     corpus512):
+    full = stack_of(corpus512[:members], space512)
+    full = full.with_values(full.values.astype(dtype))
+    f, freq = (full, freq512) if kind == "dunkl" else (even_odd_split(full)[0],
+                                                       freq512.positive_half())
+    fam = build_family(0.0, f, default_t_grid(freq512), freq)
+    assert fam.values.flags.c_contiguous and fam.values.dtype == np.dtype(dtype)
+    assert fam.max_abs().values.dtype == np.float64
+
+
+def test_a_complex_member_makes_the_family_complex(space512, freq512, corpus512):
+    # a stack with one complex member gives complex rows, each member's rows
+    # equal to its lone family to 1e-14 of max|S_t f|
+    members = [sample(m.fn, space512).values for m in corpus512[:2]]
+    members.append(members[0] + 0.5j * members[1])
+    stack = stack_of(corpus512[:1], space512).with_values(np.stack(members))
+    tg = default_t_grid(freq512)
+    fam = build_family(1.0, stack, tg, freq512)
+    assert fam.values.dtype == np.complex128 and fam.values.flags.c_contiguous
+    for b in range(3):
+        one = build_family(1.0, stack.with_values(members[b]), tg, freq512)
+        assert one.values.dtype == (np.complex128 if b == 2 else np.float64)
+        assert np.max(np.abs(fam.values[b] - one.values)) <= 1e-14 * np.max(np.abs(one.values))

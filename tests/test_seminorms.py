@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from dunkl_osc import (ArgumentError, PartialSumFamily,
                        ThresholdSeq, build_family, default_t_grid,
                        even_odd_split, make_graded_grid, max_oscillation,
-                       oscillation, sample, variation)
+                       oscillation, resolution_n512, sample, variation)
 from dunkl_osc import seminorms
+from dunkl_osc.harness import _sweep_corpus
 from dunkl_osc.seminorms import _run_ends
 from conftest import stack_of
 
@@ -129,10 +130,11 @@ def test_variation_matches_brute_force(grid, r):
     assert np.max(np.abs(variation(fam, r).values - brute) / brute) <= 1e-14
 
 
-def _full_chain_sup(vals, lag, power):
+def _full_chain_sup(vals, lag, power, scale=1.0):
     """The chain DP over all T rows of vals, as it ran before run-interior
-    rows were dropped: best[k] = max over i < k of best[i] + |a_i - a_{k-lag}|^(2 power)."""
-    parts, best = np.stack([vals.real, vals.imag]), np.zeros(vals.shape)
+    rows were dropped: best[k] = max over i < k of best[i] + |a_i - a_{k-lag}|^(2 power),
+    with the parts of vals divided by scale."""
+    parts, best = np.stack([vals.real, vals.imag]) / scale, np.zeros(vals.shape)
     scratch = np.empty(parts.shape)
     for k in range(1, vals.shape[-2]):
         gap = np.square(np.subtract(parts[..., :k, :], parts[..., k - lag, None, :],
@@ -144,10 +146,19 @@ def _full_chain_sup(vals, lag, power):
     return best[..., -1, :]
 
 
+def _full_variation(vals, r):
+    """V^r from the full-T DP, with variation's column scaling for r != 2."""
+    if r == 2.0:
+        return _full_chain_sup(vals, 0, 1.0) ** 0.5
+    s = 2.0 * np.max(np.abs(vals - vals[..., :1, :]), axis=-2)
+    s[s == 0.0] = 1.0
+    return s * _full_chain_sup(vals, 0, r / 2.0, s[..., None, :]) ** (1.0 / r)
+
+
 def _full_row_seminorms(vals):
     """max_oscillation and V^r, r = 1, 2, 3, from the full-T DP."""
     return [np.sqrt(_full_chain_sup(vals, 1, 1.0))] + [
-        _full_chain_sup(vals, 0, r / 2.0) ** (1.0 / r) for r in (1.0, 2.0, 3.0)]
+        _full_variation(vals, r) for r in (1.0, 2.0, 3.0)]
 
 
 def _row_seminorms(fam):
@@ -318,3 +329,54 @@ def test_stacked_seminorms_equal_the_row_calls(space512, freq512, corpus512):
         for s, one in zip(stacked, lone):
             assert s.values.shape == (3, stack.grid.n)
             assert np.array_equal(s.values[b], one.values)
+
+
+def test_real_family_seminorms_equal_their_complex_cast_bitwise(space512, freq512, corpus512):
+    # a float64 family sums one part per squared gap, its complex128 cast two,
+    # the second exactly +0.0: every seminorm gives the same bits
+    stack = stack_of(corpus512[:2], space512)
+    tg = default_t_grid(freq512)
+    fam = build_family(0.0, stack, tg, freq512)
+    cast = PartialSumFamily(stack, tg, fam.values.astype(complex))
+    assert fam.values.dtype == np.float64
+    cuts = ThresholdSeq(tg.values[[0, 7, 30, 52, len(tg) - 1]])
+    for op in (max_oscillation, lambda f: oscillation(f, cuts), lambda f: variation(f, 2.0),
+               lambda f: variation(f, 3.0), PartialSumFamily.max_abs):
+        real, cplx = op(fam).values, op(cast).values
+        assert real.dtype == cplx.dtype == np.float64 and np.array_equal(real, cplx)
+
+
+@pytest.fixture(scope="module")
+def sweep_member_family():
+    """The family of one sweep member at N=512, alpha = 0, on the default t-grid."""
+    res = resolution_n512()
+    space, freq = res.space_grid(), res.freq_grid()
+    f = sample(_sweep_corpus(7)[0].fn, space)
+    return build_family(0.0, f, default_t_grid(freq), freq)
+
+
+@pytest.mark.parametrize("r", [3.0, 40.0, 300.0, 1000.0])
+def test_variation_lies_between_the_largest_gap_and_its_chain_bound(sweep_member_family, r):
+    # a two-row selection gives V^r >= max_{i<j} |a_j - a_i|, and at most T - 1
+    # steps give V^r <= (T - 1)^{1/r} times it: no r-th power under- or overflows
+    vals = sweep_member_family.values
+    gap = np.max(np.abs(vals[:, None, :] - vals[None, :, :]), axis=(0, 1))
+    v = variation(sweep_member_family, r).values
+    assert np.all(gap > 0.0)
+    assert np.all(v >= (1.0 - 1e-14) * gap)
+    assert np.all(v <= (1.0 + 1e-14) * (len(vals) - 1) ** (1.0 / r) * gap)
+
+
+@pytest.mark.parametrize("c", [1e12, 1e-12])
+@pytest.mark.parametrize("r", [3.0, 40.0, 1000.0])
+def test_variation_is_scale_covariant(sweep_member_family, c, r):
+    fam = sweep_member_family
+    scaled = PartialSumFamily(fam.base, fam.t_grid, c * fam.values)
+    want = c * variation(fam, r).values
+    assert np.max(np.abs(variation(scaled, r).values - want) / want) <= 2e-15
+
+
+@pytest.mark.parametrize("r", [np.inf, -np.inf, np.nan, 1000.5, 0.5])
+def test_variation_refuses_r_outside_its_range(grid, r):
+    with pytest.raises(ArgumentError, match="1 <= r <= 1000"):
+        variation(synthetic_family([0.0, 1.0, 0.0], grid), r)

@@ -197,17 +197,23 @@ def test_resolution_guard(space512):
 
 
 def test_apply_real_matches_upcast_product():
+    # mat acts along the last axis of v (a stack of k mats on the k leading
+    # slices of v); the C-ordered result keeps v's dtype
     rng = np.random.Generator(np.random.Philox(key=3))
     mat = rng.standard_normal((40, 30))
     vector = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    stack = (rng.standard_normal((7, 30)) + 1j * rng.standard_normal((7, 30))).T
+    stack = rng.standard_normal((7, 30)) + 1j * rng.standard_normal((7, 30))
     real = rng.standard_normal(30)
+    real_stack = rng.standard_normal((2, 5, 30))
     transposed = rng.standard_normal((30, 40)).T   # a kernel served as a view
-    for m in (mat, transposed):
-        for v in (vector, stack, real):
-            ref = m.astype(complex) @ v
+    for m in (mat, transposed, np.stack([mat, transposed])):
+        for v in (vector, stack, real, real_stack):
+            if m.ndim == 3:
+                v = np.stack([v, 2.0 * v])
+            ref = np.stack([vi @ mi.astype(complex).T for mi, vi in zip(m, v)]) \
+                if m.ndim == 3 else v @ m.astype(complex).T
             out = transforms._apply_real(m, v)
-            assert out.shape == ref.shape
+            assert out.shape == ref.shape and out.dtype == v.dtype and out.flags.c_contiguous
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.linalg.norm(m) * np.linalg.norm(v)
 
 
@@ -430,3 +436,40 @@ def test_j_kernel_on_a_proportional_pair_is_built_on_one_triangle(monkeypatch,
         assert np.all(np.abs(mat - full) <= 4.0 * np.finfo(float).eps * np.maximum(u, 1.0))
     assert sizes == [rows.n * (rows.n + 1) // 2] * len(ALPHAS)
     assert len(cold_kernel_cache) == len(ALPHAS)
+
+
+def test_real_stacks_stay_real_through_the_kernels(space512, freq512, corpus512):
+    # every transform of a float64 stack agrees with that of its complex128
+    # cast to 1e-15 of max|out|; the Hankel transforms stay float64, the
+    # others multiply by +-i and give complex128
+    stack = stack_of(corpus512[::3], space512)
+    fe, half = even_odd_split(stack)[0], freq512.positive_half()
+    assert stack.values.dtype == fe.values.dtype == np.float64
+    cases = [
+        (lambda f: hankel(0.5, f, half), fe, np.float64),
+        (lambda f: hankel_modified(0.5, f, half), fe, np.float64),
+        (lambda f: fourier(f, freq512), stack, np.complex128),
+        (lambda f: fourier_inverse(f, freq512), stack, np.complex128),
+        (lambda f: dunkl_modified(1.0, f, freq512), stack, np.complex128),
+        (lambda f: dunkl_modified_inverse(1.0, f, freq512), stack, np.complex128),
+    ] + [(lambda f, route=route, op=op: op(1.0, f, freq512, route), stack, np.complex128)
+         for route in ("decomposition", "direct") for op in (dunkl, dunkl_inverse)]
+    for op, f, dtype in cases:
+        real, cast = op(f).values, op(f.with_values(f.values.astype(complex))).values
+        assert real.dtype == dtype and cast.dtype == np.complex128
+        assert np.max(np.abs(real - cast)) <= 1e-15 * np.max(np.abs(cast))
+
+
+def test_a_complex_member_makes_the_stack_complex(space512, freq512, corpus512):
+    # one complex member upcasts the stack; each row is still its member's
+    # lone transform, to 1e-14 of max|out|
+    members = [sample(m.fn, space512).values for m in corpus512[:2]]
+    members.append(members[0] + 0.5j * members[1])
+    half = freq512.positive_half()
+    for op in (lambda f: dunkl(1.0, f, freq512),
+               lambda f: hankel(1.0, even_odd_split(f)[0], half)):
+        out = op(SampledFn(space512, np.stack(members))).values
+        assert out.dtype == np.complex128
+        for b in range(3):
+            one = op(SampledFn(space512, members[b])).values
+            assert np.max(np.abs(out[b] - one)) <= 1e-14 * np.max(np.abs(one))
