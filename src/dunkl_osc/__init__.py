@@ -4,7 +4,7 @@ checkers, verified by dense-quadrature identities."""
 
 from .errors import (ArgumentError, DomainError, DunklOscError, GateError,
                      ResolutionError)
-from .special import bessel_j, bessel_j_normalized, gamma
+from .special import bessel_j, bessel_j_normalized
 from .funcspace import (FULL_LINE, HALF_LINE, CorpusMember, Grid, SampledFn,
                         away_from_zero_corpus, bump, default_corpus,
                         even_odd_split, gaussian, half_line_corpus, integrate,
@@ -21,7 +21,7 @@ from .projections import (PartialSumFamily, ThresholdSeq, build_family,
                           default_t_grid, dunkl_partial_sum,
                           dunkl_partial_sum_iterated, family_to_csv,
                           fourier_partial_sum, hankel_partial_sum,
-                          radial_partial_sum, snap_threshold)
+                          radial_partial_sum)
 from .classical_ops import (SupGrid, carleson_hunt, conjugate_hardy,
                             default_sup_grid, hardy_littlewood_max,
                             maximal_hilbert, prestini_majorant)

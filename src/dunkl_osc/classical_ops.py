@@ -15,7 +15,9 @@ at samples linearly interpolated between grid nodes and held at the end
 samples between the end nodes and the support's edges, so truncation
 boundaries cost no node-snapping error.  Each caller applies its own kernel
 there; modulations take cos and sin on the positive half of the symmetric
-frequency set (-xi by conjugate symmetry, xi = 0 as the plain sum).
+frequency set (-xi by conjugate symmetry, xi = 0 as the plain sum): their
+sums C and S over a cut part are one real GEMM (transforms._apply_real), so
+a real stack stays real there, and C -+ iS give the columns at +-xi.
 
 Every operator acts along the last axis of a (..., N) SampledFn stack; the
 geometry of an evaluation block (1/(x-z) kernel, window searches, cut-panel
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ResolutionError
+from . import transforms
+from .errors import ArgumentError
 from .funcspace import HALF_LINE, Grid, SampledFn, _freeze, multiply_power
 from .projections import ThresholdSeq
 
@@ -66,12 +69,12 @@ class SupGrid:
 def default_sup_grid(grid: Grid, t_values=None) -> SupGrid:
     """Dyadic radii 2^8..2^-8 times the support scale; frequencies are the
     cut thresholds (plus 0), reflected to a symmetric set and capped at the
-    grid's resolvable modulation band."""
+    grid's resolvable band (transforms.resolvable_frequency)."""
     scale = max(abs(grid.lo), abs(grid.hi))
     radii = scale * 2.0 ** np.arange(8, -9, -1)
     pos = (ThresholdSeq.octaves(2.0 ** -4, 2.0 ** 7).values if t_values is None
            else np.asarray(t_values, dtype=float))
-    pos = pos[pos * grid.max_spacing <= np.pi / 3.0]
+    pos = pos[pos <= transforms.resolvable_frequency(grid)]
     freqs = np.unique(np.concatenate([-pos, [0.0], pos]))
     return SupGrid(radii, freqs)
 
@@ -167,8 +170,7 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray) -> np.n
     at the grid nodes x (see the module docstring for the quadrature)."""
     grid, vals = f.grid, f.values.reshape(-1, f.grid.n)
     edges, z = _require_panels(grid), grid.points
-    if np.max(np.abs(frequencies)) * grid.max_spacing > np.pi / 3.0:
-        raise ResolutionError("modulation frequency beyond the grid's resolvable band")
+    transforms.check_resolution(grid, float(np.max(np.abs(frequencies))))
     M, n_pan, nQ, nP = vals.shape[0], edges.size - 1, frequencies.size, frequencies.size // 2
     pos = frequencies[nQ - nP:]                                # xi > 0, ascending
     block = max(8, _BLOCK_BUDGET // M)
@@ -214,13 +216,10 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray) -> np.n
                         sin[k] = 2.0 * sin[k - 1] * cos[k - 1]
                     else:
                         cos[k], sin[k] = np.cos(nodes * xi), np.sin(nodes * xi)
-                reim = np.stack([base.real, base.imag], axis=1).transpose(2, 1, 0, 3)
-                parts = reim.reshape(nodes.shape[0], 2 * M, -1) @ cs.transpose(1, 2, 0)
-                (rc, rs), (ic, is_) = parts.reshape(-1, 2, M, 2, nP).transpose(1, 3, 0, 2, 4)
-                np.add(rc, is_, out=add.real[..., nQ - nP:])
-                np.subtract(ic, rs, out=add.imag[..., nQ - nP:])
-                np.subtract(rc, is_, out=add.real[..., nP - 1::-1])
-                np.add(ic, rs, out=add.imag[..., nP - 1::-1])
+                cs_sums = transforms._apply_real(cs.transpose(1, 0, 2), base.transpose(1, 0, 2))
+                c_sum, i_s = cs_sums[..., :nP], 1j * cs_sums[..., nP:]
+                np.subtract(c_sum, i_s, out=add[..., nQ - nP:])
+                np.add(c_sum, i_s, out=add[..., nP - 1::-1])
             res[cut] += add
         out[s:s + B] = np.max(np.abs(res), axis=1)
     return np.moveaxis(out, 1, 0).reshape(f.values.shape[:-1] + (z.size, nQ))

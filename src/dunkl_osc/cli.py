@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: transform, partial-sum, family, osc, var, maximal, range,
-verify, sweep.  Each has one handler, ``_run_<subcommand>``, and its kinds
-live in one table (TRANSFORMS, PARTIAL_SUMS, MAXIMALS, RANGES, SWEEPS)
-that gives both the parser's choices and the handler's dispatch.  Table
-entries call library functions by name at call time, so a rebound module
-attribute (a tracer, a test double) sees every call.
+verify, sweep.  Each has one handler, ``_run_<subcommand>(args, parser)``,
+called with the subcommand's own parser, and its kinds live in one table
+(TRANSFORMS, PARTIAL_SUMS, MAXIMALS, RANGES, SWEEPS) that gives both the
+parser's choices and the handler's dispatch.  Table entries call library
+functions by name at call time, so a rebound module attribute (a tracer, a
+test double) sees every call.
 
 Each subcommand declares only the flags it reads: the ones acting on a
 SampledFn take their grid from ``--input``, and only verify and sweep take
-the resolution flags, ``--seed`` and ``--threads``; a sweep kind refuses a
-flag it does not read whose value is not the default.  A ``--config`` file of
+the resolution flags, ``--seed`` and ``--threads``.  A kind of transform,
+partial-sum, maximal or sweep refuses a flag it does not read whose value
+is not the default (``_refuse_unread``).  A ``--config`` file of
 key=value lines becomes flags placed before the explicit ones, so its
 values are typed and checked like flags and explicit flags win; keys the
 subcommand does not take are ignored.  Float flags take finite numbers only.
@@ -97,39 +99,48 @@ def _oscillation_sweep(args, res, dyadic_only: bool):
                                    threads=args.threads)
 
 
-# kind -> (input domain, transform(alpha, f, freq)); the Hankel kinds map
-# onto the positive half of the frequency grid
+# kind -> (input domain, the flags it reads besides --kind, --input and
+# --freq-max, transform(alpha, f, freq)); the Hankel kinds map onto the
+# positive half of the frequency grid
 TRANSFORMS = {
-    "fourier": (FULL_LINE, lambda a, f, freq: transforms.fourier(f, freq)),
-    "hankel": (HALF_LINE, lambda a, f, freq: transforms.hankel(a, f, freq.positive_half())),
-    "hankel-modified": (HALF_LINE, lambda a, f, freq:
+    "fourier": (FULL_LINE, (), lambda a, f, freq: transforms.fourier(f, freq)),
+    "hankel": (HALF_LINE, ("alpha",), lambda a, f, freq:
+               transforms.hankel(a, f, freq.positive_half())),
+    "hankel-modified": (HALF_LINE, ("alpha",), lambda a, f, freq:
                         transforms.hankel_modified(a, f, freq.positive_half())),
-    "dunkl": (FULL_LINE, lambda a, f, freq: transforms.dunkl(a, f, freq)),
-    "dunkl-inverse": (FULL_LINE, lambda a, f, freq: transforms.dunkl_inverse(a, f, freq)),
-    "dunkl-modified": (FULL_LINE, lambda a, f, freq: transforms.dunkl_modified(a, f, freq)),
+    "dunkl": (FULL_LINE, ("alpha",), lambda a, f, freq: transforms.dunkl(a, f, freq)),
+    "dunkl-inverse": (FULL_LINE, ("alpha",), lambda a, f, freq:
+                      transforms.dunkl_inverse(a, f, freq)),
+    "dunkl-modified": (FULL_LINE, ("alpha",), lambda a, f, freq:
+                       transforms.dunkl_modified(a, f, freq)),
 }
 
-# kind -> (input domain, partial sum(args, f))
+# kind -> (input domain, the flags it reads besides --kind, --t and --input,
+# partial sum(args, f))
 PARTIAL_SUMS = {
-    "dunkl": (FULL_LINE, lambda args, f: dunkl_partial_sum(args.alpha, f, args.t)),
-    "hankel": (HALF_LINE, lambda args, f: hankel_partial_sum(args.alpha, f, args.t)),
-    "fourier": (FULL_LINE, lambda args, f: fourier_partial_sum(f, args.t)),
-    "radial": (HALF_LINE, lambda args, f: radial_partial_sum(args.dimension, f, args.t)),
+    "dunkl": (FULL_LINE, ("alpha",), lambda args, f: dunkl_partial_sum(args.alpha, f, args.t)),
+    "hankel": (HALF_LINE, ("alpha",), lambda args, f: hankel_partial_sum(args.alpha, f, args.t)),
+    "fourier": (FULL_LINE, (), lambda args, f: fourier_partial_sum(f, args.t)),
+    "radial": (HALF_LINE, ("dimension",), lambda args, f:
+               radial_partial_sum(args.dimension, f, args.t)),
 }
 
-# operator -> (input domain, maximal function(args, f)); a classical operator
-# checks its own input domain (None).  The classical ones take the sup grid of
-# the input grid (with the checked --t-grid values as its frequencies), the
-# Carleson ones the t-grid.
+# operator -> (input domain, the flags it reads besides --operator and
+# --input, maximal function(args, f)); a classical operator checks its own
+# input domain (None).  The classical ones take the sup grid of the input
+# grid, whose frequencies (the checked --t-grid values) only the Carleson-Hunt
+# operator and the majorant read; the Carleson ones take the t-grid.
 MAXIMALS = {
-    "hardy-littlewood": (None, lambda args, f: hardy_littlewood_max(f, _sup_grid(args, f))),
-    "conjugate-hardy": (None, lambda args, f: conjugate_hardy(f)),
-    "maximal-hilbert": (None, lambda args, f: maximal_hilbert(f, _sup_grid(args, f))),
-    "carleson-hunt": (None, lambda args, f: carleson_hunt(f, _sup_grid(args, f))),
-    "prestini-majorant": (None, lambda args, f:
+    "hardy-littlewood": (None, (), lambda args, f: hardy_littlewood_max(f, _sup_grid(args, f))),
+    "conjugate-hardy": (None, (), lambda args, f: conjugate_hardy(f)),
+    "maximal-hilbert": (None, (), lambda args, f: maximal_hilbert(f, _sup_grid(args, f))),
+    "carleson-hunt": (None, ("t_grid",), lambda args, f: carleson_hunt(f, _sup_grid(args, f))),
+    "prestini-majorant": (None, ("alpha", "t_grid"), lambda args, f:
                           prestini_majorant(args.alpha, f, _sup_grid(args, f))),
-    "carleson-dunkl": (FULL_LINE, lambda args, f: _family(args, f).max_abs()),
-    "carleson-hankel": (HALF_LINE, lambda args, f: _family(args, f).max_abs()),
+    "carleson-dunkl": (FULL_LINE, ("alpha", "t_grid"), lambda args, f:
+                       _family(args, f).max_abs()),
+    "carleson-hankel": (HALF_LINE, ("alpha", "t_grid"), lambda args, f:
+                        _family(args, f).max_abs()),
 }
 
 # predicate -> (verdict(args), formula)
@@ -193,19 +204,34 @@ def _emit_reports(args, reports, head: str, note: str = "") -> int:
     return 1 if n_fail else 0
 
 
-def _run_transform(args) -> int:
-    domain, op = TRANSFORMS[args.kind]
+def _refuse_unread(args, parser, reads, key: str = "kind", required=("input",)) -> None:
+    """Refuse each flag the kind named by --key does not read whose value (from
+    the command line or --config) differs from the one the subcommand's parser
+    gives it when only --key and the required flags are given."""
+    given = [f"--{d.replace('_', '-')}={getattr(args, d)}" for d in (key,) + required]
+    default = vars(parser.parse_args(given))
+    unread = ["--" + d.replace("_", "-") for d, v in default.items()
+              if d not in reads + ("seed", "output", "config") and getattr(args, d) != v]
+    if unread:
+        raise ArgumentError(f"{args.command} --{key} {getattr(args, key)} "
+                            f"does not read {', '.join(unread)}")
+
+
+def _run_transform(args, parser) -> int:
+    domain, reads, op = TRANSFORMS[args.kind]
+    _refuse_unread(args, parser, reads + ("freq_max",))
     f = _load(args, domain)
     freq = transforms.frequency_grid(f.grid, freq_max=args.freq_max)
     return _emit_fn(args, op(args.alpha, f, freq), f"{args.kind}(alpha={args.alpha:g})")
 
 
-def _run_partial_sum(args) -> int:
-    domain, op = PARTIAL_SUMS[args.kind]
+def _run_partial_sum(args, parser) -> int:
+    domain, reads, op = PARTIAL_SUMS[args.kind]
+    _refuse_unread(args, parser, reads, required=("t", "input"))
     return _emit_fn(args, op(args, _load(args, domain)), f"S_t ({args.kind}, t={args.t:g})")
 
 
-def _run_family(args) -> int:
+def _run_family(args, parser) -> int:
     fam = _family(args, _load(args))
     out = args.output or "family.csv"
     family_to_csv(out, fam)
@@ -213,7 +239,7 @@ def _run_family(args) -> int:
     return 0
 
 
-def _run_osc(args) -> int:
+def _run_osc(args, parser) -> int:
     fam = _family(args, _load(args))
     if not args.cuts:
         return _emit_fn(args, max_oscillation(fam), "oscillation sup over all cut sequences")
@@ -221,16 +247,17 @@ def _run_osc(args) -> int:
     return _emit_fn(args, oscillation(fam, cuts), f"oscillation (J={len(cuts) - 1})")
 
 
-def _run_var(args) -> int:
+def _run_var(args, parser) -> int:
     return _emit_fn(args, variation(_family(args, _load(args)), args.r), f"V^{args.r:g}")
 
 
-def _run_maximal(args) -> int:
-    domain, op = MAXIMALS[args.operator]
+def _run_maximal(args, parser) -> int:
+    domain, reads, op = MAXIMALS[args.operator]
+    _refuse_unread(args, parser, reads, key="operator")
     return _emit_fn(args, op(args, _load(args, domain)), args.operator)
 
 
-def _run_range(args) -> int:
+def _run_range(args, parser) -> int:
     if (args.a is None) != (args.b is None):
         raise ArgumentError("--a and --b must be given together")
     verdict, formula = RANGES[args.predicate]
@@ -246,7 +273,7 @@ def _run_range(args) -> int:
     return 0
 
 
-def _run_verify(args) -> int:
+def _run_verify(args, parser) -> int:
     res = Resolution(args.n_panels, args.nodes_per_panel, args.x_max)
     reports = run_identity_suite(res, args.seed, args.alpha, args.threads)
     if args.summary:
@@ -256,14 +283,8 @@ def _run_verify(args) -> int:
 
 
 def _run_sweep(args, parser) -> int:
-    """Run the kind's sweep; a flag the kind does not read, set away from its
-    default in the sweep parser (by the command line or --config), is refused."""
     reads, run = SWEEPS[args.kind]
-    default = vars(parser.parse_args(["--kind", args.kind]))
-    unread = ["--" + d.replace("_", "-") for d, v in default.items()
-              if d not in reads + ("seed", "output", "config") and getattr(args, d) != v]
-    if unread:
-        raise ArgumentError(f"sweep --kind {args.kind} does not read {', '.join(unread)}")
+    _refuse_unread(args, parser, reads, required=())
     res = Resolution(args.n_panels, args.nodes_per_panel, args.x_max)
     return _emit_reports(args, run(args, res), f"sweep {args.kind}")
 
@@ -297,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, help_text):
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=lambda args: handler(args, sp))
         return sp
 
     def input_command(name, handler, help_text):
@@ -349,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--summary", type=str, default=None, help="summary CSV path")
     _add_run_flags(sp)
 
-    sp = command("sweep", None, "norm-ratio sweeps and demos")
-    sp.set_defaults(handler=lambda args, parser=sp: _run_sweep(args, parser))
+    sp = command("sweep", _run_sweep, "norm-ratio sweeps and demos")
     sp.add_argument("--kind", required=True, choices=tuple(SWEEPS))
     sp.add_argument("--p", type=_finite, default=2.0)
     sp.add_argument("--beta", type=_finite, default=0.0)

@@ -109,6 +109,9 @@ class Grid:
         if self._half is None:
             if not self.is_symmetric:
                 raise ArgumentError("positive_half requires a symmetric grid")
+            if self.n % 2:
+                raise ArgumentError("positive_half needs an even node count: a symmetric "
+                                    "grid with a node at 0 has no positive half")
             m = self.n // 2
             edges = None
             if self.panel_edges is not None:

@@ -10,9 +10,8 @@ are copied to the T cut lists; a (..., N) stack gives C-ordered
 (..., T, N) rows of its dtype (a float64 f has real spectra and rows).
 build_family passes one cut per row, a partial sum is a one-row family and
 an iterated sum one row of multiplied masks; equal masks share one computed
-row, so P_s P_t = P_min holds exactly.  A cut keeps the frequency nodes at
-or below it, a count from one search over all cuts of a call: the mask of
-the cut snapped to the midpoint of its node gap (snap_threshold).
+row, so P_s P_t = P_min holds exactly.  A cut t keeps the frequency nodes
+|xi| <= t, counted by one search over all cuts of a call.
 """
 
 from __future__ import annotations
@@ -62,21 +61,6 @@ def default_t_grid(freq_grid: Grid) -> ThresholdSeq:
     band: a dilation by 1/2 or 2 keeps the grid inside the band."""
     band = freq_grid.hi
     return ThresholdSeq.octaves(band / 2.0 ** 10, 0.45 * band, 8)
-
-
-def _snap(ts, freq_points: np.ndarray) -> np.ndarray:
-    """Move each threshold of ts to the midpoint of the node gap it falls
-    in, so the node mask |node| <= t is an exact, unambiguous comparison:
-    one searchsorted for the whole array."""
-    pos = freq_points[freq_points > 0.0]
-    i = np.searchsorted(pos, ts, side="right")
-    mid = 0.5 * (pos[np.maximum(i - 1, 0)] + pos[np.minimum(i, pos.size - 1)])
-    return np.where(i == 0, pos[0] / 2.0, np.where(i >= pos.size, pos[-1] + 1.0, mid))
-
-
-def snap_threshold(t: float, freq_points: np.ndarray) -> float:
-    """The snapped cut of one threshold t (see _snap)."""
-    return float(_snap(t, freq_points))
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,6 @@ _MILLER_SEED = 1e-150   # Miller values grow from it by < 1e64 at every order an
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def gamma(z):
-    """Gamma(z) for z >= 0.5, elementwise through math.gamma."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.5):
-        raise DomainError("gamma: argument below 0.5 not supported")
-    return np.vectorize(math.gamma, otypes=[float])(z)[()]
-
-
 def _horner(coefs: list, x: np.ndarray) -> np.ndarray:
     """sum_k coefs[k] x^k for scalar coefficients."""
     acc = np.full_like(x, coefs[-1])

@@ -7,7 +7,7 @@ from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid,
                        build_family, bump, carleson_hunt, conjugate_hardy,
                        default_sup_grid, gaussian, hardy_littlewood_max,
                        make_breakpoint_grid, make_graded_grid, maximal_hilbert,
-                       prestini_majorant, sample)
+                       prestini_majorant, resolution_n512, sample, transforms)
 from dunkl_osc.classical_ops import _truncated_sups
 
 
@@ -171,6 +171,44 @@ def test_modulation_resolution_guard(smooth_pair):
     g, f1, _, _ = smooth_pair
     with pytest.raises(ResolutionError):
         carleson_hunt(f1, SupGrid(np.array([1.0]), np.array([-1e5, 0.0, 1e5])))
+
+
+def test_sup_grid_and_modulations_share_the_transform_band(smooth_pair, monkeypatch):
+    # the band is transforms.resolvable_frequency's: asking twice the nodes per
+    # wavelength halves it, for the sup grid's frequencies and for the guard
+    g, f1, _, _ = smooth_pair
+    band = transforms.resolvable_frequency(g)
+    ts = band * np.array([0.2, 0.4, 0.8, 0.999])
+    full = default_sup_grid(g, ts)
+    assert full.frequencies.size == 9
+    _truncated_sups(f1, full, full.frequencies)
+    monkeypatch.setattr(transforms, "MIN_NODES_PER_WAVELENGTH", 12.0)
+    halved = default_sup_grid(g, ts)
+    q = full.frequencies
+    assert np.array_equal(halved.frequencies, q[np.abs(q) <= band / 2.0])
+    assert halved.frequencies.size == 5
+    with pytest.raises(ResolutionError):
+        _truncated_sups(f1, full, full.frequencies)
+
+
+@pytest.mark.parametrize("line", ["half-line", "full-line"])
+@pytest.mark.parametrize("freqs", ["Q1", "prestini"])
+def test_truncated_sups_of_a_real_stack_match_its_complex_cast(line, freqs):
+    # a float64 stack takes the real GEMMs and the same stack cast to
+    # complex128 the complex ones: the same sums, to round-off
+    res = resolution_n512()
+    grid = res.half_grid() if line == "half-line" else res.space_grid()
+    tag = HALF_LINE if line == "half-line" else FULL_LINE
+    ladder = ThresholdSeq.octaves(2.0 ** -4, 0.9 * res.freq_max()).values
+    sup = default_sup_grid(grid, ladder)
+    q = np.zeros(1) if freqs == "Q1" else sup.frequencies
+    real = SampledFn(grid, np.stack([bump(c, r)(grid.points) for c, r in
+                                     ((1.5, 1.2), (0.8, 0.5), (2.0, 0.9))]), tag)
+    assert real.values.dtype == np.float64
+    want = _truncated_sups(real.with_values(real.values.astype(np.complex128)), sup, q)
+    got = _truncated_sups(real, sup, q)
+    assert got.shape == want.shape == (3, grid.n, q.size)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
 
 def test_cotlar_cross_check(smooth_pair):

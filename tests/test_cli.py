@@ -107,6 +107,42 @@ def test_sweep_refuses_a_flag_its_kind_does_not_read(workdir, capsys):
     assert os.path.exists("r.jsonl")
 
 
+@pytest.mark.parametrize("argv,default", [
+    (["transform", "--kind", "fourier", "--input", "f.csv", "--alpha", "3"], "0"),
+    (["partial-sum", "--kind", "fourier", "--t", "2", "--input", "f.csv", "--alpha", "1"], "0"),
+    (["partial-sum", "--kind", "dunkl", "--t", "2", "--input", "f.csv", "--dimension", "7"], "1"),
+    (["maximal", "--operator", "maximal-hilbert", "--input", "f.csv", "--alpha", "5"], "0"),
+    (["maximal", "--operator", "hardy-littlewood", "--input", "f.csv", "--t-grid", "1,2"], None),
+], ids=["transform", "partial-sum", "partial-sum-dimension", "maximal", "maximal-t-grid"])
+def test_kind_refuses_a_flag_it_does_not_read(workdir, capsys, argv, default):
+    # the rule of the sweep kinds: a value other than the default, set on the
+    # command line or in a config file, is refused before any work
+    flag, value = argv[-2:]
+    want = f"error: {argv[0]} {argv[1]} {argv[2]} does not read {flag}\n"
+    assert main(argv + ["--output", "o.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == want
+    with open("run.conf", "w") as fh:
+        fh.write(f"{flag[2:]}={value}\n")
+    assert main(argv[:-2] + ["--config", "run.conf", "--output", "o.csv"]) == 2
+    assert capsys.readouterr().err == want
+    assert not os.path.exists("o.csv")
+    if default is not None:
+        assert main(argv[:-1] + [default, "--output", "o.csv"]) == 0
+        assert os.path.exists("o.csv")
+
+
+def test_odd_symmetric_grid_exits_2_naming_the_node_at_zero(workdir, capsys):
+    g = Grid(np.arange(-4, 5) * (2.0 / 9.0), np.full(9, 2.0 / 9.0), -1.0, 1.0)
+    write_sampled_fn("odd.csv", sample(bump(0.2, 0.7), g, FULL_LINE))
+    for argv in (["transform", "--kind", "dunkl"], ["partial-sum", "--kind", "dunkl", "--t", "2"]):
+        assert main(argv + ["--input", "odd.csv", "--output", "o.csv"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1 and "node at 0" in err
+    assert not os.path.exists("o.csv")
+    assert main(["transform", "--kind", "fourier", "--input", "odd.csv", "--output", "o.csv"]) == 0
+
+
 def test_maximal_on_graded_half_line_csv(workdir):
     # a graded grid keeps its panel edges through the CSV, which the majorant needs
     g = make_graded_grid(0.0, 2.0, 6, 8, 2.0)
@@ -340,17 +376,24 @@ def test_config_values_obey_choices(workdir, capsys):
 
 
 def _table_argv(table, key):
+    """The command of one table key, with a value for each flag that key reads."""
     half = "fh.csv"
     if table == "transform":
-        inp = half if TRANSFORMS[key][0] == HALF_LINE else "f.csv"
-        return ["transform", "--kind", key, "--alpha", "0.5", "--input", inp]
+        domain, reads, _ = TRANSFORMS[key]
+        return (["transform", "--kind", key, "--input", half if domain == HALF_LINE else "f.csv"]
+                + ["--alpha", "0.5"] * ("alpha" in reads))
     if table == "partial-sum":
-        inp = half if PARTIAL_SUMS[key][0] == HALF_LINE else "f.csv"
-        return ["partial-sum", "--kind", key, "--t", "2", "--input", inp]
+        domain, reads, _ = PARTIAL_SUMS[key]
+        return (["partial-sum", "--kind", key, "--t", "2",
+                 "--input", half if domain == HALF_LINE else "f.csv"]
+                + ["--alpha", "0.5"] * ("alpha" in reads)
+                + ["--dimension", "3"] * ("dimension" in reads))
     if table == "maximal":
         inp = (half if key in ("conjugate-hardy", "prestini-majorant", "carleson-hankel")
                else "f.csv")
-        return ["maximal", "--operator", key, "--input", inp, "--t-grid", "0.5,1,2,4"]
+        return (["maximal", "--operator", key, "--input", inp]
+                + ["--alpha", "0.5"] * ("alpha" in MAXIMALS[key][1])
+                + ["--t-grid", "0.5,1,2,4"] * ("t_grid" in MAXIMALS[key][1]))
     return ["range", "--predicate", key, "--p", "2", "--beta", "0.5"]
 
 

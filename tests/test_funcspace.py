@@ -5,10 +5,10 @@ import pytest
 
 from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid, Resolution, SampledFn,
                        SupGrid, ThresholdSeq, away_from_zero_corpus, bump, default_corpus,
-                       even_odd_split, gaussian, half_line_corpus, integrate,
-                       make_breakpoint_grid, make_graded_grid, moment_cancelled_corpus,
-                       multiply_power, random_band_modes, read_sampled_fn, sample,
-                       smooth_corpus, write_sampled_fn)
+                       dunkl, dunkl_partial_sum, even_odd_split, fourier, gaussian,
+                       half_line_corpus, integrate, make_breakpoint_grid, make_graded_grid,
+                       moment_cancelled_corpus, multiply_power, random_band_modes,
+                       read_sampled_fn, sample, smooth_corpus, write_sampled_fn)
 from dunkl_osc.funcspace import _mapped_side, assemble_values
 
 
@@ -98,6 +98,21 @@ def test_positive_half_built_once():
     g = make_graded_grid(-2.0, 2.0, 4, 8, 1.0)
     assert g.positive_half() is g.positive_half()
     assert "_half" not in repr(g)
+
+
+def test_a_node_at_zero_has_no_positive_half():
+    # a symmetric grid with an odd node count: every parity split names the
+    # cause, and fourier, which folds the node at 0 in once, still serves it
+    g = Grid(np.arange(-4, 5) * (2.0 / 9.0), np.full(9, 2.0 / 9.0), -1.0, 1.0)
+    assert g.is_symmetric
+    f = sample(bump(0.2, 0.7), g, FULL_LINE)
+    freq = make_graded_grid(-4.0, 4.0, 2, 8, 1.0)
+    for call in (g.positive_half, lambda: even_odd_split(f),
+                 lambda: dunkl(0.5, f, freq), lambda: dunkl(0.5, f, freq, route="direct"),
+                 lambda: dunkl_partial_sum(0.5, f, 2.0, freq)):
+        with pytest.raises(ArgumentError, match="node at 0"):
+            call()
+    assert np.isfinite(fourier(f, freq).values).all()
 
 
 def test_even_odd_requires_symmetry():

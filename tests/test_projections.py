@@ -7,8 +7,8 @@ from dunkl_osc import (HALF_LINE, ArgumentError, Grid, Resolution, ResolutionErr
                        even_odd_split, family_to_csv, fourier_partial_sum,
                        gaussian, hankel_partial_sum, make_breakpoint_grid,
                        make_graded_grid, radial_partial_sum,
-                       resolvable_frequency, sample, snap_threshold)
-from dunkl_osc.projections import PartialSumFamily, _cut_rows, _snap
+                       resolvable_frequency, sample)
+from dunkl_osc.projections import PartialSumFamily, _cut_rows
 from conftest import l2_weighted, stack_of
 
 TS = [0.5, 1.0, 2.0, 4.0]
@@ -59,10 +59,10 @@ def test_non_finite_thresholds_and_cuts_are_refused(bad, one_bump, freq512):
         _cut_rows(0.0, one_bump, [[1.0], [bad]], freq512, "dunkl")
 
 
-def test_cut_rows_match_the_snapped_node_masks(freq512, space512):
-    """Each row is the inverse of the spectrum masked by |xi| <= the snapped
-    cut, for cuts below the first node, on a node and just below it, between
-    nodes and at the band edge, in any order and with repeated masks."""
+def test_cut_rows_match_the_node_masks(freq512, space512):
+    """Each row is the inverse of the spectrum masked by |xi| <= t, for cuts
+    below the first node, on a node and just below it, between nodes and at
+    the band edge, in any order and with repeated masks."""
     pts = freq512.positive_half().points
     ts = [freq512.hi, pts[0] / 3.0, pts[40], np.nextafter(pts[5], 0.0),
           pts[5], 0.5 * (pts[5] + pts[6]), 0.5 * (pts[40] + pts[41]), pts[0], pts[-1]]
@@ -71,44 +71,12 @@ def test_cut_rows_match_the_snapped_node_masks(freq512, space512):
     rows = _cut_rows(0.5, f, [[t] for t in ts], freq512, "dunkl")
     spec = dunkl(0.5, f, freq512, route="direct")
     for t, row in zip(ts, np.moveaxis(rows, -2, 0)):
-        keep = np.abs(freq512.points) <= snap_threshold(t, pts)
+        keep = np.abs(freq512.points) <= t
         ref = dunkl_inverse(0.5, spec.with_values(np.where(keep, spec.values, 0.0)), space512,
                             route="direct")
         assert np.max(np.abs(row - ref.values)) <= 1e-9
     # the on-node cut keeps its node, the cut just below it does not
     assert np.max(np.abs(rows[:, 4] - rows[:, 3])) > 1e-6
-
-
-def test_snap_threshold_between_nodes():
-    pts = np.array([0.5, 1.5, 2.5, 3.5])
-    s = snap_threshold(2.0, pts)
-    assert s == 2.0
-    assert snap_threshold(0.1, pts) == 0.25
-    assert snap_threshold(10.0, pts) == 4.5
-    # mask is identical for the raw and snapped values
-    assert np.array_equal(pts <= 2.2, pts <= snap_threshold(2.2, pts))
-
-
-def _gap_midpoint(t, pts):
-    """The snapping rule one threshold at a time (reference)."""
-    pos = pts[pts > 0.0]
-    i = int(np.searchsorted(pos, t, side="right"))
-    if i == 0:
-        return float(pos[0] / 2.0)
-    if i >= pos.size:
-        return float(pos[-1] + 1.0)
-    return float(0.5 * (pos[i - 1] + pos[i]))
-
-
-def test_snapping_an_array_equals_the_scalar_rule(freq512):
-    # below the first node, on nodes, between nodes, past the last node
-    pts = freq512.positive_half().points
-    ts = np.concatenate([[pts[0] / 3.0, pts[-1] * 2.0, 1.0, 0.5], pts[::37],
-                         0.5 * (pts[:-1] + pts[1:])[::41]])
-    ref = [_gap_midpoint(t, pts) for t in ts]
-    snapped = _snap(ts, pts)
-    assert [float(s) for s in snapped] == ref == [snap_threshold(t, pts) for t in ts]
-    assert np.array_equal(pts <= snapped[:, None], np.array([pts <= r for r in ref]))
 
 
 def test_zero_function(space512, freq512):
@@ -170,8 +138,7 @@ def test_two_route_partial_sum(alpha, member, freq512, one_bump):
         f = f.with_values(f.values + 1j * gaussian(-0.4, 0.3)(f.grid.points))
     spec = dunkl(alpha, f, freq512, route="direct")
     for t in (0.5, 4.0):
-        ts = snap_threshold(t, freq512.positive_half().points)
-        cut = spec.with_values(np.where(np.abs(freq512.points) <= ts, spec.values, 0.0))
+        cut = spec.with_values(np.where(np.abs(freq512.points) <= t, spec.values, 0.0))
         ref = dunkl_inverse(alpha, cut, f.grid, route="direct")
         s1 = dunkl_partial_sum(alpha, f, t, freq512)
         assert np.max(np.abs(s1.values - ref.values)) <= 1e-9

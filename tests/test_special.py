@@ -8,7 +8,7 @@ import pytest
 import scipy.special as sp
 
 import dunkl_osc
-from dunkl_osc import DomainError, bessel_j, bessel_j_normalized, gamma
+from dunkl_osc import DomainError, bessel_j, bessel_j_normalized
 from dunkl_osc.special import MAX_ORDER
 
 # oracle: ascending series in extended precision (mpmath), frozen values
@@ -94,11 +94,6 @@ def test_negative_argument_rejected():
         bessel_j(0.5, -1.0)
     with pytest.raises(DomainError):
         bessel_j_normalized(1.0, np.array([0.5, -0.1]))
-
-
-def test_gamma_against_math():
-    for z in np.linspace(0.5, 30, 333):
-        assert abs(gamma(z) - math.gamma(z)) <= 1e-13 * math.gamma(z)
 
 
 def test_order_below_minus_half_rejected():
