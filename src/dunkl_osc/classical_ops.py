@@ -47,7 +47,8 @@ _BLOCK_BUDGET = 96  # rows x stack members per _truncated_sups block: caps the p
 class SupGrid:
     """Finite discretization of sup_{r>0} / sup_{eps>0} / sup_{xi in R}:
     decreasing positive radii (dyadic by default) and a symmetric finite
-    frequency set, stored sorted and exactly symmetric (q[::-1] == -q)."""
+    frequency set, stored sorted and exactly symmetric (q[::-1] == -q),
+    which an operator reading it checks against its grid's resolvable band."""
 
     radii: np.ndarray
     frequencies: np.ndarray
@@ -68,13 +69,15 @@ class SupGrid:
 
 def default_sup_grid(grid: Grid, t_values=None) -> SupGrid:
     """Dyadic radii 2^8..2^-8 times the support scale; frequencies are the
-    cut thresholds (plus 0), reflected to a symmetric set and capped at the
-    grid's resolvable band (transforms.resolvable_frequency)."""
+    t_values as given (an operator refuses one above the grid's band), else
+    the octaves in [2^-4, min(2^7, band)], plus 0, reflected to a symmetric set."""
     scale = max(abs(grid.lo), abs(grid.hi))
     radii = scale * 2.0 ** np.arange(8, -9, -1)
-    pos = (ThresholdSeq.octaves(2.0 ** -4, 2.0 ** 7).values if t_values is None
-           else np.asarray(t_values, dtype=float))
-    pos = pos[pos <= transforms.resolvable_frequency(grid)]
+    if t_values is None:   # a band below 2^-4 (a very coarse grid) leaves xi = 0 alone
+        band = min(2.0 ** 7, transforms.resolvable_frequency(grid))
+        pos = ThresholdSeq.octaves(2.0 ** -4, band).values if band >= 2.0 ** -4 else np.empty(0)
+    else:
+        pos = np.asarray(t_values, dtype=float)
     freqs = np.unique(np.concatenate([-pos, [0.0], pos]))
     return SupGrid(radii, freqs)
 

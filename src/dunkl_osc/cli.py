@@ -128,8 +128,9 @@ PARTIAL_SUMS = {
 # operator -> (input domain, the flags it reads besides --operator and
 # --input, maximal function(args, f)); a classical operator checks its own
 # input domain (None).  The classical ones take the sup grid of the input
-# grid, whose frequencies (the checked --t-grid values) only the Carleson-Hunt
-# operator and the majorant read; the Carleson ones take the t-grid.
+# grid, whose frequencies (the --t-grid values as given, else octaves up to
+# the grid's band) only the Carleson-Hunt operator and the majorant read,
+# refusing one above the band; the Carleson ones take the t-grid.
 MAXIMALS = {
     "hardy-littlewood": (None, (), lambda args, f: hardy_littlewood_max(f, _sup_grid(args, f))),
     "conjugate-hardy": (None, (), lambda args, f: conjugate_hardy(f)),

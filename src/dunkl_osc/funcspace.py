@@ -138,8 +138,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class SampledFn:
-    """A function known at the quadrature nodes of a grid, or a stack of them:
-    values is (..., grid.n), the last axis on the grid, stored as complex128
+    """A function known at the quadrature nodes of a grid, or a nonempty stack
+    of them: values is (..., grid.n), the last axis on the grid, stored as complex128
     when complex and as float64 otherwise (moduli and maxima stay real)."""
 
     grid: Grid
@@ -150,6 +150,8 @@ class SampledFn:
         vals = _freeze(self.values, complex if np.iscomplexobj(self.values) else float)
         if vals.shape[-1:] != self.grid.points.shape:
             raise ArgumentError("values must have one entry per grid point on the last axis")
+        if vals.size == 0:
+            raise ArgumentError("a stack of functions needs at least one member")
         if not np.isfinite(vals).all():
             raise ArgumentError("values must be finite")
         if self.domain_tag not in (FULL_LINE, HALF_LINE):

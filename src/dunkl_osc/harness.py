@@ -583,21 +583,19 @@ def transference_demo(edges: ThresholdSeq, spec: NormSpec, dimension: int,
         half, half_freq = res_.half_grid(), res_.half_freq_grid()
         full, prof = _sampled(fns, space, FULL_LINE), _sampled(fns, half, HALF_LINE)
         sides = ((full, fr_spec, transforms.fourier(full, freq), np.abs(freq.points),
-                  freq.weights, lambda g: transforms.fourier_inverse(g, space)),
+                  lambda g: transforms.fourier_inverse(g, space)),
                  (prof, hk_spec, transforms.hankel(alpha, prof, half_freq), half_freq.points,
-                  half_freq.weights * half_freq.points ** (2.0 * alpha + 1.0),
                   lambda g: transforms.hankel(alpha, g, half)))
         out, orth = [], []
-        for f, nspec, spec_f, xi, w, inverse in sides:
+        for f, nspec, spec_f, xi, inverse in sides:
             mult = ((xi >= lo[:, None]) & (xi < hi[:, None])).astype(float)
             sq = f.with_values(_square_function(mult, spec_f, inverse))
             out.append(weighted_lp_norm(sq, nspec) / weighted_lp_norm(f, nspec))
-            if parseval:
-                power = np.abs(spec_f.values) ** 2
-                # one sum per piece k, then the K sums in order (an
-                # indicator row is its own square)
-                num2 = np.sum(np.sum((w * mult)[:, None, :] * power, axis=-1), axis=0)
-                orth.append(np.sqrt(num2 / np.sum(w * power, axis=-1)))
+            if parseval:   # the spectral L^2 norms, in the measure |xi|^{2 alpha + 1}
+                l2 = NormSpec(2.0, 0.0, nspec.alpha)
+                pieces = spec_f.with_values(spec_f.values[..., None, :] * mult)
+                num2 = np.sum(weighted_lp_norm(pieces, l2) ** 2, axis=-1)
+                orth.append(np.sqrt(num2 / weighted_lp_norm(spec_f, l2) ** 2))
         return out, orth
 
     base, orth = ratios(res, parseval=spec.p == 2.0)

@@ -3,14 +3,15 @@ their families over a t-grid, all rows of one spectral-cut pipeline.
 
 _cut_rows makes one forward transform, applies the (U, F) matrix of the
 distinct masks (cut list i masks by the product of its cuts' masks), and
-makes one inverse GEMM per parity: the full-line Dunkl spectrum is cut
-through the half-line spectra E = Hk_a f_e and O = Hk_{a+1}(f_o/y) of the
-even and odd parts, and the U rows are reassembled by parity before they
-are copied to the T cut lists; a (..., N) stack gives C-ordered
-(..., T, N) rows of its dtype (a float64 f has real spectra and rows).
-build_family passes one cut per row, a partial sum is a one-row family and
-an iterated sum one row of multiplied masks; equal masks share one computed
-row, so P_s P_t = P_min holds exactly.  A cut t keeps the frequency nodes
+makes one inverse transforms.hankel per parity, which owns the quadrature
+and the resolution guard: the full-line Dunkl spectrum is cut through the
+half-line spectra E = Hk_a f_e and O = Hk_{a+1}(f_o/y) of the even and
+odd parts, and the U rows are reassembled by parity before they are
+copied to the T cut lists; a (..., N) stack gives C-ordered (..., T, N)
+rows of its dtype (a float64 f has real spectra and rows).  build_family
+passes one cut per row, a partial sum is a one-row family and an iterated
+sum one row of multiplied masks; equal masks share one computed row, so
+P_s P_t = P_min holds exactly.  A cut t keeps the frequency nodes
 |xi| <= t, counted by one search over all cuts of a call.
 """
 
@@ -24,7 +25,6 @@ from .errors import ArgumentError, ResolutionError
 from .funcspace import (FULL_LINE, HALF_LINE, Grid, SampledFn, _freeze, _text_file,
                         assemble_values)
 from . import transforms
-from .transforms import frequency_grid
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,12 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
     pipeline for a (..., f.grid.n) stack f: kind 'hankel' cuts the Hankel
     spectrum of a half-line f, kind 'dunkl' the Dunkl spectrum of a
     full-line f.  Every cut is checked to be finite and in the band, and
-    the inverse against the resolution guard."""
+    the inverse (transforms.hankel) against the resolution guard."""
     want = FULL_LINE if kind == "dunkl" else HALF_LINE
     if f.domain_tag != want:
         raise ArgumentError(f"{kind} partial sums need a {want.replace('_', '-')} function")
     if freq_grid is None:
-        freq_grid = frequency_grid(f.grid)
+        freq_grid = transforms.frequency_grid(f.grid)
     half_freq = freq_grid.positive_half() if freq_grid.is_symmetric else freq_grid
     flat = np.array([t for ts in cut_lists for t in ts], dtype=float)
     if not np.all(np.isfinite(flat)):
@@ -114,20 +114,11 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
     else:
         out_grid = f.grid.positive_half()
         orders, specs = [order, order + 1.0], transforms._hankel_parts(order, f, half_freq)
-    transforms.check_resolution(half_freq, float(np.max(np.abs(out_grid.points))))
-    # fetch every inverse kernel before the first GEMM, so that a cold kernel
-    # build never runs while the (U, N) products are alive (peak memory)
-    mats = [transforms._j_matrix(a, out_grid, half_freq) for a in orders]
-    rows = []                                      # (..., U, N_out) per parity
-    for a, mat, spec in zip(orders, mats, specs):
-        wt = half_freq.weights * half_freq.points ** (2.0 * a + 1.0)
-        cut = masks * (wt * spec.values)[..., None, :]
-        rows.append(transforms._apply_real(mat, cut))
-    if want == HALF_LINE:
-        return np.take(rows[0], row_of, axis=-2)
-    even, odd = rows
-    odd *= out_grid.points                         # in place: one (U, N/2) buffer fewer
-    return np.take(assemble_values(even, odd), row_of, axis=-2)
+    rows = [transforms.hankel(a, spec.with_values(masks * spec.values[..., None, :]), out_grid)
+            .values for a, spec in zip(orders, specs)]        # (..., U, N_out) per parity
+    if want == FULL_LINE:   # hankel's rows are read-only: x O is a new buffer
+        rows = [assemble_values(rows[0], rows[1] * out_grid.points)]
+    return np.take(rows[0], row_of, axis=-2)
 
 
 def dunkl_partial_sum(order: float, f: SampledFn, t: float,

@@ -139,10 +139,10 @@ def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     the stored array or its transposed view."""
     b, r, cplx = mat.ndim - 2, mat.shape[-2], np.iscomplexobj(v)
     w = np.ascontiguousarray(np.moveaxis(v, -1, b), dtype=np.complex128 if cplx else np.float64)
-    w = w.reshape(w.shape[:b + 1] + (-1,))
+    w = w.reshape(w.shape[:b + 1] + (np.prod(v.shape[b:-1], dtype=int),))   # k may be 0
     out = (w.view(np.float64) if cplx else w).swapaxes(-1, -2) @ mat.swapaxes(-1, -2)
     if cplx:   # (k, 2M, r) rows re, im -> (k, M, r) complex
-        out = np.ascontiguousarray(out.reshape(w.shape[:b] + (-1, 2, r)).swapaxes(-1, -2))
+        out = np.ascontiguousarray(out.reshape(w.shape[:b] + (w.shape[-1], 2, r)).swapaxes(-1, -2))
         out = out.view(np.complex128)
     return out.reshape(v.shape[:-1] + (r,))
 
@@ -309,10 +309,10 @@ def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposi
     raise ArgumentError(f"unknown dunkl route {route!r}")
 
 
-def dunkl_inverse(alpha: float, g: SampledFn, output_grid: Grid, route: str = "decomposition") -> SampledFn:
+def dunkl_inverse(alpha: float, g: SampledFn, output_grid: Grid) -> SampledFn:
     """Inverse Dunkl transform: the forward transform followed by argument
     reflection."""
-    out = dunkl(alpha, g, output_grid, route)
+    out = dunkl(alpha, g, output_grid)
     return SampledFn(output_grid, out.values[..., ::-1], FULL_LINE)
 
 

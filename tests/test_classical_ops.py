@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid,
+from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, Grid, NormSpec,
                        ResolutionError, SampledFn, SupGrid, ThresholdSeq,
                        build_family, bump, carleson_hunt, conjugate_hardy,
                        default_sup_grid, gaussian, hardy_littlewood_max,
                        make_breakpoint_grid, make_graded_grid, maximal_hilbert,
-                       prestini_majorant, resolution_n512, sample, transforms)
+                       multiply_power, prestini_majorant, resolution_n512, sample,
+                       transforms, weighted_lp_norm)
 from dunkl_osc.classical_ops import _truncated_sups
 
 
@@ -174,21 +175,60 @@ def test_modulation_resolution_guard(smooth_pair):
 
 
 def test_sup_grid_and_modulations_share_the_transform_band(smooth_pair, monkeypatch):
-    # the band is transforms.resolvable_frequency's: asking twice the nodes per
-    # wavelength halves it, for the sup grid's frequencies and for the guard
+    # the band is transforms.resolvable_frequency's: the default ladder stops
+    # there, and asking twice the nodes per wavelength halves it; given
+    # t-values are kept as they are, and an operator reading one above the
+    # band refuses it
     g, f1, _, _ = smooth_pair
+    f_half = sample(bump(1.5, 1.2), make_graded_grid(0.0, 3.0, 12, 16, 1.0), HALF_LINE)
     band = transforms.resolvable_frequency(g)
+    ladder = default_sup_grid(g).frequencies
+    assert np.max(ladder) <= band < 2.0 * np.max(ladder) < 2.0 ** 7
+    coarse = make_graded_grid(0.0, 400.0, 4, 4, 1.0)   # band 0.03 < 2^-4: no octave fits
+    assert np.array_equal(default_sup_grid(coarse).frequencies, [0.0])
     ts = band * np.array([0.2, 0.4, 0.8, 0.999])
     full = default_sup_grid(g, ts)
     assert full.frequencies.size == 9
-    _truncated_sups(f1, full, full.frequencies)
+    carleson_hunt(f1, full)
+    for op, f in ((carleson_hunt, f1), (lambda f, sup: prestini_majorant(0.0, f, sup), f_half)):
+        over = default_sup_grid(f.grid, [1.0, 1.01 * transforms.resolvable_frequency(f.grid)])
+        assert over.frequencies.size == 5
+        with pytest.raises(ResolutionError):
+            op(f, over)
     monkeypatch.setattr(transforms, "MIN_NODES_PER_WAVELENGTH", 12.0)
-    halved = default_sup_grid(g, ts)
-    q = full.frequencies
-    assert np.array_equal(halved.frequencies, q[np.abs(q) <= band / 2.0])
-    assert halved.frequencies.size == 5
+    assert np.array_equal(default_sup_grid(g).frequencies, ladder[np.abs(ladder) <= band / 2.0])
+    assert np.array_equal(default_sup_grid(g, ts).frequencies, full.frequencies)
     with pytest.raises(ResolutionError):
-        _truncated_sups(f1, full, full.frequencies)
+        carleson_hunt(f1, full)
+
+
+def test_a_block_without_cut_parts_gives_zero():
+    # radius 100 clips every window to the whole support: no cut part is
+    # left, and sum_{|y| > eps} over nothing is 0 at every frequency
+    half = resolution_n512().half_grid()
+    f = sample(bump(1.5, 1.2), half, HALF_LINE)
+    sup = SupGrid(np.array([100.0]), np.array([-1.0, 0.0, 1.0]))
+    assert np.array_equal(carleson_hunt(f, sup).values, np.zeros(half.n))
+    assert np.array_equal(maximal_hilbert(f, sup).values, np.zeros(half.n))
+    parts = hardy_littlewood_max(multiply_power(f, 0.5), sup).values + \
+        conjugate_hardy(multiply_power(f, 0.5)).values
+    assert np.array_equal(prestini_majorant(0.0, f, sup).values,
+                          multiply_power(f.with_values(parts), -0.5).values)
+
+
+@pytest.mark.parametrize("op", [
+    maximal_hilbert, carleson_hunt,
+    lambda f, sup: prestini_majorant(0.5, f, sup),
+    hardy_littlewood_max,
+    lambda f, sup: conjugate_hardy(f),
+    lambda f, sup: weighted_lp_norm(f, NormSpec(2.0, 0.0, 0.0)),
+], ids=["maximal_hilbert", "carleson_hunt", "prestini_majorant", "hardy_littlewood_max",
+        "conjugate_hardy", "weighted_lp_norm"])
+def test_an_empty_stack_is_refused(op):
+    # a (0, N) stack is refused where it is made, as a typed error
+    half = make_graded_grid(0.0, 3.0, 12, 16, 1.0)
+    with pytest.raises(ArgumentError, match="at least one member"):
+        op(SampledFn(half, np.empty((0, half.n)), HALF_LINE), default_sup_grid(half, [1.0]))
 
 
 @pytest.mark.parametrize("line", ["half-line", "full-line"])

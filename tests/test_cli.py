@@ -78,6 +78,19 @@ def test_carleson_maximal_on_the_wrong_domain_exits_2_with_one_line(workdir, cap
     assert not os.path.exists("m.csv")
 
 
+@pytest.mark.parametrize("operator,inp", [("carleson-hunt", "f.csv"),
+                                          ("prestini-majorant", "fh.csv")])
+def test_maximal_t_grid_above_the_band_exits_2_with_one_line(workdir, capsys, operator, inp):
+    # the --t-grid values are the sup grid's frequencies as given: one above
+    # the input grid's band is refused, as a carleson-dunkl cut is, not dropped
+    argv = ["maximal", "--operator", operator, "--input", inp, "--output", "m.csv"]
+    assert main(argv + ["--t-grid", "1,2,1000"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and "output frequency 1000 exceeds" in err
+    assert not os.path.exists("m.csv")
+    assert main(argv + ["--t-grid", "1,2"]) == 0
+
+
 def test_osc_cuts_are_the_library_oscillation(workdir, capsys):
     assert main(["osc", "--input", "f.csv", "--t-grid", "0.5,1,2,4",
                  "--cuts", "1", "--output", "o1.csv"]) == 2

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from dunkl_osc import (HALF_LINE, ArgumentError, Grid, Resolution, ResolutionError,
-                       ThresholdSeq, build_family, bump, default_t_grid, dunkl, dunkl_inverse,
+                       ThresholdSeq, build_family, bump, default_t_grid, dunkl,
                        dunkl_partial_sum, dunkl_partial_sum_iterated,
                        even_odd_split, family_to_csv, fourier_partial_sum,
                        gaussian, hankel_partial_sum, make_breakpoint_grid,
                        make_graded_grid, radial_partial_sum,
-                       resolvable_frequency, sample)
+                       resolvable_frequency, sample, transforms)
 from dunkl_osc.projections import PartialSumFamily, _cut_rows
 from conftest import l2_weighted, stack_of
 
@@ -72,9 +72,10 @@ def test_cut_rows_match_the_node_masks(freq512, space512):
     spec = dunkl(0.5, f, freq512, route="direct")
     for t, row in zip(ts, np.moveaxis(rows, -2, 0)):
         keep = np.abs(freq512.points) <= t
-        ref = dunkl_inverse(0.5, spec.with_values(np.where(keep, spec.values, 0.0)), space512,
-                            route="direct")
-        assert np.max(np.abs(row - ref.values)) <= 1e-9
+        # the inverse is the direct-route forward transform, reflected
+        ref = dunkl(0.5, spec.with_values(np.where(keep, spec.values, 0.0)), space512,
+                    route="direct").values[..., ::-1]
+        assert np.max(np.abs(row - ref)) <= 1e-9
     # the on-node cut keeps its node, the cut just below it does not
     assert np.max(np.abs(rows[:, 4] - rows[:, 3])) > 1e-6
 
@@ -139,9 +140,9 @@ def test_two_route_partial_sum(alpha, member, freq512, one_bump):
     spec = dunkl(alpha, f, freq512, route="direct")
     for t in (0.5, 4.0):
         cut = spec.with_values(np.where(np.abs(freq512.points) <= t, spec.values, 0.0))
-        ref = dunkl_inverse(alpha, cut, f.grid, route="direct")
+        ref = dunkl(alpha, cut, f.grid, route="direct").values[..., ::-1]   # the inverse
         s1 = dunkl_partial_sum(alpha, f, t, freq512)
-        assert np.max(np.abs(s1.values - ref.values)) <= 1e-9
+        assert np.max(np.abs(s1.values - ref)) <= 1e-9
 
 
 def test_family_resolution_guard(freq512):
@@ -322,6 +323,26 @@ def test_families_are_c_ordered_in_their_input_dtype(kind, members, dtype, space
     fam = build_family(0.0, f, default_t_grid(freq512), freq)
     assert fam.values.flags.c_contiguous and fam.values.dtype == np.dtype(dtype)
     assert fam.max_abs().values.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind, calls", [("dunkl", 4), ("hankel", 2)])
+def test_families_invert_through_transforms_hankel(kind, calls, monkeypatch, space512, freq512,
+                                                   corpus512):
+    # one forward and one inverse transforms.hankel per parity, so the
+    # inverse quadrature and its resolution guard have one owner
+    full = stack_of(corpus512[:2], space512)
+    f, freq = (full, freq512) if kind == "dunkl" else (even_odd_split(full)[0],
+                                                       freq512.positive_half())
+    seen, hankel = [], transforms.hankel
+
+    def counted(alpha, g, output_grid):
+        seen.append(output_grid)
+        return hankel(alpha, g, output_grid)
+
+    monkeypatch.setattr(transforms, "hankel", counted)
+    build_family(0.5, f, default_t_grid(freq512), freq)
+    spectra, rows = freq512.positive_half(), f.grid.positive_half() if kind == "dunkl" else f.grid
+    assert [g.key for g in seen] == [spectra.key] * (calls // 2) + [rows.key] * (calls // 2)
 
 
 def test_a_complex_member_makes_the_family_complex(space512, freq512, corpus512):
