@@ -14,16 +14,19 @@ does cut go through one re-quadrature, `_cut_segments`: a fresh Gauss rule
 at samples linearly interpolated between grid nodes and held at the end
 samples between the end nodes and the support's edges, so truncation
 boundaries cost no node-snapping error.  Each caller applies its own kernel
-there; modulations take cos and sin on the positive half of the symmetric
-frequency set (-xi by conjugate symmetry, xi = 0 as the plain sum): their
-sums C and S over a cut part are one real GEMM (transforms._apply_real), so
-a real stack stays real there, and C -+ iS give the columns at +-xi.
+there.  The modulated pass sums the real parts u, v of f = u + iv (u alone
+for a real f) against cos(xi z) at xi >= 0 and sin(xi z) at xi > 0: whole
+panels as one real GEMM, cut parts as one more (transforms._apply_real).  A
+real part's T(+-xi) is C -+ iS, so a real stack's |T| at -xi is mirrored from
+xi and a complex one's is recombined from T_u(+-xi) + i T_v(+-xi).
 
 Every operator acts along the last axis of a (..., N) SampledFn stack; the
 geometry of an evaluation block (1/(x-z) kernel, window searches, cut-panel
 nodes and cos/sin ladder) is built once and shared by the whole stack.
 Suprema over radii/frequencies are taken over a finite SupGrid, iterated in
-a fixed order; enlarging the SupGrid never decreases any output.
+a fixed order; enlarging the SupGrid never decreases any output.  A radius
+past both ends of the support from every node empties both truncated
+windows (dropped) and gives M_HL total/2r (only the smallest such is kept).
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ class SupGrid:
 
 
 def default_sup_grid(grid: Grid, t_values=None) -> SupGrid:
-    """Dyadic radii 2^8..2^-8 times the support scale; frequencies are the
-    t_values as given (an operator refuses one above the grid's band), else
-    the octaves in [2^-4, min(2^7, band)], plus 0, reflected to a symmetric set."""
+    """Dyadic radii 2^8..2^-8 times the support scale (those past it cost nothing);
+    frequencies are the t_values as given (an operator refuses one above the
+    grid's band), else the octaves in [2^-4, min(2^7, band)], plus 0, reflected."""
     scale = max(abs(grid.lo), abs(grid.hi))
     radii = scale * 2.0 ** np.arange(8, -9, -1)
     if t_values is None:   # a band below 2^-4 (a very coarse grid) leaves xi = 0 alone
@@ -111,6 +114,11 @@ def _window_panels(edges: np.ndarray, a, b):
     return first, stop, (a, np.minimum(edges[first], b)), (edges[stop], b)
 
 
+def _covering(edges: np.ndarray, z: np.ndarray, radii: np.ndarray) -> int:
+    """How many of the decreasing radii reach past the support both ways from every node."""
+    return int(np.count_nonzero((z[-1] - radii <= edges[0]) & (z[0] + radii >= edges[-1])))
+
+
 def _cut_segments(grid: Grid, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """The nonempty cut parts [lo, hi] of panels: (cut, nodes, samples) with cut
     the mask of hi > lo, nodes the (K, q) fresh Gauss nodes on those parts and
@@ -147,8 +155,9 @@ def _window_integrals(grid: Grid, samples: np.ndarray, windows, kernel=None) -> 
 def hardy_littlewood_max(f: SampledFn, sup: SupGrid) -> SampledFn:
     """sup over radii of the window average (1/2r) integral_{x-r}^{x+r} |f|."""
     x = f.grid.points
-    sums = _window_integrals(f.grid, np.abs(f.values), [(x - r, x + r) for r in sup.radii])
-    best = np.max([t / (2.0 * r) for r, t in zip(sup.radii, sums)], axis=0, initial=0.0)
+    radii = sup.radii[max(_covering(_require_panels(f.grid), x, sup.radii) - 1, 0):]  # total/2r
+    sums = _window_integrals(f.grid, np.abs(f.values), [(x - r, x + r) for r in radii])
+    best = np.max([t / (2.0 * r) for r, t in zip(radii, sums)], axis=0, initial=0.0)
     return f.with_values(best.reshape(f.values.shape))
 
 
@@ -175,7 +184,9 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray) -> np.n
     edges, z = _require_panels(grid), grid.points
     transforms.check_resolution(grid, float(np.max(np.abs(frequencies))))
     M, n_pan, nQ, nP = vals.shape[0], edges.size - 1, frequencies.size, frequencies.size // 2
-    pos = frequencies[nQ - nP:]                                # xi > 0, ascending
+    parts = np.concatenate([vals.real, vals.imag]) if np.iscomplexobj(vals) else vals  # u, v
+    radii = sup.radii[_covering(edges, z, sup.radii):]       # the rest leave windows empty
+    pos, Mr, z0 = frequencies[nQ - nP:], parts.shape[0], nQ % 2   # xi > 0; z0: is xi = 0 in
     block = max(8, _BLOCK_BUDGET // M)
     # nodes laid out as (panel, slot); short panels padded with zero-weight slots
     panel_of = _panel_of(edges, z)
@@ -183,48 +194,49 @@ def _truncated_sups(f: SampledFn, sup: SupGrid, frequencies: np.ndarray) -> np.n
     slot = np.arange(counts.max())
     node = np.minimum(np.searchsorted(panel_of, np.arange(n_pan))[:, None] + slot, z.size - 1)
     zp, wp = z[node], np.where(slot < counts[:, None], grid.weights[node], 0.0)
-    gmat = (vals.T[node][..., None] * np.exp(-1j * zp[..., None, None] * frequencies)).view(float)
-    gmat = gmat.reshape(n_pan, slot.size, M * 2 * nQ)          # columns (member, xi, re/im)
-    out = np.zeros((z.size, M, nQ))
-    left = np.zeros((n_pan + 1, block, M * 2 * nQ))            # sum of the first i panels
-    right = np.zeros((n_pan + 1, block, M * 2 * nQ))           # ... of the last i panels
+    mod = np.exp(-1j * zp[..., None] * frequencies[nP:])      # xi >= 0
+    mod = np.concatenate([mod.real, -mod.imag[..., z0:]], axis=-1)   # cos at xi >= 0, sin at xi > 0
+    gmat = (parts.T[node][..., None] * mod[..., None, :]).reshape(n_pan, slot.size, Mr * nQ)
+    best = np.zeros((z.size, Mr, nQ - nP))    # max |T| at xi >= 0; for u + iv, -xi rows first
+    left = np.zeros((n_pan + 1, block, Mr * nQ))               # sum of the first i panels
+    right = np.zeros((n_pan + 1, block, Mr * nQ))              # ... of the last i panels
     for s in range(0, z.size, block):
         xb = z[s:s + block]
         B = xb.size
         with np.errstate(divide="ignore"):
             kern = 1.0 / (xb[None, :, None] - zp[:, None, :])  # (P, B, m)
         kern[~np.isfinite(kern)] = 0.0  # diagonal is always inside the window
-        psum = np.matmul(kern * wp[:, None, :], gmat)          # (P, B, 2MQ) per-panel sums
+        psum = np.matmul(kern * wp[:, None, :], gmat)          # (P, B, Mr nQ) per-panel sums
         for i in range(n_pan):      # one add per panel: faster than cumsum over axis 0
             np.add(left[i, :B], psum[i], out=left[i + 1, :B])
             np.add(right[i, :B], psum[n_pan - 1 - i], out=right[i + 1, :B])
         # the kept windows [lo, x-eps] and [x+eps, hi] of the support
-        _, stop, _, left_cut = _window_panels(edges, edges[0], xb[:, None] - sup.radii)
-        first, _, right_cut, _ = _window_panels(edges, xb[:, None] + sup.radii, edges[-1])
+        _, stop, _, left_cut = _window_panels(edges, edges[0], xb[:, None] - radii)
+        first, _, right_cut, _ = _window_panels(edges, xb[:, None] + radii, edges[-1])
         rows = np.arange(B)[:, None]
-        res = (left[stop, rows] + right[n_pan - first, rows]).view(complex).reshape(B, -1, M, nQ)
-        xe = np.broadcast_to(xb[:, None], stop.shape)
+        res = (left[stop, rows] + right[n_pan - first, rows]).reshape(B, radii.size, Mr, nQ)
         for seg_lo, seg_hi in (left_cut, right_cut):
-            cut, nodes, fv = _cut_segments(grid, vals, seg_lo, seg_hi)   # (K, q), (M, K, q)
-            base = fv * (1.0 / (xe[cut][:, None] - nodes))
-            add = np.empty((nodes.shape[0], M, nQ), dtype=complex)
-            if nQ % 2:
-                add[..., nP] = base.sum(axis=-1).T
-            if nP:
-                cs = np.empty((2 * nP,) + nodes.shape)          # cos rows, then sin rows
-                cos, sin = cs[:nP], cs[nP:]
-                for k, xi in enumerate(pos):
-                    if k % _LADDER and xi == 2.0 * pos[k - 1]:  # double angle
-                        cos[k] = (cos[k - 1] - sin[k - 1]) * (cos[k - 1] + sin[k - 1])
-                        sin[k] = 2.0 * sin[k - 1] * cos[k - 1]
-                    else:
-                        cos[k], sin[k] = np.cos(nodes * xi), np.sin(nodes * xi)
-                cs_sums = transforms._apply_real(cs.transpose(1, 0, 2), base.transpose(1, 0, 2))
-                c_sum, i_s = cs_sums[..., :nP], 1j * cs_sums[..., nP:]
-                np.subtract(c_sum, i_s, out=add[..., nQ - nP:])
-                np.add(c_sum, i_s, out=add[..., nP - 1::-1])
+            cut, nodes, fv = _cut_segments(grid, parts, seg_lo, seg_hi)   # (K, q), (Mr, K, q)
+            base = (fv * (1.0 / (xb[np.nonzero(cut)[0], None] - nodes))).transpose(1, 0, 2)
+            add = np.empty((nodes.shape[0], Mr, nQ))
+            if z0:
+                add[..., 0] = base.sum(axis=-1)
+            cs = np.empty((2 * nP,) + nodes.shape)              # cos rows, then sin rows
+            cos, sin = cs[:nP], cs[nP:]
+            for k, xi in enumerate(pos):
+                if k % _LADDER and xi == 2.0 * pos[k - 1]:      # double angle
+                    cos[k] = (cos[k - 1] - sin[k - 1]) * (cos[k - 1] + sin[k - 1])
+                    sin[k] = 2.0 * sin[k - 1] * cos[k - 1]
+                else:
+                    cos[k], sin[k] = np.cos(nodes * xi), np.sin(nodes * xi)
+            add[..., z0:] = transforms._apply_real(cs.transpose(1, 0, 2), base)
             res[cut] += add
-        out[s:s + B] = np.max(np.abs(res), axis=1)
+        w = np.zeros(res.shape[:-1] + (nQ - nP,), dtype=complex)  # C + iS = T(-xi) of a real part
+        w.real[...], w.imag[..., z0:] = res[..., :nQ - nP], res[..., nQ - nP:]
+        if Mr > M:    # f = u + iv: T(-xi) = W_u + i W_v and T(xi) = conj(W_u - i W_v)
+            w = np.concatenate([w[:, :, :M] + j * w[:, :, M:] for j in (1j, -1j)], axis=2)
+        best[s:s + B] = np.max(np.abs(w), axis=1, initial=0.0)
+    out = np.concatenate([best[:, :M, z0:][..., ::-1], best[:, -M:]], axis=-1)   # -xi, xi >= 0
     return np.moveaxis(out, 1, 0).reshape(f.values.shape[:-1] + (z.size, nQ))
 
 

@@ -280,13 +280,16 @@ def _projection_algebra(alpha, f, freq):
 
 
 def _partial_sum_decomposition(alpha, f, freq):
+    spec = transforms.dunkl(alpha, f, freq, route="direct")   # masked here, not by _cut_rows
+    cut = np.abs(freq.points) <= np.array(PROJECTION_TS)[:, None]
+    spec = spec.with_values(cut * spec.values[..., None, :])
     half_freq = freq.positive_half()
     fe, fo = even_odd_split(f)
     foy = fo.with_values(fo.values / fo.grid.points)
     cuts = [[t] for t in PROJECTION_TS]
     rec = assemble_values(_cut_rows(alpha, fe, cuts, half_freq, "hankel"),
                           fe.grid.points * _cut_rows(alpha + 1.0, foy, cuts, half_freq, "hankel"))
-    return _max_gap(_cut_rows(alpha, f, cuts, freq, "dunkl"), rec, f)
+    return _max_gap(transforms.dunkl_inverse(alpha, spec, f.grid).values, rec, f)
 
 
 def _transplant_identity(alpha, f, freq):

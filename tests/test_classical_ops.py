@@ -251,6 +251,43 @@ def test_truncated_sups_of_a_real_stack_match_its_complex_cast(line, freqs):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
 
+def _real_and_complex_stacks(line):
+    res = resolution_n512()
+    grid = res.half_grid() if line == "half-line" else res.space_grid()
+    real = SampledFn(grid, np.stack([bump(c, r)(grid.points) for c, r in
+                                     ((1.5, 1.2), (0.8, 0.5), (2.0, 0.9))]),
+                     HALF_LINE if line == "half-line" else FULL_LINE)
+    return grid, real, real.with_values(real.values * (1 - 0.5j) + 1j * real.values[::-1])
+
+
+@pytest.mark.parametrize("line", ["half-line", "full-line"])
+def test_radii_past_the_support_change_no_output(line):
+    # a radius of the support's length or more reaches past both of its ends
+    # from every node: it leaves both truncated windows empty (a zero sum) and
+    # takes the M_HL average over the whole support (total / 2r, smaller the
+    # larger r), so radii beyond the one of the support's length change no bit
+    grid, real, cplx = _real_and_complex_stacks(line)
+    padded = default_sup_grid(grid, [0.5, 1.0, 2.0])
+    assert np.sum(padded.radii > grid.hi - grid.lo) >= 7
+    base = SupGrid(padded.radii[padded.radii <= grid.hi - grid.lo], padded.frequencies)
+    ops = [hardy_littlewood_max, maximal_hilbert, carleson_hunt]
+    if line == "half-line":
+        ops.append(lambda f, sup: prestini_majorant(0.5, f, sup))
+    for f in (real, cplx):
+        for op in ops:
+            assert np.array_equal(op(f, padded).values, op(f, base).values)
+
+
+@pytest.mark.parametrize("line", ["half-line", "full-line"])
+def test_truncated_sups_of_a_real_stack_are_even_in_xi(line):
+    # T(-xi) = conj T(xi) for a real f, not for a complex one
+    grid, real, cplx = _real_and_complex_stacks(line)
+    sup = default_sup_grid(grid, [0.5, 1.0, 2.0, 4.0])
+    sups, csups = (_truncated_sups(f, sup, sup.frequencies) for f in (real, cplx))
+    assert np.array_equal(sups, sups[..., ::-1])
+    assert not np.allclose(csups, csups[..., ::-1])
+
+
 def test_cotlar_cross_check(smooth_pair):
     # H* f <= C (M_HL(Hf) + M_HL f) with a single modest empirical constant
     g, f1, _, sup = smooth_pair

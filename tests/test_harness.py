@@ -336,11 +336,18 @@ def test_halved_resolution_passes_at_10x_tolerance():
 
 
 def test_projection_identities_read_exactly_zero(small_res):
+    # both sides of the projection algebra are rows of one cut call, so it
+    # reads exactly 0; the partial-sum decomposition takes its Dunkl side on
+    # the direct route, so it reads round-off and could fail
     reports = run_identity_suite(small_res, seed=3, alphas=(0.0,))
     for name in ("projection-algebra", "partial-sum-decomposition"):
         rs = [r for r in reports if r.name == name]
         assert [r.inputs["alpha"] for r in rs] == [-0.5, 0.0, 1.0]
-        assert all(v == 0.0 for r in rs for _, v in r.residuals_or_ratios), name
+        values = [v for r in rs for _, v in r.residuals_or_ratios]
+        if name == "projection-algebra":
+            assert all(v == 0.0 for v in values), name
+        else:
+            assert max(values) <= 1e-13 and any(v != 0.0 for v in values), name
 
 
 def test_residuals_take_a_stack_and_return_one_value_per_member(res512):
