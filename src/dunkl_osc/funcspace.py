@@ -235,10 +235,6 @@ def make_breakpoint_grid(breakpoints: Sequence[float], nodes_per_panel: int) -> 
     return Grid(np.concatenate(xs), np.concatenate(ws), float(bks[0]), float(bks[-1]), bks)
 
 
-def integrate(f: SampledFn) -> complex:
-    return complex(np.dot(f.grid.weights, f.values))
-
-
 def even_odd_split(f: SampledFn):
     """Even and odd parts restricted to the positive half grid, along the
     last axis: f_e(x) = (f(x)+f(-x))/2, f_o(x) = (f(x)-f(-x))/2 for x > 0."""
@@ -314,15 +310,15 @@ def gaussian(center: float, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def random_band_modes(seed: int, center: float = 0.0, sigma: float = 0.24,
-                      n_modes: int = 4, omega_max: float = 8.0) -> Callable:
-    """Gaussian-windowed random cosine sum: nearly band-limited, smooth,
-    compactly supported after the 12-sigma truncation."""
+                      omega_max: float = 8.0) -> Callable:
+    """Gaussian-windowed sum of four random cosines at omega_max k/4: nearly
+    band-limited, smooth, compactly supported after the 12-sigma truncation."""
     if not 0 <= seed < 2 ** 128:
         raise ArgumentError(f"seed must lie in [0, 2**128), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    omegas = omega_max * (np.arange(1, n_modes + 1) / n_modes)
-    coeff = rng.standard_normal(n_modes) / np.sqrt(n_modes)
-    phase = rng.uniform(0.0, 2.0 * np.pi, n_modes)
+    omegas = omega_max * (np.arange(1, 5) / 4)
+    coeff = rng.standard_normal(4) / 2.0
+    phase = rng.uniform(0.0, 2.0 * np.pi, 4)
     win = gaussian(center, sigma)
 
     def fn(x):
@@ -484,7 +480,8 @@ def write_sampled_fn(path_or_buf, f: SampledFn) -> None:
 
 
 def read_sampled_fn(path_or_buf) -> SampledFn:
-    """Strict reader of the format above: any other file raises ArgumentError."""
+    """Strict reader of the format above: any other file raises ArgumentError.
+    An all-zero im column reads back as a float64 function."""
     try:
         with _text_file(path_or_buf, "r") as buf:
             head, cols, body = buf.readline().split(), buf.readline().strip(), buf.read()
@@ -505,5 +502,6 @@ def read_sampled_fn(path_or_buf) -> SampledFn:
             raise ValueError
     except ValueError:
         raise ArgumentError("sampledfn lo, hi, edges and rows must be numeric, 4 to a row") from None
-    return SampledFn(Grid(data[:, 0], data[:, 1], lo, hi, edges), data[:, 2] + 1j * data[:, 3],
+    values = data[:, 2] + 1j * data[:, 3] if data[:, 3].any() else data[:, 2]
+    return SampledFn(Grid(data[:, 0], data[:, 1], lo, hi, edges), values,
                      _DOMAINS[fields["domain"]])

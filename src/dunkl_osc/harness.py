@@ -94,16 +94,8 @@ class Resolution:
         return float(self.freq_grid().hi)
 
 
-def default_resolution() -> Resolution:
-    return Resolution()
-
-
 def resolution_n512() -> Resolution:
     return Resolution(8)
-
-
-def resolution_n1024() -> Resolution:
-    return Resolution(16)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +162,10 @@ def _openblas_threads():
 def _one_blas_thread():
     """Run the body with the bundled OpenBLAS on one thread and restore the
     previous count on exit: a second BLAS thread buys no wall time on these
-    GEMMs, doubles the CPU time and changes no result.  A no-op when the
-    library is not found or OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
+    GEMMs and doubles the CPU time; it moves only a result's last bits (none
+    with the Haswell and SandyBridge kernels, some with Nehalem and Prescott).
+    A no-op when the library is not found or OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS is set.
     The count is process-wide: when two threads run _map_ordered at once, the
     first to leave restores the old count under the other (slower, same bits)."""
     blas = _openblas_threads()
@@ -327,7 +321,7 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
     IDENTITIES entries in _PER_ORDER run at every requested order, the
     Fourier reduction at -1/2 and the _FIXED_ORDER entries at -1/2, 0 and 1.
     Failures are reported, never raised."""
-    res = resolution or default_resolution()
+    res = resolution or Resolution()
     space, freq = res.space_grid(), res.freq_grid()
     default = default_corpus(seed)
     corpora = {"default": default, "head": default[:4],

@@ -9,10 +9,11 @@ half-line spectra E = Hk_a f_e and O = Hk_{a+1}(f_o/y) of the even and
 odd parts, and the U rows are reassembled by parity before they are
 copied to the T cut lists; a (..., N) stack gives C-ordered (..., T, N)
 rows of its dtype (a float64 f has real spectra and rows).  build_family
-passes one cut per row, a partial sum is a one-row family and an iterated
-sum one row of multiplied masks; equal masks share one computed row, so
-P_s P_t = P_min holds exactly.  A cut t keeps the frequency nodes
-|xi| <= t, counted by one search over all cuts of a call.
+passes one cut per row and a partial sum is a one-row family.  A cut t
+keeps the frequency nodes |xi| <= t, counted by one search over all cuts
+of a call; a cut list keeps the product of its masks, and equal masks
+share one computed row, so P_s P_t = P_min holds exactly for the masks
+(the projection-algebra identity), not for two composed partial sums.
 """
 
 from __future__ import annotations
@@ -127,13 +128,6 @@ def dunkl_partial_sum(order: float, f: SampledFn, t: float,
     a one-row spectral cut, which masks the half-line spectra of the even
     and odd parts with the same node mask."""
     return SampledFn(f.grid, _cut_rows(order, f, [[t]], freq_grid, "dunkl")[..., 0, :], FULL_LINE)
-
-
-def dunkl_partial_sum_iterated(order: float, f: SampledFn, ts,
-                               freq_grid: Grid | None = None) -> SampledFn:
-    """S_{t_k} ... S_{t_1} f.  Projections commute through their masks: one
-    row whose mask is the product of every cut, inverted once."""
-    return SampledFn(f.grid, _cut_rows(order, f, [ts], freq_grid, "dunkl")[..., 0, :], FULL_LINE)
 
 
 def hankel_partial_sum(order: float, f: SampledFn, t: float,

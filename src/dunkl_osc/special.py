@@ -1,5 +1,5 @@
-"""Bessel functions of the first kind J_a and the normalized kernel
-j_a(u) = J_a(u) / u^a for orders -1/2 <= a <= MAX_ORDER, in float64.
+"""The normalized Bessel kernel j_a(u) = J_a(u) / u^a of the first kind
+for orders -1/2 <= a <= MAX_ORDER, in float64.
 
 Orders +-1/2 use the closed trigonometric forms.  Otherwise u is cut into
 bands, each run in cache-sized blocks with a term or step count fixed by its
@@ -8,9 +8,9 @@ Miller's backward recurrence in the order (DLMF 3.6(vi)) up to max(20, a),
 normalised by the Neumann sum (DLMF 10.23.15); beyond, the Hankel expansion
 (DLMF 10.17.3, Horner in 1/u^2, short of float64 below u = 20) at orders b
 in [-1/2, 1/2) and b + 1, then forward recurrence in the order (DLMF
-10.6.1), stable for u > a.  J_a is within 1e-15 of mpmath on the N=512 and
-N=1536 kernel grids at orders 0 to 2, and within 1e-13 of scipy.special.jv
-for a <= 50, u <= 600 (scipy's own error there reaches 2e-14).
+10.6.1), stable for u > a.  u^a j_a is within 1e-15 of mpmath's J_a on the
+N=512 and N=1536 kernel grids at orders 0 to 2, and within 1e-13 of
+scipy.special.jv for a <= 50, u <= 600 (scipy's own error there: 2e-14).
 """
 
 from __future__ import annotations
@@ -139,12 +139,3 @@ def bessel_j_normalized(alpha: float, u):
                             _miller(alpha, uu[idx], bounds[b + 1]) if bounds[b + 1] <= turn
                             else _hankel(alpha, uu[idx], bounds[b]))
     return out.reshape(np.shape(u)) if np.ndim(u) else float(out[0])
-
-
-def bessel_j(alpha: float, u):
-    """J_a(u) = u^a j_a(u) for u >= 0, -1/2 <= a <= MAX_ORDER (infinite at
-    u = 0 for a < 0); within 1e-13 of scipy.special.jv for u <= 600
-    (relative where |J_a| > 1).  Orders above MAX_ORDER raise DomainError."""
-    j = bessel_j_normalized(alpha, u)   # checks the order and the argument
-    with np.errstate(divide="ignore"):
-        return np.asarray(u, dtype=float) ** float(alpha) * j

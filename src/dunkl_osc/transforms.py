@@ -345,17 +345,3 @@ def transplant_dunkl(alpha: float, gamma: float, f: SampledFn,
         freq_grid = frequency_grid(f.grid)
     spec = dunkl_modified(gamma, f, freq_grid)
     return dunkl_modified_inverse(alpha, spec, output_grid or f.grid)
-
-
-def transplant_hankel(alpha: float, gamma: float, f: SampledFn,
-                      freq_grid: Grid | None = None,
-                      output_grid: Grid | None = None) -> SampledFn:
-    """Hankel transplantation H_a o H_g on the half line."""
-    if f.domain_tag != HALF_LINE:
-        raise ArgumentError("transplant_hankel needs a half-line function")
-    if freq_grid is None:
-        freq_grid = frequency_grid(f.grid)
-    if freq_grid.is_symmetric:
-        freq_grid = freq_grid.positive_half()
-    spec = hankel_modified(gamma, f, freq_grid)
-    return hankel_modified(alpha, spec, output_grid or f.grid)

@@ -73,15 +73,21 @@ PINNED = {kind: reports
 
 def assert_pinned(kind, reports):
     """The reports carry the pinned labels, in order, and values near the
-    pinned ones (NaN where null).  A sweep value is held to 1e-12 relative.
-    An identity residual is held to 1e-6 of its IDENTITIES tolerance,
-    absolute: most residuals are round-off near one ulp, whose last bits
-    move with the BLAS kernel and the summation order."""
+    pinned ones (NaN where null).  A sweep value is held to 1e-12 relative,
+    but dilation-deviation, |ratio / ratio' - 1| for ratios near 1, to 1e-12
+    absolute: 1e-12 of the ratio it measures.  An identity residual is held
+    to 1e-6 of its IDENTITIES tolerance, absolute: most residuals are
+    round-off near one ulp, whose last bits move with the BLAS kernel and
+    the summation order."""
     want = PINNED[kind]
     assert ([[k for k, _ in r.residuals_or_ratios] for r in reports]
             == [[k for k, _ in w] for w in want])
     for r, w in zip(reports, want):
-        rtol, atol = (0.0, 1e-6 * IDENTITIES[r.name][2]) if kind == "identities" else (1e-12, 0.0)
-        np.testing.assert_allclose([v for _, v in r.residuals_or_ratios],
-                                   [np.nan if v is None else v for _, v in w],
-                                   rtol=rtol, atol=atol, err_msg=r.name)
+        for (label, got), (_, ref) in zip(r.residuals_or_ratios, w):
+            ref = np.nan if ref is None else ref
+            if kind == "identities":
+                rtol, atol = 0.0, 1e-6 * IDENTITIES[r.name][2]
+            else:
+                rtol, atol = (0.0, 1e-12) if label == "dilation-deviation" else (1e-12, 0.0)
+            np.testing.assert_allclose(got, ref, rtol=rtol, atol=atol,
+                                       err_msg=f"{r.name}: {label}")

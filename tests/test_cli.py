@@ -7,6 +7,7 @@ import pytest
 from dunkl_osc import (FULL_LINE, HALF_LINE, Grid, SampledFn, ThresholdSeq, build_family,
                        bump, make_graded_grid, oscillation, read_sampled_fn, sample,
                        write_sampled_fn)
+from dunkl_osc import harness
 from dunkl_osc.cli import MAXIMALS, PARTIAL_SUMS, RANGES, TRANSFORMS, main
 
 
@@ -97,8 +98,11 @@ def test_osc_cuts_are_the_library_oscillation(workdir, capsys):
     assert capsys.readouterr().err.count("\n") == 1 and not os.path.exists("o1.csv")
     assert main(["osc", "--alpha", "0.5", "--input", "f.csv", "--t-grid", "0.5,1,2,4",
                  "--cuts", "2,0.5,4", "--output", "o3.csv"]) == 0
-    fam = build_family(0.5, read_sampled_fn("f.csv"), ThresholdSeq(np.array([0.5, 1, 2, 4])))
-    want = oscillation(fam, ThresholdSeq(np.array([0.5, 2.0, 4.0])))
+    # on one BLAS thread, as the CLI runs: with some OpenBLAS kernels a
+    # second thread moves a GEMM's last bits
+    with harness._one_blas_thread():
+        fam = build_family(0.5, read_sampled_fn("f.csv"), ThresholdSeq(np.array([0.5, 1, 2, 4])))
+        want = oscillation(fam, ThresholdSeq(np.array([0.5, 2.0, 4.0])))
     assert np.array_equal(read_sampled_fn("o3.csv").values, want.values)
 
 

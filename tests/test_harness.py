@@ -500,7 +500,15 @@ def test_residuals_do_not_depend_on_the_blas_thread_count(blas_get, monkeypatch,
     monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
     transforms.clear_kernel_cache()
     free = run_identity_suite(small_res, seed=5, alphas=(0.0, 1.0))
-    assert [r.residuals_or_ratios for r in pinned] == [r.residuals_or_ratios for r in free]
+    # a second BLAS thread may move a GEMM's last bits (it does with the
+    # Nehalem and Prescott kernels, not with Haswell or SandyBridge): compare
+    # at the identity pins' own tolerance
+    assert [r.name for r in pinned] == [r.name for r in free]
+    for p, f in zip(pinned, free):
+        assert [k for k, _ in p.residuals_or_ratios] == [k for k, _ in f.residuals_or_ratios]
+        np.testing.assert_allclose([v for _, v in f.residuals_or_ratios],
+                                   [v for _, v in p.residuals_or_ratios],
+                                   rtol=0.0, atol=1e-6 * IDENTITIES[p.name][2], err_msg=p.name)
 
 
 def test_bundled_openblas_symbols_are_found():

@@ -3,8 +3,7 @@ import pytest
 
 from dunkl_osc import (HALF_LINE, ArgumentError, Grid, Resolution, ResolutionError,
                        ThresholdSeq, build_family, bump, default_t_grid, dunkl,
-                       dunkl_partial_sum, dunkl_partial_sum_iterated,
-                       even_odd_split, family_to_csv, fourier_partial_sum,
+                       dunkl_partial_sum, even_odd_split, family_to_csv, fourier_partial_sum,
                        gaussian, hankel_partial_sum, make_breakpoint_grid,
                        make_graded_grid, radial_partial_sum,
                        resolvable_frequency, sample, transforms)
@@ -54,7 +53,7 @@ def test_non_finite_thresholds_and_cuts_are_refused(bad, one_bump, freq512):
     with pytest.raises(ArgumentError):
         dunkl_partial_sum(0.0, one_bump, bad, freq512)
     with pytest.raises(ArgumentError):
-        dunkl_partial_sum_iterated(0.0, one_bump, [1.0, bad], freq512)
+        _cut_rows(0.0, one_bump, [[1.0, bad]], freq512, "dunkl")
     with pytest.raises(ArgumentError):
         _cut_rows(0.0, one_bump, [[1.0], [bad]], freq512, "dunkl")
 
@@ -109,19 +108,18 @@ def test_partial_sums_name_the_domain_they_need(space512, freq512, one_bump):
 
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
 def test_projection_algebra(alpha, space512, freq512, one_bump):
-    worst = 0.0
-    for s in TS:
-        for t in TS:
-            st = dunkl_partial_sum_iterated(alpha, one_bump, [t, s], freq512)
-            mn = dunkl_partial_sum(alpha, one_bump, min(s, t), freq512)
-            worst = max(worst, float(np.max(np.abs(st.values - mn.values))))
-    assert worst <= 1e-8
+    # the cut list [t, s] masks by the product of both cuts: P_t P_s = P_min
+    pairs = [(s, t) for s in TS for t in TS]
+    rows = _cut_rows(alpha, one_bump, [[t, s] for s, t in pairs], freq512, "dunkl")
+    for (s, t), st in zip(pairs, rows):
+        mn = dunkl_partial_sum(alpha, one_bump, min(s, t), freq512)
+        assert np.max(np.abs(st - mn.values)) <= 1e-8
 
 
 def test_idempotence(space512, freq512, one_bump):
-    st = dunkl_partial_sum_iterated(0.5, one_bump, [2.0, 2.0], freq512)
+    st = _cut_rows(0.5, one_bump, [[2.0, 2.0]], freq512, "dunkl")[0]
     s1 = dunkl_partial_sum(0.5, one_bump, 2.0, freq512)
-    assert np.max(np.abs(st.values - s1.values)) <= 1e-8
+    assert np.max(np.abs(st - s1.values)) <= 1e-8
 
 
 @pytest.mark.parametrize("alpha,member", [

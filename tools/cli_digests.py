@@ -4,7 +4,7 @@ leaves every output byte-identical.
 Runs, in a temporary directory, with the package of the checkout this
 script lives in:
 
-- ``verify`` at N=512 and at the default N=1536;
+- ``verify`` at N=512, with ``--summary``, and at the default N=1536;
 - every ``sweep`` kind at ``--n-panels 8 --seed 7`` (prestini at
   ``--alpha 0,1``, weighted-carleson with ``--experimental``, transference
   at p=2 and at p=3 with beta=0.5; a kind that reads no resolution flag
@@ -14,12 +14,15 @@ script lives in:
   complex full-line function and a real half-line one.  Each kind runs on
   the CSVs of its table's domain (all three when the operator checks its
   own), with ``--alpha 0.5`` where it reads an order, and each ``maximal``
-  kind that reads ``--t-grid`` runs with and without an in-band one.
+  kind that reads ``--t-grid`` runs with and without an in-band one;
+- every ``range`` predicate at ``--p 2`` (``ap`` and ``ap-alpha`` on the
+  weight w_ab with ``--a 0.5 --b 1.5``).
 
-It prints one ``sha256  name`` line per output file, sorted by name, with
-``runtime_ms`` removed from the JSON-lines reports, and one ``exit N  name``
-line per command that exits nonzero (``verify`` at N=512 exits 1 by
-design).  Run it in two checkouts and diff the listings:
+It prints one ``sha256  name`` line per file the commands write, sorted by
+name, with ``runtime_ms`` removed from the JSON-lines reports and from the
+summary CSV, and one ``exit N  name`` line per command that exits nonzero
+(``verify`` at N=512 exits 1 by design).  Run it in two checkouts and diff
+the listings:
 
     python tools/cli_digests.py > new.txt
     (cd ../parent && python tools/cli_digests.py) > old.txt
@@ -41,12 +44,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dunkl_osc import (FULL_LINE, HALF_LINE, bump, gaussian,  # noqa: E402
                        make_graded_grid, sample, write_sampled_fn)
-from dunkl_osc.cli import MAXIMALS, PARTIAL_SUMS, SWEEPS, TRANSFORMS, main  # noqa: E402
+from dunkl_osc.cli import MAXIMALS, PARTIAL_SUMS, RANGES, SWEEPS, TRANSFORMS, main  # noqa: E402
 
 # sweep kind -> the flag sets it runs with (default: one run without flags)
 SWEEP_FLAGS = {"prestini": [["--alpha", "0,1"]], "weighted-carleson": [["--experimental"]],
                "transference": [["--p", "2"], ["--p", "3", "--beta", "0.5"]]}
 T_GRID = ["--t-grid", "0.5,1,2,4"]
+# range predicate -> the flags it runs with besides --p 2
+RANGE_FLAGS = {"ap": ["--a", "0.5", "--b", "1.5"], "ap-alpha": ["--a", "0.5", "--b", "1.5"]}
+SUMMARY_HEAD = b"name,passed,max_residual_or_ratio,runtime_ms\n"
 
 
 def _inputs() -> dict[str, list[str]]:
@@ -60,16 +66,16 @@ def _inputs() -> dict[str, list[str]]:
     return {FULL_LINE: ["full.csv", "fullc.csv"], HALF_LINE: ["half.csv"]}
 
 
-def _commands():
-    """(output name, argv) of every run."""
-    yield "verify-n512.jsonl", ["verify", "--n-panels", "8", "--seed", "7"]
+def _commands(inputs: dict[str, list[str]]):
+    """(output name, argv) of every run on the input CSVs of _inputs."""
+    yield "verify-n512.jsonl", ["verify", "--n-panels", "8", "--seed", "7",
+                                "--summary", "verify-n512-summary.csv"]
     yield "verify-n1536.jsonl", ["verify", "--seed", "7"]
     for kind, (reads, _) in SWEEPS.items():
         res = ["--n-panels", "8"] if "n_panels" in reads else []
         for flags in SWEEP_FLAGS.get(kind, [[]]):
             name = "-".join([f"sweep-{kind}"] + [f.lstrip("-") for f in flags])
             yield f"{name}.jsonl", ["sweep", "--kind", kind, *res, "--seed", "7", *flags]
-    inputs = _inputs()
     every = [f for files in inputs.values() for f in files]
     for table, command, key in ((TRANSFORMS, "transform", "--kind"),
                                 (PARTIAL_SUMS, "partial-sum", "--kind"),
@@ -87,6 +93,9 @@ def _commands():
     for command in ("family", "osc", "var"):
         for inp in every:
             yield f"{command}-{Path(inp).stem}.csv", [command, "--alpha", "0.5", "--input", inp]
+    for predicate in RANGES:
+        yield f"range-{predicate}.json", ["range", "--predicate", predicate, "--p", "2",
+                                          *RANGE_FLAGS.get(predicate, [])]
 
 
 def _digest(path: str) -> str:
@@ -96,6 +105,8 @@ def _digest(path: str) -> str:
         for r in reports:
             r.pop("runtime_ms", None)
         data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in reports).encode()
+    elif data.startswith(SUMMARY_HEAD):   # runtime_ms is the last column
+        data = b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in data.splitlines())
     return hashlib.sha256(data).hexdigest()
 
 
@@ -104,14 +115,15 @@ def main_digests() -> int:
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, argv in _commands():
+        inputs = _inputs()
+        for name, argv in _commands(inputs):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv + ["--output", name])
             if code:
                 lines.append(f"exit {code}  {name}")
-            if os.path.exists(name):
-                lines.append(f"{_digest(name)}  {name}")
+        given = {f for files in inputs.values() for f in files}
+        lines += [f"{_digest(name)}  {name}" for name in os.listdir() if name not in given]
         os.chdir(here)
     for line in sorted(lines, key=lambda s: s.split("  ", 1)[1]):
         print(line)
