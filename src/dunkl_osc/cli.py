@@ -11,13 +11,15 @@ test double) sees every call.
 Each subcommand declares only the flags it reads: the ones acting on a
 SampledFn take their grid from ``--input``, and only verify and sweep take
 the resolution flags, ``--seed`` and ``--threads``.  A kind of transform,
-partial-sum, maximal or sweep refuses a flag it does not read whose value
-is not the default (``_refuse_unread``).  A ``--config`` file of
+partial-sum, maximal or sweep, or a range predicate, refuses a flag it does
+not read whose value is not the default (``_refuse_unread``).  A ``--config`` file of
 key=value lines becomes flags placed before the explicit ones, so its
 values are typed and checked like flags and explicit flags win; keys the
 subcommand does not take are ignored.  Float flags take finite numbers only.
 Exit codes: 0 success, 1 numerical failure, 2 argument or I/O error, each
 failure with a one-line message.  Floats print with 17 significant digits.
+Imported before numpy, this module starts OpenBLAS on one thread unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ import argparse
 import json
 import os
 import sys
+
+# a second BLAS thread buys these GEMMs no wall time and doubles their CPU time
+if "numpy" not in sys.modules and not (os.environ.get("OPENBLAS_NUM_THREADS")
+                                       or os.environ.get("OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -41,10 +48,9 @@ from .classical_ops import (carleson_hunt, conjugate_hardy, default_sup_grid,
 from .weights import (NormSpec, ap_alpha_check, ap_check, beta_star,
                       power_weight, range_dyadic_oscillation,
                       range_full_oscillation, transplant_range, w_ab_weight)
-from .harness import (Resolution, _one_blas_thread, bcv_lattice_weights,
-                      dyadic_partition, oscillation_ratio_sweep,
-                      prestini_constant_sweep, run_identity_suite, transference_demo,
-                      transplant_roundtrip_report, weighted_carleson_sweep,
+from .harness import (Resolution, bcv_lattice_weights, dyadic_partition,
+                      oscillation_ratio_sweep, prestini_constant_sweep, run_identity_suite,
+                      transference_demo, transplant_roundtrip_report, weighted_carleson_sweep,
                       write_reports_jsonl, write_summary_csv)
 
 
@@ -144,20 +150,24 @@ MAXIMALS = {
                         _family(args, f).max_abs()),
 }
 
-# predicate -> (verdict(args), formula)
+# predicate -> (the flags it reads besides --predicate, verdict(args),
+# formula); a weight predicate reads --beta (|x|^beta) or --a and --b (w_ab)
+_PBA = ("p", "beta", "alpha")
 RANGES = {
-    "full": (lambda args: range_full_oscillation(args.p, args.beta, args.alpha),
+    "full": (_PBA, lambda args: range_full_oscillation(args.p, args.beta, args.alpha),
              "-1 < beta + (alpha+1/2)(2-p) < p/2 - 1 (beta=0 allowed at p=2)"),
-    "dyadic": (lambda args: range_dyadic_oscillation(args.p, args.beta, args.alpha),
+    "dyadic": (_PBA, lambda args: range_dyadic_oscillation(args.p, args.beta, args.alpha),
                "-1 < beta + (alpha+1/2)(2-p) < p - 1"),
-    "transplant": (lambda args: transplant_range(args.p, args.beta, args.alpha, args.gamma),
+    "transplant": ((*_PBA, "gamma"), lambda args:
+                   transplant_range(args.p, args.beta, args.alpha, args.gamma),
                    "-1 - p min(alpha+1/2, gamma+1/2) < beta "
                    "< -1 + p min(alpha+3/2, gamma+3/2)"),
-    "ap": (lambda args: bool(ap_check(_weight(args), args.p)[0]),
+    "ap": (("p", "beta", "a", "b"), lambda args: bool(ap_check(_weight(args), args.p)[0]),
            "sup_B (avg_B w)(avg_B w^{-p'/p})^{p/p'} stable"),
-    "ap-alpha": (lambda args: bool(ap_alpha_check(_weight(args), args.p, args.alpha)),
+    "ap-alpha": ((*_PBA, "a", "b"), lambda args:
+                 bool(ap_alpha_check(_weight(args), args.p, args.alpha)),
                  "w |x|^{2a+1-p(a+1/2)} in A_p"),
-    "beta-star": (lambda args: beta_star(args.beta, args.alpha, args.p),
+    "beta-star": (_PBA, lambda args: beta_star(args.beta, args.alpha, args.p),
                   "beta* = beta - (alpha+1/2)(2-p)"),
 }
 
@@ -259,12 +269,13 @@ def _run_maximal(args, parser) -> int:
 
 
 def _run_range(args, parser) -> int:
+    reads, verdict, formula = RANGES[args.predicate]
+    reads = tuple(k for k in reads if k != "beta" or args.a is None)   # w_ab or |x|^beta
+    _refuse_unread(args, parser, reads, key="predicate", required=("p",))
     if (args.a is None) != (args.b is None):
         raise ArgumentError("--a and --b must be given together")
-    verdict, formula = RANGES[args.predicate]
     text = json.dumps({"predicate": args.predicate,
-                       "inputs": {k: getattr(args, k) for k in
-                                  ("p", "beta", "alpha", "gamma", "a", "b")
+                       "inputs": {k: getattr(args, k) for k in reads
                                   if getattr(args, k) is not None},
                        "result": verdict(args), "formula": formula})
     print(text)
@@ -437,8 +448,7 @@ def main(argv=None) -> int:
             # config flags go right after the subcommand, so explicit ones win
             at = argv.index(args.command) + 1
             args = ap.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
-        with _one_blas_thread():
-            return args.handler(args)
+        return args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ArgumentError, DomainError, ResolutionError, OSError) as exc:

@@ -4,10 +4,13 @@ refinement-stability studies, and structured reports.
 Every experiment is a pure function of (seed, resolution, inputs) and its
 report reproduces bit-for-bit; with threads > 1 the independent experiment
 units are mapped over a thread pool and merged in input order, so the
-thread count never changes any numeric output.  Ratio sweeps refuse to run
-when the identity gate fails at the chosen resolution; corpus members whose
-spectra exceed a coarse grid's resolvable band are excluded by the gate
-member-by-member and recorded in the report.
+thread count never changes any numeric output.  The pool leaves BLAS's own
+thread count alone: the CLI starts OpenBLAS on one thread, and a library
+caller that maps with threads > 1 sets OPENBLAS_NUM_THREADS=1 before numpy
+loads if it wants the same.  Ratio sweeps refuse to run when the identity
+gate fails at the chosen resolution; corpus members whose spectra exceed a
+coarse grid's resolvable band are excluded by the gate member-by-member and
+recorded in the report.
 
 The identity suite is one table, IDENTITIES: name -> (residual, corpus,
 tolerance), where residual(alpha, f, freq) takes the corpus as one (B, N)
@@ -22,14 +25,11 @@ upper bound is ever claimed.
 
 from __future__ import annotations
 
-import ctypes
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,51 +142,11 @@ def write_summary_csv(path, reports: Sequence[ExperimentReport]) -> None:
             fh.write(f"{r.name},{str(r.passed).lower()},{r.max_value():.17g},{r.runtime_ms}\n")
 
 
-@cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled in the numpy
-    wheel, or None when the library or either symbol is not found."""
-    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    try:
-        libs = sorted(f for f in os.listdir(libdir) if f.startswith("libscipy_openblas"))
-        lib = ctypes.CDLL(os.path.join(libdir, libs[0]))
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with the bundled OpenBLAS on one thread and restore the
-    previous count on exit: a second BLAS thread buys no wall time on these
-    GEMMs and doubles the CPU time; it moves only a result's last bits (none
-    with the Haswell and SandyBridge kernels, some with Nehalem and Prescott).
-    A no-op when the library is not found or OPENBLAS_NUM_THREADS or
-    OMP_NUM_THREADS is set.
-    The count is process-wide: when two threads run _map_ordered at once, the
-    first to leave restores the old count under the other (slower, same bits)."""
-    blas = _openblas_threads()
-    if blas is None or os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
-        yield
-        return
-    get, set_ = blas
-    old = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(old)
-
-
 def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    with _one_blas_thread():
-        if threads <= 1 or len(items) <= 1:
-            return [fn(it) for it in items]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
+    if threads <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _l2(f: SampledFn, alpha: float):

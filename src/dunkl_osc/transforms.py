@@ -122,6 +122,8 @@ def frequency_grid(space_grid: Grid, freq_max: float | None = None,
     98% of the resolution guard and the node budget mirrors the space grid."""
     limit = resolvable_frequency(space_grid)
     f = 0.98 * limit if freq_max is None else float(freq_max)
+    if not f > 0.0:
+        raise ArgumentError(f"freq_max must be positive, got {f:g}")
     if f > limit:
         raise ResolutionError(f"requested band {f:g} beyond resolvable {limit:g}")
     budget = space_grid.n if space_grid.lo >= 0.0 else space_grid.n // 2

@@ -1,4 +1,8 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +10,32 @@ import pytest
 
 from dunkl_osc import FULL_LINE, Resolution, SampledFn, bump, default_corpus, sample
 from dunkl_osc.harness import IDENTITIES
+
+
+def blas_threads():
+    """The thread count of the OpenBLAS bundled in the numpy wheel, or None
+    when the library or its getter is not found."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+def run_fresh(code: str, **env) -> str:
+    """The stdout of code run in a fresh interpreter, with src/ and tests/ on
+    its path and no BLAS thread variable but those given in env; it must
+    exit 0."""
+    here = Path(__file__).resolve().parent
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**base, **env, "PYTHONPATH": os.pathsep.join(
+                             [str(here.parent / "src"), str(here)])})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ import pytest
 from dunkl_osc import (FULL_LINE, HALF_LINE, Grid, SampledFn, ThresholdSeq, build_family,
                        bump, make_graded_grid, oscillation, read_sampled_fn, sample,
                        write_sampled_fn)
-from dunkl_osc import harness
 from dunkl_osc.cli import MAXIMALS, PARTIAL_SUMS, RANGES, TRANSFORMS, main
+from conftest import blas_threads, run_fresh
 
 
 @pytest.fixture()
@@ -98,11 +98,8 @@ def test_osc_cuts_are_the_library_oscillation(workdir, capsys):
     assert capsys.readouterr().err.count("\n") == 1 and not os.path.exists("o1.csv")
     assert main(["osc", "--alpha", "0.5", "--input", "f.csv", "--t-grid", "0.5,1,2,4",
                  "--cuts", "2,0.5,4", "--output", "o3.csv"]) == 0
-    # on one BLAS thread, as the CLI runs: with some OpenBLAS kernels a
-    # second thread moves a GEMM's last bits
-    with harness._one_blas_thread():
-        fam = build_family(0.5, read_sampled_fn("f.csv"), ThresholdSeq(np.array([0.5, 1, 2, 4])))
-        want = oscillation(fam, ThresholdSeq(np.array([0.5, 2.0, 4.0])))
+    fam = build_family(0.5, read_sampled_fn("f.csv"), ThresholdSeq(np.array([0.5, 1, 2, 4])))
+    want = oscillation(fam, ThresholdSeq(np.array([0.5, 2.0, 4.0])))
     assert np.array_equal(read_sampled_fn("o3.csv").values, want.values)
 
 
@@ -197,6 +194,15 @@ def test_malformed_csv_exits_2_with_one_line(workdir, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert not os.path.exists("T.csv")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_freq_max_is_refused_by_name(workdir, capsys, value):
+    assert main(["transform", "--kind", "fourier", "--input", "f.csv",
+                 f"--freq-max={value}", "--output", "F.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: freq_max must be positive, got {float(value):g}\n"
+    assert not os.path.exists("F.csv")
 
 
 def test_range_verdict(workdir, capsys):
@@ -370,9 +376,27 @@ def _range_verdict(capsys, argv):
 def test_config_values_are_typed(workdir, capsys):
     with open("run.conf", "w") as fh:
         fh.write("a=0.5\nb=1.5\n")
-    inputs = _range_verdict(capsys, ["range", "--predicate", "full", "--p", "2",
+    inputs = _range_verdict(capsys, ["range", "--predicate", "ap", "--p", "2",
                                      "--config", "run.conf"])["inputs"]
-    assert inputs["a"] == 0.5 and inputs["b"] == 1.5
+    assert inputs == {"p": 2.0, "a": 0.5, "b": 1.5}
+
+
+def test_range_refuses_a_flag_its_predicate_does_not_read(workdir, capsys):
+    # full reads neither gamma nor a weight; a weight predicate reads --beta
+    # (|x|^beta) or --a and --b (w_ab), not both
+    for argv, unread in [(["--predicate", "full", "--gamma", "5", "--a", "1", "--b", "1"],
+                          "--gamma, --a, --b"),
+                         (["--predicate", "ap", "--beta", "0.3", "--a", "1", "--b", "1"],
+                          "--beta")]:
+        assert main(["range", "--p", "2"] + argv + ["--output", "r.json"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: range {argv[0]} {argv[1]} does not read {unread}\n"
+    assert not os.path.exists("r.json")
+    # the echo lists only the flags the predicate reads, a default included
+    assert _range_verdict(capsys, ["range", "--predicate", "full", "--p", "2", "--gamma", "0"]
+                          )["inputs"] == {"p": 2.0, "beta": 0.0, "alpha": 0.0}
+    assert _range_verdict(capsys, ["range", "--predicate", "ap", "--p", "2", "--beta", "0.3"]
+                          )["inputs"] == {"p": 2.0, "beta": 0.3}
 
 
 def test_config_loses_to_abbreviated_flag(workdir, capsys):
@@ -431,3 +455,58 @@ def test_var_refuses_r_beyond_its_bound(workdir):
     assert main(["var", "--alpha", "0", "--r", "1000", "--input", "f.csv",
                  "--output", "v.csv"]) == 0
     assert np.max(np.abs(read_sampled_fn("v.csv").values)) > 0.0
+
+
+# the names dunkl_osc exported when its __init__ imported every module
+OLD_EXPORTS = """
+ArgumentError CorpusMember DomainError DunklOscError ExperimentReport FULL_LINE GateError Grid
+HALF_LINE NormSpec PartialSumFamily Resolution ResolutionError SampledFn SupGrid ThresholdSeq
+Weight ap_alpha_check ap_check away_from_zero_corpus bcv_lattice_weights bessel_j_normalized
+beta_star build_family bump carleson_hunt check_resolution conjectured_measure_ap_check
+conjugate_hardy default_corpus default_sup_grid default_t_grid dunkl dunkl_inverse dunkl_modified
+dunkl_modified_inverse dunkl_partial_sum dyadic_partition even_odd_split family_to_csv fourier
+fourier_inverse fourier_partial_sum frequency_grid gaussian half_line_corpus hankel hankel_modified
+hankel_partial_sum hardy_littlewood_max make_breakpoint_grid make_graded_grid max_oscillation
+maximal_hilbert moment_cancelled_corpus multiply_power oscillation oscillation_ratio_sweep
+power_weight prestini_constant_sweep prestini_majorant radial_partial_sum random_band_modes
+range_dyadic_oscillation range_full_oscillation read_sampled_fn resolution_n512
+resolvable_frequency run_identity_suite sample smooth_corpus transference_demo transplant_dunkl
+transplant_range transplant_roundtrip_report variation w_ab_weight weighted_carleson_sweep
+weighted_lp_norm write_reports_jsonl write_sampled_fn write_summary_csv
+""".split()
+# prints the OpenBLAS thread count of the process that runs it
+PRINT_THREADS = "from conftest import blas_threads\nprint(blas_threads())\n"
+
+
+def test_every_export_resolves_lazily_and_is_in_all():
+    import dunkl_osc
+    assert sorted(dunkl_osc.__all__) == sorted(OLD_EXPORTS)
+    for name in OLD_EXPORTS:
+        assert getattr(dunkl_osc, name) is not None and name in dir(dunkl_osc)
+    with pytest.raises(AttributeError, match="no attribute 'bessel_j'"):
+        dunkl_osc.bessel_j
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert run_fresh("import os, sys, dunkl_osc\n"
+                     "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+                     ) == "False None\n"
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="the bundled OpenBLAS is not found")
+def test_cli_starts_openblas_on_one_thread():
+    # as the console script starts: the package, then the CLI, then numpy;
+    # an empty thread variable counts as unset
+    assert run_fresh("import dunkl_osc.cli\n" + PRINT_THREADS) == "1\n"
+    assert run_fresh("import dunkl_osc.cli\n" + PRINT_THREADS, OMP_NUM_THREADS="") == "1\n"
+    # a library import leaves OpenBLAS at its own default
+    assert (run_fresh("import dunkl_osc.harness\n" + PRINT_THREADS)
+            == run_fresh("import numpy\n" + PRINT_THREADS))
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="the bundled OpenBLAS is not found")
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_cli_start_yields_to_an_explicit_thread_setting(var):
+    if run_fresh("import numpy\n" + PRINT_THREADS, **{var: "2"}) != "2\n":
+        pytest.skip("OpenBLAS runs fewer than 2 threads on this machine")
+    assert run_fresh("import dunkl_osc.cli\n" + PRINT_THREADS, **{var: "2"}) == "2\n"

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -20,7 +17,7 @@ from dunkl_osc import cli, harness
 from dunkl_osc.cli import _t_grid_for
 from dunkl_osc.funcspace import CorpusMember, SampledFn
 from dunkl_osc.harness import IDENTITIES, _gate_members, _sweep_corpus
-from conftest import assert_pinned
+from conftest import assert_pinned, blas_threads, run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -157,25 +154,18 @@ def test_oscillation_sweep_groups_members_and_ignores_threads(monkeypatch, kind)
     assert_pinned(kind, runs[0])
 
 
-@pytest.mark.skipif(harness._openblas_threads() is None,
+@pytest.mark.skipif(blas_threads() is None,
                     reason="needs the OpenBLAS bundled in the numpy wheel")
 def test_pins_hold_under_another_blas_kernel():
     # the identity and sweep pins of the tests above, each run once in a fresh
     # process on OpenBLAS's SandyBridge kernels instead of the dispatched ones
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    code = ("from conftest import assert_pinned\n"
-            "from test_harness import SWEEP_RUNS\n"
-            "from dunkl_osc import Resolution, run_identity_suite\n"
-            "assert_pinned('identities', run_identity_suite(Resolution(6, 32, 3.0), seed=3,\n"
-            "                                               alphas=(-0.5, 0.0)))\n"
-            "for kind, (run, _, _) in SWEEP_RUNS.items():\n"
-            "    assert_pinned(kind, run(1))\n")
-    env = dict(os.environ, OPENBLAS_CORETYPE="SandyBridge",
-               PYTHONPATH=os.pathsep.join([src, here]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
+    run_fresh("from conftest import assert_pinned\n"
+              "from test_harness import SWEEP_RUNS\n"
+              "from dunkl_osc import Resolution, run_identity_suite\n"
+              "assert_pinned('identities', run_identity_suite(Resolution(6, 32, 3.0), seed=3,\n"
+              "                                               alphas=(-0.5, 0.0)))\n"
+              "for kind, (run, _, _) in SWEEP_RUNS.items():\n"
+              "    assert_pinned(kind, run(1))\n", OPENBLAS_CORETYPE="SandyBridge")
 
 
 def test_stable_is_the_closed_factor_two_test():
@@ -444,82 +434,31 @@ def test_transference_high_dimension():
     assert r.passed and ratios["max |fourier - hankel| orthogonal-norm gap"] <= 1e-6
 
 
-@pytest.fixture()
-def blas_get(monkeypatch):
-    """The bundled OpenBLAS's thread-count getter, with the count at 2, no
-    thread variable in the environment, and the old count restored after."""
-    if harness._openblas_threads() is None:
-        pytest.skip("the bundled OpenBLAS is not found")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    get, set_ = harness._openblas_threads()
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
-
-
-def test_one_blas_thread_scope_restores_the_count(blas_get):
-    with harness._one_blas_thread():
-        assert blas_get() == 1
-        with harness._one_blas_thread():
-            assert blas_get() == 1
-        assert blas_get() == 1
-    assert blas_get() == 2
-    with pytest.raises(RuntimeError, match="body"):
-        with harness._one_blas_thread():
-            assert blas_get() == 1
-            raise RuntimeError("body")
-    assert blas_get() == 2
-
-
-@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
-def test_one_blas_thread_yields_to_an_explicit_setting(blas_get, monkeypatch, var):
-    monkeypatch.setenv(var, "2")
-    with harness._one_blas_thread():
-        assert blas_get() == 2
-
-
-def test_one_blas_thread_without_the_library(blas_get, monkeypatch):
-    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
-    with harness._one_blas_thread():
-        assert blas_get() == 2
-
-
-def test_pool_and_cli_run_on_one_blas_thread(blas_get, monkeypatch, capsys):
-    # the count is process-wide, so the pool's workers see it too
-    assert harness._map_ordered(lambda _: blas_get(), [0, 1, 2], 2) == [1, 1, 1]
-    monkeypatch.setitem(cli.RANGES, "beta-star", (lambda args: blas_get(), "count"))
-    assert cli.main(["range", "--predicate", "beta-star", "--p", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"] == 1
-    assert blas_get() == 2
-
-
-def test_residuals_do_not_depend_on_the_blas_thread_count(blas_get, monkeypatch, small_res):
-    pinned = run_identity_suite(small_res, seed=5, alphas=(0.0, 1.0))
-    monkeypatch.setattr(harness, "_openblas_threads", lambda: None)
-    transforms.clear_kernel_cache()
-    free = run_identity_suite(small_res, seed=5, alphas=(0.0, 1.0))
+def test_residuals_do_not_depend_on_the_blas_thread_count():
+    code = ("import json\n"
+            "from dunkl_osc import Resolution, run_identity_suite\n"
+            "print(json.dumps([[r.name, r.residuals_or_ratios] for r in run_identity_suite(\n"
+            "    Resolution(6, 32, 3.0), seed=5, alphas=(0.0, 1.0))]))\n")
+    one, two = (json.loads(run_fresh(code, OPENBLAS_NUM_THREADS=n)) for n in ("1", "2"))
     # a second BLAS thread may move a GEMM's last bits (it does with the
     # Nehalem and Prescott kernels, not with Haswell or SandyBridge): compare
     # at the identity pins' own tolerance
-    assert [r.name for r in pinned] == [r.name for r in free]
-    for p, f in zip(pinned, free):
-        assert [k for k, _ in p.residuals_or_ratios] == [k for k, _ in f.residuals_or_ratios]
-        np.testing.assert_allclose([v for _, v in f.residuals_or_ratios],
-                                   [v for _, v in p.residuals_or_ratios],
-                                   rtol=0.0, atol=1e-6 * IDENTITIES[p.name][2], err_msg=p.name)
+    assert [name for name, _ in one] == [name for name, _ in two]
+    for (name, p), (_, f) in zip(one, two):
+        assert [k for k, _ in p] == [k for k, _ in f]
+        np.testing.assert_allclose([v for _, v in f], [v for _, v in p], rtol=0.0,
+                                   atol=1e-6 * IDENTITIES[name][2], err_msg=name)
 
 
 def test_bundled_openblas_symbols_are_found():
-    # a wheel-layout change must not silently switch the thread policy off
+    # a wheel-layout change must not silently skip the BLAS thread tests
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         pytest.skip("numpy does not describe its BLAS build")
     if blas.get("name") != "scipy-openblas":
         pytest.skip(f"numpy is built against {blas.get('name')!r}")
-    assert harness._openblas_threads() is not None
+    assert blas_threads() is not None
 
 
 def test_the_sweep_hot_path_stays_real():

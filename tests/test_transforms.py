@@ -201,6 +201,12 @@ def test_resolution_guard(space512):
         fourier(f, too_fine)
 
 
+def test_frequency_grid_refuses_a_band_that_is_not_positive(space512):
+    for bad in (0.0, -5.0):
+        with pytest.raises(ArgumentError, match=r"^freq_max must be positive"):
+            frequency_grid(space512, freq_max=bad)
+
+
 def test_apply_real_matches_upcast_product():
     # mat acts along the last axis of v (a stack of k mats on the k leading
     # slices of v); the C-ordered result keeps v's dtype

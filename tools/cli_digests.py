@@ -21,8 +21,10 @@ script lives in:
 It prints one ``sha256  name`` line per file the commands write, sorted by
 name, with ``runtime_ms`` removed from the JSON-lines reports and from the
 summary CSV, and one ``exit N  name`` line per command that exits nonzero
-(``verify`` at N=512 exits 1 by design).  Run it in two checkouts and diff
-the listings:
+(``verify`` at N=512 exits 1 by design).  The commands run in this
+process, which imports ``dunkl_osc.cli`` before numpy, so OpenBLAS starts
+as it does under the console script.  Run it in two checkouts and diff the
+listings:
 
     python tools/cli_digests.py > new.txt
     (cd ../parent && python tools/cli_digests.py) > old.txt
@@ -42,9 +44,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from dunkl_osc.cli import MAXIMALS, PARTIAL_SUMS, RANGES, SWEEPS, TRANSFORMS, main  # noqa: E402
 from dunkl_osc import (FULL_LINE, HALF_LINE, bump, gaussian,  # noqa: E402
                        make_graded_grid, sample, write_sampled_fn)
-from dunkl_osc.cli import MAXIMALS, PARTIAL_SUMS, RANGES, SWEEPS, TRANSFORMS, main  # noqa: E402
 
 # sweep kind -> the flag sets it runs with (default: one run without flags)
 SWEEP_FLAGS = {"prestini": [["--alpha", "0,1"]], "weighted-carleson": [["--experimental"]],
