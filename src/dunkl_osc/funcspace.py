@@ -85,6 +85,12 @@ class Grid:
             if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
                     or np.any(np.diff(edges) <= 0.0)):
                 raise ArgumentError("panel edges must be finite and strictly increasing")
+            # the weights of the nodes in (e_i, e_{i+1}] sum to its length; none lie outside
+            sums = np.bincount(np.searchsorted(edges, pts), wts, edges.size + 1)
+            if (edges[0] != self.lo or edges[-1] != self.hi or sums[0] or sums[-1]
+                    or np.any(np.abs(sums[1:-1] - np.diff(edges)) > 1e-12 * length)):
+                raise ArgumentError("panel edges must run from lo to hi, each panel's "
+                                    "weights summing to its length")
             object.__setattr__(self, "panel_edges", edges)
         h = hashlib.sha1()
         h.update(pts.tobytes())

@@ -94,25 +94,27 @@ _AP_PANELS = 12   # 8-point Gauss panels per interval side in the A_p checkers' 
 def weighted_lp_norm(f: SampledFn, spec: NormSpec, weight: Weight | None = None) -> float:
     """(integral |f|^p w(x) |x|^{2 alpha + 1} dx)^{1/p}, one value per function
     of a (..., N) stack; w defaults to the power weight |x|^{spec.beta}.
-    Where the plain sum of |f|^p is not a normal float above tiny/eps (at large
-    p, |f|^p under- or overflows), max|f| is factored out first."""
+    Where the plain sum is not a normal float above tiny/eps (at large p, its
+    terms under- or overflow), it is taken in logs instead, from the weight's
+    exponents, with each function's largest term factored out."""
     w = weight if weight is not None else power_weight(spec.beta)
-    exp_at_zero = w.exponents[0] + 2.0 * spec.alpha + 1.0
-    if exp_at_zero <= -1.0:
-        raise DomainError(
-            f"weight exponent {exp_at_zero:g} at the origin is not integrable")
+    (e0, e1), a = w.exponents, 2.0 * spec.alpha + 1.0
+    if e0 + a <= -1.0:
+        raise DomainError(f"weight exponent {e0 + a:g} at the origin is not integrable")
     x = f.grid.points
-    dens = w(x) * np.abs(x) ** (2.0 * spec.alpha + 1.0)
-    af = np.abs(f.values)
-    with np.errstate(over="ignore"):
+    ax, af = np.abs(x), np.abs(f.values)
+    with np.errstate(all="ignore"):   # a plain sum that fails is redone in logs
+        dens = w(x) * ax ** a
         total = np.sum(f.grid.weights * dens * af ** spec.p, axis=-1)
-    if total.min() > _LOW_SUM and total.max() < np.inf:
-        return total ** (1.0 / spec.p)
-    top = np.max(af, axis=-1)
-    redo = ~((total > _LOW_SUM) & (total < np.inf)) & (top > 0.0) & (top < np.inf)
-    top = np.where(redo, top, 1.0)
-    scaled = np.sum(f.grid.weights * dens * (af / top[..., None]) ** spec.p, axis=-1)
-    return np.where(redo, top * scaled ** (1.0 / spec.p), total ** (1.0 / spec.p))[()]
+        if total.min() > _LOW_SUM and total.max() < np.inf:
+            return total ** (1.0 / spec.p)
+        logs = (np.log(f.grid.weights) + (np.log(ax) * (e0 + a) if e0 + a else 0.0)
+                + e1 * np.log1p(ax) + spec.p * np.log(af))
+        top = np.max(logs, axis=-1)
+        redo = ~((total > _LOW_SUM) & (total < np.inf)) & np.isfinite(top)
+        top = np.where(redo, top, 0.0)
+        log_sum = top + np.log(np.sum(np.exp(logs - top[..., None]), axis=-1))
+        return np.where(redo, np.exp(log_sum / spec.p), total ** (1.0 / spec.p))[()]
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,45 @@ def test_threads_below_one_exit_2(workdir, capsys, value):
     assert not os.path.exists("r.jsonl")
 
 
+@pytest.mark.parametrize("flag,value,field", [("--n-panels", "0", "n_side_panels=0"),
+                                              ("--nodes-per-panel", "0", "nodes_per_panel=0"),
+                                              ("--x-max", "0", "x_max=0.0"),
+                                              ("--x-max", "-1", "x_max=-1.0")])
+def test_bad_resolution_flag_exits_2_naming_its_field(workdir, capsys, flag, value, field):
+    assert main(["sweep", "--kind", "prestini", f"{flag}={value}", "--output", "r.jsonl"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and field in err and "make_graded_grid" not in err
+    assert not os.path.exists("r.jsonl")
+
+
+# edges -> the operator whose output the edges changed before Grid checked them
+WRONG_EDGES = {"-10,10": "maximal-hilbert", "-3,-1.1,3": "maximal-hilbert",
+               "-3,-1,0,2.5": "conjugate-hardy"}
+
+
+@pytest.mark.parametrize("edges", list(WRONG_EDGES))
+def test_csv_edges_that_contradict_the_grid_exit_2(workdir, capsys, edges):
+    with open("f.csv") as fh:
+        head, *rest = fh.read().splitlines()
+    with open("bad.csv", "w") as fh:
+        fh.write("\n".join([head[:head.index("edges=")] + f"edges={edges}", *rest]) + "\n")
+    assert main(["maximal", "--operator", WRONG_EDGES[edges], "--input", "bad.csv",
+                 "--output", "M.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and "panel edges" in err
+    assert not os.path.exists("M.csv")
+
+
+def test_transference_at_large_p_passes_without_warnings(workdir, capsys):
+    # every term of the Hankel side's norms underflows at p = 300
+    assert main(["sweep", "--kind", "transference", "--p", "300", "--n-panels", "2",
+                 "--output", "r.jsonl"]) == 0
+    assert capsys.readouterr().err == ""
+    with open("r.jsonl") as fh:
+        report = json.loads(fh.read())
+    assert report["passed"] and all(v > 0.0 for _, v in report["residuals_or_ratios"][:-1])
+
+
 def test_non_utf8_config_exits_2_with_one_line(workdir, capsys):
     with open("bin.conf", "wb") as fh:
         fh.write(b"\xff\xfe")

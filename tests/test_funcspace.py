@@ -280,6 +280,17 @@ def test_grid_leaves_the_callers_arrays_alone():
                 or g.panel_edges.flags.writeable)
 
 
+@pytest.mark.parametrize("pts,wts,edges", [
+    ([-0.5, 0.5], [1.5, 0.5], [-1.0, 0.0, 1.0]),      # the total is right, each panel is not
+    ([-0.5, 0.5], [1.0, 1.0], [-1.0, 0.25, 1.0]),     # an edge off the panel boundary
+    ([-0.5, 0.5], [1.0, 1.0], [-2.0, 0.0, 1.0]),      # edges that do not start at lo
+    ([-0.5, 0.5], [1.0, 1.0], [-1.0, 0.0, 0.75]),     # ... or end at hi, a node beyond
+])
+def test_grid_panel_edges_must_match_its_weights(pts, wts, edges):
+    with pytest.raises(ArgumentError, match="panel edges"):
+        Grid(np.array(pts), np.array(wts), -1.0, 1.0, np.array(edges))
+
+
 def test_sampled_fn_leaves_the_callers_array_alone():
     g = make_graded_grid(-1.0, 1.0, 2, 4)
     vals = np.ones(g.n, dtype=complex)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dunkl_osc import (FULL_LINE, ArgumentError, NormSpec, PartialSumFamily, Resolution,
+from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, NormSpec, PartialSumFamily, Resolution,
                        ThresholdSeq, build_family, bump, classical_ops,
                        conjectured_measure_ap_check, default_t_grid, dyadic_partition,
                        max_oscillation, oscillation_ratio_sweep,
@@ -406,9 +406,9 @@ def test_prestini_sweep_takes_one_majorant_pass_per_resolution(monkeypatch):
 
 
 def test_transference_takes_each_spectrum_once(monkeypatch):
-    """p = 2 reuses the square-function spectra for the Parseval pass, and
-    each side inverts all its multiplied spectra as one stack: one forward
-    and one inverse transform per side and resolution."""
+    """Each side inverts all its multiplied spectra as one stack, and the
+    profile g of the exact reduction rides in the Fourier stack: one forward
+    and one inverse transform per side and resolution, at every p."""
     calls = Counter()
     for name in ("fourier", "hankel"):
         real = getattr(transforms, name)
@@ -431,7 +431,39 @@ def test_transference_high_dimension():
     r = transference_demo(fam, NormSpec(2.0, 0.0, -0.5), 30, res)
     ratios = dict(r.residuals_or_ratios)
     assert all(np.isfinite(v) for v in ratios.values())
-    assert r.passed and ratios["max |fourier - hankel| orthogonal-norm gap"] <= 1e-6
+    # no exact reduction holds at n = 30, so the report has no gap to gate
+    assert r.passed and not any("gap" in k for k in ratios)
+
+
+GAP = "max |hankel - fourier| exact-reduction gap"
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+@pytest.mark.parametrize("p,beta", [(1.5, 0.0), (2.0, 0.0), (3.0, 0.5), (2.0, -0.5)])
+def test_transference_gates_the_exact_reduction_at_every_p(dimension, p, beta):
+    # n = 1: S_H f0 = S_F f0(|.|); n = 3: S_H f0 = S_F (x f0(|x|)) / r, node by node
+    r = transference_demo(dyadic_partition(resolution_n512()), NormSpec(p, beta, -0.5),
+                          dimension)
+    ratios = dict(r.residuals_or_ratios)
+    assert r.passed and (GAP in ratios) == (dimension != 2)
+    assert ratios.get(GAP, 0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_transference_fails_when_one_hankel_piece_drops_a_node(monkeypatch, dimension):
+    square_function = harness._square_function
+
+    def faulty(mult, spec_f, inverse):
+        if spec_f.domain_tag == HALF_LINE:   # the Hankel side: drop the first node of piece 5
+            mult = mult.copy()
+            mult[5, np.flatnonzero(mult[5])[0]] = 0.0
+        return square_function(mult, spec_f, inverse)
+
+    monkeypatch.setattr(harness, "_square_function", faulty)
+    for p in (2.0, 3.0):
+        r = transference_demo(dyadic_partition(resolution_n512()), NormSpec(p, 0.0, -0.5),
+                              dimension)
+        assert not r.passed and dict(r.residuals_or_ratios)[GAP] > 1e-6
 
 
 def test_residuals_do_not_depend_on_the_blas_thread_count():

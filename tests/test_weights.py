@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, DomainError, NormSpec,
-                       Weight, ap_alpha_check, ap_check, beta_star,
-                       conjectured_measure_ap_check, make_graded_grid,
+from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, DomainError, Grid, NormSpec,
+                       Resolution, SampledFn, Weight, ap_alpha_check, ap_check, beta_star,
+                       conjectured_measure_ap_check, gaussian, make_graded_grid,
                        power_weight, range_dyadic_oscillation,
                        range_full_oscillation, sample, transplant_range,
                        w_ab_weight, weighted_lp_norm)
@@ -58,6 +58,28 @@ def test_norm_at_large_p_factors_out_the_max(p, amp):
     norms = weighted_lp_norm(stack, spec, w)
     plain = np.sum(g.weights * dens * (f.values / amp) ** p) ** (1.0 / p)
     assert norms[0] == weighted_lp_norm(f, spec, w) and norms[1] == 0.0 and norms[2] == plain
+
+
+@pytest.mark.parametrize("p", [300.0, 650.0, 1000.0])
+def test_norm_at_large_p_factors_out_the_largest_term(p):
+    # every term q x^p |f|^p underflows (at p >= 650, x^p overflows), and the
+    # largest term sits well right of max |f|, at the origin: a reference sum
+    # in 40-digit arithmetic of the same float64 nodes, weights and samples
+    mpmath = pytest.importorskip("mpmath")
+    f = sample(gaussian(-0.4, 0.2), Resolution(2).half_grid(), HALF_LINE)
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    ref = mp.fsum(mp.mpf(q) * mp.mpf(x) ** p * mp.mpf(v) ** p
+                  for x, q, v in zip(f.grid.points, f.grid.weights, f.values)) ** (1 / mp.mpf(p))
+    assert weighted_lp_norm(f, NormSpec(p, p - 2.0, 0.5)) == pytest.approx(float(ref), rel=1e-13)
+
+
+def test_norm_at_large_p_on_a_node_at_the_origin():
+    # |x|^0 is 1 at x = 0, in the log-sum fallback as in the plain sum
+    g = Grid(np.array([-0.5, 0.0, 0.5]), np.full(3, 2.0 / 3.0), -1.0, 1.0)
+    f = SampledFn(g, np.array([0.01, 0.02, 0.01]), FULL_LINE)
+    ref = (2.0 / 3.0) ** (1 / 300) * 0.02 * (1.0 + 2.0 * 0.5 ** 300) ** (1 / 300)
+    assert weighted_lp_norm(f, NormSpec(300.0, 0.0, -0.5)) == pytest.approx(ref, rel=1e-13)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -7,8 +7,9 @@ script lives in:
 - ``verify`` at N=512, with ``--summary``, and at the default N=1536;
 - every ``sweep`` kind at ``--n-panels 8 --seed 7`` (prestini at
   ``--alpha 0,1``, weighted-carleson with ``--experimental``, transference
-  at p=2 and at p=3 with beta=0.5; a kind that reads no resolution flag
-  runs at ``--seed 7`` alone);
+  at p=2 and at p=3 with beta=0.5 in dimension 3, and at p=2 in dimensions
+  1 and 2, so that both exact reductions and a dimension without one run;
+  a kind that reads no resolution flag runs at ``--seed 7`` alone);
 - every ``transform``, ``partial-sum`` and ``maximal`` kind, and ``family``,
   ``osc`` and ``var``, on N=512 CSVs this script writes: a real and a
   complex full-line function and a real half-line one.  Each kind runs on
@@ -50,7 +51,8 @@ from dunkl_osc import (FULL_LINE, HALF_LINE, bump, gaussian,  # noqa: E402
 
 # sweep kind -> the flag sets it runs with (default: one run without flags)
 SWEEP_FLAGS = {"prestini": [["--alpha", "0,1"]], "weighted-carleson": [["--experimental"]],
-               "transference": [["--p", "2"], ["--p", "3", "--beta", "0.5"]]}
+               "transference": [["--p", "2"], ["--p", "3", "--beta", "0.5"],
+                                ["--dimension", "1"], ["--dimension", "2"]]}
 T_GRID = ["--t-grid", "0.5,1,2,4"]
 # range predicate -> the flags it runs with besides --p 2
 RANGE_FLAGS = {"ap": ["--a", "0.5", "--b", "1.5"], "ap-alpha": ["--a", "0.5", "--b", "1.5"]}
