@@ -81,8 +81,10 @@ def default_sup_grid(grid: Grid, t_values=None) -> SupGrid:
         pos = ThresholdSeq.octaves(2.0 ** -4, band).values if band >= 2.0 ** -4 else np.empty(0)
     else:
         pos = np.asarray(t_values, dtype=float)
-    freqs = np.unique(np.concatenate([-pos, [0.0], pos]))
-    return SupGrid(radii, freqs)
+    # the sorted set without repeats; np.unique would import numpy.ma, and
+    # != keeps a NaN for SupGrid to refuse
+    freqs = np.sort(np.concatenate([-pos, [0.0], pos]))
+    return SupGrid(radii, freqs[np.r_[True, freqs[1:] != freqs[:-1]]])
 
 
 def _require_panels(grid: Grid) -> np.ndarray:

@@ -293,12 +293,17 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
                "away": away_from_zero_corpus(seed)}
     stacks = {name: _sampled([m.fn for m in members], space, FULL_LINE)
               for name, members in corpora.items()}
+    # Plancherel and inversion read one Dunkl spectrum of their corpus per order
+    shared = ("plancherel", "inversion")
+    spectra = dict(zip(alphas, _map_ordered(
+        lambda a: transforms.dunkl(a, stacks["default+zero"], freq), list(alphas), threads)))
 
     def unit(name_alpha) -> ExperimentReport:
         name, alpha = name_alpha
         residual, corpus, tol = IDENTITIES[name]
         t0 = time.perf_counter()
-        values = residual(alpha, stacks[corpus], freq)
+        values = residual(alpha, stacks[corpus], freq,
+                          *([spectra[alpha]] if name in shared else []))
         pairs = [(m.label, float(v)) for m, v in zip(corpora[corpus], values)]
         inputs = {"alpha": alpha, "ts": PROJECTION_TS} if corpus == "head" else {"alpha": alpha}
         return _finish(name, inputs, pairs, tol, res, seed, t0)

@@ -5,12 +5,23 @@ Orders +-1/2 use the closed trigonometric forms.  Otherwise u is cut into
 bands, each run in cache-sized blocks with a term or step count fixed by its
 edges: the ascending series for u <= 2 (Horner in u^2, no cancellation);
 Miller's backward recurrence in the order (DLMF 3.6(vi)) up to max(20, a),
-normalised by the Neumann sum (DLMF 10.23.15); beyond, the Hankel expansion
-(DLMF 10.17.3, Horner in 1/u^2, short of float64 below u = 20) at orders b
-in [-1/2, 1/2) and b + 1, then forward recurrence in the order (DLMF
-10.6.1), stable for u > a.  u^a j_a is within 1e-15 of mpmath's J_a on the
-N=512 and N=1536 kernel grids at orders 0 to 2, and within 1e-13 of
-scipy.special.jv for a <= 50, u <= 600 (scipy's own error there: 2e-14).
+normalised by the Neumann sum (DLMF 10.23.15); beyond, a's ladder
+b, b + 1, ..., a with b in [-1/2, 1/2): the Hankel expansion (DLMF 10.17.3,
+Horner in 1/u^2, short of float64 below u = 20) at b and b + 1 (the closed
+forms when b = -1/2), and above them the forward recurrence
+j_a = (2(a-1) j_{a-1} - j_{a-2}) / u^2 (DLMF 10.6.1, stable for u > a).  In
+that band j_a is thus defined by the values of j_{a-1} and j_{a-2}.
+
+_ladder evaluates several orders in one pass: one band classification over
+all their edges, each order's own series and Miller run, and one ladder per
+Hankel block sharing tan(u/2), cos u, sin u and 1/u^2.  It may be handed
+orders already evaluated on the same u (cached kernels) to recur from.  The
+bit rule: every value it returns equals bessel_j_normalized(a, u) bit for
+bit, whatever it was handed.
+
+u^a j_a is within 1e-15 of mpmath's J_a on the N=512 and N=1536 kernel
+grids at orders 0 to 2, and within 1e-13 of scipy.special.jv for a <= 50,
+u <= 600 (scipy's own error there: 2e-14).
 """
 
 from __future__ import annotations
@@ -71,6 +82,17 @@ def _miller(a: float, u: np.ndarray, hi: float) -> np.ndarray:
     return cur / (s * (2.0 ** a * math.gamma(a + 1.0)))
 
 
+def _closed(a: float, u: np.ndarray) -> np.ndarray:
+    """j_{-1/2} = sqrt(2/pi) cos u and j_{1/2} = sqrt(2/pi) sin(u)/u."""
+    if a == -0.5:
+        return _SQRT_2_OVER_PI * np.cos(u)
+    out = np.sin(u)
+    np.divide(out, u, out=out, where=u > 0.0)
+    out[u == 0.0] = 1.0
+    out *= _SQRT_2_OVER_PI
+    return out
+
+
 def _hankel_pq(m: float, lo: float, u, z, cos_w, sin_w) -> np.ndarray:
     """P cos w - Q sin w of the Hankel expansion at order m, P and Q Horner in
     z = 1/u^2 with the terms that matter at u = lo (finite at half-integer m)."""
@@ -84,58 +106,86 @@ def _hankel_pq(m: float, lo: float, u, z, cos_w, sin_w) -> np.ndarray:
     return out
 
 
-def _hankel(a: float, u: np.ndarray, lo: float) -> np.ndarray:
-    """J_m(u) = sqrt(2/(pi u)) (P cos w - Q sin w), w = u - (m/2 + 1/4) pi, at
-    m = b and b + 1, then j_{m+1} = (2m j_m - j_{m-1}) / u^2 up to a.  cos w
-    and sin w rotate cos u and sin u by scalars: u (and u/2) is never rounded."""
-    b = a - math.floor(a + 0.5)
+def _hankel(orders, u: np.ndarray, lo: float, memo: dict) -> dict:
+    """memo (orders -> values on a block of u past every order's turn),
+    filled up the ladder of each of orders from the highest two rungs
+    known below it.  Orders b and b + 1 take J_m(u) = sqrt(2/(pi u))
+    (P cos w - Q sin w), w = u - (m/2 + 1/4) pi, with the terms that matter
+    at u = lo (or the closed forms at b = -1/2); cos w and sin w rotate
+    cos u and sin u by scalars, so u (and u/2) is never rounded.  Higher
+    orders recur from the two rungs below (m - 1 and m - 2 are exact)."""
     z = 1.0 / (u * u)
-    t = np.tan(0.5 * u)   # numpy's float64 tan is several times faster than sin and cos
-    cu, su = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
-    m = a if a < b + 2.0 else b   # a itself when no recurrence is needed
-    c, s = math.cos((m / 2.0 + 0.25) * math.pi), math.sin((m / 2.0 + 0.25) * math.pi)
-    cos_w, sin_w = cu * c + su * s, su * c - cu * s
-    amp = _SQRT_2_OVER_PI * u ** (-m - 0.5)
-    j0 = _hankel_pq(m, lo, u, z, cos_w, sin_w) * amp
-    if m == a:
-        return j0
-    j1 = _hankel_pq(b + 1.0, lo, u, z, sin_w, -cos_w) * (amp / u)   # w moves by -pi/2
-    for k in range(1, int(a - b)):
-        j0, j1 = j1, (j1 * (2.0 * (b + k)) - j0) * z
-    return j1
+    cos_sin = None   # made on first use: a ladder from known rungs needs z alone
+    for a in orders:
+        k = 0   # rungs a - k, ..., a are filled
+        while a - k >= 1.5 and not (a - k - 1.0 in memo and a - k - 2.0 in memo):
+            k += 1
+        if k and a - k < 1.5 and a - k >= 0.5:   # b + 1 was reached: b is needed too
+            k += 1
+        for m in (a - i for i in range(k, -1, -1)):
+            if m in memo:
+                continue
+            if abs(m) == 0.5:
+                memo[m] = _closed(m, u)
+            elif m < 1.5:
+                if cos_sin is None:   # numpy's float64 tan is several times faster than sin, cos
+                    t = np.tan(0.5 * u)
+                    cos_sin = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
+                cu, su = cos_sin
+                c, s = math.cos((m / 2.0 + 0.25) * math.pi), math.sin((m / 2.0 + 0.25) * math.pi)
+                amp = _SQRT_2_OVER_PI * u ** (-m - 0.5)
+                memo[m] = _hankel_pq(m, lo, u, z, cu * c + su * s, su * c - cu * s) * amp
+            else:
+                memo[m] = (memo[m - 1.0] * (2.0 * (m - 1.0)) - memo[m - 2.0]) * z
+    return memo
+
+
+def _ladder(orders, u: np.ndarray, known: dict | None = None) -> list:
+    """[j_a(u) for a in orders] on a 1-d u >= 0, in one pass: one band
+    classification over every order's edges, with each order's own series,
+    Miller run and band parameters, and one Hankel ladder per block.  known
+    maps orders to values already evaluated on this u (cached kernels) for
+    the Hankel band to recur from.  Each value equals bessel_j_normalized
+    bit for bit, so which orders are known changes no output."""
+    orders = [float(a) for a in orders]
+    for a in orders:
+        if not np.isfinite(a) or a < -0.5:
+            raise ArgumentError(f"order must satisfy alpha >= -1/2, got {a}")
+        if a > MAX_ORDER:
+            raise DomainError(f"Bessel order {a:g} exceeds the supported maximum {MAX_ORDER:g}")
+    known = dict(known or {})
+    out = {a: _closed(a, u) for a in orders if abs(a) == 0.5}
+    known.update(out)
+    rest = [a for a in orders if a not in out]
+    if rest:
+        turns = [max(_TURN, a) for a in rest]
+        edges = np.array(sorted(set(_EDGES).union(turns)))
+        band = np.searchsorted(edges, u).astype(np.uint8)   # edges[k-1] < u <= edges[k]
+        bounds = [0.0, *edges, np.inf]
+        out.update((a, np.empty_like(u)) for a in rest)
+        for k in range(len(bounds) - 1):   # band k is (bounds[k], bounds[k + 1]]
+            lo, hi = bounds[k], bounds[k + 1]
+            hank = [a for a, turn in zip(rest, turns) if hi > turn]
+            members = np.flatnonzero(band == k)
+            for start in range(0, members.size, _CHUNK):
+                idx = members[start:start + _CHUNK]
+                uu = u[idx]
+                if hank:   # b and b + 1 keep their own bands: lo is an edge of _EDGES
+                    vals = _hankel(hank, uu, max(e for e in _EDGES if e <= lo),
+                                   {m: v[idx] for m, v in known.items()})
+                for a, turn in zip(rest, turns):
+                    out[a][idx] = (_series(a, uu, bounds[1]) if k == 0 else
+                                   _miller(a, uu, min(e for e in (*_EDGES, turn) if e >= hi))
+                                   if hi <= turn else vals[a])
+    return [out[a] for a in orders]
 
 
 def bessel_j_normalized(alpha: float, u):
     """j_a(u) = J_a(u)/u^a, continuously extended to 1/(2^a Gamma(a+1))
     at u = 0.  Even entire function of u; vectorized over u >= 0.  Orders
     above MAX_ORDER raise DomainError."""
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha < -0.5:
-        raise ArgumentError(f"order must satisfy alpha >= -1/2, got {alpha}")
-    if alpha > MAX_ORDER:
-        raise DomainError(f"Bessel order {alpha:g} exceeds the supported maximum {MAX_ORDER:g}")
     uu = np.asarray(u, dtype=float).ravel()
     if np.any(uu < 0.0):
         raise DomainError("bessel_j_normalized: argument must be >= 0")
-    if alpha == -0.5:
-        out = _SQRT_2_OVER_PI * np.cos(uu)
-    elif alpha == 0.5:
-        out = np.sin(uu)
-        np.divide(out, uu, out=out, where=uu > 0.0)
-        out[uu == 0.0] = 1.0
-        out *= _SQRT_2_OVER_PI
-    else:
-        turn = max(_TURN, alpha)
-        edges = np.array(sorted(set(_EDGES) | {turn}))
-        band = np.searchsorted(edges, uu).astype(np.uint8)   # edges[b-1] < u <= edges[b]
-        order = np.argsort(band, kind="stable")
-        ends = np.searchsorted(band, np.arange(1, len(edges) + 2), sorter=order)
-        bounds = [0.0, *edges, np.inf]
-        out = np.empty_like(uu)
-        for b, end in enumerate(ends):   # band b is (bounds[b], bounds[b + 1]]
-            for start in range(ends[b - 1] if b else 0, end, _CHUNK):
-                idx = order[start:min(start + _CHUNK, end)]
-                out[idx] = (_series(alpha, uu[idx], bounds[1]) if b == 0 else
-                            _miller(alpha, uu[idx], bounds[b + 1]) if bounds[b + 1] <= turn
-                            else _hankel(alpha, uu[idx], bounds[b]))
+    out = _ladder([float(alpha)], uu)[0]
     return out.reshape(np.shape(u)) if np.ndim(u) else float(out[0])

@@ -12,7 +12,14 @@ its transposed view.  The Fourier kernel is stored as its real cos and sin
 halves on the nodes >= 0 of a symmetric axis and applied to the even and
 odd folds of the data.  When the two node sets are proportional (a
 frequency half-grid is a scaled copy of its space half-grid) a kernel is
-evaluated on one triangle and mirrored (_outer_kernel).  Every kernel is
+evaluated on one triangle and mirrored (_outer_kernel).  Bessel kernels
+are built as order ladders (_j_kernels): the Dunkl-family transforms need
+j_a and j_{a+1} on one grid pair and build the orders still cold in one
+special._ladder pass, and an order whose two lower orders are cached recurs
+from them past its turning point.  No order is built that no transform
+asked for.  Each stored entry equals bessel_j_normalized at its u bit for
+bit, whichever path built it, so no output depends on what was cached
+before or on which thread built a kernel.  Every kernel is
 real and is applied in real arithmetic (_apply_real), so no cached kernel
 is upcast to a complex copy, and the data's dtype carries through: hankel
 and hankel_modified of a float64 f are float64, while fourier and the
@@ -47,7 +54,7 @@ import numpy as np
 from .errors import ArgumentError, ResolutionError
 from .funcspace import (FULL_LINE, HALF_LINE, Grid, SampledFn, assemble_values,
                         even_odd_split, make_graded_grid)
-from .special import bessel_j_normalized
+from .special import _ladder
 
 MIN_NODES_PER_WAVELENGTH = 6.0
 
@@ -58,40 +65,51 @@ _CACHE_BUDGET = 1 << 30   # bytes of stored kernels; an N=1536 identity suite st
 _MIRROR_BLOCK = 64   # rows per block when a symmetric kernel's triangle is mirrored
 
 
-def _cached(key, builder):
-    """The kernel for key, built once: a thread that misses while another
-    builds the same key waits for that build; different keys build
+def _cached_all(keys, build):
+    """The kernels for keys, each built once: the keys neither stored nor in
+    flight are built by one call build(those keys) in this thread, and a key
+    that another thread is building is waited for; different keys build
     concurrently, outside the lock.  Kernels are published read-only (one
     buffer may back two orientations), and least-recently-used ones are
-    evicted while the stored bytes exceed _CACHE_BUDGET, never the kernel
+    evicted while the stored bytes exceed _CACHE_BUDGET, never the kernels
     just built."""
+    found, waits, mine = {}, {}, []
     with _cache_lock:
-        if key in _matrix_cache:
-            _matrix_cache.move_to_end(key)
-            return _matrix_cache[key]
-        pending = _building.get(key)
-        owner = pending is None
-        if owner:
-            pending = _building[key] = Future()
-    if not owner:
-        return pending.result()
-    try:
-        mat = builder()
-    except BaseException as exc:
+        for key in keys:
+            if key in _matrix_cache:
+                _matrix_cache.move_to_end(key)
+                found[key] = _matrix_cache[key]
+            elif key in _building:
+                waits[key] = _building[key]
+            else:
+                _building[key] = Future()
+                mine.append(key)
+    if mine:
+        try:
+            mats = build(mine)
+        except BaseException as exc:
+            with _cache_lock:
+                pending = [_building.pop(key) for key in mine]
+            for fut in pending:
+                fut.set_exception(exc)
+            raise
         with _cache_lock:
-            del _building[key]
-        pending.set_exception(exc)
-        raise
-    mat.flags.writeable = False
-    with _cache_lock:
-        _matrix_cache[key] = mat
-        _matrix_cache.move_to_end(key)
-        stored = sum(m.nbytes for m in _matrix_cache.values())
-        while stored > _CACHE_BUDGET and len(_matrix_cache) > 1:
-            stored -= _matrix_cache.popitem(last=False)[1].nbytes
-        del _building[key]
-    pending.set_result(mat)
-    return mat
+            for key, mat in zip(mine, mats):
+                mat.flags.writeable = False
+                _matrix_cache[key] = found[key] = mat
+            stored = sum(m.nbytes for m in _matrix_cache.values())
+            while stored > _CACHE_BUDGET and len(_matrix_cache) > len(mine):
+                stored -= _matrix_cache.popitem(last=False)[1].nbytes
+            pending = [_building.pop(key) for key in mine]
+        for fut, mat in zip(pending, mats):
+            fut.set_result(mat)
+    found.update((key, fut.result()) for key, fut in waits.items())
+    return [found[key] for key in keys]
+
+
+def _cached(key, builder):
+    """The kernel for one key, built by builder() once (_cached_all)."""
+    return _cached_all([key], lambda _: [builder()])[0]
 
 
 def clear_kernel_cache() -> None:
@@ -149,29 +167,29 @@ def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out.reshape(v.shape[:-1] + (r,))
 
 
-def _outer_kernel(r: np.ndarray, c: np.ndarray, *fns) -> np.ndarray:
-    """The (len(fns), r.size, c.size) stack of fn(u) at u_ij = r_i c_j, each
-    fn mapping a 1-d array of arguments to their values.  When r and c are
-    proportional node sets of one length (a frequency half-grid is a scaled
-    copy of the space half-grid), u is symmetric up to rounding: each fn
-    runs on the j >= i triangle only, packed row by row, and the triangle
-    is mirrored in row blocks, so the stored kernel is exactly symmetric."""
+def _outer_kernel(r: np.ndarray, c: np.ndarray, fn, *stored) -> list:
+    """The (r.size, c.size) kernels of the 1-d arrays fn(u, *stored) returns,
+    at u_ij = r_i c_j; stored kernels on the same nodes reach fn in u's
+    layout.  When r and c are proportional node sets of one length (a
+    frequency half-grid is a scaled copy of the space half-grid), u is
+    symmetric up to rounding: fn runs on the j >= i triangle only, packed
+    row by row, and the triangle is mirrored in row blocks, so each kernel
+    is exactly symmetric."""
     n = r.size
-    out = np.empty((len(fns), n, c.size))
     lam = r[-1] / c[-1] if n == c.size and c[-1] != 0.0 else 0.0
     if lam == 0.0 or np.any(np.abs(r - lam * c) > 4.0 * np.finfo(float).eps * np.abs(lam * c)):
-        u = np.multiply.outer(r, c).ravel()
-        for o, fn in zip(out, fns):
-            o.ravel()[:] = fn(u)
-        return out
-    u = np.empty(n * (n + 1) // 2)
-    start = 0
-    for i in range(n):
-        np.multiply(r[i], c[i:], out=u[start:start + n - i])
-        start += n - i
+        u = np.multiply.outer(r, c)
+        return [v.reshape(u.shape) for v in fn(u.ravel(), *(m.ravel() for m in stored))]
+
+    def packed(row):   # the j >= i triangle, row by row
+        return np.concatenate([row(i) for i in range(n)])
+
+    tri = list(fn(packed(lambda i: r[i] * c[i:]),
+                  *(packed(lambda i, m=m: m[i, i:]) for m in stored)))
     low = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)
-    for o, fn in zip(out, fns):
-        vals, start = fn(u), 0
+    out = []
+    while tri:   # each triangle is freed once its kernel is filled
+        vals, o, start = tri.pop(0), np.empty((n, n)), 0
         for i in range(n):
             o[i, i:] = vals[start:start + n - i]
             start += n - i
@@ -179,22 +197,36 @@ def _outer_kernel(r: np.ndarray, c: np.ndarray, *fns) -> np.ndarray:
             e = min(s + _MIRROR_BLOCK, n)
             o[s:e, :s] = o[:s, s:e].T
             np.copyto(o[s:e, s:e], o[s:e, s:e].T, where=low[:e - s, :e - s])
+        out.append(o)
     return out
 
 
-def _j_matrix(alpha: float, rows: Grid, cols: Grid) -> np.ndarray:
-    """j_alpha(outer(|rows|, |cols|)) for half-line grids, cached once per
-    order and unordered grid pair: x*y = y*x exactly, so the orientation
-    with rows.key > cols.key is the transposed view of the stored one."""
+def _j_kernels(rows: Grid, cols: Grid, *orders: float) -> list:
+    """j_a(outer(|rows|, |cols|)) for each order a, for half-line grids,
+    cached once per order and unordered grid pair: x*y = y*x exactly, so
+    the orientation with rows.key > cols.key is the transposed view of the
+    stored one.  The orders not yet cached are built in one special._ladder
+    pass, which recurs in the Hankel band from the kernels of orders a - 1
+    and a - 2 when both are cached, a the lowest order it builds.  Each
+    stored entry equals bessel_j_normalized at its u, whatever the path."""
     if rows.key > cols.key:
-        return _j_matrix(alpha, cols, rows).T
-    key = ("j", round(float(alpha), 12), rows.key, cols.key)
+        return [m.T for m in _j_kernels(cols, rows, *orders)]
 
-    def build():
+    def key(a):
+        return ("j", float(a), rows.key, cols.key)
+
+    def build(cold_keys):
+        cold = [k[1] for k in cold_keys]
+        below = (min(cold) - 2.0, min(cold) - 1.0)
+        with _cache_lock:
+            stored = [_matrix_cache.get(key(a)) for a in below]
+        if any(m is None for m in stored):
+            below, stored = (), []
         return _outer_kernel(np.abs(rows.points), np.abs(cols.points),
-                             lambda u: bessel_j_normalized(alpha, u))[0]
+                             lambda u, *known: _ladder(cold, u, dict(zip(below, known))),
+                             *stored)
 
-    return _cached(key, build)
+    return _cached_all([key(a) for a in orders], build)
 
 
 def fourier(f: SampledFn, output_grid: Grid) -> SampledFn:
@@ -215,9 +247,10 @@ def fourier(f: SampledFn, output_grid: Grid) -> SampledFn:
     p, q = output_grid.n - m, f.grid.n - k
 
     def build():
-        halves = _outer_kernel(output_grid.points[m:], f.grid.points[k:], np.cos, np.sin)
+        halves = np.concatenate(_outer_kernel(output_grid.points[m:], f.grid.points[k:],
+                                              lambda u: (np.cos(u), np.sin(u))))
         halves /= np.sqrt(2.0 * np.pi)
-        return halves.reshape(2 * p, q)
+        return halves
 
     halves = _cached(("fourier", output_grid.key, f.grid.key), build)
     v = f.grid.weights * f.values
@@ -243,7 +276,7 @@ def hankel(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     if f.domain_tag != HALF_LINE:
         raise ArgumentError("hankel needs a half-line function")
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
-    mat = _j_matrix(alpha, output_grid, f.grid)
+    mat, = _j_kernels(output_grid, f.grid, alpha)
     y = f.grid.points
     out = _apply_real(mat, f.grid.weights * y ** (2.0 * alpha + 1.0) * f.values)
     return SampledFn(output_grid, out, HALF_LINE)
@@ -256,7 +289,7 @@ def hankel_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     if f.domain_tag != HALF_LINE:
         raise ArgumentError("hankel_modified needs a half-line function")
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
-    mat = _j_matrix(alpha, output_grid, f.grid)
+    mat, = _j_kernels(output_grid, f.grid, alpha)
     y = f.grid.points
     x = output_grid.points
     v = f.grid.weights * y ** (alpha + 0.5) * f.values
@@ -268,6 +301,8 @@ def _hankel_parts(alpha: float, f: SampledFn, half_out: Grid) -> tuple[SampledFn
     """The parity step of the Dunkl transform: E = Hk_a f_e and
     O = Hk_{a+1}(f_o / y) on half_out, so D_a f(+-x) = E(x) -+ i x O(x)."""
     fe, fo = even_odd_split(f)
+    check_resolution(fe.grid, float(np.max(np.abs(half_out.points))))
+    _j_kernels(half_out, fe.grid, alpha, alpha + 1.0)   # one pass: both hankel calls hit
     return (hankel(alpha, fe, half_out),
             hankel(alpha + 1.0, fo.with_values(fo.values / fo.grid.points), half_out))
 
@@ -298,8 +333,7 @@ def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposi
             raise ArgumentError("the direct route needs a full-line, symmetric-grid f")
         check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
         half_in = f.grid.positive_half()
-        ja = _j_matrix(alpha, half_out, half_in)
-        jb = _j_matrix(alpha + 1.0, half_out, half_in)
+        ja, jb = _j_kernels(half_out, half_in, alpha, alpha + 1.0)
         m = f.grid.n // 2
         v = f.grid.weights * np.abs(f.grid.points) ** (2.0 * alpha + 1.0) * f.values
         quad = np.stack([v[..., m:], v[..., m - 1::-1]], axis=-2)   # y > 0, mirrored y < 0
@@ -325,6 +359,8 @@ def dunkl_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
         raise ArgumentError("dunkl_modified needs a symmetric output grid")
     fe, fo = even_odd_split(f)
     half_out = output_grid.positive_half()
+    check_resolution(fe.grid, float(np.max(np.abs(half_out.points))))
+    _j_kernels(half_out, fe.grid, alpha, alpha + 1.0)   # one pass: both hankel_modified calls hit
     he = hankel_modified(alpha, fe, half_out)
     ho = hankel_modified(alpha + 1.0, fo, half_out)
     return SampledFn(output_grid, assemble_values(he.values, -1j * ho.values), FULL_LINE)

@@ -532,6 +532,16 @@ def test_importing_the_package_loads_no_numpy():
                      ) == "False None\n"
 
 
+def test_prestini_sweep_loads_no_numpy_ma(tmp_path):
+    # default_sup_grid drops repeated frequencies without np.unique, which
+    # imports numpy.ma inside the timed call
+    out = run_fresh("import sys\nfrom dunkl_osc.cli import main\n"
+                    f"rc = main(['sweep', '--kind', 'prestini', '--n-panels', '2', "
+                    f"'--output', {str(tmp_path / 'r.jsonl')!r}])\n"
+                    "print(rc, 'numpy.ma' in sys.modules)\n")
+    assert out.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.skipif(blas_threads() is None, reason="the bundled OpenBLAS is not found")
 def test_cli_starts_openblas_on_one_thread():
     # as the console script starts: the package, then the CLI, then numpy;

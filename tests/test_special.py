@@ -9,7 +9,7 @@ import scipy.special as sp
 
 import dunkl_osc
 from dunkl_osc import DomainError, bessel_j_normalized
-from dunkl_osc.special import MAX_ORDER
+from dunkl_osc.special import MAX_ORDER, _ladder
 
 # oracle: ascending series in extended precision (mpmath), frozen values
 J_1_AT_2_5 = 0.4970941024642740380108163      # truncated series, 40 digits
@@ -171,6 +171,19 @@ def test_below_turning_point_relative(alpha):
     with mp.workdps(30):
         ref = np.array([float(mp.besselj(alpha, mp.mpf(x)) / mp.mpf(x) ** alpha) for x in u])
     assert np.max(np.abs(bessel_j_normalized(alpha, u) / ref - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 20.0, 20.5, 24.0, 25.0, 48.0, 49.0])
+def test_ladder_pass_has_each_orders_bits(alpha):
+    # the bit rule on a dense u: a pass over j_a and j_{a+1}, and j_a from
+    # its two lower orders handed in, equal bessel_j_normalized bit for bit,
+    # also where the other order's turning point splits a band (a >= 20)
+    u = np.linspace(0.0, 200.0, 200001)
+    lower = {a: bessel_j_normalized(a, u) for a in (alpha - 2.0, alpha - 1.0)}
+    want = [bessel_j_normalized(a, u) for a in (alpha, alpha + 1.0)]
+    pair = _ladder([alpha, alpha + 1.0], u)
+    assert all(np.array_equal(got, w) for got, w in zip(pair, want))
+    assert np.array_equal(_ladder([alpha], u, lower)[0], want[0])
 
 
 def test_import_pulls_no_test_dependencies():

@@ -1,18 +1,20 @@
 import sys
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError, SampledFn, bump, dunkl,
+from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError, SampledFn,
+                       build_family, bump, default_t_grid, dunkl,
                        dunkl_inverse, dunkl_modified, dunkl_modified_inverse,
                        even_odd_split, fourier, fourier_inverse, frequency_grid,
-                       gaussian, hankel,
+                       gaussian, hankel, hankel_partial_sum,
                        hankel_modified, make_breakpoint_grid, make_graded_grid,
                        multiply_power, resolution_n512, run_identity_suite,
                        sample, transforms, transplant_dunkl)
-from dunkl_osc.special import bessel_j_normalized
+from dunkl_osc.special import _ladder, bessel_j_normalized
 from conftest import l2_weighted, stack_of
 
 ALPHAS = [-0.5, 0.0, 0.5, 1.0]
@@ -294,6 +296,47 @@ def test_kernel_cache_builds_each_key_once():
         assert len(got) == 4 and all(arr is got[0] for arr in got)
 
 
+def test_kernel_cache_builds_each_key_of_overlapping_groups_once():
+    """Eight threads ask for overlapping key pairs, as Dunkl transforms of
+    orders a and a + 1 do: every key is built by exactly one build call,
+    and every thread gets that build's array."""
+    keys = [("group-stress", k) for k in range(5)]
+    built = Counter()
+    lock = threading.Lock()
+
+    def build(mine):
+        with lock:
+            built.update(mine)
+        return [np.full(4, float(key[1])) for key in mine]
+
+    results = [None] * 8
+    barrier = threading.Barrier(8)
+
+    def worker(i):
+        group = keys[i % 4:i % 4 + 2]
+        barrier.wait(timeout=10.0)
+        results[i] = dict(zip(group, transforms._cached_all(group, build)))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(old)
+        with transforms._cache_lock:
+            for key in keys:
+                transforms._matrix_cache.pop(key, None)
+    assert not any(t.is_alive() for t in threads)
+    assert built == Counter({key: 1 for key in keys})
+    for key in keys:
+        got = [r[key] for r in results if key in r]
+        assert all(arr is got[0] for arr in got) and got[0][0] == key[1]
+
+
 @pytest.fixture
 def cold_kernel_cache():
     """An empty kernel cache for one test; the entries it held come back."""
@@ -306,20 +349,34 @@ def cold_kernel_cache():
         transforms._matrix_cache.update(saved)
 
 
+def spy_ladder(monkeypatch):
+    """(orders, known orders, points) of every ladder pass that transforms runs."""
+    passes = []
+
+    def spy(orders, u, known=None):
+        passes.append((list(orders), sorted(known or {}), u.size))
+        return _ladder(orders, u, known)
+
+    monkeypatch.setattr(transforms, "_ladder", spy)
+    return passes
+
+
+def entries(passes) -> Counter:
+    """Kernel entries evaluated per order by the passes."""
+    out = Counter()
+    for orders, _, points in passes:
+        out.update({a: points for a in orders})
+    return out
+
+
 @pytest.mark.parametrize("alpha", [0.0, 2.0, 0.5, 2.5, 1.05])
 def test_j_kernel_one_build_per_unordered_pair(monkeypatch, cold_kernel_cache, alpha):
     a = make_graded_grid(0.0, 3.0, 3, 8, 1.0)
     b = make_graded_grid(0.0, 5.0, 2, 16, 1.0)
-    calls = Counter()
-
-    def counted(order, u):
-        calls[order] += 1
-        return bessel_j_normalized(order, u)
-
-    monkeypatch.setattr(transforms, "bessel_j_normalized", counted)
-    ab = transforms._j_matrix(alpha, a, b)
-    ba = transforms._j_matrix(alpha, b, a)
-    assert calls == Counter({alpha: 1}) and len(cold_kernel_cache) == 1
+    passes = spy_ladder(monkeypatch)
+    ab, = transforms._j_kernels(a, b, alpha)
+    ba, = transforms._j_kernels(b, a, alpha)
+    assert entries(passes) == Counter({alpha: a.n * b.n}) and len(cold_kernel_cache) == 1
     assert ab.shape == (a.n, b.n) and ba.shape == (b.n, a.n)
     assert np.shares_memory(ab, ba) and np.array_equal(ba, ab.T)
     # each orientation equals a kernel built in that orientation, bit for bit
@@ -431,22 +488,97 @@ def test_j_kernel_on_a_proportional_pair_is_built_on_one_triangle(monkeypatch,
     full evaluation (the argument moves by rounding, about eps u, and near
     u = 0 the value by its last bit)."""
     rows, cols = res512.half_freq_grid(), res512.half_grid()
-    sizes = []
-
-    def counted(order, u):
-        sizes.append(u.size)
-        return bessel_j_normalized(order, u)
-
-    monkeypatch.setattr(transforms, "bessel_j_normalized", counted)
+    passes = spy_ladder(monkeypatch)
     u = np.multiply.outer(rows.points, cols.points)
     for alpha in ALPHAS:
-        mat = transforms._j_matrix(alpha, rows, cols)
+        mat, = transforms._j_kernels(rows, cols, alpha)
         assert np.array_equal(mat, mat.T)
-        assert np.array_equal(transforms._j_matrix(alpha, cols, rows), mat)
+        assert np.array_equal(transforms._j_kernels(cols, rows, alpha)[0], mat)
         full = bessel_j_normalized(alpha, u.ravel()).reshape(u.shape)
         assert np.all(np.abs(mat - full) <= 4.0 * np.finfo(float).eps * np.maximum(u, 1.0))
-    assert sizes == [rows.n * (rows.n + 1) // 2] * len(ALPHAS)
+    assert entries(passes) == Counter({alpha: rows.n * (rows.n + 1) // 2 for alpha in ALPHAS})
     assert len(cold_kernel_cache) == len(ALPHAS)
+
+
+LADDER_ORDERS = [0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 20.5, 49.0]
+
+
+@pytest.fixture(params=["proportional", "non-proportional"])
+def kernel_pair(request, res512):
+    """Two half-line grids whose products reach past u = 49, the Hankel
+    band of order 49, and the u that each stored entry is evaluated at: a
+    proportional pair stores its j >= i triangle and mirrors it."""
+    if request.param == "proportional":
+        rows, cols = res512.half_freq_grid(), res512.half_grid()
+        u = np.multiply.outer(rows.points, cols.points)
+        return rows, cols, np.triu(u) + np.triu(u, 1).T
+    rows, cols = make_graded_grid(0.0, 3.0, 3, 8, 1.0), make_graded_grid(0.0, 60.0, 4, 16, 1.0)
+    return rows, cols, np.multiply.outer(rows.points, cols.points)
+
+
+@pytest.mark.parametrize("alpha", LADDER_ORDERS)
+def test_j_kernel_has_the_same_bits_by_every_path(monkeypatch, cold_kernel_cache,
+                                                  kernel_pair, alpha):
+    """The bit rule: built alone on a cold cache, as either order of a
+    pair, by recurrence on its two cached lower orders, or by two pool
+    threads racing on overlapping pairs, a kernel holds
+    bessel_j_normalized at each entry's u, bit for bit."""
+    rows, cols, u = kernel_pair
+    want = bessel_j_normalized(alpha, u.ravel()).reshape(u.shape)
+    below = [a for a in (alpha - 2.0, alpha - 1.0) if a >= -0.5]
+    passes = spy_ladder(monkeypatch)
+
+    def cold(*orders):
+        with transforms._cache_lock:
+            cold_kernel_cache.clear()
+        return dict(zip(orders, transforms._j_kernels(rows, cols, *orders)))
+
+    builds = {"alone": cold(alpha)[alpha], "pair, lower": cold(alpha, alpha + 1.0)[alpha]}
+    if below:
+        builds["pair, upper"] = cold(alpha - 1.0, alpha)[alpha]
+    cold()
+    for a in below:
+        transforms._j_kernels(rows, cols, a)
+    builds["after its lower orders"] = transforms._j_kernels(rows, cols, alpha)[0]
+    assert passes[-1][:2] == ([alpha], below if len(below) == 2 else [])
+    cold()
+    barrier = threading.Barrier(2)
+
+    def racer(orders):
+        barrier.wait(timeout=10.0)
+        return dict(zip(orders, transforms._j_kernels(rows, cols, *orders)))
+
+    pairs = [(alpha, alpha + 1.0), (alpha - 1.0, alpha) if below else (alpha, alpha + 1.0)]
+    with ThreadPoolExecutor(2) as pool:
+        raced = list(pool.map(racer, pairs))
+    builds.update({f"racing {orders}": got[alpha] for orders, got in zip(pairs, raced)})
+    for name, mat in builds.items():
+        assert np.array_equal(mat, want), name
+
+
+def test_dunkl_family_builds_each_cold_pair_in_one_pass(monkeypatch, cold_kernel_cache,
+                                                        space512, freq512, corpus512):
+    """Every transform that needs j_a and j_{a+1} evaluates both in one
+    ladder pass on a cold cache; a Hankel-only call evaluates its order
+    alone and leaves one kernel."""
+    passes = spy_ladder(monkeypatch)
+    full = stack_of(corpus512[:2], space512)
+    half = even_odd_split(full)[0]
+    calls = [lambda: dunkl(1.0, full, freq512), lambda: dunkl(1.0, full, freq512, route="direct"),
+             lambda: dunkl_modified(1.0, full, freq512),
+             lambda: build_family(1.0, full, default_t_grid(freq512), freq512)]
+    for call in calls:
+        with transforms._cache_lock:
+            cold_kernel_cache.clear()
+        passes.clear()
+        call()
+        assert [p[:2] for p in passes] == [([1.0, 2.0], [])]
+    with transforms._cache_lock:
+        cold_kernel_cache.clear()
+    passes.clear()
+    hankel_partial_sum(1.5, half, 4.0, freq512)
+    assert [p[:2] for p in passes] == [([1.5], [])]
+    assert [key[:2] for key in cold_kernel_cache] == [("j", 1.5)]
 
 
 def test_real_stacks_stay_real_through_the_kernels(space512, freq512, corpus512):
