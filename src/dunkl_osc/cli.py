@@ -79,6 +79,15 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+def _order_list(text: str) -> list[float]:
+    """argparse type of --alpha lists: _float_list with no order repeated."""
+    values = _float_list(text)
+    for i, a in enumerate(values):
+        if a in values[:i]:
+            raise argparse.ArgumentTypeError(f"order {a:g} is repeated in {text!r}")
+    return values
+
+
 def _t_grid_for(args, f) -> ThresholdSeq:
     """Thresholds from the flag, or default_t_grid of the input grid's
     default frequency grid."""
@@ -377,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("verify", _run_verify, "identity suite; exit 1 on failure")
     sp.add_argument("--suite", choices=("identities",), default="identities")
-    sp.add_argument("--alpha", type=_float_list, default="-0.5,0,0.5,1",
+    sp.add_argument("--alpha", type=_order_list, default="-0.5,0,0.5,1",
                     help="comma separated orders")
     sp.add_argument("--summary", type=str, default=None, help="summary CSV path")
     _add_run_flags(sp)
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", required=True, choices=tuple(SWEEPS))
     sp.add_argument("--p", type=_finite, default=2.0)
     sp.add_argument("--beta", type=_finite, default=0.0)
-    sp.add_argument("--alpha", type=_float_list, default="0",
+    sp.add_argument("--alpha", type=_order_list, default="0",
                     help="comma separated orders")
     sp.add_argument("--dimension", type=int, default=3)
     sp.add_argument("--experimental", action="store_true",

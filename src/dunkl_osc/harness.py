@@ -13,11 +13,20 @@ coarse grid's resolvable band are excluded by the gate member-by-member and
 recorded in the report.
 
 The identity suite is one table, IDENTITIES: name -> (residual, corpus,
-tolerance), where residual(alpha, f, freq) takes the corpus as one (B, N)
-SampledFn stack and returns the identity's residual at order alpha
-per member, a (B,) vector, and corpus names the member list.  A suite unit
-is one (name, order) entry; the member gate calls the same Plancherel and
-inversion residuals on its corpus stack, from one spectrum per order.
+tolerance), where residual(_Transforms(alpha, f, freq)) takes the corpus
+as one (B, N) SampledFn stack and returns the identity's residual at order
+alpha per member, a (B,) vector, and corpus names the member list.  A
+_Transforms makes each transform of its stack on first read and keeps it,
+so a residual called alone takes the suite's path.  A suite unit is one
+(name, order) entry.  Before the units run, the suite builds every j-kernel
+it uses in one special._ladder pass (more only when they exceed the cache
+budget) and makes, once per order, the transforms that several units read:
+the parity spectra of "default+zero", whose row prefixes "default" and
+"head" share them; the direct route of "default"; the modified spectra of
+"away" and of |x|^{a+1/2} "away" in one call; and the cut rows of "head".
+No kernel GEMM of the suite repeats another's kernel and input.  The member
+gate calls the same Plancherel and inversion residuals on its corpus
+stack, from one spectrum per order.
 
 All ratio figures are empirical lower bounds of the operator norms; no
 upper bound is ever claimed.
@@ -29,7 +38,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +47,7 @@ from .errors import ArgumentError, GateError
 from . import transforms
 from .funcspace import (FULL_LINE, HALF_LINE, CorpusMember, Grid, SampledFn,
                         _combine, assemble_values, away_from_zero_corpus, bump,
-                        default_corpus, even_odd_split, half_line_corpus,
+                        default_corpus, half_line_corpus,
                         make_graded_grid, moment_cancelled_corpus, multiply_power,
                         sample, smooth_corpus)
 from .projections import (PartialSumFamily, ThresholdSeq, _cut_rows, build_family,
@@ -194,65 +203,109 @@ def _over_norm(num, nf, zero: float):
     return np.divide(num, nf, out=np.full_like(nf, zero), where=nf != 0.0)
 
 
-def _plancherel(alpha, f, freq, spec=None):
-    """spec is f's Dunkl spectrum on freq when the caller already has it."""
-    spec = transforms.dunkl(alpha, f, freq) if spec is None else spec
-    return abs(_over_norm(_l2(spec, alpha), _l2(f, alpha), 1.0) - 1.0)
+_PAIRS = [(s, t) for s in PROJECTION_TS for t in PROJECTION_TS]
+_CUTS = [[t, s] for s, t in _PAIRS] + [[t] for t in PROJECTION_TS]   # S_t S_s f, then S_t f
 
 
-def _inversion(alpha, f, freq, spec=None):
-    spec = transforms.dunkl(alpha, f, freq) if spec is None else spec
-    back = transforms.dunkl_inverse(alpha, spec, f.grid)
-    return _over_norm(_l2(back - f, alpha), _l2(f, alpha), 0.0)
+class _Transforms:
+    """A (..., N) stack f at order alpha and the transforms of it that the
+    identities read, each made on first read and kept: the parity spectra
+    (E, O) = (Hk_a f_e, Hk_{a+1}(f_o/y)) on the positive frequencies and
+    the Dunkl spectrum assembled from them, the Fourier and direct-route
+    spectra, the modified Dunkl spectra of f and of |x|^{a+1/2} f (one
+    stacked call), and the rows of the cut lists _CUTS."""
+
+    def __init__(self, alpha: float, f: SampledFn, freq: Grid):
+        self.alpha, self.f, self.freq = alpha, f, freq
+
+    @cached_property
+    def parts(self) -> tuple[SampledFn, SampledFn]:
+        return transforms._hankel_parts(self.alpha, self.f, self.freq.positive_half())
+
+    @cached_property
+    def spec(self) -> SampledFn:
+        (he, ho), half = self.parts, self.freq.positive_half()
+        return SampledFn(self.freq, assemble_values(he.values, -1j * half.points * ho.values),
+                         FULL_LINE)
+
+    @cached_property
+    def fourier(self) -> SampledFn:
+        return transforms.fourier(self.f, self.freq)
+
+    @cached_property
+    def direct(self) -> SampledFn:
+        return transforms.dunkl(self.alpha, self.f, self.freq, route="direct")
+
+    @cached_property
+    def modified(self) -> tuple[SampledFn, SampledFn]:
+        f = self.f
+        both = transforms.dunkl_modified(self.alpha, f.with_values(np.stack(
+            [f.values, multiply_power(f, self.alpha + 0.5).values])), self.freq)
+        return both.with_values(both.values[0]), both.with_values(both.values[1])
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return _cut_rows(self.alpha, self.f, _CUTS, self.freq, "dunkl", self.parts)
+
+    def prefix(self, n: int) -> "_Transforms":
+        """The first n members of a (B, N) stack f, with the slices of the
+        spectra already made."""
+        def first(x):
+            return tuple(map(first, x)) if isinstance(x, tuple) else x.with_values(x.values[:n])
+        out = _Transforms(self.alpha, first(self.f), self.freq)
+        made = {k: first(v) for k, v in vars(self).items() if k not in vars(out)}
+        vars(out).update(made)
+        return out
 
 
-def _fourier_reduction(alpha, f, freq):
-    return _max_gap(transforms.dunkl(alpha, f, freq).values,
-                    transforms.fourier(f, freq).values, f)
+def _plancherel(tr):
+    return abs(_over_norm(_l2(tr.spec, tr.alpha), _l2(tr.f, tr.alpha), 1.0) - 1.0)
 
 
-def _two_route(alpha, f, freq):
-    return _max_gap(transforms.dunkl(alpha, f, freq, route="decomposition").values,
-                    transforms.dunkl(alpha, f, freq, route="direct").values, f)
+def _inversion(tr):
+    back = transforms.dunkl_inverse(tr.alpha, tr.spec, tr.f.grid)
+    return _over_norm(_l2(back - tr.f, tr.alpha), _l2(tr.f, tr.alpha), 0.0)
 
 
-def _conjugation(alpha, f, freq):
-    mid = transforms.dunkl_modified(alpha, multiply_power(f, alpha + 0.5), freq)
-    return _max_gap(transforms.dunkl(alpha, f, freq).values,
-                    multiply_power(mid, -(alpha + 0.5)).values, f)
+def _fourier_reduction(tr):
+    return _max_gap(tr.spec.values, tr.fourier.values, tr.f)
 
 
-def _modified_plancherel(alpha, f, freq):
+def _two_route(tr):
+    return _max_gap(tr.spec.values, tr.direct.values, tr.f)
+
+
+def _conjugation(tr):
+    back = multiply_power(tr.modified[1], -(tr.alpha + 0.5))
+    return _max_gap(tr.spec.values, back.values, tr.f)
+
+
+def _modified_plancherel(tr):
     # the flat-measure transform needs profiles vanishing at the origin
     # (the kernel's (xy)^{1/2} factor kinks the spectrum otherwise)
-    spec = transforms.dunkl_modified(alpha, f, freq)
-    return abs(_l2(spec, -0.5) / _l2(f, -0.5) - 1.0)
+    return abs(_over_norm(_l2(tr.modified[0], -0.5), _l2(tr.f, -0.5), 1.0) - 1.0)
 
 
-def _projection_algebra(alpha, f, freq):
+def _projection_algebra(tr):
     """S_t S_s f against S_min(s,t) f, both sides rows of one cut call."""
-    pairs = [(s, t) for s in PROJECTION_TS for t in PROJECTION_TS]
-    rows = _cut_rows(alpha, f, [[t, s] for s, t in pairs] + [[min(s, t)] for s, t in pairs],
-                     freq, "dunkl")
-    return _max_gap(rows[..., :len(pairs), :], rows[..., len(pairs):, :], f)
+    mins = [len(_PAIRS) + PROJECTION_TS.index(min(s, t)) for s, t in _PAIRS]
+    return _max_gap(tr.rows[..., :len(_PAIRS), :], tr.rows[..., mins, :], tr.f)
 
 
-def _partial_sum_decomposition(alpha, f, freq):
-    spec = transforms.dunkl(alpha, f, freq, route="direct")   # masked here, not by _cut_rows
-    cut = np.abs(freq.points) <= np.array(PROJECTION_TS)[:, None]
-    spec = spec.with_values(cut * spec.values[..., None, :])
-    half_freq = freq.positive_half()
-    fe, fo = even_odd_split(f)
-    foy = fo.with_values(fo.values / fo.grid.points)
-    cuts = [[t] for t in PROJECTION_TS]
-    rec = assemble_values(_cut_rows(alpha, fe, cuts, half_freq, "hankel"),
-                          fe.grid.points * _cut_rows(alpha + 1.0, foy, cuts, half_freq, "hankel"))
-    return _max_gap(transforms.dunkl_inverse(alpha, spec, f.grid).values, rec, f)
+def _partial_sum_decomposition(tr):
+    """The direct-route spectrum cut to each |xi| <= t and inverted, against
+    the cut rows S_t f, which reassemble the two parities' Hankel partial
+    sums."""
+    cut = np.abs(tr.freq.points) <= np.array(PROJECTION_TS)[:, None]
+    spec = tr.direct.with_values(cut * tr.direct.values[..., None, :])
+    return _max_gap(transforms.dunkl_inverse(tr.alpha, spec, tr.f.grid).values,
+                    tr.rows[..., len(_PAIRS):, :], tr.f)
 
 
-def _transplant_identity(alpha, f, freq):
-    out = transforms.transplant_dunkl(alpha, alpha, f, freq)
-    return _l2(out - f, -0.5) / _l2(f, -0.5)
+def _transplant_identity(tr):
+    """T_aa f = f: the inverse modified transform of Dm_a f."""
+    out = transforms.dunkl_modified_inverse(tr.alpha, tr.modified[0], tr.f.grid)
+    return _over_norm(_l2(out - tr.f, -0.5), _l2(tr.f, -0.5), 0.0)
 
 
 # name -> (residual, corpus, tolerance).  Corpora: "default" (twelve smooth
@@ -273,6 +326,7 @@ IDENTITIES = {
 _PER_ORDER = ("plancherel", "inversion", "dunkl-two-route", "conjugation",
               "modified-plancherel")
 _FIXED_ORDER = ("projection-algebra", "partial-sum-decomposition", "transplant-identity")
+_FIXED_ALPHAS = (-0.5, 0.0, 1.0)
 
 
 def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
@@ -291,26 +345,47 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
     corpora = {"default": default, "head": default[:4],
                "default+zero": default + [CorpusMember("zero", np.zeros_like)],
                "away": away_from_zero_corpus(seed)}
-    stacks = {name: _sampled([m.fn for m in members], space, FULL_LINE)
-              for name, members in corpora.items()}
-    # Plancherel and inversion read one Dunkl spectrum of their corpus per order
-    shared = ("plancherel", "inversion")
-    spectra = dict(zip(alphas, _map_ordered(
-        lambda a: transforms.dunkl(a, stacks["default+zero"], freq), list(alphas), threads)))
+    full, away = (_sampled([m.fn for m in corpora[c]], space, FULL_LINE)
+                  for c in ("default+zero", "away"))
+    orders = sorted(set(alphas).union(_FIXED_ALPHAS))
+    # every j-kernel the suite reads is on one grid pair: build them all, in
+    # as few ladder passes as the kernel cache budget holds
+    half, half_freq = res.half_grid(), res.half_freq_grid()
+    js = sorted({float(b) for a in orders for b in (a, a + 1.0)})
+    per = max(1, transforms._CACHE_BUDGET // (8 * half.n * half_freq.n))
+    for i in range(0, len(js), per):
+        transforms._j_kernels(half_freq, half, *js[i:i + per])
+
+    def order_transforms(alpha) -> dict:
+        """The corpora's _Transforms at one order, holding what several
+        units read (module docstring) and, at -1/2, the Fourier spectrum."""
+        zero = _Transforms(alpha, full, freq)
+        zero.spec
+        dflt = zero.prefix(len(default))
+        if alpha == -0.5:   # the lowest order, made first: its Fourier spectrum builds
+            dflt.fourier    # the Fourier kernel while little else is held (peak memory)
+        dflt.direct
+        head = dflt.prefix(len(corpora["head"]))
+        if alpha in _FIXED_ALPHAS:
+            head.rows
+        away_tr = _Transforms(alpha, away, freq)
+        away_tr.modified
+        return {"default+zero": zero, "default": dflt, "head": head, "away": away_tr}
+
+    made = dict(zip(orders, _map_ordered(order_transforms, orders, threads)))
 
     def unit(name_alpha) -> ExperimentReport:
         name, alpha = name_alpha
         residual, corpus, tol = IDENTITIES[name]
         t0 = time.perf_counter()
-        values = residual(alpha, stacks[corpus], freq,
-                          *([spectra[alpha]] if name in shared else []))
+        values = residual(made[alpha][corpus])
         pairs = [(m.label, float(v)) for m, v in zip(corpora[corpus], values)]
         inputs = {"alpha": alpha, "ts": PROJECTION_TS} if corpus == "head" else {"alpha": alpha}
         return _finish(name, inputs, pairs, tol, res, seed, t0)
 
     units = ([(name, a) for a in alphas for name in _PER_ORDER]
              + [("fourier-reduction", -0.5)]
-             + [(name, a) for a in (-0.5, 0.0, 1.0) for name in _FIXED_ORDER])
+             + [(name, a) for a in _FIXED_ALPHAS for name in _FIXED_ORDER])
     return _map_ordered(unit, units, threads)
 
 
@@ -327,9 +402,8 @@ def _gate_members(members: list[CorpusMember], alphas: Sequence[float], res: Res
     stack = _sampled([m.fn for m in members], space, FULL_LINE)
     ok = np.ones(len(members), dtype=bool)
     for a in alphas:
-        spec = transforms.dunkl(a, stack, freq)
-        ok &= ((_l2(stack, a) != 0.0) & (_plancherel(a, stack, freq, spec) <= tol_p)
-               & (_inversion(a, stack, freq, spec) <= tol_i))
+        tr = _Transforms(a, stack, freq)
+        ok &= (_l2(stack, a) != 0.0) & (_plancherel(tr) <= tol_p) & (_inversion(tr) <= tol_i)
     keep = [m for m, k in zip(members, ok) if k]
     if len(keep) < 2:
         raise GateError("identity gate at this resolution left fewer than two "

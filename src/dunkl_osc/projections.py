@@ -84,12 +84,14 @@ class PartialSumFamily:
 
 
 def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
-              kind: str) -> np.ndarray:
+              kind: str, parts=None) -> np.ndarray:
     """The (..., len(cut_lists), f.grid.n) rows S_{cut list} f of the single
     pipeline for a (..., f.grid.n) stack f: kind 'hankel' cuts the Hankel
     spectrum of a half-line f, kind 'dunkl' the Dunkl spectrum of a
-    full-line f.  Every cut is checked to be finite and in the band, and
-    the inverse (transforms.hankel) against the resolution guard."""
+    full-line f, whose parity spectra (E, O) on the positive half of
+    freq_grid (transforms._hankel_parts) are parts when the caller already
+    has them.  Every cut is checked to be finite and in the band, and the
+    inverse (transforms.hankel) against the resolution guard."""
     want = FULL_LINE if kind == "dunkl" else HALF_LINE
     if f.domain_tag != want:
         raise ArgumentError(f"{kind} partial sums need a {want.replace('_', '-')} function")
@@ -114,7 +116,7 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
         orders, specs = [order], [transforms.hankel(order, f, half_freq)]
     else:
         out_grid = f.grid.positive_half()
-        orders, specs = [order, order + 1.0], transforms._hankel_parts(order, f, half_freq)
+        orders, specs = [order, order + 1.0], parts or transforms._hankel_parts(order, f, half_freq)
     rows = [transforms.hankel(a, spec.with_values(masks * spec.values[..., None, :]), out_grid)
             .values for a, spec in zip(orders, specs)]        # (..., U, N_out) per parity
     if want == FULL_LINE:   # hankel's rows are read-only: x O is a new buffer

@@ -25,7 +25,7 @@ from dunkl_osc import (NormSpec, Resolution, ThresholdSeq,
                        transplant_roundtrip_report, variation,
                        w_ab_weight)
 from dunkl_osc.funcspace import away_from_zero_corpus
-from dunkl_osc.harness import _projection_algebra
+from dunkl_osc.harness import _Transforms, _projection_algebra
 from dunkl_osc.transforms import clear_kernel_cache, dunkl_modified
 from conftest import assert_pinned, l2_weighted, stack_of
 
@@ -140,7 +140,7 @@ def test_criterion_05_projection_algebra(hi_grids, hi_corpus):
     # [t, s] against those of [min(s, t)]
     space, freq = hi_grids
     f = stack_of(hi_corpus[:3], space)
-    worst = max(float(np.max(_projection_algebra(alpha, f, freq)))
+    worst = max(float(np.max(_projection_algebra(_Transforms(alpha, f, freq))))
                 for alpha in (-0.5, 0.0, 1.0))
     ok = worst <= 1e-8
     assert _report("05 projection algebra", ok, f"max sup-norm = {worst:.3e}")

@@ -401,6 +401,31 @@ def test_non_finite_flag_exits_2_with_one_line(workdir, capsys, argv, flag):
     assert err.count("\n") == 1 and f"argument {flag}: expected a finite number" in err
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["verify", "--alpha", "0,0", "--n-panels", "4"], "0"),
+    (["verify", "--alpha", "-0.5,0.5,0.50", "--n-panels", "4"], "0.5"),
+    (["sweep", "--kind", "oscillation", "--alpha", "0,0", "--n-panels", "4"], "0"),
+    (["sweep", "--kind", "prestini", "--alpha", "1,-0.5,1.0", "--n-panels", "4"], "1"),
+], ids=["verify", "verify-spelled-twice", "sweep-oscillation", "sweep-prestini"])
+def test_a_repeated_order_exits_2_naming_it(workdir, capsys, argv, value):
+    # refused while parsing: a repeat would run (and report) every order twice
+    assert main(argv + ["--output", "out.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and not os.path.exists("out.txt")
+    assert err.count("\n") == 1 and f"argument --alpha: order {value} is repeated" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--input", "f.csv", "--t-grid", "1,1"],
+    ["osc", "--input", "f.csv", "--t-grid", "1,2,4", "--cuts", "2,2"],
+], ids=["t-grid", "cuts"])
+def test_a_repeated_threshold_keeps_its_threshold_message(workdir, capsys, argv):
+    assert main(argv + ["--output", "out.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and not os.path.exists("out.txt")
+    assert err == "error: thresholds must be positive and strictly increasing\n"
+
+
 def test_usage_errors_are_one_line(workdir, capsys):
     assert main(["transform", "--kind", "dunkl"]) == 2
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -15,8 +16,8 @@ from dunkl_osc import (FULL_LINE, HALF_LINE, ArgumentError, NormSpec, PartialSum
                        write_reports_jsonl, write_summary_csv)
 from dunkl_osc import cli, harness
 from dunkl_osc.cli import _t_grid_for
-from dunkl_osc.funcspace import CorpusMember, SampledFn
-from dunkl_osc.harness import IDENTITIES, _gate_members, _sweep_corpus
+from dunkl_osc.funcspace import CorpusMember, SampledFn, away_from_zero_corpus, default_corpus
+from dunkl_osc.harness import IDENTITIES, _Transforms, _gate_members, _sweep_corpus
 from conftest import assert_pinned, blas_threads, run_fresh
 
 
@@ -66,8 +67,9 @@ def test_member_gate_keeps_exactly_the_table_passes(res512):
     keep, dropped = _gate_members(members, alphas, res512)
     (plancherel, _, tol_p), (inversion, _, tol_i) = IDENTITIES["plancherel"], IDENTITIES["inversion"]
     expected = [m.label for m in members[:-1]
-                if all(plancherel(a, sample(m.fn, space), freq) <= tol_p
-                       and inversion(a, sample(m.fn, space), freq) <= tol_i for a in alphas)]
+                if all(plancherel(_Transforms(a, sample(m.fn, space), freq)) <= tol_p
+                       and inversion(_Transforms(a, sample(m.fn, space), freq)) <= tol_i
+                       for a in alphas)]
     assert [m.label for m in keep] == expected
     assert dropped == [m.label for m in members if m.label not in expected]
     assert dropped[-1] == "zero" and len(dropped) > 1   # a zero norm is never kept
@@ -345,31 +347,77 @@ def test_residuals_take_a_stack_and_return_one_value_per_member(res512):
     members = _sweep_corpus(7)[:3]
     stack = SampledFn(space, np.stack([sample(m.fn, space).values for m in members]
                                       + [np.zeros(space.n)]))
-    for name in ("plancherel", "inversion", "dunkl-two-route", "fourier-reduction"):
-        residual = IDENTITIES[name][0]
-        values = residual(-0.5, stack, freq)
+    for name, (residual, _, _) in IDENTITIES.items():
+        values = residual(_Transforms(-0.5, stack, freq))
         assert values.shape == (4,) and values[3] == 0.0, name
         for i in range(3):
-            one = residual(-0.5, stack.with_values(stack.values[i]), freq)
+            one = residual(_Transforms(-0.5, stack.with_values(stack.values[i]), freq))
             assert abs(values[i] - one) <= 1e-14 + 1e-12 * one, name
 
 
-def test_identity_suite_transform_call_budget(monkeypatch, small_res):
-    """One GEMM per transform of a whole corpus stack and per cut call, so
-    the count does not grow with the corpus or the cut lists: 16 for the
-    five per-order identities, 3 for the Fourier reduction (its Fourier
-    side applies the real cos/sin halves) and 16 per fixed order, at three
-    orders."""
+def test_a_residual_called_alone_equals_its_suite_value(small_res):
+    """Called alone on its corpus stack, each residual makes its transforms
+    on the path the suite takes and reads the suite's values.  The suite
+    takes "default" and "head" as row prefixes of "default+zero", so its
+    GEMMs have more columns, and some OpenBLAS kernels (Nehalem) then move
+    a column's last bits: compare at the identity's tolerance times 1e-6,
+    as the BLAS thread check does."""
+    reports = run_identity_suite(small_res, seed=3, alphas=(0.0, 0.5))
+    default = default_corpus(3)
+    corpora = {"default": default, "head": default[:4],
+               "default+zero": default + [CorpusMember("zero", np.zeros_like)],
+               "away": away_from_zero_corpus(3)}
+    space, freq = small_res.space_grid(), small_res.freq_grid()
+    assert {r.name for r in reports} == set(IDENTITIES)
+    for r in reports:
+        residual, corpus, tol = IDENTITIES[r.name]
+        stack = harness._sampled([m.fn for m in corpora[corpus]], space, FULL_LINE)
+        values = residual(_Transforms(r.inputs["alpha"], stack, freq))
+        assert [m.label for m in corpora[corpus]] == [k for k, _ in r.residuals_or_ratios]
+        np.testing.assert_allclose(values, [v for _, v in r.residuals_or_ratios], rtol=0.0,
+                                   atol=1e-6 * tol, err_msg=f"{r.name} {r.inputs['alpha']}")
+
+
+def _kernel_gemms(monkeypatch) -> list:
+    """(kernel, input) digests of every transforms._apply_real call."""
     calls = []
     real = transforms._apply_real
 
+    def digest(a):
+        a = np.ascontiguousarray(a)
+        return hashlib.sha256(a.tobytes()).hexdigest(), a.shape, a.dtype.str
+
     def counted(mat, v):
-        calls.append(v.shape)
+        calls.append((digest(mat), digest(v)))
         return real(mat, v)
 
     monkeypatch.setattr(transforms, "_apply_real", counted)
+    return calls
+
+
+def test_identity_suite_transform_call_budget(monkeypatch, small_res):
+    """Each transform is taken once, one GEMM per transform of a whole
+    corpus stack and per cut call: at each of the orders -1/2, 0 and 1, two
+    each for the parity spectra, the direct route, the modified spectra,
+    the cut rows and the partial-sum and transplant inverses; two each for
+    inversion and conjugation at the requested order; and one for the
+    Fourier side.  No call repeats an earlier call's kernel and input."""
+    calls = _kernel_gemms(monkeypatch)
     run_identity_suite(small_res, seed=3, alphas=(0.0,))
-    assert len(calls) <= 67
+    assert len(calls) <= 41
+    assert len(set(calls)) == len(calls)
+
+
+def test_identity_suite_repeats_no_gemm_at_four_orders(monkeypatch, small_res):
+    """At the default orders, where -1/2 gives equal Hankel and modified
+    Hankel weights, no GEMM repeats either: 24 for the parity spectra,
+    direct routes and modified spectra of the four orders, 16 for inversion
+    and conjugation, 18 for the cut rows and the partial-sum and transplant
+    inverses at the three fixed orders, and one Fourier GEMM."""
+    calls = _kernel_gemms(monkeypatch)
+    run_identity_suite(small_res, seed=3)
+    assert len(calls) <= 59
+    assert len(set(calls)) == len(calls)
 
 
 def test_member_gate_takes_one_spectrum_per_order(monkeypatch, res512):

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dunkl_osc import (HALF_LINE, ArgumentError, Grid, ResolutionError, SampledFn,
+from dunkl_osc import (HALF_LINE, ArgumentError, Grid, Resolution, ResolutionError, SampledFn,
                        build_family, bump, default_t_grid, dunkl,
                        dunkl_inverse, dunkl_modified, dunkl_modified_inverse,
                        even_odd_split, fourier, fourier_inverse, frequency_grid,
@@ -554,6 +554,57 @@ def test_j_kernel_has_the_same_bits_by_every_path(monkeypatch, cold_kernel_cache
     builds.update({f"racing {orders}": got[alpha] for orders, got in zip(pairs, raced)})
     for name, mat in builds.items():
         assert np.array_equal(mat, want), name
+
+
+def test_six_order_pass_has_each_orders_bits(cold_kernel_cache, kernel_pair):
+    """One pass over the identity suite's six orders (-1/2 .. 2, the upper
+    ones recurring in the pass) gives bessel_j_normalized bit for bit."""
+    rows, cols, u = kernel_pair
+    orders = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+    for a, mat in zip(orders, transforms._j_kernels(rows, cols, *orders)):
+        assert np.array_equal(mat, bessel_j_normalized(a, u.ravel()).reshape(u.shape)), a
+
+
+def test_identity_suite_builds_its_kernels_in_one_pass(monkeypatch, cold_kernel_cache):
+    """A cold suite asks for every j-kernel it reads at once: the requested
+    orders, the fixed orders -1/2, 0 and 1, and each of these plus one, in
+    one ladder pass, and no other order."""
+    passes = spy_ladder(monkeypatch)
+    run_identity_suite(Resolution(6, 32, 3.0), 3, (0.0, 2.5), 1)
+    orders = [-0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 3.5]
+    assert [p[:2] for p in passes] == [(orders, [])]
+    assert sorted(key[1] for key in cold_kernel_cache if key[0] == "j") == orders
+
+
+def test_identity_suite_keeps_the_kernel_cache_capped(monkeypatch, cold_kernel_cache):
+    """Under a budget of four j-kernels the suite builds its six in two
+    passes that fit, rebuilds what the budget evicts, and reports the same
+    values; the cache never holds more than one build's kernels beyond the
+    budget."""
+    res = Resolution(6, 32, 3.0)
+    want = run_identity_suite(res, 3, (0.0, 0.5), 1)
+    with transforms._cache_lock:
+        cold_kernel_cache.clear()
+    budget = 4 * 8 * res.half_grid().n ** 2
+    monkeypatch.setattr(transforms, "_CACHE_BUDGET", budget)
+    passes = spy_ladder(monkeypatch)
+    over = []
+    cached_all = transforms._cached_all
+
+    def capped(keys, build):
+        built = []
+        out = cached_all(keys, lambda cold: built.extend(build(cold)) or built)
+        with transforms._cache_lock:
+            stored = sum(m.nbytes for m in cold_kernel_cache.values())
+        over.append(stored - budget - sum(m.nbytes for m in built))
+        return out
+
+    monkeypatch.setattr(transforms, "_cached_all", capped)
+    got = run_identity_suite(res, 3, (0.0, 0.5), 1)
+    assert [p[0] for p in passes[:2]] == [[-0.5, 0.0, 0.5, 1.0], [1.5, 2.0]]
+    assert len(passes) > 2 and max(over) <= 0
+    assert [(r.name, r.residuals_or_ratios) for r in got] == \
+        [(r.name, r.residuals_or_ratios) for r in want]
 
 
 def test_dunkl_family_builds_each_cold_pair_in_one_pass(monkeypatch, cold_kernel_cache,
