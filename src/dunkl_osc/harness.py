@@ -17,16 +17,23 @@ tolerance), where residual(_Transforms(alpha, f, freq)) takes the corpus
 as one (B, N) SampledFn stack and returns the identity's residual at order
 alpha per member, a (B,) vector, and corpus names the member list.  A
 _Transforms makes each transform of its stack on first read and keeps it,
-so a residual called alone takes the suite's path.  A suite unit is one
-(name, order) entry.  Before the units run, the suite builds every j-kernel
-it uses in one special._ladder pass (more only when they exceed the cache
-budget) and makes, once per order, the transforms that several units read:
-the parity spectra of "default+zero", whose row prefixes "default" and
-"head" share them; the direct route of "default"; the modified spectra of
-"away" and of |x|^{a+1/2} "away" in one call; and the cut rows of "head".
-No kernel GEMM of the suite repeats another's kernel and input.  The member
-gate calls the same Plancherel and inversion residuals on its corpus
-stack, from one spectrum per order.
+from the plan (transforms._Plan) that the product's method returns, so a
+residual called alone takes the suite's path.  A suite unit is one (name,
+order) entry.  Before the units run, the suite builds every j-kernel it
+uses in one special._ladder pass (more only when they exceed the cache
+budget).  Then, per order, it makes what the units read in two driver
+calls (transforms._run), one per level, so each kernel, j_a and j_{a+1} in
+either orientation, is applied once per order and level.  Level 1 is
+every transform of the sampled corpora: the parity spectra of
+"default+zero", whose row prefixes "default" and "head" share them, and of
+"away"; the direct route (and at -1/2 the Fourier spectrum) of
+"default+zero"; and the modified spectra of "away" and of |x|^{a+1/2}
+"away", one stack.  Level 2 is every transform of a level-1 spectrum: the
+inversion of the "default+zero" spectrum and, at the fixed orders, the cut
+rows of "head", the partial-sum-decomposition inverses and the transplant
+inverse.  The order's units run next, and its transforms are then
+dropped.  The member gate calls the same Plancherel and inversion
+residuals on its corpus stack, from one spectrum per order.
 
 All ratio figures are empirical lower bounds of the operator norms; no
 upper bound is ever claimed.
@@ -46,11 +53,11 @@ import numpy as np
 from .errors import ArgumentError, GateError
 from . import transforms
 from .funcspace import (FULL_LINE, HALF_LINE, CorpusMember, Grid, SampledFn,
-                        _combine, assemble_values, away_from_zero_corpus, bump,
+                        _combine, away_from_zero_corpus, bump,
                         default_corpus, half_line_corpus,
                         make_graded_grid, moment_cancelled_corpus, multiply_power,
                         sample, smooth_corpus)
-from .projections import (PartialSumFamily, ThresholdSeq, _cut_rows, build_family,
+from .projections import (PartialSumFamily, ThresholdSeq, _cut_plan, build_family,
                           default_t_grid)
 from .seminorms import max_oscillation
 from .classical_ops import default_sup_grid, prestini_majorant
@@ -207,45 +214,86 @@ _PAIRS = [(s, t) for s in PROJECTION_TS for t in PROJECTION_TS]
 _CUTS = [[t, s] for s, t in _PAIRS] + [[t] for t in PROJECTION_TS]   # S_t S_s f, then S_t f
 
 
+class _product:
+    """A _Transforms attribute made on first read, from the transforms._Plan
+    its method returns: _make makes several in one driver call."""
+
+    def __init__(self, plan: Callable):
+        self.plan, self.name = plan, plan.__name__
+
+    def __get__(self, tr, owner=None):
+        if tr is None:
+            return self
+        _make([(tr, self.name)])
+        return vars(tr)[self.name]
+
+
+def _make(wanted: Sequence[tuple]) -> None:
+    """The products named in wanted, (_Transforms, name) pairs, that are not
+    made yet, all from one transforms._run, which applies each kernel once."""
+    todo = [(tr, name) for tr, name in wanted if name not in vars(tr)]
+    plans = [getattr(type(tr), name).plan(tr) for tr, name in todo]
+    for (tr, name), value in zip(todo, transforms._run(plans)):
+        vars(tr)[name] = value
+
+
 class _Transforms:
     """A (..., N) stack f at order alpha and the transforms of it that the
-    identities read, each made on first read and kept: the parity spectra
-    (E, O) = (Hk_a f_e, Hk_{a+1}(f_o/y)) on the positive frequencies and
-    the Dunkl spectrum assembled from them, the Fourier and direct-route
-    spectra, the modified Dunkl spectra of f and of |x|^{a+1/2} f (one
-    stacked call), and the rows of the cut lists _CUTS."""
+    identities read, each made on first read and kept.  Level 1, from f:
+    the parity spectra (E, O) = (Hk_a f_e, Hk_{a+1}(f_o/y)) on the
+    positive frequencies and the Dunkl spectrum assembled from them, the
+    Fourier and direct-route spectra, and the modified Dunkl spectra of f
+    and of |x|^{a+1/2} f (one transform when a = -1/2).  Level 2, from
+    level-1 spectra: the inverse of the Dunkl spectrum, the rows of the cut
+    lists _CUTS, the inverses of the direct-route spectrum cut to each
+    |xi| <= t in PROJECTION_TS, and the inverse modified transform of the
+    modified spectrum."""
 
     def __init__(self, alpha: float, f: SampledFn, freq: Grid):
         self.alpha, self.f, self.freq = alpha, f, freq
 
-    @cached_property
-    def parts(self) -> tuple[SampledFn, SampledFn]:
-        return transforms._hankel_parts(self.alpha, self.f, self.freq.positive_half())
+    @_product
+    def parts(self):
+        return transforms._parts_plan(self.alpha, self.f, self.freq.positive_half())
 
     @cached_property
     def spec(self) -> SampledFn:
-        (he, ho), half = self.parts, self.freq.positive_half()
-        return SampledFn(self.freq, assemble_values(he.values, -1j * half.points * ho.values),
-                         FULL_LINE)
+        return transforms._assembled(self.freq, *self.parts)
 
-    @cached_property
-    def fourier(self) -> SampledFn:
-        return transforms.fourier(self.f, self.freq)
+    @_product
+    def fourier(self):
+        return transforms._fourier_plan(self.f, self.freq)
 
-    @cached_property
-    def direct(self) -> SampledFn:
-        return transforms.dunkl(self.alpha, self.f, self.freq, route="direct")
+    @_product
+    def direct(self):
+        return transforms._dunkl_plan(self.alpha, self.f, self.freq, "direct")
 
-    @cached_property
-    def modified(self) -> tuple[SampledFn, SampledFn]:
-        f = self.f
-        both = transforms.dunkl_modified(self.alpha, f.with_values(np.stack(
-            [f.values, multiply_power(f, self.alpha + 0.5).values])), self.freq)
-        return both.with_values(both.values[0]), both.with_values(both.values[1])
+    @_product
+    def modified(self):
+        f, a = self.f, self.alpha + 0.5
+        both = f.with_values(np.stack([f.values] + [multiply_power(f, a).values] * (a != 0.0)))
+        return transforms._dunkl_modified_plan(self.alpha, both, self.freq).then(
+            lambda out: (out.with_values(out.values[0]), out.with_values(out.values[-1])))
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        return _cut_rows(self.alpha, self.f, _CUTS, self.freq, "dunkl", self.parts)
+    @_product
+    def inverse(self):
+        return transforms._dunkl_plan(self.alpha, self.spec, self.f.grid).then(
+            transforms._reflected)
+
+    @_product
+    def rows(self):
+        return _cut_plan(self.alpha, self.f, _CUTS, self.freq, "dunkl", self.parts)
+
+    @_product
+    def cut_inverses(self):
+        cut = np.abs(self.freq.points) <= np.array(PROJECTION_TS)[:, None]
+        spec = self.direct.with_values(cut * self.direct.values[..., None, :])
+        return transforms._dunkl_plan(self.alpha, spec, self.f.grid).then(transforms._reflected)
+
+    @_product
+    def transplant(self):
+        return transforms._dunkl_modified_plan(self.alpha, self.modified[0], self.f.grid).then(
+            transforms._reflected)
 
     def prefix(self, n: int) -> "_Transforms":
         """The first n members of a (B, N) stack f, with the slices of the
@@ -263,8 +311,7 @@ def _plancherel(tr):
 
 
 def _inversion(tr):
-    back = transforms.dunkl_inverse(tr.alpha, tr.spec, tr.f.grid)
-    return _over_norm(_l2(back - tr.f, tr.alpha), _l2(tr.f, tr.alpha), 0.0)
+    return _over_norm(_l2(tr.inverse - tr.f, tr.alpha), _l2(tr.f, tr.alpha), 0.0)
 
 
 def _fourier_reduction(tr):
@@ -296,16 +343,12 @@ def _partial_sum_decomposition(tr):
     """The direct-route spectrum cut to each |xi| <= t and inverted, against
     the cut rows S_t f, which reassemble the two parities' Hankel partial
     sums."""
-    cut = np.abs(tr.freq.points) <= np.array(PROJECTION_TS)[:, None]
-    spec = tr.direct.with_values(cut * tr.direct.values[..., None, :])
-    return _max_gap(transforms.dunkl_inverse(tr.alpha, spec, tr.f.grid).values,
-                    tr.rows[..., len(_PAIRS):, :], tr.f)
+    return _max_gap(tr.cut_inverses.values, tr.rows[..., len(_PAIRS):, :], tr.f)
 
 
 def _transplant_identity(tr):
     """T_aa f = f: the inverse modified transform of Dm_a f."""
-    out = transforms.dunkl_modified_inverse(tr.alpha, tr.modified[0], tr.f.grid)
-    return _over_norm(_l2(out - tr.f, -0.5), _l2(tr.f, -0.5), 0.0)
+    return _over_norm(_l2(tr.transplant - tr.f, -0.5), _l2(tr.f, -0.5), 0.0)
 
 
 # name -> (residual, corpus, tolerance).  Corpora: "default" (twelve smooth
@@ -356,37 +399,34 @@ def run_identity_suite(resolution: Resolution | None = None, seed: int = 7,
     for i in range(0, len(js), per):
         transforms._j_kernels(half_freq, half, *js[i:i + per])
 
-    def order_transforms(alpha) -> dict:
-        """The corpora's _Transforms at one order, holding what several
-        units read (module docstring) and, at -1/2, the Fourier spectrum."""
-        zero = _Transforms(alpha, full, freq)
-        zero.spec
+    units = ([(name, a) for a in alphas for name in _PER_ORDER]
+             + [("fourier-reduction", -0.5)]
+             + [(name, a) for a in _FIXED_ALPHAS for name in _FIXED_ORDER])
+
+    def order_reports(alpha) -> list:
+        """The (unit, report) pairs of one order, read from the corpora's
+        _Transforms at that order, made in two driver calls, one per level
+        (module docstring), and dropped once its units are done."""
+        zero, away_tr = _Transforms(alpha, full, freq), _Transforms(alpha, away, freq)
+        _make([(zero, "parts"), (zero, "direct"), (away_tr, "parts"), (away_tr, "modified")]
+              + [(zero, "fourier")] * (alpha == -0.5))
         dflt = zero.prefix(len(default))
-        if alpha == -0.5:   # the lowest order, made first: its Fourier spectrum builds
-            dflt.fourier    # the Fourier kernel while little else is held (peak memory)
-        dflt.direct
         head = dflt.prefix(len(corpora["head"]))
-        if alpha in _FIXED_ALPHAS:
-            head.rows
-        away_tr = _Transforms(alpha, away, freq)
-        away_tr.modified
-        return {"default+zero": zero, "default": dflt, "head": head, "away": away_tr}
+        _make([(zero, "inverse")] + [(head, "rows"), (head, "cut_inverses"),
+                                     (away_tr, "transplant")] * (alpha in _FIXED_ALPHAS))
+        made = {"default+zero": zero, "default": dflt, "head": head, "away": away_tr}
+        return [((name, a), unit(name, a, made)) for name, a in units if a == alpha]
 
-    made = dict(zip(orders, _map_ordered(order_transforms, orders, threads)))
-
-    def unit(name_alpha) -> ExperimentReport:
-        name, alpha = name_alpha
+    def unit(name, alpha, made) -> ExperimentReport:
         residual, corpus, tol = IDENTITIES[name]
         t0 = time.perf_counter()
-        values = residual(made[alpha][corpus])
+        values = residual(made[corpus])
         pairs = [(m.label, float(v)) for m, v in zip(corpora[corpus], values)]
         inputs = {"alpha": alpha, "ts": PROJECTION_TS} if corpus == "head" else {"alpha": alpha}
         return _finish(name, inputs, pairs, tol, res, seed, t0)
 
-    units = ([(name, a) for a in alphas for name in _PER_ORDER]
-             + [("fourier-reduction", -0.5)]
-             + [(name, a) for a in _FIXED_ALPHAS for name in _FIXED_ORDER])
-    return _map_ordered(unit, units, threads)
+    done = dict(pair for pairs in _map_ordered(order_reports, orders, threads) for pair in pairs)
+    return [done[u] for u in units]
 
 
 # ---------------------------------------------------------------------------

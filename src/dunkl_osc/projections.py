@@ -1,10 +1,12 @@
 """Sharp frequency-cut partial sums S_t f = D_a^{-1} 1_{[-t,t]} D_a f and
 their families over a t-grid, all rows of one spectral-cut pipeline.
 
-_cut_rows makes one forward transform, applies the (U, F) matrix of the
+_cut_plan makes one forward transform, applies the (U, F) matrix of the
 distinct masks (cut list i masks by the product of its cuts' masks), and
-makes one inverse transforms.hankel per parity, which owns the quadrature
-and the resolution guard: the full-line Dunkl spectrum is cut through the
+plans one inverse Hankel transform per parity (transforms._hankel_plan,
+which owns the quadrature and the resolution guard), which _cut_rows
+carries out alone and the identity suite with its other inverse
+transforms: the full-line Dunkl spectrum is cut through the
 half-line spectra E = Hk_a f_e and O = Hk_{a+1}(f_o/y) of the even and
 odd parts, and the U rows are reassembled by parity before they are
 copied to the T cut lists; a (..., N) stack gives C-ordered (..., T, N)
@@ -83,15 +85,17 @@ class PartialSumFamily:
                          self.base.domain_tag)
 
 
-def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
-              kind: str, parts=None) -> np.ndarray:
-    """The (..., len(cut_lists), f.grid.n) rows S_{cut list} f of the single
-    pipeline for a (..., f.grid.n) stack f: kind 'hankel' cuts the Hankel
-    spectrum of a half-line f, kind 'dunkl' the Dunkl spectrum of a
-    full-line f, whose parity spectra (E, O) on the positive half of
-    freq_grid (transforms._hankel_parts) are parts when the caller already
-    has them.  Every cut is checked to be finite and in the band, and the
-    inverse (transforms.hankel) against the resolution guard."""
+def _cut_plan(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
+              kind: str, parts=None) -> transforms._Plan:
+    """The plan of the (..., len(cut_lists), f.grid.n) rows S_{cut list} f
+    of the single pipeline for a (..., f.grid.n) stack f: kind 'hankel'
+    cuts the Hankel spectrum of a half-line f, kind 'dunkl' the Dunkl
+    spectrum of a full-line f, whose parity spectra (E, O) on the positive
+    half of freq_grid (transforms._parts_plan) are parts when the caller
+    already has them.  The forward transform is made here, and the inverse
+    Hankel transforms of the masked spectra are the plan's requests.  Every
+    cut is checked to be finite and in the band, and the inverse
+    (transforms._hankel_plan) against the resolution guard."""
     want = FULL_LINE if kind == "dunkl" else HALF_LINE
     if f.domain_tag != want:
         raise ArgumentError(f"{kind} partial sums need a {want.replace('_', '-')} function")
@@ -116,12 +120,23 @@ def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
         orders, specs = [order], [transforms.hankel(order, f, half_freq)]
     else:
         out_grid = f.grid.positive_half()
-        orders, specs = [order, order + 1.0], parts or transforms._hankel_parts(order, f, half_freq)
-    rows = [transforms.hankel(a, spec.with_values(masks * spec.values[..., None, :]), out_grid)
-            .values for a, spec in zip(orders, specs)]        # (..., U, N_out) per parity
-    if want == FULL_LINE:   # hankel's rows are read-only: x O is a new buffer
-        rows = [assemble_values(rows[0], rows[1] * out_grid.points)]
-    return np.take(rows[0], row_of, axis=-2)
+        orders = [order, order + 1.0]
+        specs = parts or transforms._run([transforms._parts_plan(order, f, half_freq)])[0]
+
+    def finish(*inverses):   # (..., U, N_out) rows per parity
+        rows = [g.values for g in inverses]
+        if want == FULL_LINE:   # the rows are read-only: x O is a new buffer
+            rows = [assemble_values(rows[0], rows[1] * out_grid.points)]
+        return np.take(rows[0], row_of, axis=-2)
+    return transforms._joined([transforms._hankel_plan(
+        a, spec.with_values(masks * spec.values[..., None, :]), out_grid)
+        for a, spec in zip(orders, specs)], finish)
+
+
+def _cut_rows(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
+              kind: str) -> np.ndarray:
+    """The rows of _cut_plan, made alone."""
+    return transforms._run([_cut_plan(order, f, cut_lists, freq_grid, kind)])[0]
 
 
 def dunkl_partial_sum(order: float, f: SampledFn, t: float,

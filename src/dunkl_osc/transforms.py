@@ -3,15 +3,27 @@ Dunkl, their inverses, and the transplantation operators.
 
 Everything is dense quadrature, O(N_in * N_out): a kernel matrix is built
 once and cached, so sweeping a corpus over fixed grids costs one matrix
-build plus one GEMM per transform.  Every transform acts along the last
-axis of f.values, so a (..., N) stack of functions on one grid is the
-columns of that one GEMM.  Each kernel is stored at its symmetric size.
+build plus one GEMM per kernel a transform reads.  Every transform acts
+along the last axis of f.values, so a (..., N) stack of functions on one
+grid is the columns of that one GEMM.  Each kernel-applying transform is
+a plan (_Plan): its GEMM requests, (kernel, stack) pairs, and a finishing
+step that makes its result from their products.  The driver _run takes
+several plans and applies each distinct kernel array once, to the
+concatenated real columns of every request on it; a public transform is
+a _run of its one plan, and the identity suite makes the transforms of
+one order and level in one _run.  _apply_real, the one GEMM owner, sends
+no all-zero column to BLAS (a zero member, the zero imaginary plane of a
+real function's even spectrum) and writes +0.0 for it.  A GEMM's column
+count can move a sum's last bits, so a transform made with others may
+differ there from the same transform made alone.  Each kernel is stored
+at its symmetric size.
 A Bessel kernel j_a(xy) is symmetric in the product, so it is cached once
 per order and unordered grid pair, and the other orientation is served as
 its transposed view.  The Fourier kernel is stored as its real cos and sin
 halves on the nodes >= 0 of a symmetric axis and applied to the even and
-odd folds of the data.  When the two node sets are proportional (a
-frequency half-grid is a scaled copy of its space half-grid) a kernel is
+odd folds of the data, and is built into one array, each half scaled on
+its triangle before the mirror.  When the two node sets are proportional
+(a frequency half-grid is a scaled copy of its space half-grid) a kernel is
 evaluated on one triangle and mirrored (_outer_kernel).  Bessel kernels
 are built as order ladders (_j_kernels): the Dunkl-family transforms need
 j_a and j_{a+1} on one grid pair and build the orders still cold in one
@@ -48,6 +60,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -148,38 +161,112 @@ def frequency_grid(space_grid: Grid, freq_max: float | None = None,
     return make_graded_grid(-f, f, max(1, budget // nodes_per_panel), nodes_per_panel, 1.0)
 
 
+def _columns(v: np.ndarray, b: int) -> np.ndarray:
+    """The real columns of a stack v along its last axis, behind b leading
+    kernel-stack axes: a C-ordered float64 (..., n, C) array whose C columns
+    are v's functions, a complex v's as interleaved real and imaginary
+    columns."""
+    cplx = np.iscomplexobj(v)
+    w = np.ascontiguousarray(np.moveaxis(v, -1, b), dtype=np.complex128 if cplx else np.float64)
+    w = w.reshape(w.shape[:b + 1] + (np.prod(v.shape[b:-1], dtype=int),))   # k may be 0
+    return w.view(np.float64) if cplx else w
+
+
+def _from_columns(out: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (..., C, r) products of v's real columns (_columns) as the
+    C-ordered (..., r) stack of v's dtype."""
+    r = out.shape[-1]
+    if np.iscomplexobj(v):   # rows re, im -> complex
+        out = np.ascontiguousarray(out.reshape(out.shape[:-2] + (-1, 2, r)).swapaxes(-1, -2))
+        out = out.view(np.complex128)
+    return np.ascontiguousarray(out).reshape(v.shape[:-1] + (r,))
+
+
 def _apply_real(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """mat applied along the last axis of a (..., n) stack v, for a real
     (r, n) matrix, without upcasting mat: the C-ordered (..., r) result keeps
-    v's dtype.  v's functions are the columns of one real GEMM: a float64 v
-    as they are, a complex v viewed as interleaved real and imaginary
-    columns.  A (k, r, n) stack of matrices takes a (k, ..., n) v and
-    applies mat[i] to v[i], in one batched call.  The GEMM runs in row form,
+    v's dtype.  v's real columns (_columns) are the columns of one real
+    GEMM, less those that are all zero, whose products are written as +0.0.
+    A (k, r, n) stack of matrices takes a (k, ..., n) v and applies mat[i]
+    to v[i], in one batched call, whose column spans all k matrices: it is
+    left out when it is zero on every one.  The GEMM runs in row form,
     (w.T @ mat.T), which streams the stored kernel row by row whether mat is
     the stored array or its transposed view."""
-    b, r, cplx = mat.ndim - 2, mat.shape[-2], np.iscomplexobj(v)
-    w = np.ascontiguousarray(np.moveaxis(v, -1, b), dtype=np.complex128 if cplx else np.float64)
-    w = w.reshape(w.shape[:b + 1] + (np.prod(v.shape[b:-1], dtype=int),))   # k may be 0
-    out = (w.view(np.float64) if cplx else w).swapaxes(-1, -2) @ mat.swapaxes(-1, -2)
-    if cplx:   # (k, 2M, r) rows re, im -> (k, M, r) complex
-        out = np.ascontiguousarray(out.reshape(w.shape[:b] + (w.shape[-1], 2, r)).swapaxes(-1, -2))
-        out = out.view(np.complex128)
-    return out.reshape(v.shape[:-1] + (r,))
+    b = mat.ndim - 2
+    w = _columns(v, b)
+    live = np.flatnonzero(w.any(axis=tuple(range(b + 1))))
+    out = np.zeros(w.shape[:b] + (w.shape[-1], mat.shape[-2]))
+    if live.size == w.shape[-1]:
+        np.matmul(w.swapaxes(-1, -2), mat.swapaxes(-1, -2), out=out)
+    elif live.size:
+        out[..., live, :] = w[..., live].swapaxes(-1, -2) @ mat.swapaxes(-1, -2)
+    return _from_columns(out, v)
 
 
-def _outer_kernel(r: np.ndarray, c: np.ndarray, fn, *stored) -> list:
+class _Plan(NamedTuple):
+    """A transform as its GEMM requests, (kernel, stack) pairs for
+    _apply_real, and the finishing step that makes its result from their
+    products, given in request order.  _run carries plans out."""
+
+    gemms: list
+    finish: Callable
+
+    def then(self, step: Callable) -> "_Plan":
+        """This plan with step applied to its result."""
+        return _Plan(self.gemms, lambda outs: step(self.finish(outs)))
+
+
+def _joined(plans: list, finish: Callable) -> _Plan:
+    """One plan of several: finish takes their results, in order."""
+    cuts = np.cumsum([0] + [len(p.gemms) for p in plans])
+    return _Plan([g for p in plans for g in p.gemms],
+                 lambda outs: finish(*(p.finish(outs[s:e])
+                                       for p, s, e in zip(plans, cuts, cuts[1:]))))
+
+
+def _run(plans: list) -> list:
+    """The results of plans, each distinct kernel array (the same buffer,
+    shape and strides) applied once: the real columns of every request on
+    it are concatenated into one _apply_real call.  A GEMM's column count
+    can move a product's last bits, so a request made with others may differ
+    there from the same request made alone."""
+    on = {}   # kernel -> the (plan, request) indices on it
+    for i, plan in enumerate(plans):
+        for j, (mat, _) in enumerate(plan.gemms):
+            on.setdefault((mat.__array_interface__["data"][0], mat.shape, mat.strides),
+                          []).append((i, j))
+    outs = [[None] * len(p.gemms) for p in plans]
+    for where in on.values():
+        mat = plans[where[0][0]].gemms[where[0][1]][0]
+        vs = [plans[i].gemms[j][1] for i, j in where]
+        cols = [_columns(v, mat.ndim - 2) for v in vs]
+        edges = np.cumsum([0] + [c.shape[-1] for c in cols])
+        out = _apply_real(mat, (np.concatenate(cols, axis=-1) if len(cols) > 1 else cols[0])
+                          .swapaxes(-1, -2))
+        for (i, j), v, s, e in zip(where, vs, edges, edges[1:]):
+            outs[i][j] = _from_columns(out[..., s:e, :], v)
+    return [p.finish(o) for p, o in zip(plans, outs)]
+
+
+def _outer_kernel(r: np.ndarray, c: np.ndarray, fn, *stored, out=None):
     """The (r.size, c.size) kernels of the 1-d arrays fn(u, *stored) returns,
     at u_ij = r_i c_j; stored kernels on the same nodes reach fn in u's
     layout.  When r and c are proportional node sets of one length (a
     frequency half-grid is a scaled copy of the space half-grid), u is
     symmetric up to rounding: fn runs on the j >= i triangle only, packed
     row by row, and the triangle is mirrored in row blocks, so each kernel
-    is exactly symmetric."""
+    is exactly symmetric.  The kernels are new arrays, or are written into
+    the (K, r.size, c.size) array out when one is given."""
     n = r.size
     lam = r[-1] / c[-1] if n == c.size and c[-1] != 0.0 else 0.0
     if lam == 0.0 or np.any(np.abs(r - lam * c) > 4.0 * np.finfo(float).eps * np.abs(lam * c)):
         u = np.multiply.outer(r, c)
-        return [v.reshape(u.shape) for v in fn(u.ravel(), *(m.ravel() for m in stored))]
+        vals = [v.reshape(u.shape) for v in fn(u.ravel(), *(m.ravel() for m in stored))]
+        if out is None:
+            return vals
+        for o, v in zip(out, vals):
+            o[...] = v
+        return out
 
     def packed(row):   # the j >= i triangle, row by row
         return np.concatenate([row(i) for i in range(n)])
@@ -187,9 +274,10 @@ def _outer_kernel(r: np.ndarray, c: np.ndarray, fn, *stored) -> list:
     tri = list(fn(packed(lambda i: r[i] * c[i:]),
                   *(packed(lambda i, m=m: m[i, i:]) for m in stored)))
     low = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)
-    out = []
+    kernels = []
     while tri:   # each triangle is freed once its kernel is filled
-        vals, o, start = tri.pop(0), np.empty((n, n)), 0
+        vals, start = tri.pop(0), 0
+        o = np.empty((n, n)) if out is None else out[len(kernels)]
         for i in range(n):
             o[i, i:] = vals[start:start + n - i]
             start += n - i
@@ -197,8 +285,8 @@ def _outer_kernel(r: np.ndarray, c: np.ndarray, fn, *stored) -> list:
             e = min(s + _MIRROR_BLOCK, n)
             o[s:e, :s] = o[:s, s:e].T
             np.copyto(o[s:e, s:e], o[s:e, s:e].T, where=low[:e - s, :e - s])
-        out.append(o)
-    return out
+        kernels.append(o)
+    return kernels if out is None else out
 
 
 def _j_kernels(rows: Grid, cols: Grid, *orders: float) -> list:
@@ -234,77 +322,102 @@ def fourier(f: SampledFn, output_grid: Grid) -> SampledFn:
 
     The cached kernel is real: [C; S] = [cos; sin](x y) / sqrt(2 pi) on the
     nodes x >= 0 and y >= 0 of a symmetric axis (a non-symmetric axis is
-    kept whole).  On a symmetric input grid the weighted samples fold into
-    e = v+ + v- and o = v+ - v- at y >= 0 (v- the mirrored samples at
-    y < 0; an odd grid's node y = 0 counted once; unfolded, e = o = v), so
-    F(x) = C e - i S o and, on a symmetric output grid, F(-x) = C e + i S o.
-    One batched product applies the row block C to e and S to o."""
+    kept whole), built into one (2p, q) array; a symmetric pair's packed
+    triangle is scaled before it is mirrored.  On a symmetric input grid
+    the weighted samples fold into e = v+ + v- and o = v+ - v- at y >= 0
+    (v- the mirrored samples at y < 0; an odd grid's node y = 0 counted
+    once; unfolded, e = o = v), so F(x) = C e - i S o and, on a symmetric
+    output grid, F(-x) = C e + i S o.  One batched product applies the row
+    block C to e and S to o."""
+    return _run([_fourier_plan(f, output_grid)])[0]
+
+
+def _fourier_plan(f: SampledFn, output_grid: Grid) -> _Plan:
     if f.domain_tag != FULL_LINE:
         raise ArgumentError("fourier needs a full-line function")
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
     m = output_grid.n // 2 if output_grid.is_symmetric else 0
     k = f.grid.n // 2 if f.grid.is_symmetric else 0
     p, q = output_grid.n - m, f.grid.n - k
-
-    def build():
-        halves = np.concatenate(_outer_kernel(output_grid.points[m:], f.grid.points[k:],
-                                              lambda u: (np.cos(u), np.sin(u))))
-        halves /= np.sqrt(2.0 * np.pi)
-        return halves
-
-    halves = _cached(("fourier", output_grid.key, f.grid.key), build)
+    scale = np.sqrt(2.0 * np.pi)
+    halves = _cached(("fourier", output_grid.key, f.grid.key), lambda: _outer_kernel(
+        output_grid.points[m:], f.grid.points[k:],
+        lambda u: (np.cos(u) / scale, np.sin(u) / scale), out=np.empty((2, p, q))).reshape(2 * p, q))
     v = f.grid.weights * f.values
     eo = np.stack([v[..., k:]] * 2)   # (2, ..., q): e, o
     neg = v[..., :k][..., ::-1]
     eo[0, ..., q - k:] += neg
     eo[1, ..., q - k:] -= neg
-    ce, so = _apply_real(halves.reshape(2, p, q), eo)
-    vals = np.concatenate([(ce + 1j * so)[..., p - m:][..., ::-1], ce - 1j * so], axis=-1)
-    return SampledFn(output_grid, vals, FULL_LINE)
+
+    def finish(outs):
+        ce, so = outs[0]
+        vals = np.concatenate([(ce + 1j * so)[..., p - m:][..., ::-1], ce - 1j * so], axis=-1)
+        return SampledFn(output_grid, vals, FULL_LINE)
+    return _Plan([(halves.reshape(2, p, q), eo)], finish)
+
+
+def _reflected(out: SampledFn) -> SampledFn:
+    """out at the reflected arguments: each inverse transform is its
+    forward transform followed by argument reflection."""
+    return out.with_values(out.values[..., ::-1])
 
 
 def fourier_inverse(g: SampledFn, output_grid: Grid) -> SampledFn:
     if not output_grid.is_symmetric:
         raise ArgumentError("fourier_inverse needs a symmetric output grid")
-    out = fourier(g, output_grid)
-    return SampledFn(output_grid, out.values[..., ::-1], FULL_LINE)
+    return _reflected(fourier(g, output_grid))
 
 
 def hankel(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     """Hankel transform of order alpha with the normalized kernel
     J_a(xy)/(xy)^a against y^{2a+1} dy."""
+    return _run([_hankel_plan(alpha, f, output_grid)])[0]
+
+
+def _hankel_plan(alpha: float, f: SampledFn, output_grid: Grid) -> _Plan:
+    """The one owner of the Hankel quadrature and its resolution guard."""
     if f.domain_tag != HALF_LINE:
         raise ArgumentError("hankel needs a half-line function")
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
     mat, = _j_kernels(output_grid, f.grid, alpha)
     y = f.grid.points
-    out = _apply_real(mat, f.grid.weights * y ** (2.0 * alpha + 1.0) * f.values)
-    return SampledFn(output_grid, out, HALF_LINE)
+    return _Plan([(mat, f.grid.weights * y ** (2.0 * alpha + 1.0) * f.values)],
+                 lambda outs: SampledFn(output_grid, outs[0], HALF_LINE))
 
 
 def hankel_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     """Kernel (xy)^{1/2} J_a(xy) against plain dy; self-inverse on L^2(dx).
     Reuses the cached j_alpha matrix through
     (xy)^{1/2} J_a(xy) = (xy)^{a+1/2} j_a(xy)."""
+    return _run([_hankel_modified_plan(alpha, f, output_grid)])[0]
+
+
+def _hankel_modified_plan(alpha: float, f: SampledFn, output_grid: Grid) -> _Plan:
     if f.domain_tag != HALF_LINE:
         raise ArgumentError("hankel_modified needs a half-line function")
     check_resolution(f.grid, float(np.max(np.abs(output_grid.points))))
     mat, = _j_kernels(output_grid, f.grid, alpha)
-    y = f.grid.points
-    x = output_grid.points
-    v = f.grid.weights * y ** (alpha + 0.5) * f.values
-    out = x ** (alpha + 0.5) * _apply_real(mat, v)
-    return SampledFn(output_grid, out, HALF_LINE)
+    y, x = f.grid.points, output_grid.points
+    return _Plan([(mat, f.grid.weights * y ** (alpha + 0.5) * f.values)],
+                 lambda outs: SampledFn(output_grid, x ** (alpha + 0.5) * outs[0], HALF_LINE))
 
 
-def _hankel_parts(alpha: float, f: SampledFn, half_out: Grid) -> tuple[SampledFn, SampledFn]:
+def _parts_plan(alpha: float, f: SampledFn, half_out: Grid) -> _Plan:
     """The parity step of the Dunkl transform: E = Hk_a f_e and
     O = Hk_{a+1}(f_o / y) on half_out, so D_a f(+-x) = E(x) -+ i x O(x)."""
     fe, fo = even_odd_split(f)
     check_resolution(fe.grid, float(np.max(np.abs(half_out.points))))
-    _j_kernels(half_out, fe.grid, alpha, alpha + 1.0)   # one pass: both hankel calls hit
-    return (hankel(alpha, fe, half_out),
-            hankel(alpha + 1.0, fo.with_values(fo.values / fo.grid.points), half_out))
+    _j_kernels(half_out, fe.grid, alpha, alpha + 1.0)   # one pass: both hankel plans hit
+    return _joined([_hankel_plan(alpha, fe, half_out),
+                    _hankel_plan(alpha + 1.0, fo.with_values(fo.values / fo.grid.points),
+                                 half_out)], lambda *parts: parts)
+
+
+def _assembled(output_grid: Grid, he: SampledFn, ho: SampledFn) -> SampledFn:
+    """The Dunkl spectrum E(|x|) - i x O(|x|) from the parity spectra."""
+    half = output_grid.positive_half()
+    return SampledFn(output_grid, assemble_values(he.values, -1j * half.points * ho.values),
+                     FULL_LINE)
 
 
 def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposition") -> SampledFn:
@@ -321,13 +434,16 @@ def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposi
     The two routes are the same integral rearranged and are cross-checked
     in the identity suite.
     """
+    return _run([_dunkl_plan(alpha, f, output_grid, route)])[0]
+
+
+def _dunkl_plan(alpha: float, f: SampledFn, output_grid: Grid,
+                route: str = "decomposition") -> _Plan:
     if not output_grid.is_symmetric:
         raise ArgumentError("dunkl needs a symmetric output grid")
     half_out = output_grid.positive_half()
     if route == "decomposition":
-        he, ho = _hankel_parts(alpha, f, half_out)
-        vals = assemble_values(he.values, -1j * half_out.points * ho.values)
-        return SampledFn(output_grid, vals, FULL_LINE)
+        return _parts_plan(alpha, f, half_out).then(lambda parts: _assembled(output_grid, *parts))
     if route == "direct":
         if f.domain_tag != FULL_LINE or not f.grid.is_symmetric:
             raise ArgumentError("the direct route needs a full-line, symmetric-grid f")
@@ -337,38 +453,43 @@ def dunkl(alpha: float, f: SampledFn, output_grid: Grid, route: str = "decomposi
         m = f.grid.n // 2
         v = f.grid.weights * np.abs(f.grid.points) ** (2.0 * alpha + 1.0) * f.values
         quad = np.stack([v[..., m:], v[..., m - 1::-1]], axis=-2)   # y > 0, mirrored y < 0
-        a = _apply_real(ja, quad)
-        b = _apply_real(jb, half_in.points * quad)
-        even = 0.5 * (a[..., 0, :] + a[..., 1, :])
-        odd = 0.5 * half_out.points * (b[..., 0, :] - b[..., 1, :])
-        return SampledFn(output_grid, assemble_values(even, -1j * odd), FULL_LINE)
+
+        def finish(outs):
+            a, b = outs
+            even = 0.5 * (a[..., 0, :] + a[..., 1, :])
+            odd = 0.5 * half_out.points * (b[..., 0, :] - b[..., 1, :])
+            return SampledFn(output_grid, assemble_values(even, -1j * odd), FULL_LINE)
+        return _Plan([(ja, quad), (jb, half_in.points * quad)], finish)
     raise ArgumentError(f"unknown dunkl route {route!r}")
 
 
 def dunkl_inverse(alpha: float, g: SampledFn, output_grid: Grid) -> SampledFn:
     """Inverse Dunkl transform: the forward transform followed by argument
     reflection."""
-    out = dunkl(alpha, g, output_grid)
-    return SampledFn(output_grid, out.values[..., ::-1], FULL_LINE)
+    return _reflected(dunkl(alpha, g, output_grid))
 
 
 def dunkl_modified(alpha: float, f: SampledFn, output_grid: Grid) -> SampledFn:
     """Modified Dunkl transform H_a(f_e)(|x|) - i sgn(x) H_{a+1}(f_o)(|x|);
     an isometry of L^2(R, dx)."""
+    return _run([_dunkl_modified_plan(alpha, f, output_grid)])[0]
+
+
+def _dunkl_modified_plan(alpha: float, f: SampledFn, output_grid: Grid) -> _Plan:
     if not output_grid.is_symmetric:
         raise ArgumentError("dunkl_modified needs a symmetric output grid")
     fe, fo = even_odd_split(f)
     half_out = output_grid.positive_half()
     check_resolution(fe.grid, float(np.max(np.abs(half_out.points))))
-    _j_kernels(half_out, fe.grid, alpha, alpha + 1.0)   # one pass: both hankel_modified calls hit
-    he = hankel_modified(alpha, fe, half_out)
-    ho = hankel_modified(alpha + 1.0, fo, half_out)
-    return SampledFn(output_grid, assemble_values(he.values, -1j * ho.values), FULL_LINE)
+    _j_kernels(half_out, fe.grid, alpha, alpha + 1.0)   # one pass: both modified plans hit
+    return _joined([_hankel_modified_plan(alpha, fe, half_out),
+                    _hankel_modified_plan(alpha + 1.0, fo, half_out)],
+                   lambda he, ho: SampledFn(output_grid, assemble_values(he.values, -1j * ho.values),
+                                            FULL_LINE))
 
 
 def dunkl_modified_inverse(alpha: float, g: SampledFn, output_grid: Grid) -> SampledFn:
-    out = dunkl_modified(alpha, g, output_grid)
-    return SampledFn(output_grid, out.values[..., ::-1], FULL_LINE)
+    return _reflected(dunkl_modified(alpha, g, output_grid))
 
 
 def transplant_dunkl(alpha: float, gamma: float, f: SampledFn,

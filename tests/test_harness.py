@@ -378,9 +378,11 @@ def test_a_residual_called_alone_equals_its_suite_value(small_res):
                                    atol=1e-6 * tol, err_msg=f"{r.name} {r.inputs['alpha']}")
 
 
-def _kernel_gemms(monkeypatch) -> list:
-    """(kernel, input) digests of every transforms._apply_real call."""
-    calls = []
+def _kernel_gemms(monkeypatch) -> tuple[list, list]:
+    """(kernel, input) digests of every transforms._apply_real call, and the
+    number of its real columns that are not all zero, which reach BLAS (a
+    stack's column once per matrix)."""
+    calls, live = [], []
     real = transforms._apply_real
 
     def digest(a):
@@ -389,34 +391,37 @@ def _kernel_gemms(monkeypatch) -> list:
 
     def counted(mat, v):
         calls.append((digest(mat), digest(v)))
+        w = transforms._columns(v, mat.ndim - 2)
+        live.append(int(np.count_nonzero(w.any(axis=tuple(range(w.ndim - 1))))) * w[..., 0, 0].size)
         return real(mat, v)
 
     monkeypatch.setattr(transforms, "_apply_real", counted)
-    return calls
+    return calls, live
 
 
 def test_identity_suite_transform_call_budget(monkeypatch, small_res):
-    """Each transform is taken once, one GEMM per transform of a whole
-    corpus stack and per cut call: at each of the orders -1/2, 0 and 1, two
-    each for the parity spectra, the direct route, the modified spectra,
-    the cut rows and the partial-sum and transplant inverses; two each for
-    inversion and conjugation at the requested order; and one for the
-    Fourier side.  No call repeats an earlier call's kernel and input."""
-    calls = _kernel_gemms(monkeypatch)
+    """Each kernel is applied once per order and level: at each of the
+    orders -1/2, 0 and 1, j_a and j_{a+1} once to every level-1 input (the
+    parity spectra, the direct route and the modified spectra) and once,
+    transposed, to every level-2 input (inversion, the cut rows and the
+    partial-sum and transplant inverses); and one Fourier GEMM.  No call
+    repeats an earlier call's kernel and input, and 600 real columns that
+    are not all zero reach BLAS."""
+    calls, live = _kernel_gemms(monkeypatch)
     run_identity_suite(small_res, seed=3, alphas=(0.0,))
-    assert len(calls) <= 41
+    assert len(calls) <= 13 and sum(live) <= 600
     assert len(set(calls)) == len(calls)
 
 
 def test_identity_suite_repeats_no_gemm_at_four_orders(monkeypatch, small_res):
-    """At the default orders, where -1/2 gives equal Hankel and modified
-    Hankel weights, no GEMM repeats either: 24 for the parity spectra,
-    direct routes and modified spectra of the four orders, 16 for inversion
-    and conjugation, 18 for the cut rows and the partial-sum and transplant
-    inverses at the three fixed orders, and one Fourier GEMM."""
-    calls = _kernel_gemms(monkeypatch)
+    """At the default orders, four GEMMs per order (two kernels, two
+    levels; only inversion at level 2 at the order 1/2) and one Fourier
+    GEMM, none repeated; at -1/2 the modified spectra of f and of
+    |x|^{a+1/2} f = f are one transform.  728 real columns that are not
+    all zero reach BLAS."""
+    calls, live = _kernel_gemms(monkeypatch)
     run_identity_suite(small_res, seed=3)
-    assert len(calls) <= 59
+    assert len(calls) <= 17 and sum(live) <= 728
     assert len(set(calls)) == len(calls)
 
 
@@ -425,13 +430,13 @@ def test_member_gate_takes_one_spectrum_per_order(monkeypatch, res512):
     stack per order: two Hankel parities forward, two back."""
     space = res512.space_grid()
     calls = Counter()
-    real = transforms.hankel
+    real = transforms._hankel_plan
 
     def counted(alpha, f, output_grid):
         calls[f.values.ndim] += 1
         return real(alpha, f, output_grid)
 
-    monkeypatch.setattr(transforms, "hankel", counted)
+    monkeypatch.setattr(transforms, "_hankel_plan", counted)
     keep, dropped = _gate_members(_sweep_corpus(7), (0.0, 1.0), res512)
     assert calls == Counter({2: 8}) and len(keep) + len(dropped) == 10
 

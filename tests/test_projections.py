@@ -326,18 +326,18 @@ def test_families_are_c_ordered_in_their_input_dtype(kind, members, dtype, space
 @pytest.mark.parametrize("kind, calls", [("dunkl", 4), ("hankel", 2)])
 def test_families_invert_through_transforms_hankel(kind, calls, monkeypatch, space512, freq512,
                                                    corpus512):
-    # one forward and one inverse transforms.hankel per parity, so the
-    # inverse quadrature and its resolution guard have one owner
+    # one forward and one inverse Hankel plan per parity, so the inverse
+    # quadrature and its resolution guard have one owner
     full = stack_of(corpus512[:2], space512)
     f, freq = (full, freq512) if kind == "dunkl" else (even_odd_split(full)[0],
                                                        freq512.positive_half())
-    seen, hankel = [], transforms.hankel
+    seen, hankel = [], transforms._hankel_plan
 
     def counted(alpha, g, output_grid):
         seen.append(output_grid)
         return hankel(alpha, g, output_grid)
 
-    monkeypatch.setattr(transforms, "hankel", counted)
+    monkeypatch.setattr(transforms, "_hankel_plan", counted)
     build_family(0.5, f, default_t_grid(freq512), freq)
     spectra, rows = freq512.positive_half(), f.grid.positive_half() if kind == "dunkl" else f.grid
     assert [g.key for g in seen] == [spectra.key] * (calls // 2) + [rows.key] * (calls // 2)

@@ -230,12 +230,82 @@ def test_apply_real_matches_upcast_product():
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.linalg.norm(m) * np.linalg.norm(v)
 
 
+def _ulps_of_max(got, want) -> float:
+    """max |got - want|, in ulps of each member's max |want| (the last axis)."""
+    scale = np.spacing(np.max(np.abs(want), axis=-1, keepdims=True))
+    return float(np.max(np.abs(got - want) / scale, initial=0.0))
+
+
+def test_apply_real_sends_no_all_zero_column_to_blas():
+    """A zero member, the zero imaginary plane of a real spectrum and the
+    zero real plane of an imaginary one come back exactly +0.0, for one
+    matrix and for a (k, r, n) stack whose matrices see different zero
+    columns; every other column equals its plain product within 4 ulp of
+    its largest value (at most 2 seen on the Haswell, Nehalem, Prescott
+    and SandyBridge kernels).  A NaN kernel shows that no column that is
+    zero on every matrix reached the GEMM."""
+    rng = np.random.Generator(np.random.Philox(key=5))
+    mat = rng.standard_normal((40, 30))
+    mats = np.stack([mat, rng.standard_normal((40, 30))])
+    real = rng.standard_normal((3, 30))
+    real[1] = 0.0   # a zero member
+    for m in (mat, mats):
+        for v in (real, real + 0j, 1j * real):   # real, zero imaginary plane, zero real plane
+            if m.ndim == 3:
+                v = np.stack([v, 2.0 * np.roll(v, 1, axis=0)])
+            got = transforms._apply_real(m, v)
+            assert got.dtype == v.dtype and got.flags.c_contiguous
+            for g, plane in ((got.real, np.real(v)), (np.imag(got), np.imag(v))):
+                w = plane @ m.swapaxes(-1, -2)
+                zero = ~np.any(plane != 0.0, axis=-1)
+                assert np.all(g[zero] == 0.0) and not np.any(np.signbit(g[zero]))
+                assert _ulps_of_max(g[~zero], w[~zero]) <= 4.0
+    v = np.stack([real, 0.0 * real]) + 0j   # v[1] is zero
+    for nan in (np.full((4, 30), np.nan), np.full((2, 4, 30), np.nan)):
+        out = transforms._apply_real(nan, v)
+        span = (0, -1) if nan.ndim == 3 else (-1,)   # a stack's column spans its matrices
+        dead = ~np.any(v.real != 0.0, axis=span, keepdims=True)
+        assert np.all(out.imag == 0.0)
+        assert np.all(np.where(dead, out.real == 0.0, np.isnan(out.real)))
+
+
+def test_one_driver_call_equals_its_plans_made_alone(monkeypatch, space512, freq512,
+                                                     corpus512):
+    """transforms._run over several plans, which share kernels (a real and
+    a complex stack on one j-kernel, and both parities of a Dunkl
+    transform next to its direct route), applies each of its three
+    kernels once and gives each plan's single-call result within 16 ulp of
+    each member's largest value (at most 9 seen on the four kernels): a
+    GEMM's column count moves the last bits of a sum."""
+    half, half_freq = space512.positive_half(), freq512.positive_half()
+    full = stack_of(corpus512[:3], space512)
+    mixed = full.with_values(full.values + 0.5j * full.values[::-1])
+    prof = even_odd_split(full)[0]
+    plans = lambda: [transforms._hankel_plan(0.5, prof, half_freq),
+                     transforms._hankel_plan(0.5, prof.with_values(1j * prof.values[0]), half_freq),
+                     transforms._hankel_modified_plan(1.5, prof, half_freq),
+                     transforms._dunkl_plan(0.5, mixed, freq512),
+                     transforms._dunkl_plan(0.5, full, freq512, "direct"),
+                     transforms._dunkl_modified_plan(0.5, mixed, freq512),
+                     transforms._fourier_plan(full, freq512),
+                     transforms._parts_plan(0.5, full, half_freq)]
+    calls, real = [], transforms._apply_real
+    monkeypatch.setattr(transforms, "_apply_real", lambda m, v: calls.append(m) or real(m, v))
+    together = transforms._run(plans())
+    assert len(calls) == 3
+    alone = [transforms._run([p])[0] for p in plans()]
+    for got, want in zip(together, alone):
+        for g, w in zip(*((x if isinstance(x, tuple) else (x,)) for x in (got, want))):
+            assert g.values.dtype == w.values.dtype and _ulps_of_max(g.values, w.values) <= 16.0
+    assert len(calls) == 3 + 12
+
+
 def test_direct_route_is_independent_of_parity_split(monkeypatch, space512, freq512,
                                                       one_bump):
     def refuse(*args, **kwargs):
         raise AssertionError("the direct route must not use the parity split")
 
-    monkeypatch.setattr(transforms, "hankel", refuse)
+    monkeypatch.setattr(transforms, "_hankel_plan", refuse)
     monkeypatch.setattr(transforms, "even_odd_split", refuse)
     out = dunkl(1.0, one_bump, freq512, route="direct")
     assert out.grid is freq512 and np.max(np.abs(out.values)) > 0.0
