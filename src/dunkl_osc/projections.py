@@ -94,7 +94,7 @@ def _cut_plan(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
     half of freq_grid (transforms._parts_plan) are parts when the caller
     already has them.  The forward transform is made here, and the inverse
     Hankel transforms of the masked spectra are the plan's requests.  Every
-    cut is checked to be finite and in the band, and the inverse
+    cut is checked to be finite, positive and in the band, and the inverse
     (transforms._hankel_plan) against the resolution guard."""
     want = FULL_LINE if kind == "dunkl" else HALF_LINE
     if f.domain_tag != want:
@@ -103,8 +103,8 @@ def _cut_plan(order: float, f: SampledFn, cut_lists, freq_grid: Grid | None,
         freq_grid = transforms.frequency_grid(f.grid)
     half_freq = freq_grid.positive_half() if freq_grid.is_symmetric else freq_grid
     flat = np.array([t for ts in cut_lists for t in ts], dtype=float)
-    if not np.all(np.isfinite(flat)):
-        raise ArgumentError("cuts must be finite")
+    if not np.all(np.isfinite(flat) & (flat > 0.0)):
+        raise ArgumentError("cuts must be finite and positive")
     over = flat[flat > half_freq.hi]
     if over.size:
         raise ResolutionError(

@@ -14,10 +14,9 @@ that band j_a is thus defined by the values of j_{a-1} and j_{a-2}.
 
 _ladder evaluates several orders in one pass: one band classification over
 all their edges, each order's own series and Miller run, and one ladder per
-Hankel block sharing tan(u/2), cos u, sin u and 1/u^2.  It may be handed
-orders already evaluated on the same u (cached kernels) to recur from.  The
-bit rule: every value it returns equals bessel_j_normalized(a, u) bit for
-bit, whatever it was handed.
+Hankel block sharing tan(u/2), cos u, sin u and 1/u^2.  The bit rule:
+every value it returns equals bessel_j_normalized(a, u) bit for bit,
+whatever other orders share the pass.
 
 u^a j_a is within 1e-15 of mpmath's J_a on the N=512 and N=1536 kernel
 grids at orders 0 to 2, and within 1e-13 of scipy.special.jv for a <= 50,
@@ -108,21 +107,18 @@ def _hankel_pq(m: float, lo: float, u, z, cos_w, sin_w) -> np.ndarray:
 
 def _hankel(orders, u: np.ndarray, lo: float, memo: dict) -> dict:
     """memo (orders -> values on a block of u past every order's turn),
-    filled up the ladder of each of orders from the highest two rungs
-    known below it.  Orders b and b + 1 take J_m(u) = sqrt(2/(pi u))
-    (P cos w - Q sin w), w = u - (m/2 + 1/4) pi, with the terms that matter
-    at u = lo (or the closed forms at b = -1/2); cos w and sin w rotate
-    cos u and sin u by scalars, so u (and u/2) is never rounded.  Higher
-    orders recur from the two rungs below (m - 1 and m - 2 are exact)."""
+    filled up the ladder b, b + 1, ..., a of each order a >= 3/2, b in
+    [-1/2, 1/2), and at each order a < 3/2 alone, keeping the rungs already
+    in memo.  Orders below 3/2 take J_m(u) = sqrt(2/(pi u)) (P cos w -
+    Q sin w), w = u - (m/2 + 1/4) pi, with the terms that matter at u = lo
+    (or the closed forms at m = +-1/2); cos w and sin w rotate cos u and
+    sin u by scalars, so u (and u/2) is never rounded.  Higher orders recur
+    from the two rungs below (m - 1 and m - 2 are exact)."""
     z = 1.0 / (u * u)
-    cos_sin = None   # made on first use: a ladder from known rungs needs z alone
+    cos_sin = None   # made on first use: a ladder on the closed forms needs z alone
     for a in orders:
-        k = 0   # rungs a - k, ..., a are filled
-        while a - k >= 1.5 and not (a - k - 1.0 in memo and a - k - 2.0 in memo):
-            k += 1
-        if k and a - k < 1.5 and a - k >= 0.5:   # b + 1 was reached: b is needed too
-            k += 1
-        for m in (a - i for i in range(k, -1, -1)):
+        n = int(a + 0.5) if a >= 1.5 else 0   # rungs a - n = b, ..., a
+        for m in (a - i for i in range(n, -1, -1)):
             if m in memo:
                 continue
             if abs(m) == 0.5:
@@ -140,22 +136,20 @@ def _hankel(orders, u: np.ndarray, lo: float, memo: dict) -> dict:
     return memo
 
 
-def _ladder(orders, u: np.ndarray, known: dict | None = None) -> list:
+def _ladder(orders, u: np.ndarray) -> list:
     """[j_a(u) for a in orders] on a 1-d u >= 0, in one pass: one band
     classification over every order's edges, with each order's own series,
-    Miller run and band parameters, and one Hankel ladder per block.  known
-    maps orders to values already evaluated on this u (cached kernels) for
-    the Hankel band to recur from.  Each value equals bessel_j_normalized
-    bit for bit, so which orders are known changes no output."""
+    Miller run and band parameters, and one Hankel ladder per block, which
+    starts from the closed forms of the orders +-1/2 in the pass.  Each
+    value equals bessel_j_normalized bit for bit, so which orders share a
+    pass changes no output."""
     orders = [float(a) for a in orders]
     for a in orders:
         if not np.isfinite(a) or a < -0.5:
             raise ArgumentError(f"order must satisfy alpha >= -1/2, got {a}")
         if a > MAX_ORDER:
             raise DomainError(f"Bessel order {a:g} exceeds the supported maximum {MAX_ORDER:g}")
-    known = dict(known or {})
     out = {a: _closed(a, u) for a in orders if abs(a) == 0.5}
-    known.update(out)
     rest = [a for a in orders if a not in out]
     if rest:
         turns = [max(_TURN, a) for a in rest]
@@ -172,7 +166,7 @@ def _ladder(orders, u: np.ndarray, known: dict | None = None) -> list:
                 uu = u[idx]
                 if hank:   # b and b + 1 keep their own bands: lo is an edge of _EDGES
                     vals = _hankel(hank, uu, max(e for e in _EDGES if e <= lo),
-                                   {m: v[idx] for m, v in known.items()})
+                                   {m: out[m][idx] for m in (-0.5, 0.5) if m in out})
                 for a, turn in zip(rest, turns):
                     out[a][idx] = (_series(a, uu, bounds[1]) if k == 0 else
                                    _miller(a, uu, min(e for e in (*_EDGES, turn) if e >= hi))

@@ -27,11 +27,11 @@ its triangle before the mirror.  When the two node sets are proportional
 evaluated on one triangle and mirrored (_outer_kernel).  Bessel kernels
 are built as order ladders (_j_kernels): the Dunkl-family transforms need
 j_a and j_{a+1} on one grid pair and build the orders still cold in one
-special._ladder pass, and an order whose two lower orders are cached recurs
-from them past its turning point.  No order is built that no transform
-asked for.  Each stored entry equals bessel_j_normalized at its u bit for
-bit, whichever path built it, so no output depends on what was cached
-before or on which thread built a kernel.  Every kernel is
+special._ladder pass over their own u, which reads no cached kernel.  No
+order is built that no transform asked for.  Each stored entry equals
+bessel_j_normalized at its u bit for bit, whichever pass built it, so no
+output depends on what was cached before or on which thread built a
+kernel.  Every kernel is
 real and is applied in real arithmetic (_apply_real), so no cached kernel
 is upcast to a complex copy, and the data's dtype carries through: hankel
 and hankel_modified of a float64 f are float64, while fourier and the
@@ -85,7 +85,10 @@ def _cached_all(keys, build):
     concurrently, outside the lock.  Kernels are published read-only (one
     buffer may back two orientations), and least-recently-used ones are
     evicted while the stored bytes exceed _CACHE_BUDGET, never the kernels
-    just built."""
+    just built.  A key in flight is waited for, not built again, so every
+    request for it gets the one stored array: the driver _run groups
+    requests by kernel buffer, and two threads' requests on one order share
+    it."""
     found, waits, mine = {}, {}, []
     with _cache_lock:
         for key in keys:
@@ -248,10 +251,9 @@ def _run(plans: list) -> list:
     return [p.finish(o) for p, o in zip(plans, outs)]
 
 
-def _outer_kernel(r: np.ndarray, c: np.ndarray, fn, *stored, out=None):
-    """The (r.size, c.size) kernels of the 1-d arrays fn(u, *stored) returns,
-    at u_ij = r_i c_j; stored kernels on the same nodes reach fn in u's
-    layout.  When r and c are proportional node sets of one length (a
+def _outer_kernel(r: np.ndarray, c: np.ndarray, fn, out=None):
+    """The (r.size, c.size) kernels of the 1-d arrays fn(u) returns, at
+    u_ij = r_i c_j.  When r and c are proportional node sets of one length (a
     frequency half-grid is a scaled copy of the space half-grid), u is
     symmetric up to rounding: fn runs on the j >= i triangle only, packed
     row by row, and the triangle is mirrored in row blocks, so each kernel
@@ -261,18 +263,13 @@ def _outer_kernel(r: np.ndarray, c: np.ndarray, fn, *stored, out=None):
     lam = r[-1] / c[-1] if n == c.size and c[-1] != 0.0 else 0.0
     if lam == 0.0 or np.any(np.abs(r - lam * c) > 4.0 * np.finfo(float).eps * np.abs(lam * c)):
         u = np.multiply.outer(r, c)
-        vals = [v.reshape(u.shape) for v in fn(u.ravel(), *(m.ravel() for m in stored))]
+        vals = [v.reshape(u.shape) for v in fn(u.ravel())]
         if out is None:
             return vals
         for o, v in zip(out, vals):
             o[...] = v
         return out
-
-    def packed(row):   # the j >= i triangle, row by row
-        return np.concatenate([row(i) for i in range(n)])
-
-    tri = list(fn(packed(lambda i: r[i] * c[i:]),
-                  *(packed(lambda i, m=m: m[i, i:]) for m in stored)))
+    tri = list(fn(np.concatenate([r[i] * c[i:] for i in range(n)])))   # j >= i, row by row
     low = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)
     kernels = []
     while tri:   # each triangle is freed once its kernel is filled
@@ -294,27 +291,15 @@ def _j_kernels(rows: Grid, cols: Grid, *orders: float) -> list:
     cached once per order and unordered grid pair: x*y = y*x exactly, so
     the orientation with rows.key > cols.key is the transposed view of the
     stored one.  The orders not yet cached are built in one special._ladder
-    pass, which recurs in the Hankel band from the kernels of orders a - 1
-    and a - 2 when both are cached, a the lowest order it builds.  Each
-    stored entry equals bessel_j_normalized at its u, whatever the path."""
+    pass.  Each stored entry equals bessel_j_normalized at its u."""
     if rows.key > cols.key:
         return [m.T for m in _j_kernels(cols, rows, *orders)]
 
-    def key(a):
-        return ("j", float(a), rows.key, cols.key)
-
     def build(cold_keys):
-        cold = [k[1] for k in cold_keys]
-        below = (min(cold) - 2.0, min(cold) - 1.0)
-        with _cache_lock:
-            stored = [_matrix_cache.get(key(a)) for a in below]
-        if any(m is None for m in stored):
-            below, stored = (), []
         return _outer_kernel(np.abs(rows.points), np.abs(cols.points),
-                             lambda u, *known: _ladder(cold, u, dict(zip(below, known))),
-                             *stored)
+                             lambda u: _ladder([k[1] for k in cold_keys], u))
 
-    return _cached_all([key(a) for a in orders], build)
+    return _cached_all([("j", float(a), rows.key, cols.key) for a in orders], build)
 
 
 def fourier(f: SampledFn, output_grid: Grid) -> SampledFn:

@@ -56,6 +56,18 @@ def test_partial_sum_and_family(workdir):
         assert fh.readline().startswith("x,0.5,1,2,4")
 
 
+@pytest.mark.parametrize("t", ["0", "-1"])
+@pytest.mark.parametrize("kind,inp", [("dunkl", "f.csv"), ("hankel", "fh.csv")])
+def test_partial_sum_at_a_cut_not_above_zero_exits_2_with_one_line(workdir, capsys,
+                                                                   kind, inp, t):
+    # it used to exit 0 and write the zero function
+    assert main(["partial-sum", "--kind", kind, "--t", t, "--input", inp,
+                 "--output", "S.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: cuts must be finite and positive\n"
+    assert not os.path.exists("S.csv")
+
+
 def test_osc_var_maximal(workdir):
     assert main(["osc", "--alpha", "0", "--input", "f.csv",
                  "--output", "osc.csv"]) == 0

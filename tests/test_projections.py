@@ -44,14 +44,18 @@ def test_octaves_reproduce_the_inline_ladders(res):
     assert sup.tobytes() == (2.0 ** np.arange(-4, 8)).tobytes()
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_thresholds_and_cuts_are_refused(bad, one_bump, freq512):
-    # a NaN cut used to mask nothing away (NaN sorts past the last node)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_non_finite_thresholds_and_cuts_are_refused(bad, one_bump, space512, freq512):
+    # a NaN cut used to mask nothing away (NaN sorts past the last node),
+    # and a cut t <= 0 everything (the partial sum was the zero function)
     for ts in ([1.0, bad, 3.0], [1.0, 2.0, bad]):
         with pytest.raises(ArgumentError):
             ThresholdSeq(np.array(ts))
     with pytest.raises(ArgumentError):
         dunkl_partial_sum(0.0, one_bump, bad, freq512)
+    half = sample(bump(1.5, 1.2), space512.positive_half(), HALF_LINE)
+    with pytest.raises(ArgumentError):
+        hankel_partial_sum(0.5, half, bad, freq512.positive_half())
     with pytest.raises(ArgumentError):
         _cut_rows(0.0, one_bump, [[1.0, bad]], freq512, "dunkl")
     with pytest.raises(ArgumentError):

@@ -175,15 +175,17 @@ def test_below_turning_point_relative(alpha):
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5, 20.0, 20.5, 24.0, 25.0, 48.0, 49.0])
 def test_ladder_pass_has_each_orders_bits(alpha):
-    # the bit rule on a dense u: a pass over j_a and j_{a+1}, and j_a from
-    # its two lower orders handed in, equal bessel_j_normalized bit for bit,
-    # also where the other order's turning point splits a band (a >= 20)
+    # the bit rule on a dense u: passes over j_a and j_{a+1}, and over j_a,
+    # j_{a+1} and j_{a+2}, whose upper orders recur from rungs built in the
+    # same pass, equal bessel_j_normalized bit for bit, also where another
+    # order's turning point splits a band (a >= 20); the pass at a = 49
+    # stops at MAX_ORDER
     u = np.linspace(0.0, 200.0, 200001)
-    lower = {a: bessel_j_normalized(a, u) for a in (alpha - 2.0, alpha - 1.0)}
-    want = [bessel_j_normalized(a, u) for a in (alpha, alpha + 1.0)]
-    pair = _ladder([alpha, alpha + 1.0], u)
-    assert all(np.array_equal(got, w) for got, w in zip(pair, want))
-    assert np.array_equal(_ladder([alpha], u, lower)[0], want[0])
+    orders = [a for a in (alpha, alpha + 1.0, alpha + 2.0) if a <= MAX_ORDER]
+    want = [bessel_j_normalized(a, u) for a in orders]
+    for n in {2, len(orders)}:
+        got = _ladder(orders[:n], u)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want[:n])), n
 
 
 def test_import_pulls_no_test_dependencies():

@@ -420,12 +420,12 @@ def cold_kernel_cache():
 
 
 def spy_ladder(monkeypatch):
-    """(orders, known orders, points) of every ladder pass that transforms runs."""
+    """(orders, points) of every ladder pass that transforms runs."""
     passes = []
 
-    def spy(orders, u, known=None):
-        passes.append((list(orders), sorted(known or {}), u.size))
-        return _ladder(orders, u, known)
+    def spy(orders, u):
+        passes.append((list(orders), u.size))
+        return _ladder(orders, u)
 
     monkeypatch.setattr(transforms, "_ladder", spy)
     return passes
@@ -434,7 +434,7 @@ def spy_ladder(monkeypatch):
 def entries(passes) -> Counter:
     """Kernel entries evaluated per order by the passes."""
     out = Counter()
-    for orders, _, points in passes:
+    for orders, points in passes:
         out.update({a: points for a in orders})
     return out
 
@@ -587,16 +587,13 @@ def kernel_pair(request, res512):
 
 
 @pytest.mark.parametrize("alpha", LADDER_ORDERS)
-def test_j_kernel_has_the_same_bits_by_every_path(monkeypatch, cold_kernel_cache,
-                                                  kernel_pair, alpha):
+def test_j_kernel_has_the_same_bits_by_every_path(cold_kernel_cache, kernel_pair, alpha):
     """The bit rule: built alone on a cold cache, as either order of a
-    pair, by recurrence on its two cached lower orders, or by two pool
-    threads racing on overlapping pairs, a kernel holds
-    bessel_j_normalized at each entry's u, bit for bit."""
+    pair, or by two pool threads racing on overlapping pairs, a kernel
+    holds bessel_j_normalized at each entry's u, bit for bit; the racing
+    threads get one buffer for their shared order, as _run groups it."""
     rows, cols, u = kernel_pair
     want = bessel_j_normalized(alpha, u.ravel()).reshape(u.shape)
-    below = [a for a in (alpha - 2.0, alpha - 1.0) if a >= -0.5]
-    passes = spy_ladder(monkeypatch)
 
     def cold(*orders):
         with transforms._cache_lock:
@@ -604,13 +601,9 @@ def test_j_kernel_has_the_same_bits_by_every_path(monkeypatch, cold_kernel_cache
         return dict(zip(orders, transforms._j_kernels(rows, cols, *orders)))
 
     builds = {"alone": cold(alpha)[alpha], "pair, lower": cold(alpha, alpha + 1.0)[alpha]}
+    below = alpha - 1.0 >= -0.5
     if below:
         builds["pair, upper"] = cold(alpha - 1.0, alpha)[alpha]
-    cold()
-    for a in below:
-        transforms._j_kernels(rows, cols, a)
-    builds["after its lower orders"] = transforms._j_kernels(rows, cols, alpha)[0]
-    assert passes[-1][:2] == ([alpha], below if len(below) == 2 else [])
     cold()
     barrier = threading.Barrier(2)
 
@@ -622,6 +615,8 @@ def test_j_kernel_has_the_same_bits_by_every_path(monkeypatch, cold_kernel_cache
     with ThreadPoolExecutor(2) as pool:
         raced = list(pool.map(racer, pairs))
     builds.update({f"racing {orders}": got[alpha] for orders, got in zip(pairs, raced)})
+    assert len({(m.__array_interface__["data"][0], m.shape, m.strides)
+                for m in (got[alpha] for got in raced)}) == 1
     for name, mat in builds.items():
         assert np.array_equal(mat, want), name
 
@@ -642,7 +637,7 @@ def test_identity_suite_builds_its_kernels_in_one_pass(monkeypatch, cold_kernel_
     passes = spy_ladder(monkeypatch)
     run_identity_suite(Resolution(6, 32, 3.0), 3, (0.0, 2.5), 1)
     orders = [-0.5, 0.0, 0.5, 1.0, 2.0, 2.5, 3.5]
-    assert [p[:2] for p in passes] == [(orders, [])]
+    assert [p[0] for p in passes] == [orders]
     assert sorted(key[1] for key in cold_kernel_cache if key[0] == "j") == orders
 
 
@@ -693,12 +688,12 @@ def test_dunkl_family_builds_each_cold_pair_in_one_pass(monkeypatch, cold_kernel
             cold_kernel_cache.clear()
         passes.clear()
         call()
-        assert [p[:2] for p in passes] == [([1.0, 2.0], [])]
+        assert [p[0] for p in passes] == [[1.0, 2.0]]
     with transforms._cache_lock:
         cold_kernel_cache.clear()
     passes.clear()
     hankel_partial_sum(1.5, half, 4.0, freq512)
-    assert [p[:2] for p in passes] == [([1.5], [])]
+    assert [p[0] for p in passes] == [[1.5]]
     assert [key[:2] for key in cold_kernel_cache] == [("j", 1.5)]
 
 

@@ -4,8 +4,11 @@ leaves every output byte-identical.
 Runs, in a temporary directory, with the package of the checkout this
 script lives in:
 
-- ``verify`` at N=512, with ``--summary``, and at the default N=1536;
-- every ``sweep`` kind at ``--n-panels 8 --seed 7`` (prestini at
+- ``verify`` at N=512, with ``--summary`` and again with ``--threads 2``,
+  and at the default N=1536;
+- every ``sweep`` kind at ``--n-panels 8 --seed 7`` (oscillation also with
+  ``--threads 2``: with the N=512 verify, the runs whose pool threads race
+  to build the same kernels; prestini at
   ``--alpha 0,1``, weighted-carleson with ``--experimental``, transference
   at p=2 and at p=3 with beta=0.5 in dimension 3, and at p=2 in dimensions
   1 and 2, so that both exact reductions and a dimension without one run;
@@ -50,7 +53,8 @@ from dunkl_osc import (FULL_LINE, HALF_LINE, bump, gaussian,  # noqa: E402
                        make_graded_grid, sample, write_sampled_fn)
 
 # sweep kind -> the flag sets it runs with (default: one run without flags)
-SWEEP_FLAGS = {"prestini": [["--alpha", "0,1"]], "weighted-carleson": [["--experimental"]],
+SWEEP_FLAGS = {"oscillation": [[], ["--threads", "2"]], "prestini": [["--alpha", "0,1"]],
+               "weighted-carleson": [["--experimental"]],
                "transference": [["--p", "2"], ["--p", "3", "--beta", "0.5"],
                                 ["--dimension", "1"], ["--dimension", "2"]]}
 T_GRID = ["--t-grid", "0.5,1,2,4"]
@@ -74,6 +78,8 @@ def _commands(inputs: dict[str, list[str]]):
     """(output name, argv) of every run on the input CSVs of _inputs."""
     yield "verify-n512.jsonl", ["verify", "--n-panels", "8", "--seed", "7",
                                 "--summary", "verify-n512-summary.csv"]
+    yield "verify-n512-threads-2.jsonl", ["verify", "--n-panels", "8", "--seed", "7",
+                                          "--threads", "2"]
     yield "verify-n1536.jsonl", ["verify", "--seed", "7"]
     for kind, (reads, _) in SWEEPS.items():
         res = ["--n-panels", "8"] if "n_panels" in reads else []
